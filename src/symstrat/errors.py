@@ -60,6 +60,12 @@ class BranchJumpError(SymstratError):
     coarse to track a continuous argument branch."""
 
 
+class TailJumpError(BranchJumpError):
+    """The reduced symbol's phases at -cutoff and +cutoff differ by more than
+    pi/2: the symbol does not close up at infinity along the line, so the
+    tail correction would guess a branch."""
+
+
 class ZeroOnCircle(SymstratError):
     """Laurent symbol vanishes (numerically) on the unit circle."""
 
@@ -114,6 +120,11 @@ class DuplicateComponentError(SymstratError):
 
 class UnstableRank(SymstratError):
     """Numerical kernel count did not stabilize between section sizes."""
+
+
+class NormNotConverged(SymstratError):
+    """Neither ARPACK nor the power-iteration fallback converged to an
+    operator norm."""
 
 
 # --- pipeline ---

@@ -33,7 +33,7 @@ import numpy as np
 from .dsl import SymbolExpr, eval_on_grid, frequency_support
 from .errors import (BranchJumpError, GrowthViolation, MissingStratumReport,
                      NonEllipticOnLine, ProductMismatch, SlopeDisagreement,
-                     SupportLeak)
+                     SupportLeak, TailJumpError)
 from .geometry import Cone, Stratification, dual_cone
 from .symbols import Symbol
 
@@ -79,9 +79,10 @@ def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
     frequency axis, by stepwise phase unwrapping with a tail correction
     from the values at +-cutoff.
 
-    Raises NonEllipticOnLine if the reduced symbol vanishes on the grid and
+    Raises NonEllipticOnLine if the reduced symbol vanishes on the grid,
     BranchJumpError if any adjacent phase step exceeds pi/2 (grid too
-    coarse; refine rather than guess)."""
+    coarse; refine rather than guess), and its subclass TailJumpError if
+    the phases at -cutoff and +cutoff differ by more than pi/2."""
     x0 = np.asarray(x0, dtype=float)
     xi_prime = np.asarray(xi_prime, dtype=float).reshape(-1)
     if xi_prime.size != s.dim - 1:
@@ -101,11 +102,17 @@ def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
             f"reduced symbol modulus {mods[j]:.3e} at t={t[j]:.6g}")
     steps = np.angle(reduced[1:] * np.conj(reduced[:-1]))
     tail = float(np.angle(reduced[0] * np.conj(reduced[-1])))
-    if np.max(np.abs(steps)) > math.pi / 2 or abs(tail) > math.pi / 2:
+    if np.max(np.abs(steps)) > math.pi / 2:
         j = int(np.argmax(np.abs(steps)))
         raise BranchJumpError(
             f"phase step {np.max(np.abs(steps)):.3f} rad near t={t[j]:.6g} "
             "exceeds pi/2; refine the quadrature grid")
+    if abs(tail) > math.pi / 2:
+        raise TailJumpError(
+            f"tail phase jump {tail:.3f} rad exceeds pi/2: the reduced "
+            f"symbol has phase {np.angle(reduced[-1]):.3f} rad at "
+            f"t=+{cutoff:.6g} and {np.angle(reduced[0]):.3f} rad at "
+            f"t=-{cutoff:.6g}, so it does not close up at infinity")
     total = float(np.sum(steps)) + tail
     return s.order_alpha / 2.0 + total / (2.0 * math.pi)
 

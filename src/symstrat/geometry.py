@@ -27,7 +27,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (CoverageError, DegenerateConeError, UnsupportedModelError)
 
@@ -91,6 +90,9 @@ class Cone:
         The cone is pointed iff some direction y has g.y > 0 for every
         generator (iff the dual cone is full-dimensional).
         """
+        # scipy.optimize is slow to import and needed only here
+        from scipy.optimize import linprog
+
         g = self.generator_array()
         n = self.dim
         # maximize t  s.t.  g_i . y >= t,  -1 <= y <= 1

@@ -23,18 +23,19 @@ reported as such.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.sparse.linalg import LinearOperator, svds
+from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .dsl import eval_on_grid
 from .errors import (DuplicateComponentError, EmptyDomainError,
-                     MissingPatchError, OrderMismatch, SupportOverlapError,
-                     UnstableRank, ZeroOnCircle)
+                     MissingPatchError, NormNotConverged, OrderMismatch,
+                     SupportOverlapError, UnstableRank, ZeroOnCircle)
 from .geometry import CanonicalDomain, PartitionOfUnity
 from .laurent import LaurentPolynomial, laurent_winding
 from .symbols import Symbol
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 DENSE_LIMIT = 2048          # max side for dense norm computations
+POWER_STEPS = 500           # power-iteration fallback of operator_norm
 RANK_TOL = 1e-8
 _EDGE_PAD = 4               # extra columns in the right-edge window
 
@@ -156,7 +158,7 @@ class DiscreteOperator:
     """
 
     def __init__(self, shape, matvec, rmatvec, src=None, dst=None,
-                 kind="composite", data=None, provenance=None):
+                 kind="composite", data=None, provenance=None, dense=None):
         self.shape = tuple(shape)
         self._matvec = matvec
         self._rmatvec = rmatvec
@@ -165,20 +167,20 @@ class DiscreteOperator:
         self.kind = kind
         self.data = data
         self.provenance = dict(provenance or {})
-        self._dense = None
+        # builds the dense matrix from the operands' matrices, given the
+        # size limit; None means "from blocks" (see block)
+        self._build_dense = dense
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def from_matrix(mat, src=None, dst=None, provenance=None):
         mat = np.asarray(mat, dtype=complex)
-        op = DiscreteOperator(
+        return DiscreteOperator(
             mat.shape,
             lambda v: mat @ v,
             lambda v: mat.conj().T @ v,
             src, dst, kind="dense", data=mat, provenance=provenance)
-        op._dense = mat
-        return op
 
     @staticmethod
     def multiplier(values, src, dst, provenance=None):
@@ -237,7 +239,8 @@ class DiscreteOperator:
             lambda v: self.matvec(other.matvec(v)),
             lambda v: other.rmatvec(self.rmatvec(v)),
             other.src, self.dst, kind="composite",
-            provenance={"construction": "compose"})
+            provenance={"construction": "compose"},
+            dense=lambda limit: self.matvec(other.to_dense(limit)))
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -247,7 +250,8 @@ class DiscreteOperator:
             lambda v: self.matvec(v) + other.matvec(v),
             lambda v: self.rmatvec(v) + other.rmatvec(v),
             self.src or other.src, self.dst or other.dst, kind="composite",
-            provenance={"construction": "sum"})
+            provenance={"construction": "sum"},
+            dense=lambda limit: self.to_dense(limit) + other.to_dense(limit))
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -259,20 +263,45 @@ class DiscreteOperator:
             lambda v: c * self.matvec(v),
             lambda v: np.conj(c) * self.rmatvec(v),
             self.src, self.dst, kind="composite",
-            provenance={"construction": "scale"})
+            provenance={"construction": "scale"},
+            dense=lambda limit: c * self.to_dense(limit))
 
     # -- materialization ---------------------------------------------------
 
+    def block(self, rows, cols) -> np.ndarray:
+        """The entries A[rows, cols] for integer index arrays.  A multiplier
+        reads them off its convolution kernel ifftn(values) at the torus
+        offset (x - y) mod N per axis, with no transform of the columns;
+        a composite operator is applied to the unit vectors of ``cols``."""
+        if self.kind == "dense":
+            return self.data[np.ix_(rows, cols)]
+        if self.kind == "diag":
+            same = rows[:, None] == cols[None, :]
+            return np.where(same, self.data[rows][:, None], 0.0 + 0.0j)
+        if self.kind == "multiplier":
+            grid = self.src.grid
+            axes = (grid.n,) * grid.dim
+            kernel = np.fft.ifftn(self.data.reshape(axes)).ravel()
+            pos = np.unravel_index(np.arange(grid.size), axes)
+            offset = np.ravel_multi_index(
+                tuple(p[rows][:, None] - p[cols][None, :] for p in pos),
+                axes, mode="wrap")
+            return kernel[offset]
+        unit = np.zeros((self.shape[1], cols.size), dtype=complex)
+        unit[cols, np.arange(cols.size)] = 1.0
+        return self.matvec(unit)[rows]
+
     def to_dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
+        if self.kind == "dense":
+            return self.data
         n_dst, n_src = self.shape
         if max(n_dst, n_src) > limit:
             raise MemoryError(
                 f"refusing to materialize a {n_dst}x{n_src} dense matrix "
                 f"(limit {limit}); use matvec-based routines")
-        self._dense = self.matvec(np.eye(n_src, dtype=complex))
-        return self._dense
+        if self._build_dense is not None:
+            return self._build_dense(limit)
+        return self.block(np.arange(n_dst), np.arange(n_src))
 
 
 def lattice_projector(mask, space=None) -> DiscreteOperator:
@@ -295,16 +324,7 @@ def _conjugated_linear_operator(op: DiscreteOperator, freq_mask=None):
     its plain sigma_max is the H^s_src -> H^s_dst operator norm.  An
     optional 0/1 frequency mask compresses both sides."""
     if op.src is None or op.dst is None:
-        if freq_mask is not None:
-            raise ValueError("frequency mask needs lattice spaces")
-
-        def mv(v):
-            return op.matvec(v)
-
-        def rmv(v):
-            return op.rmatvec(v)
-
-        return op.shape, mv, rmv
+        return op.shape, op.matvec, op.rmatvec
 
     g_src, g_dst = op.src.grid, op.dst.grid
     w_src = op.src.weights()
@@ -330,6 +350,24 @@ def _conjugated_linear_operator(op: DiscreteOperator, freq_mask=None):
     return op.shape, mv, rmv
 
 
+def _conjugated_matrix(op: DiscreteOperator, freq_mask,
+                       limit: int) -> np.ndarray:
+    """Dense form of _conjugated_linear_operator: W_dst F A F^H W_src^-1
+    from two FFT passes over the matrix, with the rows and columns outside
+    the frequency mask dropped rather than zeroed."""
+    mat = op.to_dense(limit)
+    if op.src is None or op.dst is None:
+        return mat
+    keep = slice(None) if freq_mask is None else np.asarray(freq_mask, bool)
+    rows = op.dst.grid.fft_flat(mat)[keep]
+    rows *= op.dst.weights()[keep, None]
+    # B F^H, row by row, is F^H applied to each row: the DFT matrix is
+    # symmetric
+    out = op.src.grid.ifft_flat(rows.T).T[:, keep]
+    out /= op.src.weights()[keep]
+    return out
+
+
 def operator_norm(op: DiscreteOperator, freq_mask=None,
                   dense_limit: int = DENSE_LIMIT) -> float:
     """Operator norm in the weighted source/target norms (plain l2 when the
@@ -345,11 +383,13 @@ def operator_norm(op: DiscreteOperator, freq_mask=None,
             and freq_mask is None:
         return float(np.max(np.abs(op.data))) if op.data.size else 0.0
 
-    shape, mv, rmv = _conjugated_linear_operator(op, freq_mask)
-    n_dst, n_src = shape
+    if freq_mask is not None and (op.src is None or op.dst is None):
+        raise ValueError("frequency mask needs lattice spaces")
+    n_dst, n_src = op.shape
     if max(n_dst, n_src) <= dense_limit:
-        mat = mv(np.eye(n_src, dtype=complex))
+        mat = _conjugated_matrix(op, freq_mask, dense_limit)
         return float(np.linalg.norm(mat, 2))
+    shape, mv, rmv = _conjugated_linear_operator(op, freq_mask)
     lin = LinearOperator(shape, matvec=lambda v: mv(v.astype(complex)),
                          rmatvec=lambda v: rmv(v.astype(complex)),
                          dtype=complex)
@@ -358,22 +398,28 @@ def operator_norm(op: DiscreteOperator, freq_mask=None,
         sigma = svds(lin, k=1, which="LM", v0=v0, maxiter=8000,
                      return_singular_vectors=False, tol=1e-9)
         return float(sigma[0])
-    except Exception:
-        # power iteration on A*A as a deterministic fallback
-        v = v0.astype(complex)
-        sigma2 = 0.0
-        for _ in range(500):
-            w = rmv(mv(v))
-            nrm = np.linalg.norm(w)
-            if nrm == 0:
-                return 0.0
-            v_new = w / nrm
-            if abs(nrm - sigma2) < 1e-10 * max(nrm, 1.0):
-                sigma2 = nrm
-                break
-            sigma2 = nrm
-            v = v_new
-        return float(math.sqrt(sigma2))
+    except ArpackError as exc:
+        # no convergence, or a start vector that A*A annihilates (error -9,
+        # as on a zero or roundoff-sized operator); other errors propagate
+        arpack_failure = exc
+    # power iteration on A*A as a deterministic fallback, from a generic
+    # start so that a null vector of A cannot pass for the answer
+    v = np.random.default_rng(0).standard_normal(n_src).astype(complex)
+    v /= np.linalg.norm(v)
+    sigma2 = 0.0
+    for _ in range(POWER_STEPS):
+        w = rmv(mv(v))
+        nrm = np.linalg.norm(w)
+        if nrm == 0:
+            return 0.0
+        if abs(nrm - sigma2) < 1e-10 * max(nrm, 1.0):
+            return float(math.sqrt(nrm))
+        sigma2 = nrm
+        v = w / nrm
+    raise NormNotConverged(
+        f"{arpack_failure}; power iteration on the {n_dst}x{n_src} operator "
+        f"had not converged after {POWER_STEPS} steps (last estimate "
+        f"{math.sqrt(sigma2):.6g})")
 
 
 # --------------------------------------------------------------------------
@@ -644,9 +690,20 @@ def assemble_operator(family, pou: PartitionOfUnity,
             out = out + gj * op.rmatvec(fj * v)
         return out
 
+    @functools.cache
+    def dense(limit):
+        # patch j touches only rows supp f_j and columns supp g_j
+        mat = np.zeros(shape, dtype=complex)
+        for fj, gj, op in zip(f_vals, g_vals, ops):
+            rows, cols = np.flatnonzero(fj), np.flatnonzero(gj)
+            mat[np.ix_(rows, cols)] += (fj[rows, None] * op.block(rows, cols)
+                                        * gj[None, cols])
+        return mat
+
     return DiscreteOperator(shape, mv, rmv, src, dst, kind="composite",
                             provenance={"construction": "assembled",
-                                        "n_patches": len(ops)})
+                                        "n_patches": len(ops)},
+                            dense=dense)
 
 
 def quantize_full_symbol(s: Symbol, grid: LatticeGrid,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from symstrat import analysis
 from symstrat.analysis import (AnalysisConfig, run_analysis,
                                run_verify_suite)
 from symstrat.cli import main
@@ -126,6 +127,17 @@ def test_verify_additivity_suite():
     assert fixed["total_index"] == 1
 
 
+def test_verify_additivity_fixed_triple_is_a_case(monkeypatch):
+    # a wrong total on the fixed triple fails the suite instead of
+    # tripping an assert that python -O would strip
+    monkeypatch.setattr(analysis, "ADDITIVITY_FIXED_INDEX", 2)
+    report = run_verify_suite("additivity", 1)
+    assert not report["passed"]
+    fixed = report["cases"][0]
+    assert fixed["expected_index"] == 2 and fixed["total_index"] == 1
+    assert not fixed["ok"]
+
+
 def test_verify_paired_suite():
     report = run_verify_suite("paired", 3)
     assert report["passed"]
@@ -236,6 +248,16 @@ def test_cli_assemble_exports(tmp_path):
     table = (tmp_path / "convergence.csv").read_text().strip().splitlines()
     assert table[0] == "eps_coarse,eps_fine,proxy"
     assert len(table) == 3
+
+
+def test_cli_assemble_refuses_grid_above_dense_limit(tmp_path, capsys):
+    out = tmp_path / "asm"
+    code = main(["assemble", "--symbol", "normx2(x)+abs2(k)", "--alpha", "2",
+                 "--model", "square", "--grid-n", "64", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "4096 points" in err and "2048" in err
+    assert not out.exists()         # refused before any work
 
 
 def test_cli_help_exits_zero():

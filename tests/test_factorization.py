@@ -7,7 +7,7 @@ from symstrat.dsl import parse_symbol
 from symstrat.errors import (BranchJumpError, GrowthViolation,
                              MissingStratumReport, NonEllipticOnLine,
                              ProductMismatch, SlopeDisagreement, SupportLeak,
-                             ZeroOnCircle)
+                             TailJumpError, ZeroOnCircle)
 from symstrat.factorization import (FactorizationReport, WaveFactorCandidate,
                                     check_fredholm_condition,
                                     estimate_wave_index,
@@ -149,6 +149,19 @@ def test_winding_branch_jump_on_coarse_grid():
     with pytest.raises(BranchJumpError):
         winding_index(s, [0.0], [], quad_samples=32)
     assert winding_index(s, [0.0], []) == pytest.approx(8.0, abs=1e-9)
+
+
+def test_winding_tail_jump_names_the_tail():
+    # k1+i does not close up at infinity: its reduced phase turns by half
+    # a circle, from about pi at t=-cutoff to about 0 at t=+cutoff, so the
+    # jump sits in the tail and no interior step is large
+    s = Symbol.parse("k1+i", 1.0, 1)
+    with pytest.raises(TailJumpError) as info:
+        winding_index(s, [0.0], [], cutoff=1.0e4)
+    assert isinstance(info.value, BranchJumpError)
+    message = str(info.value)
+    assert "tail phase jump 3.14" in message
+    assert "t=+10000" in message and "t=-10000" in message
 
 
 # --------------------------------------------------------------------------

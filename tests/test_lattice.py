@@ -6,9 +6,13 @@ import pytest
 import scipy.linalg
 
 from symstrat.dsl import BinOp, SymbolExpr
+from scipy.sparse.linalg import ArpackNoConvergence
+
+from symstrat import lattice
 from symstrat.errors import (DuplicateComponentError, EmptyDomainError,
-                             MissingPatchError, OrderMismatch,
-                             SupportOverlapError, UnstableRank, ZeroOnCircle)
+                             MissingPatchError, NormNotConverged,
+                             OrderMismatch, SupportOverlapError,
+                             UnstableRank, ZeroOnCircle)
 from symstrat.geometry import (Ball, CanonicalDomain, Covering, orthant,
                                partition_of_unity, stratify_model,
                                build_covering)
@@ -417,6 +421,139 @@ def test_single_patch_returns_the_patch():
         rng.standard_normal((16, 16)) + 0j, sp, sp)
     assembled = assemble_operator({(1.0,): a}, pou)
     np.testing.assert_allclose(assembled.to_dense(), a.to_dense(), atol=1e-12)
+
+
+class _IndexPartition:
+    """Partition stand-in whose cutoffs are given grid functions, so a test
+    can place supports anywhere on the torus, across the seam included."""
+
+    def __init__(self, f_vals, g_vals):
+        self.covering = Covering(eps=1.0, balls=[
+            Ball((0.5 * j, 0.5), 1.0, 0) for j in range(len(f_vals))])
+        self.f_vals, self.g_vals = f_vals, g_vals
+
+    def evaluate_f(self, points, outside="error"):
+        return self.f_vals
+
+    def evaluate_g(self, points):
+        return self.g_vals
+
+
+def _seam_cutoffs(grid, rng):
+    """Cutoffs on two boxes of the torus: one around index (0, 0), whose
+    rows and columns wrap the seam on both axes, and one in the middle.
+    f_j lives on the box of radius 1 and g_j on the box of radius 2."""
+    n = grid.n
+    pos = np.stack(np.unravel_index(np.arange(grid.size), (n, n)), -1)
+
+    def box(center, radius):
+        offset = (pos - center + n // 2) % n - n // 2
+        return np.max(np.abs(offset), axis=1) <= radius
+
+    f_vals = np.zeros((2, grid.size))
+    g_vals = np.zeros((2, grid.size))
+    for j, center in enumerate((0, n // 2)):
+        inner, outer = box(center, 1), box(center, 2)
+        f_vals[j, inner] = rng.uniform(0.2, 1.0, inner.sum())
+        g_vals[j, outer] = rng.uniform(0.2, 1.0, outer.sum())
+    return f_vals, g_vals
+
+
+def test_block_built_dense_matches_identity_block_reference():
+    grid = LatticeGrid(2, 8, 1.0 / 8)
+    src = DiscreteSobolevSpace(grid, 1.0)
+    dst = DiscreteSobolevSpace(grid, 0.0)
+    p = grid.size
+    rng = np.random.default_rng(5)
+    sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)+k1", 1.0, 2)
+    cov = build_covering(stratify_model("square", 2), 0.3,
+                         cover_points=grid.points())
+    partitions = [partition_of_unity(cov, grid.points()),
+                  _IndexPartition(*_seam_cutoffs(grid, rng))]
+    families = {
+        "multiplier": lambda c: discretize_symbol_op(sym, c, grid, src, dst),
+        "diag": lambda c: DiscreteOperator.diagonal(
+            rng.standard_normal(p) + 1j * rng.standard_normal(p), src, dst),
+        "dense": lambda c: DiscreteOperator.from_matrix(
+            rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)),
+            src, dst),
+        "composite": lambda c: discretize_symbol_op(sym, c, grid, src, dst)
+        @ DiscreteOperator.diagonal(rng.uniform(1, 2, p) + 0j, src, src),
+    }
+    for pou in partitions:
+        for kind, make in families.items():
+            family = {b.center: make(b.center) for b in pou.covering.balls}
+            assembled = assemble_operator(family, pou, grid)
+            reference = assembled.matvec(np.eye(p, dtype=complex))
+            scale = np.abs(reference).max()
+            assert scale > 0
+            np.testing.assert_allclose(assembled.to_dense(), reference,
+                                       rtol=0, atol=1e-13 * scale,
+                                       err_msg=kind)
+
+
+def test_dense_and_arpack_norm_paths_agree():
+    grid = LatticeGrid(2, 8, 1.0 / 8)
+    src = DiscreteSobolevSpace(grid, 1.0)
+    dst = DiscreteSobolevSpace(grid, 0.0)
+    sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)", 1.0, 2)
+    cov = build_covering(stratify_model("square", 2), 0.3,
+                         cover_points=grid.points())
+    pou = partition_of_unity(cov, grid.points())
+    op = assemble_operator(
+        {b.center: discretize_symbol_op(sym, b.center, grid, src, dst)
+         for b in cov.balls}, pou, grid)
+    mask = high_frequency_mask(grid)
+    for freq_mask in (None, mask):
+        dense = operator_norm(op, freq_mask=freq_mask)
+        arpack = operator_norm(op, freq_mask=freq_mask, dense_limit=16)
+        assert dense == pytest.approx(arpack, rel=1e-8)
+
+
+def test_operator_norm_falls_back_on_arpack_no_convergence(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]),
+                                  np.array([]))
+
+    monkeypatch.setattr(lattice, "svds", no_convergence)
+    op = DiscreteOperator.from_matrix(np.diag(np.linspace(1.0, 3.0, 32)))
+    assert operator_norm(op, dense_limit=8) == pytest.approx(3.0, rel=1e-6)
+
+
+def test_operator_norm_fallback_survives_a_start_in_the_null_space():
+    # the rank-one (e0 - e1)(e0 - e1)^T annihilates ARPACK's all-ones
+    # start: svds stops with "starting vector is zero", and the fallback
+    # must still find the norm 2 instead of reporting 0
+    u = np.zeros(64)
+    u[:2] = (1.0, -1.0)
+    op = DiscreteOperator.from_matrix(np.outer(u, u))
+    assert operator_norm(op, dense_limit=8) == pytest.approx(2.0, rel=1e-9)
+
+
+def test_operator_norm_propagates_other_svds_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not an ARPACK convergence failure")
+
+    monkeypatch.setattr(lattice, "svds", broken)
+    op = DiscreteOperator.from_matrix(np.eye(32))
+    with pytest.raises(ValueError):
+        operator_norm(op, dense_limit=8)
+
+
+def test_operator_norm_fallback_raises_when_not_converged(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.array([]),
+                                  np.array([]))
+
+    monkeypatch.setattr(lattice, "svds", no_convergence)
+    # a dense top of the spectrum: power iteration creeps towards 1 with
+    # steps far above its tolerance after 500 iterations.  The product is
+    # a composite, so operator_norm has no closed form for it.
+    n = 4096
+    op = DiscreteOperator.diagonal(np.linspace(0.99, 1.0, n)) \
+        @ DiscreteOperator.diagonal(np.ones(n))
+    with pytest.raises(NormNotConverged):
+        operator_norm(op, dense_limit=8)
 
 
 def test_missing_patch_rejected():
