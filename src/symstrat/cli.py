@@ -22,9 +22,9 @@ from .dsl import parse_symbol
 from .errors import ConfigError, SymstratError
 from .factorization import WaveFactorCandidate, validate_wave_factors, winding_index
 from .geometry import Cone, build_covering, partition_of_unity, stratify_model
-from .lattice import (DENSE_LIMIT, DiscreteSobolevSpace, LatticeGrid,
+from .lattice import (DiscreteSobolevSpace, LatticeGrid,
                       assemble_frozen_family, assembly_convergence,
-                      export_operator)
+                      check_dense_size, export_operator)
 from .symbols import Symbol
 
 EXIT_OK = 0
@@ -179,10 +179,7 @@ def _cmd_assemble(args) -> int:
     dim = MODEL_DIMS[args.model]
     h = args.grid_h if args.grid_h is not None else 1.0 / args.grid_n
     grid = LatticeGrid(dim, args.grid_n, h)
-    if grid.size > DENSE_LIMIT:
-        raise ConfigError(
-            f"assemble exports a dense matrix, but the grid has {grid.size} "
-            f"points, above the dense limit of {DENSE_LIMIT}")
+    check_dense_size(grid.size)     # the export is dense: refuse up front
     sym = Symbol.parse(args.symbol, args.alpha, dim)
     strat = stratify_model(args.model, dim)
     src = DiscreteSobolevSpace(grid, args.s_order)

@@ -33,7 +33,7 @@ from scipy.linalg import block_diag
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .dsl import eval_on_grid
-from .errors import (DuplicateComponentError, EmptyDomainError,
+from .errors import (ConfigError, DuplicateComponentError, EmptyDomainError,
                      MissingPatchError, NormNotConverged, OrderMismatch,
                      SupportOverlapError, UnstableRank, ZeroOnCircle)
 from .geometry import CanonicalDomain, PartitionOfUnity
@@ -47,7 +47,7 @@ __all__ = [
     "numerical_index_direct_sum", "IndexEntry", "IndexReport",
     "aggregate_index", "locality_defect", "assemble_operator",
     "assemble_frozen_family", "assembly_convergence", "quantize_full_symbol",
-    "operator_norm", "high_frequency_mask",
+    "operator_norm", "high_frequency_mask", "check_dense_size",
     "export_operator", "import_operator",
 ]
 
@@ -55,6 +55,14 @@ DENSE_LIMIT = 2048          # max side for dense norm computations
 POWER_STEPS = 500           # power-iteration fallback of operator_norm
 RANK_TOL = 1e-8
 _EDGE_PAD = 4               # extra columns in the right-edge window
+
+
+def check_dense_size(n: int, limit: int = DENSE_LIMIT) -> None:
+    """Refuse a dense matrix with a side of more than ``limit`` points."""
+    if n > limit:
+        raise ConfigError(
+            f"a dense matrix over {n} points is above the dense limit of "
+            f"{limit}; use matvec-based routines")
 
 
 # --------------------------------------------------------------------------
@@ -239,8 +247,7 @@ class DiscreteOperator:
             lambda v: self.matvec(other.matvec(v)),
             lambda v: other.rmatvec(self.rmatvec(v)),
             other.src, self.dst, kind="composite",
-            provenance={"construction": "compose"},
-            dense=lambda limit: self.matvec(other.to_dense(limit)))
+            provenance={"construction": "compose"})
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -272,12 +279,7 @@ class DiscreteOperator:
         """The entries A[rows, cols] for integer index arrays.  A multiplier
         reads them off its convolution kernel ifftn(values) at the torus
         offset (x - y) mod N per axis, with no transform of the columns;
-        a composite operator is applied to the unit vectors of ``cols``."""
-        if self.kind == "dense":
-            return self.data[np.ix_(rows, cols)]
-        if self.kind == "diag":
-            same = rows[:, None] == cols[None, :]
-            return np.where(same, self.data[rows][:, None], 0.0 + 0.0j)
+        any other operator is applied to the unit vectors of ``cols``."""
         if self.kind == "multiplier":
             grid = self.src.grid
             axes = (grid.n,) * grid.dim
@@ -295,10 +297,7 @@ class DiscreteOperator:
         if self.kind == "dense":
             return self.data
         n_dst, n_src = self.shape
-        if max(n_dst, n_src) > limit:
-            raise MemoryError(
-                f"refusing to materialize a {n_dst}x{n_src} dense matrix "
-                f"(limit {limit}); use matvec-based routines")
+        check_dense_size(max(n_dst, n_src), limit)
         if self._build_dense is not None:
             return self._build_dense(limit)
         return self.block(np.arange(n_dst), np.arange(n_src))
@@ -716,9 +715,7 @@ def quantize_full_symbol(s: Symbol, grid: LatticeGrid,
     if abs(dst.s_order - (src.s_order - s.order_alpha)) > 1e-12:
         raise OrderMismatch("target order != source order - symbol order")
     p = grid.size
-    if p > limit:
-        raise MemoryError(f"grid with {p} points too large for dense "
-                          f"quantization (limit {limit})")
+    check_dense_size(p, limit)
     pts = grid.points()
     freqs = grid.frequencies()
     vals = eval_on_grid(s.expr, pts[:, None, :], freqs[None, :, :].astype(complex))
