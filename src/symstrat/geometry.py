@@ -79,7 +79,8 @@ class Cone:
         return np.array([[float(v) for v in g] for g in self.generators])
 
     def rank(self) -> int:
-        return _rational_rank([list(g) for g in self.generators])
+        return self.dim - len(_rational_nullspace(self.generators,
+                                                  self.dim))
 
     def is_full_dimensional(self) -> bool:
         return self.rank() == self.dim
@@ -120,15 +121,6 @@ class Cone:
                 return False
         return True
 
-    def interior_direction(self) -> np.ndarray:
-        """A strictly interior unit direction (sum of extreme rays)."""
-        rays = dual_cone(dual_cone(self)).generator_array()
-        v = rays.sum(axis=0)
-        return v / np.linalg.norm(v)
-
-    def negated(self) -> "Cone":
-        return Cone(self.dim, tuple(tuple(-v for v in g) for g in self.generators))
-
     def to_dict(self) -> dict:
         return {"dim": self.dim,
                 "generators": [[str(v) for v in g] for g in self.generators]}
@@ -138,33 +130,6 @@ def orthant(dim: int) -> Cone:
     """The closed first orthant in the given dimension."""
     eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     return Cone.make(eye)
-
-
-def _rational_rank(rows) -> int:
-    mat = [list(r) for r in rows]
-    n_rows = len(mat)
-    n_cols = len(mat[0]) if mat else 0
-    rank = 0
-    row = 0
-    for col in range(n_cols):
-        pivot = None
-        for r in range(row, n_rows):
-            if mat[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        pv = mat[row][col]
-        for r in range(n_rows):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col] / pv
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        rank += 1
-        row += 1
-        if row == n_rows:
-            break
-    return rank
 
 
 def _rational_nullspace(rows, dim):
@@ -559,27 +524,26 @@ def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering
     stages = {}
     balls = []
     for k in sorted({st.k for st in s.strata}):
-        earlier = list(all_centers)
         stage_balls = []
         stage_pts = [st.sample_points for st in s.strata if st.k == k]
         if not stage_pts:
             continue
         pts = np.concatenate(stage_pts, axis=0)
-        order = np.lexsort(pts.T[::-1])
-        stage_centers = []
-        for idx in order:
-            p = pts[idx]
-            d_all = _dists_to_centers(p[None, :], all_centers + stage_centers)[0]
-            if d_all < _GREEDY_SLACK * eps:
+        # distances to the earlier-stage centers, and a running minimum
+        # over every center so far, updated once per new ball
+        d_earlier = _dists_to_centers(pts, all_centers)
+        d_all = d_earlier.copy()
+        for idx in np.lexsort(pts.T[::-1]):
+            if d_all[idx] < _GREEDY_SLACK * eps:
                 continue
-            d_earlier = _dists_to_centers(p[None, :], earlier)[0]
-            if d_earlier <= eps:
+            if d_earlier[idx] <= eps:
                 # strictly inside an earlier-stage ball: covered there,
                 # ineligible as a center for this stage
                 continue
-            stage_centers.append(p)
+            p = pts[idx]
+            all_centers.append(p)
+            d_all = np.minimum(d_all, _dists_to_centers(pts, [p]))
             stage_balls.append(Ball(tuple(float(v) for v in p), eps, k))
-        all_centers.extend(stage_centers)
         stages[k] = stage_balls
         balls.extend(stage_balls)
 
@@ -587,14 +551,15 @@ def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering
         cover_points = np.atleast_2d(np.asarray(cover_points, float))
         interior = s.interior()
         k_top = interior.k
-        earlier = [b.center for b in balls if b.stage < k_top]
-        for p in cover_points:
-            if _dists_to_centers(p[None, :], [b.center for b in balls])[0] < eps:
+        cand = interior.sample_points
+        eligible = _dists_to_centers(
+            cand, [b.center for b in balls if b.stage < k_top]) > eps
+        d_cover = _dists_to_centers(cover_points, [b.center for b in balls])
+        for i, p in enumerate(cover_points):
+            if d_cover[i] < eps:
                 continue
-            cand = interior.sample_points
             d_p = np.sqrt(((cand - p[None, :]) ** 2).sum(-1))
-            d_e = _dists_to_centers(cand, earlier)
-            ok = (d_p < _GREEDY_SLACK * eps) & (d_e > eps)
+            ok = (d_p < _GREEDY_SLACK * eps) & eligible
             if not np.any(ok):
                 raise CoverageError(
                     f"point {p.tolist()} cannot be covered at eps={eps}: "
@@ -603,6 +568,7 @@ def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering
             ball = Ball(tuple(float(v) for v in q), eps, k_top)
             balls.append(ball)
             stages.setdefault(k_top, []).append(ball)
+            d_cover = np.minimum(d_cover, _dists_to_centers(cover_points, [q]))
 
     cov = Covering(eps=float(eps), balls=balls, stages=stages)
     centers = cov.centers_array()
@@ -612,10 +578,8 @@ def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering
             raise CoverageError(
                 f"stratum {st.label!r} has uncovered sample points at "
                 f"eps={eps} (sampling too sparse)")
-    if cover_points is not None:
-        d = _dists_to_centers(cover_points, centers)
-        if np.any(d >= eps):
-            raise CoverageError(f"requested cover points uncovered at eps={eps}")
+    if cover_points is not None and np.any(d_cover >= eps):
+        raise CoverageError(f"requested cover points uncovered at eps={eps}")
     return cov
 
 
@@ -660,8 +624,11 @@ class PartitionOfUnity:
         """Normalized bumps at arbitrary points.  Uncovered points raise
         ZeroDivisionError with outside="error" (the partition contract) or
         get all-zero bumps with outside="zero" (for operators assembled on
-        a grid larger than the covered domain)."""
+        a grid larger than the covered domain).  At the partition's own
+        grid points this is the stored f_values, read-only."""
         points = np.atleast_2d(np.asarray(points, float))
+        if np.array_equal(points, self.grid_points):
+            return _read_only(self.f_values)
         phi = _raw_bumps(self.covering, points)
         total = phi.sum(axis=0)
         uncovered = total == 0
@@ -674,8 +641,18 @@ class PartitionOfUnity:
         return phi / total[None, :]
 
     def evaluate_g(self, points) -> np.ndarray:
+        """Plateaus at arbitrary points; the stored g_values, read-only, at
+        the partition's own grid points."""
         points = np.atleast_2d(np.asarray(points, float))
+        if np.array_equal(points, self.grid_points):
+            return _read_only(self.g_values)
         return _plateaus(self.covering, points)
+
+
+def _read_only(values):
+    view = values.view()
+    view.flags.writeable = False
+    return view
 
 
 def _raw_bumps(covering, points):

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
 from .dsl import eval_on_grid
@@ -282,13 +283,10 @@ class DiscreteOperator:
         any other operator is applied to the unit vectors of ``cols``."""
         if self.kind == "multiplier":
             grid = self.src.grid
-            axes = (grid.n,) * grid.dim
-            kernel = np.fft.ifftn(self.data.reshape(axes)).ravel()
-            pos = np.unravel_index(np.arange(grid.size), axes)
-            offset = np.ravel_multi_index(
-                tuple(p[rows][:, None] - p[cols][None, :] for p in pos),
-                axes, mode="wrap")
-            return kernel[offset]
+            pos = np.unravel_index(np.arange(grid.size), (grid.n,) * grid.dim)
+            return _at_offsets(
+                _multiplier_kernel(self.data, grid),
+                tuple(p[rows][:, None] - p[cols][None, :] for p in pos))
         unit = np.zeros((self.shape[1], cols.size), dtype=complex)
         unit[cols, np.arange(cols.size)] = 1.0
         return self.matvec(unit)[rows]
@@ -301,6 +299,19 @@ class DiscreteOperator:
         if self._build_dense is not None:
             return self._build_dense(limit)
         return self.block(np.arange(n_dst), np.arange(n_src))
+
+
+def _multiplier_kernel(values, grid) -> np.ndarray:
+    """The convolution kernel ifftn(values) of a multiplier, as an N^d
+    array: entry A[x, y] is the kernel at (x - y) mod N per axis."""
+    return np.fft.ifftn(values.reshape((grid.n,) * grid.dim))
+
+
+def _at_offsets(kernel, offsets) -> np.ndarray:
+    """Entries of a periodic kernel at per-axis offsets, each taken modulo
+    the kernel's extent on its axis; the offset arrays broadcast."""
+    return kernel.ravel()[np.ravel_multi_index(offsets, kernel.shape,
+                                               mode="wrap")]
 
 
 def lattice_projector(mask, space=None) -> DiscreteOperator:
@@ -648,12 +659,144 @@ def locality_defect(a_op: DiscreteOperator, f, g) -> float:
 # --------------------------------------------------------------------------
 # Partition-of-unity assembly
 
+def _support_arcs(rows, shape):
+    """Per patch and axis, the shortest cyclic arc that covers the
+    projection of supp rows[j] on a grid of ``shape``: starts and lengths,
+    each (J, d).  An empty support gets the arc (0, 0)."""
+    occupied = np.stack([r.reshape(shape) != 0 for r in rows])
+    starts, lengths = [], []
+    for a, n in enumerate(shape):
+        hit = np.any(occupied, axis=tuple(
+            b + 1 for b in range(len(shape)) if b != a))
+        # on the doubled axis, free cells run from the last hit up to
+        # position i; the longest run ending in the second half is the
+        # widest cyclic gap, and the arc is its complement
+        pos = np.arange(2 * n)
+        last = np.maximum.accumulate(np.where(np.tile(hit, 2), pos, -1),
+                                     axis=1)
+        run = (pos - last)[:, n:]
+        end = np.argmax(run, axis=1)
+        empty = ~hit.any(axis=1)
+        starts.append(np.where(empty, 0, (end + 1) % n))
+        lengths.append(np.where(empty, 0, n - run.max(axis=1)))
+    return np.stack(starts, axis=1), np.stack(lengths, axis=1)
+
+
+def _box_cutoffs(rows, starts, box, n):
+    """Cutoffs read into their boxes, which start at ``starts`` (J, d) and
+    wrap modulo n: a sparse (J * prod(box), P) matrix whose row
+    j * prod(box) + t holds cutoff j at box position t, in the column of
+    the grid point there."""
+    index = np.zeros((len(rows),) + (1,) * len(box), dtype=np.intp)
+    for a, b in enumerate(box):
+        shape = [len(rows)] + [1] * len(box)
+        shape[a + 1] = b
+        index = index * n + ((starts[:, a, None] + np.arange(b)) % n
+                             ).reshape(shape)
+    index = index.reshape(len(rows), -1)
+    vals = np.concatenate([r[i] for r, i in zip(rows, index)])
+    keep = np.flatnonzero(vals)
+    return csr_matrix((vals[keep], (keep, index.ravel()[keep])),
+                      shape=(vals.size, rows[0].size))
+
+
+class _MultiplierWindows:
+    """Frozen-multiplier patches sum_j f_j A_j g_j, applied as exact linear
+    convolutions inside small boxes instead of circular ones over the
+    torus.
+
+    Per axis, the f box of patch j starts at the cyclic arc covering
+    supp f_j, the g box at the arc covering supp g_j; their sizes B_f and
+    B_g are the longest arcs over all patches.  Between the boxes A_j only
+    reads its kernel at offsets a_f - a_g + m with -B_g < m < B_f, so one
+    zero-padded FFT of size L = next_fast_len(B_f + B_g - 1) applies it
+    exactly.  Where L would reach N the axis takes L = N, on which the
+    circular convolution is A_j itself.  Kept: f and g on their boxes (as
+    sparse gather matrices that also record the box starts) and the
+    spectra of the kernel windows.
+    """
+
+    def __init__(self, values, f_rows, g_rows, grid):
+        # scipy.fft is slow to import and needed only here
+        from scipy import fft
+
+        n, d = grid.n, grid.dim
+        f_start, f_len = _support_arcs(f_rows, (n,) * d)
+        g_start, g_len = _support_arcs(g_rows, (n,) * d)
+        self.b_f = tuple(int(b) for b in np.maximum(f_len.max(axis=0), 1))
+        self.b_g = tuple(int(b) for b in np.maximum(g_len.max(axis=0), 1))
+        self.size = tuple(min(fft.next_fast_len(bf + bg - 1), n)
+                          for bf, bg in zip(self.b_f, self.b_g))
+        self.axes = tuple(range(1, d + 1))
+        self.f = _box_cutoffs(f_rows, f_start, self.b_f, n)
+        self.g = _box_cutoffs(g_rows, g_start, self.b_g, n)
+        # window offsets m: 0 .. L - B_g, then -(B_g - 1) .. -1 wrapped
+        m = [np.r_[0:size - bg + 1, 1 - bg:0]
+             for size, bg in zip(self.size, self.b_g)]
+        windows = np.stack([
+            _at_offsets(_multiplier_kernel(vals, grid),
+                        np.ix_(*(fa - ga + ma for fa, ga, ma
+                                 in zip(f_start[j], g_start[j], m))))
+            for j, vals in enumerate(values)])
+        self.spectra = fft.fftn(windows, axes=self.axes)
+
+    def apply(self, v, adjoint=False) -> np.ndarray:
+        """sum_j f_j A_j g_j v, or sum_j g_j A_j^H f_j v with ``adjoint``,
+        for v of shape (P,) or (P, k)."""
+        from scipy import fft
+
+        src, dst = (self.f, self.g) if adjoint else (self.g, self.f)
+        src_box, dst_box = (self.b_f, self.b_g) if adjoint \
+            else (self.b_g, self.b_f)
+        block = v.reshape(v.shape[0], -1)
+        k = block.shape[1]
+        y = fft.fftn((src @ block).reshape((-1,) + src_box + (k,)),
+                     s=self.size, axes=self.axes)
+        if adjoint:
+            # the adjoint's kernel window has the conjugate spectrum
+            np.conjugate(y, out=y)
+            y *= self.spectra[..., None]
+            np.conjugate(y, out=y)
+        else:
+            y *= self.spectra[..., None]
+        y = fft.ifftn(y, axes=self.axes, overwrite_x=True)
+        y = y[(slice(None),) + tuple(slice(b) for b in dst_box)]
+        return (dst.T @ y.reshape(-1, k)).reshape(v.shape)
+
+    def add_dense(self, mat) -> None:
+        """Add each patch's block on supp f_j x supp g_j to ``mat``, read off
+        its kernel window at the box offsets (t - s) mod L."""
+        from scipy import fft
+
+        windows = fft.ifftn(self.spectra, axes=self.axes)
+        for window, (t, rows, f), (s, cols, g) in zip(
+                windows, _patch_entries(self.f, self.b_f),
+                _patch_entries(self.g, self.b_g)):
+            block = _at_offsets(window, tuple(
+                ta[:, None] - sa[None, :] for ta, sa in zip(t, s)))
+            mat[np.ix_(rows, cols)] += f[:, None] * block * g[None, :]
+
+
+def _patch_entries(cutoffs, box):
+    """Per patch, the box coordinates, grid points and values of the
+    nonzero entries of a _box_cutoffs matrix."""
+    n_box = math.prod(box)
+    coo = cutoffs.tocoo()
+    pos = np.unravel_index(coo.row % n_box, box)
+    ends = cutoffs.indptr[::n_box]
+    return [(tuple(p[a:b] for p in pos), coo.col[a:b], coo.data[a:b])
+            for a, b in zip(ends[:-1], ends[1:])]
+
+
 def assemble_operator(family, pou: PartitionOfUnity,
                       grid: LatticeGrid | None = None,
                       outside: str = "error") -> DiscreteOperator:
     """Sum_j f_j * A_j * g_j over the covering balls, with A_j looked up in
     ``family`` by ball center.  ``outside`` controls grid points beyond the
-    covered set (see PartitionOfUnity.evaluate_f)."""
+    covered set (see PartitionOfUnity.evaluate_f).
+
+    Frozen-multiplier patches are applied in small zero-padded FFT windows
+    (see _MultiplierWindows); every other patch keeps its own matvec."""
     balls = pou.covering.balls
     ops = []
     for ball in balls:
@@ -672,20 +815,28 @@ def assemble_operator(family, pou: PartitionOfUnity,
     pts = grid.points()
     f_vals = pou.evaluate_f(pts, outside=outside)
     g_vals = pou.evaluate_g(pts)
+    mult = [j for j, op in enumerate(ops) if op.kind == "multiplier"]
+    windows = None if not mult else _MultiplierWindows(
+        [ops[j].data for j in mult], [f_vals[j] for j in mult],
+        [g_vals[j] for j in mult], ops[mult[0]].src.grid)
+    # copies, so that the full (J, P) cutoff arrays are not kept alive
+    others = [(np.array(f_vals[j]), np.array(g_vals[j]), op)
+              for j, op in enumerate(ops) if op.kind != "multiplier"]
 
     def mv(v):
-        out = np.zeros_like(v)
-        for j, op in enumerate(ops):
-            fj = f_vals[j] if v.ndim == 1 else f_vals[j][:, None]
-            gj = g_vals[j] if v.ndim == 1 else g_vals[j][:, None]
+        out = np.zeros_like(v) if windows is None else windows.apply(v)
+        for fj, gj, op in others:
+            if v.ndim == 2:
+                fj, gj = fj[:, None], gj[:, None]
             out = out + fj * op.matvec(gj * v)
         return out
 
     def rmv(v):
-        out = np.zeros_like(v)
-        for j, op in enumerate(ops):
-            fj = f_vals[j] if v.ndim == 1 else f_vals[j][:, None]
-            gj = g_vals[j] if v.ndim == 1 else g_vals[j][:, None]
+        out = np.zeros_like(v) if windows is None \
+            else windows.apply(v, adjoint=True)
+        for fj, gj, op in others:
+            if v.ndim == 2:
+                fj, gj = fj[:, None], gj[:, None]
             out = out + gj * op.rmatvec(fj * v)
         return out
 
@@ -693,7 +844,9 @@ def assemble_operator(family, pou: PartitionOfUnity,
     def dense(limit):
         # patch j touches only rows supp f_j and columns supp g_j
         mat = np.zeros(shape, dtype=complex)
-        for fj, gj, op in zip(f_vals, g_vals, ops):
+        if windows is not None:
+            windows.add_dense(mat)
+        for fj, gj, op in others:
             rows, cols = np.flatnonzero(fj), np.flatnonzero(gj)
             mat[np.ix_(rows, cols)] += (fj[rows, None] * op.block(rows, cols)
                                         * gj[None, cols])

@@ -1,5 +1,6 @@
 """Cones, stratifications, coverings and partitions of unity."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -238,6 +239,44 @@ def test_cover_points_guarantee_or_error():
         build_covering(s, 0.12, cover_points=far)
 
 
+def _centers_digest(cov):
+    centers = np.ascontiguousarray(cov.centers_array(), dtype="<f8")
+    return hashlib.sha256(centers.tobytes()).hexdigest()[:16]
+
+
+# balls per stage and a digest of every center, in order, as built by the
+# greedy covering that recomputed all distances for each candidate point
+_SQUARE_COVER_PINS = {
+    0.4: ({0: 4, 1: 4, 2: 3}, "fd7d6cdca2fa935f"),
+    0.2: ({0: 4, 1: 16, 2: 21}, "8e6aa3fcee2f7d90"),
+    0.1: ({0: 4, 1: 44, 2: 121}, "b1bae271733d8df4"),
+}
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("eps", sorted(_SQUARE_COVER_PINS))
+def test_covering_pinned_centers_on_lattice_cover_points(n, eps):
+    ax = np.arange(n) / n
+    grid = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
+    cov = build_covering(stratify_model("square", 2), eps, cover_points=grid)
+    counts, digest = _SQUARE_COVER_PINS[eps]
+    assert {k: len(bs) for k, bs in cov.stages.items()} == counts
+    assert _centers_digest(cov) == digest
+
+
+def test_covering_pinned_centers_with_cover_pass_balls():
+    # cover points beyond the wedge's sample box: the final pass adds the
+    # interior ball at (0.975, 0.975)
+    ax = np.linspace(0, 1, 32) * 1.1 - 0.05
+    grid = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
+    s = stratify_model("wedge2d", 2)
+    cov = build_covering(s, 0.3, cover_points=grid)
+    assert len(build_covering(s, 0.3).balls) == 19
+    assert {k: len(bs) for k, bs in cov.stages.items()} == {0: 1, 1: 6, 2: 13}
+    assert cov.balls[-1].center == (0.975, 0.975)
+    assert _centers_digest(cov) == "19e761c24772c935"
+
+
 # --------------------------------------------------------------------------
 # partitions of unity
 
@@ -294,3 +333,25 @@ def test_evaluate_outside_zero_mode():
     vals = pou.evaluate_f(np.array([[0.1, 0.1], [3.0, 3.0]]), outside="zero")
     assert vals[0, 0] == pytest.approx(1.0)
     assert vals[0, 1] == 0.0
+
+
+def test_evaluate_reuses_stored_values_on_own_points():
+    s = stratify_model("square", 2)
+    grid = _unit_grid(17)
+    pou = partition_of_unity(build_covering(s, 0.3, cover_points=grid), grid)
+    for vals, stored in ((pou.evaluate_f(grid.copy()), pou.f_values),
+                         (pou.evaluate_g(grid.copy()), pou.g_values)):
+        assert np.shares_memory(vals, stored)
+        assert not vals.flags.writeable
+        np.testing.assert_array_equal(vals, stored)
+    assert pou.f_values.flags.writeable
+    # foreign points are evaluated, not read from storage
+    shifted = grid[:-1] + 1e-3
+    for vals, stored in ((pou.evaluate_f(shifted), pou.f_values),
+                         (pou.evaluate_g(shifted), pou.g_values)):
+        assert vals.shape == (stored.shape[0], shifted.shape[0])
+        assert not np.shares_memory(vals, stored)
+        assert not np.array_equal(vals, stored[:, :-1])
+    own = partition_of_unity(pou.covering, shifted)
+    np.testing.assert_array_equal(pou.evaluate_f(shifted), own.f_values)
+    np.testing.assert_array_equal(pou.evaluate_g(shifted), own.g_values)

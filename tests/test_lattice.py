@@ -492,6 +492,86 @@ def test_block_built_dense_matches_identity_block_reference():
                                        err_msg=kind)
 
 
+def _torus_reference(family, pou, grid, v, adjoint=False):
+    """sum_j f_j A_j g_j v, or its adjoint, patch by patch with each A_j
+    applied over the whole torus."""
+    pts = grid.points()
+    out = np.zeros_like(v)
+    for fj, gj, ball in zip(pou.evaluate_f(pts), pou.evaluate_g(pts),
+                            pou.covering.balls):
+        op = family[ball.center]
+        if v.ndim == 2:
+            fj, gj = fj[:, None], gj[:, None]
+        out = out + (gj * op.rmatvec(fj * v) if adjoint
+                     else fj * op.matvec(gj * v))
+    return out
+
+
+def _window_cases():
+    """(label, grid, partition, family): square partitions whose windows
+    span the whole torus (eps 0.4, 0.2) or a box of 20 (N=32) or 40 (N=64)
+    points per axis (eps 0.1); seam-wrapping cutoffs, windowed at N=16 and
+    N=32; and families that mix multiplier and diagonal patches."""
+    sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)+k1", 1.0, 2)
+    rng = np.random.default_rng(11)
+    for n, eps_list in ((8, (0.4, 0.2, 0.1)), (32, (0.2, 0.1)),
+                        (64, (0.2, 0.1))):
+        grid = LatticeGrid(2, n, 1.0 / n)
+        src = DiscreteSobolevSpace(grid, 1.0)
+        dst = DiscreteSobolevSpace(grid, 0.0)
+        for eps in eps_list:
+            cov = build_covering(stratify_model("square", 2), eps,
+                                 cover_points=grid.points())
+            pou = partition_of_unity(cov, grid.points())
+            family = {b.center: discretize_symbol_op(sym, b.center, grid,
+                                                     src, dst)
+                      for b in cov.balls}
+            yield f"square N={n} eps={eps}", grid, pou, family
+            if n == 32:
+                p = grid.size
+                mixed = {c: op if j % 3 else DiscreteOperator.diagonal(
+                    rng.standard_normal(p) + 1j * rng.standard_normal(p),
+                    src, dst) for j, (c, op) in enumerate(family.items())}
+                yield f"mixed N={n} eps={eps}", grid, pou, mixed
+    for n in (16, 32):
+        grid = LatticeGrid(2, n, 1.0 / n)
+        src = DiscreteSobolevSpace(grid, 1.0)
+        dst = DiscreteSobolevSpace(grid, 0.0)
+        pou = _IndexPartition(*_seam_cutoffs(grid, rng))
+        family = {b.center: discretize_symbol_op(sym, b.center, grid,
+                                                 src, dst)
+                  for b in pou.covering.balls}
+        yield f"seam N={n}", grid, pou, family
+
+
+def test_windowed_assembly_matches_torus_reference():
+    rng = np.random.default_rng(3)
+    empty_support_seen = False
+    for label, grid, pou, family in _window_cases():
+        f_vals = pou.evaluate_f(grid.points())
+        empty_support_seen |= bool(np.any(~np.any(f_vals != 0, axis=1)))
+        assembled = assemble_operator(family, pou, grid)
+        p = grid.size
+        for shape in (p, (p, 3)):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for adjoint, apply in ((False, assembled.matvec),
+                                   (True, assembled.rmatvec)):
+                ref = _torus_reference(family, pou, grid, v, adjoint)
+                out = apply(v)
+                assert out.shape == v.shape, label
+                scale = np.abs(ref).max()
+                assert scale > 0, label
+                assert np.abs(out - ref).max() <= 1e-13 * scale, \
+                    (label, adjoint, v.ndim)
+        v = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        w = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+        lhs = np.vdot(w, assembled.matvec(v))
+        rhs = np.vdot(assembled.rmatvec(w), v)
+        assert abs(lhs - rhs) <= 1e-13 * abs(lhs), label
+    # the 8x8 grid at eps 0.1 has balls that hold no grid point
+    assert empty_support_seen
+
+
 def test_dense_and_arpack_norm_paths_agree():
     grid = LatticeGrid(2, 8, 1.0 / 8)
     src = DiscreteSobolevSpace(grid, 1.0)
