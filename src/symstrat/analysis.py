@@ -57,9 +57,6 @@ class AnalysisConfig:
     alpha: float
     model: str = "square"
     s_order: float = 0.0
-    eps_list: tuple = (0.4, 0.2, 0.1)
-    grid_n: int = 64
-    grid_h: float | None = None
     seed: int = 0
     out_dir: str | None = None
     points_per_stratum: int = 2
@@ -77,13 +74,6 @@ class AnalysisConfig:
             sym = Symbol.parse(self.symbol_text, self.alpha, self.dim())
         except SymstratError as exc:
             raise ConfigError(f"bad symbol: {exc}") from exc
-        if self.grid_n < 8 or (self.grid_n & (self.grid_n - 1)) != 0:
-            raise ConfigError("grid N must be a power of two >= 8")
-        eps = tuple(float(e) for e in self.eps_list)
-        if any(e <= 0 for e in eps):
-            raise ConfigError("eps values must be positive")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("eps values must be strictly decreasing")
         if self.points_per_stratum < 1:
             raise ConfigError("points_per_stratum must be >= 1")
         return sym
@@ -92,8 +82,7 @@ class AnalysisConfig:
         return {
             "symbol": self.symbol_text, "alpha": self.alpha,
             "model": self.model, "s_order": self.s_order,
-            "eps_list": list(self.eps_list), "grid_n": self.grid_n,
-            "grid_h": self.grid_h, "seed": self.seed,
+            "seed": self.seed,
             "points_per_stratum": self.points_per_stratum,
             "cutoff": self.cutoff, "quad_samples": self.quad_samples,
         }

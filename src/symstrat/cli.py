@@ -47,10 +47,6 @@ def _build_parser():
     pa.add_argument("--alpha", type=float, required=True)
     pa.add_argument("--model", default="square", choices=sorted(MODEL_DIMS))
     pa.add_argument("--s-order", type=float, default=0.0)
-    pa.add_argument("--eps", default="0.4,0.2,0.1",
-                    help="comma-separated decreasing covering radii")
-    pa.add_argument("--grid-n", type=int, default=64)
-    pa.add_argument("--grid-h", type=float, default=None)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out", default=None, help="output directory")
 
@@ -125,12 +121,19 @@ def _parse_floats(text, expect=None):
     return vals
 
 
+def _parse_expr(text, dim):
+    """A symbol argument; malformed text is a configuration error (exit 3)
+    on every subcommand, as in AnalysisConfig.validate."""
+    try:
+        return parse_symbol(text, dim)
+    except SymstratError as exc:
+        raise ConfigError(f"bad symbol: {exc}") from exc
+
+
 def _cmd_analyze(args) -> int:
     cfg = AnalysisConfig(
         symbol_text=args.symbol, alpha=args.alpha, model=args.model,
-        s_order=args.s_order, eps_list=tuple(_parse_floats(args.eps)),
-        grid_n=args.grid_n, grid_h=args.grid_h, seed=args.seed,
-        out_dir=args.out)
+        s_order=args.s_order, seed=args.seed, out_dir=args.out)
     manifest = run_analysis(cfg)
     if args.out is None:
         print(manifest.to_json())
@@ -152,7 +155,7 @@ def _cmd_stratify(args) -> int:
 
 
 def _cmd_winding(args) -> int:
-    sym = Symbol.parse(args.symbol, args.alpha, args.dim)
+    sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha, args.dim)
     x0 = _parse_floats(args.x0, args.dim) if args.x0 else [0.0] * args.dim
     xip = (_parse_floats(args.xi_prime, args.dim - 1)
            if args.xi_prime else [0.0] * (args.dim - 1))
@@ -164,10 +167,10 @@ def _cmd_winding(args) -> int:
 
 
 def _cmd_wave_validate(args) -> int:
-    sym = Symbol.parse(args.symbol, args.alpha, args.dim)
+    sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha, args.dim)
     cone = Cone.make(json.loads(args.cone))
     cand = WaveFactorCandidate(
-        parse_symbol(args.a_neq, args.dim), parse_symbol(args.a_eq, args.dim),
+        _parse_expr(args.a_neq, args.dim), _parse_expr(args.a_eq, args.dim),
         cone, args.k, args.declared_ae)
     report = validate_wave_factors(cand, sym, n_rays=args.rays,
                                    raise_on_fail=False)
@@ -180,7 +183,7 @@ def _cmd_assemble(args) -> int:
     h = args.grid_h if args.grid_h is not None else 1.0 / args.grid_n
     grid = LatticeGrid(dim, args.grid_n, h)
     check_dense_size(grid.size)     # the export is dense: refuse up front
-    sym = Symbol.parse(args.symbol, args.alpha, dim)
+    sym = Symbol(_parse_expr(args.symbol, dim), args.alpha, dim)
     strat = stratify_model(args.model, dim)
     src = DiscreteSobolevSpace(grid, args.s_order)
     dst = DiscreteSobolevSpace(grid, args.s_order - args.alpha)

@@ -11,8 +11,8 @@ operator of a Laurent symbol.  Square truncations always have index zero,
 so kernel detection uses rectangular sections (rows N, columns N plus the
 symbol bandwidth): genuinely decaying kernel vectors of the semi-infinite
 operator show up as left-localized null vectors, while truncation
-artifacts concentrate at the right edge and are filtered out by a rank
-test on the edge block.  Counts must agree between section sizes N and 2N
+artifacts concentrate at the right edge and are filtered out by dropping
+the edge columns before the rank test.  Counts must agree between section sizes N and 2N
 or UnstableRank is raised.
 
 The essential-norm proxy used by the assembly convergence table is the
@@ -23,13 +23,12 @@ reported as such.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, toeplitz
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
@@ -52,7 +51,7 @@ __all__ = [
     "export_operator", "import_operator",
 ]
 
-DENSE_LIMIT = 2048          # max side for dense norm computations
+DENSE_LIMIT = 2048          # max side of a materialized matrix
 POWER_STEPS = 500           # power-iteration fallback of operator_norm
 RANK_TOL = 1e-8
 _EDGE_PAD = 4               # extra columns in the right-edge window
@@ -176,8 +175,7 @@ class DiscreteOperator:
         self.kind = kind
         self.data = data
         self.provenance = dict(provenance or {})
-        # builds the dense matrix from the operands' matrices, given the
-        # size limit; None means "from blocks" (see block)
+        # builds the dense matrix; None means "from unit vectors" (see block)
         self._build_dense = dense
 
     # -- constructors -----------------------------------------------------
@@ -258,8 +256,7 @@ class DiscreteOperator:
             lambda v: self.matvec(v) + other.matvec(v),
             lambda v: self.rmatvec(v) + other.rmatvec(v),
             self.src or other.src, self.dst or other.dst, kind="composite",
-            provenance={"construction": "sum"},
-            dense=lambda limit: self.to_dense(limit) + other.to_dense(limit))
+            provenance={"construction": "sum"})
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
@@ -271,47 +268,25 @@ class DiscreteOperator:
             lambda v: c * self.matvec(v),
             lambda v: np.conj(c) * self.rmatvec(v),
             self.src, self.dst, kind="composite",
-            provenance={"construction": "scale"},
-            dense=lambda limit: c * self.to_dense(limit))
+            provenance={"construction": "scale"})
 
     # -- materialization ---------------------------------------------------
 
     def block(self, rows, cols) -> np.ndarray:
-        """The entries A[rows, cols] for integer index arrays.  A multiplier
-        reads them off its convolution kernel ifftn(values) at the torus
-        offset (x - y) mod N per axis, with no transform of the columns;
-        any other operator is applied to the unit vectors of ``cols``."""
-        if self.kind == "multiplier":
-            grid = self.src.grid
-            pos = np.unravel_index(np.arange(grid.size), (grid.n,) * grid.dim)
-            return _at_offsets(
-                _multiplier_kernel(self.data, grid),
-                tuple(p[rows][:, None] - p[cols][None, :] for p in pos))
+        """The entries A[rows, cols] for integer index arrays, from the
+        operator applied to the unit vectors of ``cols``."""
         unit = np.zeros((self.shape[1], cols.size), dtype=complex)
         unit[cols, np.arange(cols.size)] = 1.0
         return self.matvec(unit)[rows]
 
-    def to_dense(self, limit: int = DENSE_LIMIT) -> np.ndarray:
+    def to_dense(self) -> np.ndarray:
         if self.kind == "dense":
             return self.data
         n_dst, n_src = self.shape
-        check_dense_size(max(n_dst, n_src), limit)
+        check_dense_size(max(n_dst, n_src))
         if self._build_dense is not None:
-            return self._build_dense(limit)
+            return self._build_dense()
         return self.block(np.arange(n_dst), np.arange(n_src))
-
-
-def _multiplier_kernel(values, grid) -> np.ndarray:
-    """The convolution kernel ifftn(values) of a multiplier, as an N^d
-    array: entry A[x, y] is the kernel at (x - y) mod N per axis."""
-    return np.fft.ifftn(values.reshape((grid.n,) * grid.dim))
-
-
-def _at_offsets(kernel, offsets) -> np.ndarray:
-    """Entries of a periodic kernel at per-axis offsets, each taken modulo
-    the kernel's extent on its axis; the offset arrays broadcast."""
-    return kernel.ravel()[np.ravel_multi_index(offsets, kernel.shape,
-                                               mode="wrap")]
 
 
 def lattice_projector(mask, space=None) -> DiscreteOperator:
@@ -360,28 +335,11 @@ def _conjugated_linear_operator(op: DiscreteOperator, freq_mask=None):
     return op.shape, mv, rmv
 
 
-def _conjugated_matrix(op: DiscreteOperator, freq_mask,
-                       limit: int) -> np.ndarray:
-    """Dense form of _conjugated_linear_operator: W_dst F A F^H W_src^-1
-    from two FFT passes over the matrix, with the rows and columns outside
-    the frequency mask dropped rather than zeroed."""
-    mat = op.to_dense(limit)
-    if op.src is None or op.dst is None:
-        return mat
-    keep = slice(None) if freq_mask is None else np.asarray(freq_mask, bool)
-    rows = op.dst.grid.fft_flat(mat)[keep]
-    rows *= op.dst.weights()[keep, None]
-    # B F^H, row by row, is F^H applied to each row: the DFT matrix is
-    # symmetric
-    out = op.src.grid.ifft_flat(rows.T).T[:, keep]
-    out /= op.src.weights()[keep]
-    return out
-
-
-def operator_norm(op: DiscreteOperator, freq_mask=None,
-                  dense_limit: int = DENSE_LIMIT) -> float:
+def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     """Operator norm in the weighted source/target norms (plain l2 when the
-    operator has no attached spaces)."""
+    operator has no attached spaces).  Multipliers and diagonals have
+    closed forms; any other operator goes to ARPACK svds, with power
+    iteration as the fallback when ARPACK fails."""
     if op.kind == "multiplier" and op.src is not None and op.dst is not None:
         ratio = np.abs(op.data) * op.dst.weights() / op.src.weights()
         if freq_mask is not None:
@@ -396,9 +354,6 @@ def operator_norm(op: DiscreteOperator, freq_mask=None,
     if freq_mask is not None and (op.src is None or op.dst is None):
         raise ValueError("frequency mask needs lattice spaces")
     n_dst, n_src = op.shape
-    if max(n_dst, n_src) <= dense_limit:
-        mat = _conjugated_matrix(op, freq_mask, dense_limit)
-        return float(np.linalg.norm(mat, 2))
     shape, mv, rmv = _conjugated_linear_operator(op, freq_mask)
     lin = LinearOperator(shape, matvec=lambda v: mv(v.astype(complex)),
                          rmatvec=lambda v: rmv(v.astype(complex)),
@@ -489,44 +444,31 @@ def toeplitz_sections(coeffs: LaurentPolynomial, n: int) -> DiscreteOperator:
 def rect_section_matrix(coeffs: LaurentPolynomial, rows: int,
                         cols: int) -> np.ndarray:
     """Rectangular truncated convolution matrix, entry (i, j) = a_{i-j}."""
-    i = np.arange(rows)[:, None]
-    j = np.arange(cols)[None, :]
-    diff = i - j
-    mat = np.zeros((rows, cols), dtype=complex)
-    for d in range(coeffs.min_deg, coeffs.max_deg + 1):
-        c = coeffs.coeff(d)
-        if c != 0:
-            mat[diff == d] = c
-    return mat
+    col = np.array([coeffs.coeff(i) for i in range(rows)], dtype=complex)
+    row = np.array([coeffs.coeff(-j) for j in range(cols)], dtype=complex)
+    return toeplitz(col, row)
 
 
-def _decaying_null_count(mat: np.ndarray, edge_cols: np.ndarray,
-                         rank_tol: float) -> int:
-    """Number of null vectors not localized at the marked right-edge
-    columns (the truncation artifacts).
+def _kernel_count(symbols, n: int, rank_tol: float) -> int:
+    """Number of decaying null vectors of the block-diagonal direct sum of
+    the N x (N + b) sections of ``symbols``, not counting those localized
+    at each block's last b + _EDGE_PAD columns (the truncation artifacts).
 
     The subspace of null vectors vanishing on the edge columns is exactly
-    the null space of the matrix with those columns removed, so the count
-    needs only singular values of the restricted section: decaying kernel
-    vectors of the semi-infinite operator reappear there as near-null
-    directions (their edge entries are exponentially small), while edge
-    artifacts and growing recurrence solutions do not."""
-    sub = mat[:, ~edge_cols]
+    the null space of the sections with those columns removed, so the count
+    needs only singular values of the restricted blocks, which are the
+    first N - _EDGE_PAD columns of each section whatever its b: decaying
+    kernel vectors of the semi-infinite operator reappear there as
+    near-null directions (their edge entries are exponentially small),
+    while edge artifacts and growing recurrence solutions do not."""
+    sub = block_diag(*[rect_section_matrix(a, n, n - _EDGE_PAD)
+                       for a in symbols])
     sig = np.linalg.svd(sub, compute_uv=False)
     smax = sig[0] if sig.size else 0.0
     if smax == 0.0:
         return sub.shape[1]
     rank = int(np.sum(sig > rank_tol * smax))
     return sub.shape[1] - rank
-
-
-def _kernel_count(coeffs: LaurentPolynomial, n: int, rank_tol: float) -> int:
-    b = coeffs.bandwidth
-    cols = n + b
-    mat = rect_section_matrix(coeffs, n, cols)
-    edge = np.zeros(cols, dtype=bool)
-    edge[cols - min(cols, b + _EDGE_PAD):] = True
-    return _decaying_null_count(mat, edge, rank_tol)
 
 
 @dataclass(frozen=True)
@@ -568,8 +510,8 @@ def numerical_index(coeffs: LaurentPolynomial, n: int,
     if coeffs.min_modulus_on_circle() <= tol_circle:
         raise ZeroOnCircle("symbol vanishes on the unit circle")
     adj = coeffs.conj_reflected()
-    kers = [_kernel_count(coeffs, m, rank_tol) for m in (n, 2 * n)]
-    coks = [_kernel_count(adj, m, rank_tol) for m in (n, 2 * n)]
+    kers = [_kernel_count([coeffs], m, rank_tol) for m in (n, 2 * n)]
+    coks = [_kernel_count([adj], m, rank_tol) for m in (n, 2 * n)]
     if kers[0] != kers[1] or coks[0] != coks[1]:
         raise UnstableRank(
             f"kernel counts did not stabilize between N={n} and 2N: "
@@ -586,21 +528,9 @@ def numerical_index_direct_sum(symbol_list, n: int,
                                rank_tol: float = RANK_TOL) -> IndexEntry:
     """Kernel/cokernel detection run on the block-diagonal direct sum of the
     rectangular sections (not on the per-block results)."""
-    def block_count(symbols, m):
-        mats, edges = [], []
-        for a in symbols:
-            b = a.bandwidth
-            cols = m + b
-            mats.append(rect_section_matrix(a, m, cols))
-            e = np.zeros(cols, dtype=bool)
-            e[cols - min(cols, b + _EDGE_PAD):] = True
-            edges.append(e)
-        return _decaying_null_count(block_diag(*mats), np.concatenate(edges),
-                                    rank_tol)
-
     adj = [a.conj_reflected() for a in symbol_list]
-    kers = [block_count(symbol_list, m) for m in (n, 2 * n)]
-    coks = [block_count(adj, m) for m in (n, 2 * n)]
+    kers = [_kernel_count(symbol_list, m, rank_tol) for m in (n, 2 * n)]
+    coks = [_kernel_count(adj, m, rank_tol) for m in (n, 2 * n)]
     if kers[0] != kers[1] or coks[0] != coks[1]:
         raise UnstableRank("direct-sum kernel counts did not stabilize")
     return IndexEntry(
@@ -700,6 +630,13 @@ def _box_cutoffs(rows, starts, box, n):
                       shape=(vals.size, rows[0].size))
 
 
+def _at_offsets(kernel, offsets) -> np.ndarray:
+    """Entries of a periodic kernel at per-axis offsets, each taken modulo
+    the kernel's extent on its axis; the offset arrays broadcast."""
+    return kernel.ravel()[np.ravel_multi_index(offsets, kernel.shape,
+                                               mode="wrap")]
+
+
 class _MultiplierWindows:
     """Frozen-multiplier patches sum_j f_j A_j g_j, applied as exact linear
     convolutions inside small boxes instead of circular ones over the
@@ -734,7 +671,7 @@ class _MultiplierWindows:
         m = [np.r_[0:size - bg + 1, 1 - bg:0]
              for size, bg in zip(self.size, self.b_g)]
         windows = np.stack([
-            _at_offsets(_multiplier_kernel(vals, grid),
+            _at_offsets(np.fft.ifftn(vals.reshape((n,) * d)),
                         np.ix_(*(fa - ga + ma for fa, ga, ma
                                  in zip(f_start[j], g_start[j], m))))
             for j, vals in enumerate(values)])
@@ -840,8 +777,7 @@ def assemble_operator(family, pou: PartitionOfUnity,
             out = out + gj * op.rmatvec(fj * v)
         return out
 
-    @functools.cache
-    def dense(limit):
+    def dense():
         # patch j touches only rows supp f_j and columns supp g_j
         mat = np.zeros(shape, dtype=complex)
         if windows is not None:

@@ -92,12 +92,6 @@ def test_config_validation():
         AnalysisConfig(symbol_text="1", alpha=0.0, model="torus").validate()
     with pytest.raises(ConfigError):
         AnalysisConfig(symbol_text="k9", alpha=0.0, model="square").validate()
-    with pytest.raises(ConfigError):
-        AnalysisConfig(symbol_text="1", alpha=0.0, model="square",
-                       grid_n=12).validate()
-    with pytest.raises(ConfigError):
-        AnalysisConfig(symbol_text="1", alpha=0.0, model="square",
-                       eps_list=(0.1, 0.2)).validate()
 
 
 def test_x_dependent_symbol_samples_multiple_points():
@@ -180,15 +174,38 @@ def test_cli_exit_codes():
     # stage error (non-elliptic symbol)
     assert main(["analyze", "--symbol", "k1", "--alpha", "1",
                  "--model", "square"]) == 2
-    # config error (bad eps ordering)
+    # config error (symbol variable beyond the model's dimension)
+    assert main(["analyze", "--symbol", "k3", "--alpha", "0",
+                 "--model", "square"]) == 3
+    # the removed assembly options are unknown arguments
     assert main(["analyze", "--symbol", "1", "--alpha", "0",
-                 "--eps", "0.1,0.2"]) == 3
+                 "--eps", "0.4,0.2,0.1"]) == 3
     # argparse error (unknown model) maps to config error
     assert main(["analyze", "--symbol", "1", "--alpha", "0",
                  "--model", "torus"]) == 3
     # failed verdict still exits 0
     assert main(["analyze", "--symbol", "(1+abs2(k))^(1/2)", "--alpha", "1",
                  "--s-order", "1.1"]) == 0
+
+
+_WAVE = ["wave-validate", "--alpha", "2", "--dim", "2",
+         "--cone", "[[1,0],[0,1]]", "--declared-ae", "2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--symbol", "k1+", "--alpha", "0"],
+    ["winding", "--symbol", "k3", "--alpha", "0", "--dim", "1"],
+    ["assemble", "--symbol", "k3+", "--alpha", "0", "--grid-n", "8"],
+    _WAVE + ["--symbol", "k1+", "--a-neq", "1", "--a-eq", "1"],
+    _WAVE + ["--symbol", "1", "--a-neq", "k3", "--a-eq", "1"],
+    _WAVE + ["--symbol", "1", "--a-neq", "1", "--a-eq", "(k1"],
+], ids=["analyze", "winding", "assemble", "wave-symbol", "wave-a-neq",
+        "wave-a-eq"])
+def test_cli_malformed_symbol_is_a_config_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "bad symbol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_stratify(tmp_path):

@@ -18,7 +18,7 @@ from symstrat.geometry import (Ball, CanonicalDomain, Covering, orthant,
                                build_covering)
 from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
                               IndexEntry, LatticeGrid, aggregate_index,
-                              assemble_operator,
+                              assemble_frozen_family, assemble_operator,
                               assembly_convergence, build_paired_operator,
                               discretize_symbol_op, export_operator,
                               high_frequency_mask, import_operator,
@@ -262,11 +262,19 @@ def test_toeplitz_band_from_expansion_oracle():
     np.testing.assert_array_equal(t, expected)
 
 
-def test_rect_section_shape():
-    poly = LaurentPolynomial.make([1, -2.5, 1], -1)
-    mat = rect_section_matrix(poly, 8, 10)
-    assert mat.shape == (8, 10)
-    assert mat[0, 1] == pytest.approx(1.0)    # a_{-1}
+@pytest.mark.parametrize("coeffs,min_deg,rows,cols", [
+    ([1, -2.5, 1], -1, 8, 10),
+    # only negative degrees, on a tall and on a wide rectangle
+    ([2.0, 1j, -3.0], -4, 9, 6),
+    ([2.0, 1j, -3.0], -4, 5, 11),
+])
+def test_rect_section_shape(coeffs, min_deg, rows, cols):
+    poly = LaurentPolynomial.make(coeffs, min_deg)
+    mat = rect_section_matrix(poly, rows, cols)
+    assert mat.shape == (rows, cols)
+    expected = np.array([[poly.coeff(i - j) for j in range(cols)]
+                         for i in range(rows)])
+    np.testing.assert_array_equal(mat, expected)     # entry a_{i-j}
 
 
 def test_numerical_index_identity():
@@ -572,22 +580,49 @@ def test_windowed_assembly_matches_torus_reference():
     assert empty_support_seen
 
 
-def test_dense_and_arpack_norm_paths_agree():
+def _weighted_dft_norm(mat, src, dst, keep):
+    """Oracle: sigma_max of W_dst F A F^H W_src^-1 by a full dense SVD, with
+    the rows and columns outside ``keep`` dropped."""
+    fourier = src.grid.fft_flat(np.eye(src.grid.size, dtype=complex))
+    conj = (dst.weights()[:, None] * (fourier @ mat @ fourier.conj().T)
+            / src.weights()[None, :])
+    return np.linalg.norm(conj[np.ix_(keep, keep)], 2)
+
+
+def test_operator_norm_matches_dense_svd_oracle():
+    sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)", 1.0, 2)
+    strat = stratify_model("square", 2)
+
+    def assembled(grid, src, dst, eps):
+        cov = build_covering(strat, eps, cover_points=grid.points())
+        pou = partition_of_unity(cov, grid.points())
+        return assemble_frozen_family(sym, pou, grid, src, dst)
+
     grid = LatticeGrid(2, 8, 1.0 / 8)
     src = DiscreteSobolevSpace(grid, 1.0)
     dst = DiscreteSobolevSpace(grid, 0.0)
-    sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)", 1.0, 2)
-    cov = build_covering(stratify_model("square", 2), 0.3,
-                         cover_points=grid.points())
-    pou = partition_of_unity(cov, grid.points())
-    op = assemble_operator(
-        {b.center: discretize_symbol_op(sym, b.center, grid, src, dst)
-         for b in cov.balls}, pou, grid)
+    op = assembled(grid, src, dst, 0.3)
+    everything = np.ones(grid.size, dtype=bool)
+    for freq_mask in (None, high_frequency_mask(grid)):
+        keep = everything if freq_mask is None else freq_mask
+        oracle = _weighted_dft_norm(op.to_dense(), src, dst, keep)
+        assert operator_norm(op, freq_mask=freq_mask) == pytest.approx(
+            oracle, rel=1e-8)
+
+    # the finest rung difference of an N=32 ladder, as assembly_convergence
+    # takes it
+    grid = LatticeGrid(2, 32, 1.0 / 32)
+    src = DiscreteSobolevSpace(grid, 1.0)
+    dst = DiscreteSobolevSpace(grid, 0.0)
+    coarse = assembled(grid, src, dst, 0.2)
+    fine = assembled(grid, src, dst, 0.1)
+    diff = coarse - fine
+    diff.src, diff.dst = src, dst
     mask = high_frequency_mask(grid)
-    for freq_mask in (None, mask):
-        dense = operator_norm(op, freq_mask=freq_mask)
-        arpack = operator_norm(op, freq_mask=freq_mask, dense_limit=16)
-        assert dense == pytest.approx(arpack, rel=1e-8)
+    oracle = _weighted_dft_norm(coarse.to_dense() - fine.to_dense(),
+                                src, dst, mask)
+    assert operator_norm(diff, freq_mask=mask) == pytest.approx(
+        oracle, rel=1e-8)
 
 
 def test_operator_norm_falls_back_on_arpack_no_convergence(monkeypatch):
@@ -597,7 +632,7 @@ def test_operator_norm_falls_back_on_arpack_no_convergence(monkeypatch):
 
     monkeypatch.setattr(lattice, "svds", no_convergence)
     op = DiscreteOperator.from_matrix(np.diag(np.linspace(1.0, 3.0, 32)))
-    assert operator_norm(op, dense_limit=8) == pytest.approx(3.0, rel=1e-6)
+    assert operator_norm(op) == pytest.approx(3.0, rel=1e-6)
 
 
 def test_operator_norm_fallback_survives_a_start_in_the_null_space():
@@ -607,7 +642,7 @@ def test_operator_norm_fallback_survives_a_start_in_the_null_space():
     u = np.zeros(64)
     u[:2] = (1.0, -1.0)
     op = DiscreteOperator.from_matrix(np.outer(u, u))
-    assert operator_norm(op, dense_limit=8) == pytest.approx(2.0, rel=1e-9)
+    assert operator_norm(op) == pytest.approx(2.0, rel=1e-9)
 
 
 def test_operator_norm_propagates_other_svds_errors(monkeypatch):
@@ -617,7 +652,7 @@ def test_operator_norm_propagates_other_svds_errors(monkeypatch):
     monkeypatch.setattr(lattice, "svds", broken)
     op = DiscreteOperator.from_matrix(np.eye(32))
     with pytest.raises(ValueError):
-        operator_norm(op, dense_limit=8)
+        operator_norm(op)
 
 
 def test_operator_norm_fallback_raises_when_not_converged(monkeypatch):
@@ -633,7 +668,7 @@ def test_operator_norm_fallback_raises_when_not_converged(monkeypatch):
     op = DiscreteOperator.diagonal(np.linspace(0.99, 1.0, n)) \
         @ DiscreteOperator.diagonal(np.ones(n))
     with pytest.raises(NormNotConverged):
-        operator_norm(op, dense_limit=8)
+        operator_norm(op)
 
 
 def test_missing_patch_rejected():
