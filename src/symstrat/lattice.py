@@ -53,6 +53,11 @@ __all__ = [
 
 DENSE_LIMIT = 2048          # max side of a materialized matrix
 POWER_STEPS = 500           # power-iteration fallback of operator_norm
+# Lanczos basis size of operator_norm's svds.  With scipy's default of 20,
+# one in seven assembly-ladder norms needs an extra restart (51 instead of
+# 41 products on the 32x32 grid), so a ladder's cost swings with its
+# symbol; with 28 nearly all take 43 (57 on the 64x64 grid).
+ARPACK_NCV = 28
 RANK_TOL = 1e-8
 _EDGE_PAD = 4               # extra columns in the right-edge window
 
@@ -359,8 +364,9 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
                          rmatvec=lambda v: rmv(v.astype(complex)),
                          dtype=complex)
     v0 = np.ones(n_src) / math.sqrt(n_src)
+    ncv = ARPACK_NCV if min(op.shape) > ARPACK_NCV else None
     try:
-        sigma = svds(lin, k=1, which="LM", v0=v0, maxiter=8000,
+        sigma = svds(lin, k=1, ncv=ncv, which="LM", v0=v0, maxiter=8000,
                      return_singular_vectors=False, tol=1e-9)
         return float(sigma[0])
     except ArpackError as exc:
@@ -614,19 +620,19 @@ def _support_arcs(rows, shape):
 
 def _box_cutoffs(rows, starts, box, n):
     """Cutoffs read into their boxes, which start at ``starts`` (J, d) and
-    wrap modulo n: a sparse (J * prod(box), P) matrix whose row
-    j * prod(box) + t holds cutoff j at box position t, in the column of
-    the grid point there."""
+    wrap modulo n: a sparse (J * prod(box), P) matrix whose rows run over
+    (t_1, j, t_2, ..., t_d), the window layout of _MultiplierWindows, and
+    hold cutoff j at box position t, in the column of the grid point there."""
     index = np.zeros((len(rows),) + (1,) * len(box), dtype=np.intp)
     for a, b in enumerate(box):
         shape = [len(rows)] + [1] * len(box)
         shape[a + 1] = b
         index = index * n + ((starts[:, a, None] + np.arange(b)) % n
                              ).reshape(shape)
-    index = index.reshape(len(rows), -1)
-    vals = np.concatenate([r[i] for r, i in zip(rows, index)])
+    vals = np.stack([r[i] for r, i in zip(rows, index)])
+    index, vals = (np.moveaxis(a, 0, 1).ravel() for a in (index, vals))
     keep = np.flatnonzero(vals)
-    return csr_matrix((vals[keep], (keep, index.ravel()[keep])),
+    return csr_matrix((vals[keep], (keep, index[keep])),
                       shape=(vals.size, rows[0].size))
 
 
@@ -637,6 +643,28 @@ def _at_offsets(kernel, offsets) -> np.ndarray:
                                                mode="wrap")]
 
 
+def _dft_matrix(size) -> np.ndarray:
+    """The size x size DFT matrix exp(-2 pi i m n / size)."""
+    r = np.arange(size)
+    return np.exp(-2j * np.pi * (np.outer(r, r) % size) / size)
+
+
+def _box_dft(y, mats):
+    """Apply mats[a] along box axis a of y, laid out (B_1, J, k, B_2, ...,
+    B_d): the first axis by one matrix product from the left, the last by
+    one from the right, any axis between them as a stack of products."""
+    shape = list(y.shape)
+    y = mats[0] @ y.reshape(shape[0], -1)
+    shape[0] = mats[0].shape[0]
+    for pos, m in enumerate(mats[1:], start=3):
+        if pos == len(shape) - 1:
+            y = y.reshape(-1, shape[pos]) @ m.T
+        else:
+            y = m @ y.reshape(math.prod(shape[:pos]), shape[pos], -1)
+        shape[pos] = m.shape[0]
+    return y.reshape(shape)
+
+
 class _MultiplierWindows:
     """Frozen-multiplier patches sum_j f_j A_j g_j, applied as exact linear
     convolutions inside small boxes instead of circular ones over the
@@ -645,83 +673,91 @@ class _MultiplierWindows:
     Per axis, the f box of patch j starts at the cyclic arc covering
     supp f_j, the g box at the arc covering supp g_j; their sizes B_f and
     B_g are the longest arcs over all patches.  Between the boxes A_j only
-    reads its kernel at offsets a_f - a_g + m with -B_g < m < B_f, so one
-    zero-padded FFT of size L = next_fast_len(B_f + B_g - 1) applies it
-    exactly.  Where L would reach N the axis takes L = N, on which the
-    circular convolution is A_j itself.  Kept: f and g on their boxes (as
-    sparse gather matrices that also record the box starts) and the
-    spectra of the kernel windows.
+    reads its kernel at offsets a_f - a_g + m with -B_g < m < B_f, so a
+    zero-padded DFT of size L = B_f + B_g - 1 applies it exactly.  Where L
+    would reach N the axis takes L = N, on which the circular convolution
+    is A_j itself.  The DFTs are products with L x B DFT matrices, one per
+    axis and batched over all patches, so a matvec is 2d BLAS products;
+    batched small FFTs took twice as long and varied more from run to run.
+    Kept: f and g on their boxes (as sparse gather matrices that also
+    record the box starts), the spectra of the kernel windows over L^d,
+    and the DFT matrices.
     """
 
     def __init__(self, values, f_rows, g_rows, grid):
-        # scipy.fft is slow to import and needed only here
-        from scipy import fft
-
         n, d = grid.n, grid.dim
         f_start, f_len = _support_arcs(f_rows, (n,) * d)
         g_start, g_len = _support_arcs(g_rows, (n,) * d)
         self.b_f = tuple(int(b) for b in np.maximum(f_len.max(axis=0), 1))
         self.b_g = tuple(int(b) for b in np.maximum(g_len.max(axis=0), 1))
-        self.size = tuple(min(fft.next_fast_len(bf + bg - 1), n)
+        self.size = tuple(min(bf + bg - 1, n)
                           for bf, bg in zip(self.b_f, self.b_g))
-        self.axes = tuple(range(1, d + 1))
         self.f = _box_cutoffs(f_rows, f_start, self.b_f, n)
         self.g = _box_cutoffs(g_rows, g_start, self.b_g, n)
+        self.f_t, self.g_t = self.f.T, self.g.T
         # window offsets m: 0 .. L - B_g, then -(B_g - 1) .. -1 wrapped
         m = [np.r_[0:size - bg + 1, 1 - bg:0]
              for size, bg in zip(self.size, self.b_g)]
+        # windows and spectra in the window layout (L_1, J, L_2, ..., L_d)
+        self.axes = (0,) + tuple(range(2, d + 1))
         windows = np.stack([
             _at_offsets(np.fft.ifftn(vals.reshape((n,) * d)),
                         np.ix_(*(fa - ga + ma for fa, ga, ma
                                  in zip(f_start[j], g_start[j], m))))
-            for j, vals in enumerate(values)])
-        self.spectra = fft.fftn(windows, axes=self.axes)
+            for j, vals in enumerate(values)], axis=1)
+        spectra = np.fft.fftn(windows, axes=self.axes)
+        # the 1/L^d of the inverse DFT folded in, and an axis for k
+        spectra /= math.prod(self.size)
+        self.spectra = spectra[:, :, None]
+        self.dft = [_dft_matrix(size) for size in self.size]
+        self.idft = [w.conj() for w in self.dft]
 
     def apply(self, v, adjoint=False) -> np.ndarray:
         """sum_j f_j A_j g_j v, or sum_j g_j A_j^H f_j v with ``adjoint``,
         for v of shape (P,) or (P, k)."""
-        from scipy import fft
-
-        src, dst = (self.f, self.g) if adjoint else (self.g, self.f)
-        src_box, dst_box = (self.b_f, self.b_g) if adjoint \
-            else (self.b_g, self.b_f)
         block = v.reshape(v.shape[0], -1)
         k = block.shape[1]
-        y = fft.fftn((src @ block).reshape((-1,) + src_box + (k,)),
-                     s=self.size, axes=self.axes)
         if adjoint:
-            # the adjoint's kernel window has the conjugate spectrum
-            np.conjugate(y, out=y)
-            y *= self.spectra[..., None]
-            np.conjugate(y, out=y)
+            # A_j^H has the conjugate spectrum, so conj(A_j^H x) is A_j's
+            # pipeline with conjugate DFT matrices, applied to conj(x)
+            src, dst_t, src_box, dst_box = self.f, self.g_t, self.b_f, self.b_g
+            dft, idft = self.idft, self.dft
+            block = block.conj()
         else:
-            y *= self.spectra[..., None]
-        y = fft.ifftn(y, axes=self.axes, overwrite_x=True)
-        y = y[(slice(None),) + tuple(slice(b) for b in dst_box)]
-        return (dst.T @ y.reshape(-1, k)).reshape(v.shape)
+            src, dst_t, src_box, dst_box = self.g, self.f_t, self.b_g, self.b_f
+            dft, idft = self.dft, self.idft
+        y = (src @ block).reshape(src_box[:1] + (-1,) + src_box[1:] + (k,))
+        y = _box_dft(np.moveaxis(y, -1, 2),
+                     [w[:, :b] for w, b in zip(dft, src_box)])
+        y *= self.spectra
+        y = _box_dft(y, [w[:b] for w, b in zip(idft, dst_box)])
+        out = dst_t @ np.moveaxis(y, 2, -1).reshape(-1, k)
+        return (out.conj() if adjoint else out).reshape(v.shape)
 
     def add_dense(self, mat) -> None:
         """Add each patch's block on supp f_j x supp g_j to ``mat``, read off
         its kernel window at the box offsets (t - s) mod L."""
-        from scipy import fft
-
-        windows = fft.ifftn(self.spectra, axes=self.axes)
+        windows = np.moveaxis(np.fft.ifftn(
+            self.spectra[:, :, 0] * math.prod(self.size), axes=self.axes),
+            1, 0)
         for window, (t, rows, f), (s, cols, g) in zip(
-                windows, _patch_entries(self.f, self.b_f),
-                _patch_entries(self.g, self.b_g)):
+                windows, _patch_entries(self.f, len(windows), self.b_f),
+                _patch_entries(self.g, len(windows), self.b_g)):
             block = _at_offsets(window, tuple(
                 ta[:, None] - sa[None, :] for ta, sa in zip(t, s)))
             mat[np.ix_(rows, cols)] += f[:, None] * block * g[None, :]
 
 
-def _patch_entries(cutoffs, box):
+def _patch_entries(cutoffs, n_patch, box):
     """Per patch, the box coordinates, grid points and values of the
     nonzero entries of a _box_cutoffs matrix."""
-    n_box = math.prod(box)
     coo = cutoffs.tocoo()
-    pos = np.unravel_index(coo.row % n_box, box)
-    ends = cutoffs.indptr[::n_box]
-    return [(tuple(p[a:b] for p in pos), coo.col[a:b], coo.data[a:b])
+    first, j, *rest = np.unravel_index(coo.row, box[:1] + (n_patch,) + box[1:])
+    order = np.argsort(j, kind="stable")
+    ends = np.searchsorted(j[order], np.arange(n_patch + 1))
+    pos = [p[order] for p in (first, *rest)]
+    col, data = coo.col[order], coo.data[order]
+    return [(tuple(p[a:b] for p in pos), col[a:b], data[a:b])
             for a, b in zip(ends[:-1], ends[1:])]
 
 

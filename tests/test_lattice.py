@@ -447,11 +447,12 @@ class _IndexPartition:
 
 
 def _seam_cutoffs(grid, rng):
-    """Cutoffs on two boxes of the torus: one around index (0, 0), whose
-    rows and columns wrap the seam on both axes, and one in the middle.
-    f_j lives on the box of radius 1 and g_j on the box of radius 2."""
+    """Cutoffs on two boxes of the torus: one around index (0, ..., 0),
+    which wraps the seam on every axis, and one in the middle.  f_j lives
+    on the box of radius 1 and g_j on the box of radius 2."""
     n = grid.n
-    pos = np.stack(np.unravel_index(np.arange(grid.size), (n, n)), -1)
+    pos = np.stack(np.unravel_index(np.arange(grid.size), (n,) * grid.dim),
+                   -1)
 
     def box(center, radius):
         offset = (pos - center + n // 2) % n - n // 2
@@ -516,9 +517,10 @@ def _torus_reference(family, pou, grid, v, adjoint=False):
 
 def _window_cases():
     """(label, grid, partition, family): square partitions whose windows
-    span the whole torus (eps 0.4, 0.2) or a box of 20 (N=32) or 40 (N=64)
+    span the whole torus (eps 0.4, 0.2) or a box of 19 (N=32) or 38 (N=64)
     points per axis (eps 0.1); seam-wrapping cutoffs, windowed at N=16 and
-    N=32; and families that mix multiplier and diagonal patches."""
+    N=32 on the square, N=16 on the circle and N=8 on the 3-torus; and
+    families that mix multiplier and diagonal patches."""
     sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)+k1", 1.0, 2)
     rng = np.random.default_rng(11)
     for n, eps_list in ((8, (0.4, 0.2, 0.1)), (32, (0.2, 0.1)),
@@ -540,15 +542,16 @@ def _window_cases():
                     rng.standard_normal(p) + 1j * rng.standard_normal(p),
                     src, dst) for j, (c, op) in enumerate(family.items())}
                 yield f"mixed N={n} eps={eps}", grid, pou, mixed
-    for n in (16, 32):
-        grid = LatticeGrid(2, n, 1.0 / n)
+    for dim, n in ((2, 16), (2, 32), (1, 16), (3, 8)):
+        grid = LatticeGrid(dim, n, 1.0 / n)
         src = DiscreteSobolevSpace(grid, 1.0)
         dst = DiscreteSobolevSpace(grid, 0.0)
         pou = _IndexPartition(*_seam_cutoffs(grid, rng))
-        family = {b.center: discretize_symbol_op(sym, b.center, grid,
-                                                 src, dst)
-                  for b in pou.covering.balls}
-        yield f"seam N={n}", grid, pou, family
+        sym_d = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)+k1", 1.0, dim)
+        family = {b.center: discretize_symbol_op(
+            sym_d, b.center[:1] + (0.5,) * (dim - 1), grid, src, dst)
+            for b in pou.covering.balls}
+        yield f"seam d={dim} N={n}", grid, pou, family
 
 
 def test_windowed_assembly_matches_torus_reference():
@@ -570,6 +573,11 @@ def test_windowed_assembly_matches_torus_reference():
                 assert scale > 0, label
                 assert np.abs(out - ref).max() <= 1e-13 * scale, \
                     (label, adjoint, v.ndim)
+        if p <= 512:
+            ref = _torus_reference(family, pou, grid, np.eye(p, dtype=complex))
+            np.testing.assert_allclose(assembled.to_dense(), ref, rtol=0,
+                                       atol=1e-13 * np.abs(ref).max(),
+                                       err_msg=label)
         v = rng.standard_normal(p) + 1j * rng.standard_normal(p)
         w = rng.standard_normal(p) + 1j * rng.standard_normal(p)
         lhs = np.vdot(w, assembled.matvec(v))
