@@ -86,26 +86,29 @@ class Cone:
         return self.rank() == self.dim
 
     def is_pointed(self) -> bool:
-        """No line contained in the cone, certified by linear programming.
+        """No line contained in the cone, decided exactly (Gordan's
+        alternative): the cone is pointed iff some y has g.y > 0 for every
+        generator g.
 
-        The cone is pointed iff some direction y has g.y > 0 for every
-        generator (iff the dual cone is full-dimensional).
+        Such a y can be sought in the span V of the generators, where the
+        dual {y in V : g.y >= 0 for all g} is pointed and so generated by
+        its extreme rays, each cut out in V by rank - 1 independent
+        generator hyperplanes.  The sum of every such ray that lies in the
+        dual is in its relative interior, which meets {g.y > 0 for all g}
+        iff the cone is pointed.
         """
-        # scipy.optimize is slow to import and needed only here
-        from scipy.optimize import linprog
-
-        g = self.generator_array()
-        n = self.dim
-        # maximize t  s.t.  g_i . y >= t,  -1 <= y <= 1
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        a_ub = np.hstack([-g, np.ones((g.shape[0], 1))])
-        b_ub = np.zeros(g.shape[0])
-        bounds = [(-1, 1)] * n + [(None, None)]
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-        if not res.success:
-            raise DegenerateConeError(f"pointedness LP failed: {res.message}")
-        return res.x[-1] > 1e-9
+        gens = [list(g) for g in self.generators]
+        perp = _rational_nullspace(gens, self.dim)     # V's complement
+        y = [Fraction(0)] * self.dim
+        for subset in itertools.combinations(gens,
+                                             self.dim - len(perp) - 1):
+            null = _rational_nullspace(list(subset) + perp, self.dim)
+            if len(null) != 1:
+                continue
+            for ray in (null[0], [-v for v in null[0]]):
+                if all(_dot(g, ray) >= 0 for g in gens):
+                    y = [a + b for a, b in zip(y, ray)]
+        return all(_dot(g, y) > 0 for g in gens)
 
     def halfspaces(self) -> tuple:
         """Facet normals: the generators of the dual cone (exact)."""
@@ -130,6 +133,10 @@ def orthant(dim: int) -> Cone:
     """The closed first orthant in the given dimension."""
     eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     return Cone.make(eye)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
 
 
 def _rational_nullspace(rows, dim):
@@ -207,7 +214,7 @@ def dual_cone(c: Cone) -> Cone:
             continue
         d = null[0]
         for cand in (d, [-v for v in d]):
-            if all(sum(gi * vi for gi, vi in zip(g, cand)) >= 0 for g in gens):
+            if all(_dot(g, cand) >= 0 for g in gens):
                 rays.add(_primitive(cand))
     if not rays:
         raise DegenerateConeError("dual cone has no extreme rays")

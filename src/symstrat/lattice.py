@@ -12,8 +12,17 @@ so kernel detection uses rectangular sections (rows N, columns N plus the
 symbol bandwidth): genuinely decaying kernel vectors of the semi-infinite
 operator show up as left-localized null vectors, while truncation
 artifacts concentrate at the right edge and are filtered out by dropping
-the edge columns before the rank test.  Counts must agree between section sizes N and 2N
-or UnstableRank is raised.
+the edge columns before the rank test.  Counts must agree between section
+sizes N and 2N or UnstableRank is raised.
+
+No section is ever dense.  The singular values of a restricted section S
+are read off the eigenvalues of its Golub-Kahan matrix [[0, S], [S^H, 0]]:
+they are +-sigma_i plus one structural zero per extra row of S.  With row
+i of S interleaved next to column i - floor((min_deg + max_deg) / 2), that
+matrix is banded with bandwidth at most max_deg - min_deg + 1, so one
+scipy.linalg.eigvals_banded call costs O(N^2 b), not the O(N^3) of a
+dense SVD.  Unlike S^H S it does not square the singular values, so a
+rank tolerance of 1e-8 stays 1e-8.
 
 The essential-norm proxy used by the assembly convergence table is the
 operator norm compressed to the upper half of the frequency grid; it is a
@@ -28,7 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, toeplitz
+from scipy.linalg import eigvals_banded, toeplitz
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import ArpackError, LinearOperator, svds
 
@@ -59,6 +68,9 @@ POWER_STEPS = 500           # power-iteration fallback of operator_norm
 # symbol; with 28 nearly all take 43 (57 on the 64x64 grid).
 ARPACK_NCV = 28
 RANK_TOL = 1e-8
+# unit vectors per matvec in DiscreteOperator.block: a sum of assembled
+# operators holds every patch window of the whole batch at once
+_BLOCK_COLUMNS = 16
 _EDGE_PAD = 4               # extra columns in the right-edge window
 
 
@@ -279,10 +291,15 @@ class DiscreteOperator:
 
     def block(self, rows, cols) -> np.ndarray:
         """The entries A[rows, cols] for integer index arrays, from the
-        operator applied to the unit vectors of ``cols``."""
-        unit = np.zeros((self.shape[1], cols.size), dtype=complex)
-        unit[cols, np.arange(cols.size)] = 1.0
-        return self.matvec(unit)[rows]
+        operator applied to the unit vectors of ``cols``, _BLOCK_COLUMNS
+        at a time."""
+        out = np.empty((rows.size, cols.size), dtype=complex)
+        for start in range(0, cols.size, _BLOCK_COLUMNS):
+            part = cols[start:start + _BLOCK_COLUMNS]
+            unit = np.zeros((self.shape[1], part.size), dtype=complex)
+            unit[part, np.arange(part.size)] = 1.0
+            out[:, start:start + part.size] = self.matvec(unit)[rows]
+        return out
 
     def to_dense(self) -> np.ndarray:
         if self.kind == "dense":
@@ -360,6 +377,9 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
         raise ValueError("frequency mask needs lattice spaces")
     n_dst, n_src = op.shape
     shape, mv, rmv = _conjugated_linear_operator(op, freq_mask)
+    if min(shape) < 3:
+        # too small for ARPACK, whose svds needs at least 3 points
+        return float(np.linalg.norm(mv(np.eye(n_src, dtype=complex)), 2))
     lin = LinearOperator(shape, matvec=lambda v: mv(v.astype(complex)),
                          rmatvec=lambda v: rmv(v.astype(complex)),
                          dtype=complex)
@@ -455,6 +475,36 @@ def rect_section_matrix(coeffs: LaurentPolynomial, rows: int,
     return toeplitz(col, row)
 
 
+def _golub_kahan_band(coeffs: LaurentPolynomial, n: int):
+    """The Hermitian augmented matrix [[0, S], [S^H, 0]] of the restricted
+    N x (N - _EDGE_PAD) section S, entry S[i, j] = a_{i-j}, as (lower band
+    offsets, column positions, values), with row i of S placed next to
+    column i - s, s = floor((min_deg + max_deg) / 2).
+
+    Row i gets the key 2i and column j the key 2(j + s) + 1; an entry
+    a_d, d = i - j, then joins keys 2(s - d) + 1 apart, at most
+    max_deg - min_deg + 1, and ranking the distinct keys only brings
+    neighbours closer."""
+    m = n - _EDGE_PAD
+    s = (coeffs.min_deg + coeffs.max_deg) // 2
+    keys = np.concatenate([2 * np.arange(n), 2 * (np.arange(m) + s) + 1])
+    pos = np.empty(n + m, dtype=np.intp)
+    pos[np.argsort(keys)] = np.arange(n + m)
+    offsets, cols, vals = [], [], []
+    for d in range(coeffs.min_deg, coeffs.max_deg + 1):
+        c = coeffs.coeff(d)
+        i = np.arange(max(d, 0), min(n, m + d))
+        p_row, p_col = pos[i], pos[n + i - d]
+        # S[i, j] sits at (p_row, p_col) and its conjugate at (p_col, p_row);
+        # lower storage keeps whichever is below the diagonal
+        below = p_row > p_col
+        offsets.append(np.abs(p_row - p_col))
+        cols.append(np.minimum(p_row, p_col))
+        vals.append(np.where(below, c, np.conj(c)))
+    return (np.concatenate(offsets), np.concatenate(cols),
+            np.concatenate(vals))
+
+
 def _kernel_count(symbols, n: int, rank_tol: float) -> int:
     """Number of decaying null vectors of the block-diagonal direct sum of
     the N x (N + b) sections of ``symbols``, not counting those localized
@@ -466,15 +516,27 @@ def _kernel_count(symbols, n: int, rank_tol: float) -> int:
     first N - _EDGE_PAD columns of each section whatever its b: decaying
     kernel vectors of the semi-infinite operator reappear there as
     near-null directions (their edge entries are exponentially small),
-    while edge artifacts and growing recurrence solutions do not."""
-    sub = block_diag(*[rect_section_matrix(a, n, n - _EDGE_PAD)
-                       for a in symbols])
-    sig = np.linalg.svd(sub, compute_uv=False)
-    smax = sig[0] if sig.size else 0.0
-    if smax == 0.0:
-        return sub.shape[1]
-    rank = int(np.sum(sig > rank_tol * smax))
-    return sub.shape[1] - rank
+    while edge artifacts and growing recurrence solutions do not.
+
+    The singular values come from the eigenvalues of the banded
+    Golub-Kahan matrices of the blocks (see _golub_kahan_band), stacked
+    along the diagonal: they are +-sigma_i plus _EDGE_PAD structural
+    zeros per block, so nothing is squared and sigma_max = max |lambda|."""
+    parts = [_golub_kahan_band(a, n) for a in symbols]
+    size = 2 * n - _EDGE_PAD
+    width = max(int(off.max()) for off, _, _ in parts)
+    band = np.zeros((width + 1, size * len(parts)), dtype=complex)
+    for k, (off, col, val) in enumerate(parts):
+        band[off, col + k * size] = val
+    lam = np.abs(eigvals_banded(band, lower=True))
+    small = int(np.sum(lam <= rank_tol * lam.max()))
+    pad = _EDGE_PAD * len(parts)
+    if small < pad or (small - pad) % 2:
+        raise UnstableRank(
+            f"{small} eigenvalues of the Golub-Kahan matrix at N={n} are "
+            f"at most rank_tol={rank_tol:g} times sigma_max, which is not "
+            f"{pad} structural zeros plus pairs +-sigma")
+    return (small - pad) // 2
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """Cones, stratifications, coverings and partitions of unity."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -100,6 +103,34 @@ def test_degenerate_cones_rejected():
                              [0, 0, 1, 0, 0],
                              [0, 0, 0, 1, 0],
                              [0, 0, 0, 0, 1]]))           # dim 5 unsupported
+
+
+@pytest.mark.parametrize("generators, pointed", [
+    ([[2, 3]], True),                                   # one ray in 2-D
+    ([[1, -1, 2]], True),                               # one ray in 3-D
+    ([[1, 0, 1], [0, 1, 1], [1, 1, 2]], True),          # rank 2 in 3-D
+    ([[1, 0], [0, 1], [-1, 0]], False),                 # a half-plane
+    ([[1, 2, 0], [-1, -2, 0]], False),                  # a line
+    ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+      [0, 0, 0, 0, 1], [1, -1, 2, 0, -1]], True),       # 5-D
+    ([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+      [1, 1, 1, 1, 0], [-1, -1, -1, -1, 0]], False),    # 5-D, with a line
+])
+def test_is_pointed_exact(generators, pointed):
+    assert Cone.make(generators).is_pointed() is pointed
+
+
+def test_stratification_does_not_import_scipy_optimize():
+    code = ("import sys\n"
+            "import symstrat.analysis\n"
+            "from symstrat.geometry import stratify_model\n"
+            "stratify_model('cube', 3)\n"
+            "print('scipy.optimize' in sys.modules)\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cone_membership_via_halfspaces():

@@ -1,6 +1,8 @@
 """Lattice grids, multipliers, paired operators, Toeplitz index detection,
 locality defects and partition-of-unity assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -332,6 +334,57 @@ def test_direct_sum_block_detection():
     assert direct.index == sum(p.index for p in parts) == 1
     assert direct.dim_ker == sum(p.dim_ker for p in parts)
     assert direct.dim_coker == sum(p.dim_coker for p in parts)
+
+
+def _dense_kernel_count(symbols, n, rank_tol):
+    """Oracle: singular values of the block-diagonal restricted sections,
+    from a dense SVD."""
+    sub = scipy.linalg.block_diag(*[
+        rect_section_matrix(a, n, n - lattice._EDGE_PAD) for a in symbols])
+    sig = np.linalg.svd(sub, compute_uv=False)
+    return int(np.sum(sig <= rank_tol * sig[0]))
+
+
+def _kernel_count_oracle_cases():
+    rng = np.random.default_rng(17)
+    for k in range(8):
+        poly = random_elliptic_laurent(rng)
+        for n in (64, 128):
+            yield f"random {k} N={n}", [poly], n
+            yield f"random {k} adjoint N={n}", [poly.conj_reflected()], n
+    for n in (64, 128):
+        yield f"shift N={n}", [LaurentPolynomial.make([0, 1], 0)], n
+        yield f"back-shift N={n}", [LaurentPolynomial.make([1], -1)], n
+    yield "direct sum", [LaurentPolynomial.make([0, 1], 0),
+                         LaurentPolynomial.make([1], -2),
+                         LaurentPolynomial.make([-2.0, 1], 0)], 64
+    yield "random direct sum", [random_elliptic_laurent(rng)
+                                for _ in range(3)], 128
+
+
+def test_kernel_count_matches_dense_svd_oracle():
+    counts = []
+    for label, symbols, n in _kernel_count_oracle_cases():
+        count = lattice._kernel_count(symbols, n, lattice.RANK_TOL)
+        assert count == _dense_kernel_count(symbols, n,
+                                            lattice.RANK_TOL), label
+        counts.append(count)
+        for a in symbols:            # interleaving keeps the matrix banded
+            offsets = lattice._golub_kahan_band(a, n)[0]
+            assert offsets.max() <= a.max_deg - a.min_deg + 1, label
+    assert max(counts) >= 2          # the oracle cases do have kernels
+
+
+def test_kernel_count_parity_guard_below_noise_floor():
+    # the structural zeros of the Golub-Kahan matrix are roundoff-sized,
+    # so a rank_tol of 1e-20 counts some of them and not others
+    poly = LaurentPolynomial.make([-0.5, 1], 0)
+    assert lattice._kernel_count([poly], 64, lattice.RANK_TOL) == 0
+    with pytest.raises(UnstableRank) as info:
+        lattice._kernel_count([poly], 64, 1e-20)
+    message = str(info.value)
+    assert message.startswith("3 eigenvalues")
+    assert "rank_tol=1e-20" in message and "N=64" in message
 
 
 def test_aggregate_index_sums():
@@ -676,6 +729,47 @@ def test_operator_norm_fallback_raises_when_not_converged(monkeypatch):
         @ DiscreteOperator.diagonal(np.ones(n))
     with pytest.raises(NormNotConverged):
         operator_norm(op)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_operator_norm_of_tiny_composites(n):
+    # ARPACK needs at least 3 points; below that the norm is taken directly
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    summed = DiscreteOperator.from_matrix(a) \
+        + DiscreteOperator.from_matrix(np.eye(n))
+    assert operator_norm(summed) == pytest.approx(
+        np.linalg.norm(a + np.eye(n), 2), rel=1e-12)
+    wide = DiscreteOperator.from_matrix(rng.standard_normal((n, 5))) \
+        @ DiscreteOperator.from_matrix(rng.standard_normal((5, 5)))
+    assert operator_norm(wide) == pytest.approx(
+        np.linalg.norm(wide.to_dense(), 2), rel=1e-12)
+
+
+def test_block_applies_columns_in_batches():
+    sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)", 1.0, 2)
+    grid = LatticeGrid(2, 16, 1.0 / 16)
+    src = DiscreteSobolevSpace(grid, 1.0)
+    dst = DiscreteSobolevSpace(grid, 0.0)
+    strat = stratify_model("square", 2)
+    coarse, fine = [
+        assemble_frozen_family(
+            sym, partition_of_unity(build_covering(
+                strat, eps, cover_points=grid.points()), grid.points()),
+            grid, src, dst)
+        for eps in (0.2, 0.1)]
+    diff = coarse - fine
+    # one unbatched matvec of every unit vector at once
+    reference = diff.matvec(np.eye(grid.size, dtype=complex))
+    tracemalloc.start()
+    try:
+        dense = diff.to_dense()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(dense, reference, rtol=0,
+                               atol=1e-13 * np.abs(reference).max())
+    assert peak <= 25e6
 
 
 def test_missing_patch_rejected():
