@@ -50,6 +50,13 @@ MODEL_DIMS = {"square": 2, "cube": 3, "wedge2d": 2}
 ADDITIVITY_FIXED = (([0, 1], 0), ([1], -2), ([-2.0, 1], 0))
 ADDITIVITY_FIXED_INDEX = 1
 
+# The paired suite's thresholds on the reciprocal condition number 1/cond:
+# a matrix is invertible at or above the first, singular at or below the
+# second, and too close to call in between.  Gaussian 50x50 draws stay
+# above 1e-5, and those made singular by construction below 1e-15.
+PAIRED_RCOND_REGULAR = 1e-8
+PAIRED_RCOND_SINGULAR = 1e-12
+
 
 @dataclass
 class AnalysisConfig:
@@ -298,33 +305,73 @@ def _suite_additivity(seed: int, n: int = 64) -> dict:
             "passed": all(c["ok"] for c in cases)}
 
 
-def _suite_paired(seed: int, n_cases: int = 100, size: int = 50,
-                  cond_cap: float = 1e8) -> dict:
+def _paired_draw(rng, size: int, singular: bool):
+    """A complex Gaussian matrix a and a random mask with 1 to size - 1
+    points.  With ``singular`` the compression a[mask, mask] is singular
+    by construction: its first column is a random combination of the
+    others (zero when it is the only one)."""
+    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
+        (size, size))
+    k = int(rng.integers(1, size))
+    sel = rng.permutation(size)[:k]
+    mask = np.zeros(size, dtype=bool)
+    mask[sel] = True
+    if singular:
+        c = rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1)
+        a[sel, sel[0]] = a[np.ix_(sel, sel[1:])] @ c
+    return a, mask
+
+
+def _singular(mat):
+    """(verdict, 1/cond(mat)): singular at or below PAIRED_RCOND_SINGULAR,
+    invertible at or above PAIRED_RCOND_REGULAR, None (ambiguous) in
+    between."""
+    rcond = 1.0 / float(np.linalg.cond(mat))
+    if rcond <= PAIRED_RCOND_SINGULAR:
+        return True, rcond
+    return (False if rcond >= PAIRED_RCOND_REGULAR else None), rcond
+
+
+def _paired_verdicts(a, paired_mask, compression_mask):
+    """(borderline, agree, record): singularity of the paired operator
+    a P_+ + P_-, P_+ the projector onto ``paired_mask``, and of the
+    compression a[mask, mask] of ``compression_mask``, each decided by
+    _singular.  With one mask for both they must agree: the paired
+    operator is block triangular with the compression and an identity on
+    its diagonal."""
+    paired = a * paired_mask + np.diag((~paired_mask).astype(complex))
+    sing_p, rcond_p = _singular(paired)
+    sing_c, rcond_c = _singular(a[np.ix_(compression_mask, compression_mask)])
+    record = {"n_plus": int(compression_mask.sum()), "singular": sing_c,
+              "rcond_paired": rcond_p, "rcond_compression": rcond_c}
+    return sing_p is None or sing_c is None, sing_p == sing_c, record
+
+
+def _suite_paired(seed: int, n_cases: int = 100, size: int = 50) -> dict:
+    """Paired operators against their compressions, singular by
+    construction in every other case, with a negative control that pairs
+    a singular compression with the operator of a shifted mask, whose
+    verdicts must disagree."""
     rng = np.random.default_rng(seed)
     cases = []
     n_border = 0
-    for _ in range(n_cases):
-        a = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
-            (size, size))
-        k = int(rng.integers(1, size))
-        sel = rng.permutation(size)[:k]
-        mask = np.zeros(size, dtype=bool)
-        mask[sel] = True
-        paired = a @ np.diag(mask.astype(complex)) + np.diag(
-            (~mask).astype(complex))
-        compression = a[np.ix_(mask, mask)]
-        cond_p = np.linalg.cond(paired)
-        cond_c = np.linalg.cond(compression)
-        if cond_p > cond_cap or cond_c > cond_cap:
+    for t in range(n_cases):
+        singular = t % 2 == 1
+        a, mask = _paired_draw(rng, size, singular)
+        borderline, agree, case = _paired_verdicts(a, mask, mask)
+        if borderline:
             n_border += 1
             continue
-        inv_p = cond_p < cond_cap
-        inv_c = cond_c < cond_cap
-        cases.append({"n_plus": k, "cond_paired": cond_p,
-                      "cond_compression": cond_c, "ok": inv_p == inv_c})
+        case["ok"] = agree and case["singular"] == singular
+        cases.append(case)
+    a, mask = _paired_draw(rng, size, True)
+    borderline, agree, control = _paired_verdicts(a, np.roll(mask, 1), mask)
+    control["flagged"] = not (borderline or agree)
     return {"suite": "paired", "seed": seed, "cases": cases,
             "n_borderline": n_border,
-            "passed": all(c["ok"] for c in cases)}
+            "n_singular": sum(c["singular"] for c in cases),
+            "negative_control": control,
+            "passed": all(c["ok"] for c in cases) and control["flagged"]}
 
 
 def _suite_assembly(seed: int) -> dict:

@@ -31,7 +31,6 @@ expression may be evaluated concurrently from many threads.
 
 from __future__ import annotations
 
-import cmath
 import re
 from dataclasses import dataclass
 from math import gcd
@@ -443,96 +442,16 @@ def print_symbol(expr: SymbolExpr) -> str:
 
 
 # --------------------------------------------------------------------------
-# Scalar evaluation
-
-def eval_symbol(expr: SymbolExpr, p: EvalPoint) -> complex:
-    """Evaluate the expression at a single point.
-
-    Raises :class:`EvalError` on division by zero and on exact branch-cut
-    hits (negative real base of a half-integer power or sqrt).
-    """
-    if len(p.x) != expr.dim or len(p.xi) != expr.dim:
-        raise DimensionError(
-            f"point dimensions {len(p.x)}/{len(p.xi)} do not match expression "
-            f"dimension {expr.dim}")
-    return _eval(expr.ast, p.x, p.xi)
-
-
-def _principal_pow(base, exponent):
-    if base.imag == 0 and base.real < 0:
-        raise EvalError(
-            "non-principal-branch demand: negative real base "
-            f"{base.real!r} under fractional power")
-    if base == 0:
-        if exponent < 0:
-            raise EvalError("zero base with negative exponent")
-        return complex(0.0)
-    try:
-        return complex(base) ** exponent
-    except OverflowError as exc:
-        raise EvalError(f"overflow in power: {exc}") from exc
-
-
-def _eval(node, x, xi):
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Coord):
-        src = x if node.axis == "x" else xi
-        return complex(src[node.index - 1])
-    if isinstance(node, VecRef):
-        raise EvalError("bare vector reference outside abs2/normx2")
-    if isinstance(node, Neg):
-        return -_eval(node.arg, x, xi)
-    if isinstance(node, BinOp):
-        a = _eval(node.lhs, x, xi)
-        b = _eval(node.rhs, x, xi)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0:
-            raise EvalError("division by zero")
-        return a / b
-    if isinstance(node, Pow):
-        base = _eval(node.base, x, xi)
-        if node.den == 1:
-            if base == 0 and node.num < 0:
-                raise EvalError("zero base with negative exponent")
-            try:
-                return base ** node.num
-            except (ZeroDivisionError, OverflowError) as exc:
-                raise EvalError(str(exc)) from exc
-        return _principal_pow(base, node.num / node.den)
-    if isinstance(node, Call):
-        if node.func in ("abs2", "normx2"):
-            if isinstance(node.arg, VecRef):
-                src = x if node.arg.axis == "x" else xi
-                return sum(complex(c) * complex(c) for c in src)
-            val = _eval(node.arg, x, xi)
-            return val * val
-        val = _eval(node.arg, x, xi)
-        if node.func == "exp":
-            try:
-                return cmath.exp(val)
-            except OverflowError as exc:
-                raise EvalError(f"overflow in exp: {exc}") from exc
-        # sqrt
-        return _principal_pow(val, 0.5)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
-# --------------------------------------------------------------------------
-# Vectorized evaluation on frequency/space grids
+# Evaluation on frequency/space grids
 
 def eval_on_grid(expr: SymbolExpr, x, xi) -> np.ndarray:
     """Evaluate on arrays of points.
 
     ``x`` has shape (..., m) real and ``xi`` shape (..., m) complex; leading
     shapes broadcast against each other.  Returns a complex array of the
-    broadcast shape.  The same zero-division and branch-cut checks as the
-    scalar evaluator apply, vectorized.
+    broadcast shape.  Raises :class:`EvalError` on division by zero and on
+    exact branch-cut hits (negative real base of a half-integer power or
+    sqrt) anywhere on the grid.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=complex))
@@ -543,6 +462,25 @@ def eval_on_grid(expr: SymbolExpr, x, xi) -> np.ndarray:
     out = _eval_vec(expr.ast, x, xi)
     shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
     return np.broadcast_to(np.asarray(out, dtype=complex), shape).copy()
+
+
+def eval_symbol(expr: SymbolExpr, p: EvalPoint) -> complex:
+    """Evaluate the expression at a single point, as :func:`eval_on_grid`
+    on the one-point grid (p.x, p.xi).
+
+    Raises :class:`EvalError` where :func:`eval_on_grid` does, on an
+    overflow in any subexpression (so exp(1000) is refused even under a
+    division that would bring it back to 0), and when the value is not
+    finite.
+    """
+    with np.errstate(all="ignore", over="raise"):
+        try:
+            val = complex(eval_on_grid(expr, [p.x], [p.xi])[0])
+        except FloatingPointError as exc:
+            raise EvalError(f"{exc} at {p}") from exc
+    if not np.isfinite(val):
+        raise EvalError(f"non-finite value {val!r} at {p}")
+    return val
 
 
 def _vec_pow(base, exponent):

@@ -35,7 +35,7 @@ from .errors import (BranchJumpError, GrowthViolation, MissingStratumReport,
                      NonEllipticOnLine, ProductMismatch, SlopeDisagreement,
                      SupportLeak, TailJumpError)
 from .geometry import Cone, Stratification, dual_cone
-from .symbols import Symbol
+from .symbols import TOL_ELL, Symbol
 
 __all__ = [
     "winding_index", "WaveFactorCandidate", "WaveValidationReport",
@@ -51,8 +51,11 @@ TOL_PW = 1e-6
 TOL_SLOPE = 0.1
 RAY_SPREAD = 0.2
 T_LADDER = (1.0, 10.0, 100.0, 1000.0, 10000.0)
+N_RAYS = 3
+# the real tensor grid of the product-identity check
+PROD_GRID_POINTS = 33
+PROD_GRID_RADIUS = 16.0
 _PW_GRID = {1: 4096, 2: 256, 3: 96}
-_PW_SPACING = 0.5
 
 
 # --------------------------------------------------------------------------
@@ -73,8 +76,7 @@ def _quadrature_nodes(cutoff: float, samples: int) -> np.ndarray:
 
 
 def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
-                  quad_samples: int = QUAD_SAMPLES,
-                  tol_ell: float = 1e-10) -> float:
+                  quad_samples: int = QUAD_SAMPLES) -> float:
     """alpha/2 plus the winding of the reduced symbol along the last
     frequency axis, by stepwise phase unwrapping with a tail correction
     from the values at +-cutoff.
@@ -96,7 +98,7 @@ def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
     norm2 = 1.0 + float(xi_prime @ xi_prime) + t ** 2
     reduced = vals * norm2 ** (-s.order_alpha / 2.0)
     mods = np.abs(reduced)
-    if np.min(mods) <= tol_ell:
+    if np.min(mods) <= TOL_ELL:
         j = int(np.argmin(mods))
         raise NonEllipticOnLine(
             f"reduced symbol modulus {mods[j]:.3e} at t={t[j]:.6g}")
@@ -177,7 +179,7 @@ def _exceptional_margin(cone: Cone, xi_tail: np.ndarray) -> np.ndarray:
     return dots.min(axis=1)
 
 
-def _interior_rays(cone: Cone, n_rays: int = 3) -> np.ndarray:
+def _interior_rays(cone: Cone, n_rays: int) -> np.ndarray:
     """Unit directions strictly inside the dual cone: the central direction
     plus mild tilts towards individual extreme rays (strong tilts would
     push the finite sampling ladder out of its asymptotic regime)."""
@@ -193,18 +195,14 @@ def _interior_rays(cone: Cone, n_rays: int = 3) -> np.ndarray:
     return combos / np.linalg.norm(combos, axis=1, keepdims=True)
 
 
-def _eval_factor(expr: SymbolExpr, x0, xi):
-    return eval_on_grid(expr, np.asarray(x0, float)[None, :], xi)
-
-
 def _growth_slope(expr: SymbolExpr, m: int, k: int, ray: np.ndarray,
-                  tube_sign: float, t_ladder) -> float:
+                  tube_sign: float) -> float:
     """Least-squares slope of log|factor| against log(1+t) along
-    xi = (0'', 0' + i * sign * t * ray)."""
-    t = np.asarray(t_ladder, float)
+    xi = (0'', 0' + i * sign * t * ray), t over T_LADDER."""
+    t = np.asarray(T_LADDER, float)
     xi = np.zeros((t.size, m), dtype=complex)
     xi[:, k:] = 1j * tube_sign * t[:, None] * ray[None, :]
-    vals = np.abs(_eval_factor(expr, np.zeros(m), xi))
+    vals = np.abs(eval_on_grid(expr, np.zeros(m), xi))
     if np.any(vals < 1e-300):
         raise GrowthViolation("factor vanishes on a tube ray")
     return float(np.polyfit(np.log1p(t), np.log(vals), 1)[0])
@@ -243,7 +241,7 @@ def _pw_mass_outside(expr: SymbolExpr, m: int, k: int, cone: Cone,
     rho = np.stack([g.ravel() for g in mesh], axis=-1)
     xi = np.zeros((rho.shape[0], m), dtype=complex)
     xi[:, k:] = rho @ basis
-    vals = _eval_factor(expr, np.zeros(m), xi).reshape((n_pts,) * n)
+    vals = eval_on_grid(expr, np.zeros(m), xi).reshape((n_pts,) * n)
     coeffs = np.fft.fftn(1.0 / vals) / n_pts ** n
     idx = np.fft.fftfreq(n_pts, d=1.0 / n_pts)
     mode_mesh = np.meshgrid(*([idx] * n), indexing="ij")
@@ -264,22 +262,17 @@ def _pw_mass_outside(expr: SymbolExpr, m: int, k: int, cone: Cone,
 
 
 def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
-                          grid_points_per_axis: int = 33,
-                          grid_radius: float = 16.0,
-                          tol_prod: float = TOL_PROD,
-                          tol_pw: float = TOL_PW,
-                          tol_slope: float = TOL_SLOPE,
-                          t_ladder=T_LADDER,
-                          n_rays: int = 3,
+                          n_rays: int = N_RAYS,
                           raise_on_fail: bool = True) -> WaveValidationReport:
     """Validate a factorization candidate by three independent checks.
 
-    (i)  product identity |a_neq * a_eq - a| < tol_prod * |a| on a real
-         tensor grid excluding a two-cell margin around the exceptional
-         hyperplanes;
-    (ii) growth slopes of log|factor| along rays into the analyticity
-         tubes: a_neq must grow with the declared index, a_eq with
-         alpha minus the declared index, each within tol_slope;
+    (i)  product identity |a_neq * a_eq - a| < TOL_PROD * |a| on a real
+         tensor grid (PROD_GRID_POINTS per axis on [-PROD_GRID_RADIUS,
+         PROD_GRID_RADIUS]) excluding a two-cell margin around the
+         exceptional hyperplanes;
+    (ii) growth slopes of log|factor| along ``n_rays`` rays into the
+         analyticity tubes: a_neq must grow with the declared index, a_eq
+         with alpha minus the declared index, each within TOL_SLOPE;
     (iii) Fourier support of the inverse factors (see _pw_mass_outside).
 
     All three checks always run so the report carries per-factor verdicts;
@@ -293,7 +286,7 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
     k = cand.k
 
     # (i) product identity away from the exceptional set
-    ax = np.linspace(-grid_radius, grid_radius, grid_points_per_axis)
+    ax = np.linspace(-PROD_GRID_RADIUS, PROD_GRID_RADIUS, PROD_GRID_POINTS)
     cell = ax[1] - ax[0]
     mesh = np.meshgrid(*([ax] * m), indexing="ij")
     pts = np.stack([g.ravel() for g in mesh], axis=-1)
@@ -301,12 +294,12 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
     keep = margin >= 2.0 * cell
     pts = pts[keep]
     x0 = np.zeros(m)
-    a_vals = _eval_factor(s.expr, x0, pts.astype(complex))
-    prod = (_eval_factor(cand.a_neq, x0, pts.astype(complex))
-            * _eval_factor(cand.a_eq, x0, pts.astype(complex)))
+    a_vals = eval_on_grid(s.expr, x0, pts.astype(complex))
+    prod = (eval_on_grid(cand.a_neq, x0, pts.astype(complex))
+            * eval_on_grid(cand.a_eq, x0, pts.astype(complex)))
     denom = np.maximum(np.abs(a_vals), 1e-300)
     rel = float(np.max(np.abs(prod - a_vals) / denom))
-    product_ok = rel < tol_prod
+    product_ok = rel < TOL_PROD
 
     # (ii) growth estimates along interior dual-cone rays
     rays = _interior_rays(cand.cone, n_rays)
@@ -319,8 +312,8 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
             ("a_eq", cand.a_eq, -1.0, alpha - ae)):
         for ray in rays:
             try:
-                slope = _growth_slope(expr, m, k, ray, sign, t_ladder)
-                ok = abs(slope - expected) <= tol_slope
+                slope = _growth_slope(expr, m, k, ray, sign)
+                ok = abs(slope - expected) <= TOL_SLOPE
             except GrowthViolation:
                 slope, ok = math.nan, False
             growth.append({"factor": which, "ray": [float(v) for v in ray],
@@ -334,7 +327,7 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
                               ("a_eq", cand.a_eq, -1.0)):
         rec = _pw_mass_outside(expr, m, k, cand.cone, sign)
         rec["factor"] = which
-        rec["ok"] = rec["mass_outside"] < tol_pw
+        rec["ok"] = rec["mass_outside"] < TOL_PW
         support.append(rec)
         support_ok = support_ok and rec["ok"]
 
@@ -342,12 +335,12 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
         product_max_rel_err=rel, product_ok=product_ok,
         growth=growth, growth_ok=growth_ok,
         support=support, support_ok=support_ok,
-        grid={"points_per_axis": grid_points_per_axis,
-              "radius": grid_radius, "excluded": int((~keep).sum())})
+        grid={"points_per_axis": PROD_GRID_POINTS,
+              "radius": PROD_GRID_RADIUS, "excluded": int((~keep).sum())})
     if raise_on_fail:
         if not product_ok:
             exc = ProductMismatch(
-                f"max relative product error {rel:.3e} >= {tol_prod:.1e}")
+                f"max relative product error {rel:.3e} >= {TOL_PROD:.1e}")
             exc.report = report
             raise exc
         if not support_ok:
@@ -361,28 +354,25 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
             exc = GrowthViolation(
                 f"{bad['factor']} slope {bad['slope']:.3f} along ray "
                 f"{bad['ray']} differs from expected {bad['expected']:.3f} "
-                f"by more than {tol_slope}")
+                f"by more than {TOL_SLOPE}")
             exc.report = report
             raise exc
     return report
 
 
-def estimate_wave_index(cand: WaveFactorCandidate,
-                        t_ladder=T_LADDER,
-                        ray_spread_tol: float = RAY_SPREAD,
-                        n_rays: int = 3) -> float:
-    """Growth exponent of a_neq from least-squares slopes along interior
-    dual-cone rays.  Ray slopes spreading by more than ``ray_spread_tol``
+def estimate_wave_index(cand: WaveFactorCandidate) -> float:
+    """Growth exponent of a_neq from least-squares slopes along N_RAYS
+    interior dual-cone rays.  Ray slopes spreading by more than RAY_SPREAD
     raise SlopeDisagreement instead of being averaged away."""
     m = cand.a_neq.dim
-    rays = _interior_rays(cand.cone, n_rays)
-    slopes = [_growth_slope(cand.a_neq, m, cand.k, ray, +1.0, t_ladder)
+    rays = _interior_rays(cand.cone, N_RAYS)
+    slopes = [_growth_slope(cand.a_neq, m, cand.k, ray, +1.0)
               for ray in rays]
     spread = max(slopes) - min(slopes)
-    if spread > ray_spread_tol:
+    if spread > RAY_SPREAD:
         raise SlopeDisagreement(
             f"ray slopes {['%.3f' % s for s in slopes]} spread {spread:.3f} "
-            f"> {ray_spread_tol}")
+            f"> {RAY_SPREAD}")
     return float(np.mean(slopes))
 
 

@@ -100,14 +100,8 @@ class Cone:
         gens = [list(g) for g in self.generators]
         perp = _rational_nullspace(gens, self.dim)     # V's complement
         y = [Fraction(0)] * self.dim
-        for subset in itertools.combinations(gens,
-                                             self.dim - len(perp) - 1):
-            null = _rational_nullspace(list(subset) + perp, self.dim)
-            if len(null) != 1:
-                continue
-            for ray in (null[0], [-v for v in null[0]]):
-                if all(_dot(g, ray) >= 0 for g in gens):
-                    y = [a + b for a, b in zip(y, ray)]
+        for ray in _dual_rays(gens, self.dim, perp):
+            y = [a + b for a, b in zip(y, ray)]
         return all(_dot(g, y) > 0 for g in gens)
 
     def halfspaces(self) -> tuple:
@@ -137,6 +131,20 @@ def orthant(dim: int) -> Cone:
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
+
+
+def _dual_rays(gens, dim, perp=()):
+    """Candidate extreme rays of the dual {y : g.y >= 0 for all g}: each
+    line cut out by dim - len(perp) - 1 generator hyperplanes together
+    with the rows of ``perp``, with whichever of its two directions lies
+    in the dual (possibly both, possibly neither)."""
+    for subset in itertools.combinations(gens, dim - len(perp) - 1):
+        null = _rational_nullspace(list(subset) + list(perp), dim)
+        if len(null) != 1:
+            continue
+        for ray in (null[0], [-v for v in null[0]]):
+            if all(_dot(g, ray) >= 0 for g in gens):
+                yield ray
 
 
 def _rational_nullspace(rows, dim):
@@ -203,23 +211,11 @@ def dual_cone(c: Cone) -> Cone:
     if not c.is_pointed():
         raise DegenerateConeError("cone contains a line")
     gens = [list(g) for g in c.generators]
-    n = c.dim
-    if n == 1:
-        return Cone(1, (_primitive(list(c.generators[0])),))
-    rays = set()
-    for subset in itertools.combinations(range(len(gens)), n - 1):
-        rows = [gens[i] for i in subset]
-        null = _rational_nullspace(rows, n)
-        if len(null) != 1:
-            continue
-        d = null[0]
-        for cand in (d, [-v for v in d]):
-            if all(_dot(g, cand) >= 0 for g in gens):
-                rays.add(_primitive(cand))
+    rays = {_primitive(ray) for ray in _dual_rays(gens, c.dim)}
     if not rays:
         raise DegenerateConeError("dual cone has no extreme rays")
     ordered = tuple(sorted(rays, key=lambda r: [float(v) for v in r]))
-    return Cone(n, ordered)
+    return Cone(c.dim, ordered)
 
 
 # --------------------------------------------------------------------------
@@ -331,60 +327,67 @@ class Stratification:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _segment_samples(p0, p1, n, margin):
-    """n points on the segment p0->p1 keeping `margin` away from both ends."""
+# distance of boundary samples from lower-dimensional strata, and boundary
+# samples per component and per space dimension
+DELTA_STRAT = 0.025
+SAMPLES_PER_DIM = 100
+
+
+def _segment_samples(p0, p1, n):
+    """n points on the segment p0->p1 keeping DELTA_STRAT away from both
+    ends."""
     p0 = np.asarray(p0, float)
     p1 = np.asarray(p1, float)
     length = np.linalg.norm(p1 - p0)
-    t = np.linspace(margin / length, 1 - margin / length, n)
+    t = np.linspace(DELTA_STRAT / length, 1 - DELTA_STRAT / length, n)
     return p0[None, :] + t[:, None] * (p1 - p0)[None, :]
 
 
-def _face_samples(origin, u_dir, v_dir, n_u, n_v, margin):
+def _face_samples(origin, u_dir, v_dir, n_u, n_v):
     origin = np.asarray(origin, float)
     u_dir = np.asarray(u_dir, float)
     v_dir = np.asarray(v_dir, float)
-    tu = np.linspace(margin, 1 - margin, n_u)
-    tv = np.linspace(margin, 1 - margin, n_v)
+    tu = np.linspace(DELTA_STRAT, 1 - DELTA_STRAT, n_u)
+    tv = np.linspace(DELTA_STRAT, 1 - DELTA_STRAT, n_v)
     uu, vv = np.meshgrid(tu, tv, indexing="ij")
     return (origin[None, :] + uu.ravel()[:, None] * u_dir[None, :]
             + vv.ravel()[:, None] * v_dir[None, :])
 
 
-def _grid_samples(dim, n_per_axis, lo, hi):
-    axes = [np.linspace(lo, hi, n_per_axis)] * dim
+def _grid_samples(dim, n_per_axis):
+    axes = [np.linspace(DELTA_STRAT, 1 - DELTA_STRAT, n_per_axis)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def stratify_model(domain: str, m: int, *, delta_strat: float = 0.025,
-                   samples_per_component: int | None = None) -> Stratification:
+def stratify_model(domain: str, m: int) -> Stratification:
     """Stratified boundary of a supported model domain.
 
     Supported models: ``"cube"`` (m=3, unit cube), ``"square"`` (m=2, unit
     square) and ``"wedge2d"`` (m=2, one corner of the plane, truncated to
     the unit square for sampling).  Boundary sample points keep distance
-    ``delta_strat`` from lower-dimensional strata; the interior is sampled
-    on a grid dense enough to anchor covering balls at small radii.
+    DELTA_STRAT from lower-dimensional strata, and each boundary component
+    gets about SAMPLES_PER_DIM * m of them; the interior is sampled on a
+    grid dense enough to anchor covering balls at small radii.
     """
     if domain == "cube":
         if m != 3:
             raise UnsupportedModelError(f"cube model requires m=3, got {m}")
-        return _stratify_cube(delta_strat, samples_per_component)
+        return _stratify_cube()
     if domain == "square":
         if m != 2:
             raise UnsupportedModelError(f"square model requires m=2, got {m}")
-        return _stratify_square(delta_strat, samples_per_component)
+        return _stratify_square()
     if domain == "wedge2d":
         if m != 2:
             raise UnsupportedModelError(f"wedge2d model requires m=2, got {m}")
-        return _stratify_wedge2d(delta_strat, samples_per_component)
+        return _stratify_wedge2d()
     raise UnsupportedModelError(f"unknown model domain {domain!r}")
 
 
-def _stratify_square(delta, n_comp):
+def _stratify_square():
     m = 2
-    n_edge = n_comp or 100 * m
+    n_edge = SAMPLES_PER_DIM * m
     strata = []
     corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
     quadrant = orthant(2)
@@ -395,18 +398,18 @@ def _stratify_square(delta, n_comp):
              ((1, 1), (0, 1)), ((0, 1), (0, 0))]
     for idx, (p0, p1) in enumerate(edges):
         strata.append(Stratum(1, f"edge-{idx}",
-                              _segment_samples(p0, p1, n_edge, delta),
+                              _segment_samples(p0, p1, n_edge),
                               CanonicalDomain.half_space(m)))
-    interior = _grid_samples(2, 49, delta, 1 - delta)
+    interior = _grid_samples(2, 49)
     strata.append(Stratum(2, "interior", interior,
                           CanonicalDomain.full_space(m)))
-    return Stratification("square", m, strata, delta, min_separation=1.0)
+    return Stratification("square", m, strata, DELTA_STRAT, min_separation=1.0)
 
 
-def _stratify_cube(delta, n_comp):
+def _stratify_cube():
     m = 3
-    n_edge = n_comp or 100 * m
-    n_face = int(math.ceil(math.sqrt(n_comp or 100 * m)))
+    n_edge = SAMPLES_PER_DIM * m
+    n_face = int(math.ceil(math.sqrt(SAMPLES_PER_DIM * m)))
     strata = []
     octant = orthant(3)
     quarter = orthant(2)
@@ -425,7 +428,7 @@ def _stratify_cube(delta, n_comp):
                 p0[a] = v
                 p1[a] = v
             strata.append(Stratum(1, f"edge-{edge_idx}",
-                                  _segment_samples(p0, p1, n_edge, delta),
+                                  _segment_samples(p0, p1, n_edge),
                                   CanonicalDomain.wedge(m, 1, quarter)))
             edge_idx += 1
     face_idx = 0
@@ -440,31 +443,31 @@ def _stratify_cube(delta, n_comp):
             v_dir[others[1]] = 1.0
             strata.append(Stratum(2, f"face-{face_idx}",
                                   _face_samples(origin, u_dir, v_dir,
-                                                n_face, n_face, delta),
+                                                n_face, n_face),
                                   CanonicalDomain.half_space(m)))
             face_idx += 1
-    interior = _grid_samples(3, 21, delta, 1 - delta)
+    interior = _grid_samples(3, 21)
     strata.append(Stratum(3, "interior", interior,
                           CanonicalDomain.full_space(m)))
-    return Stratification("cube", m, strata, delta, min_separation=1.0)
+    return Stratification("cube", m, strata, DELTA_STRAT, min_separation=1.0)
 
 
-def _stratify_wedge2d(delta, n_comp):
+def _stratify_wedge2d():
     m = 2
-    n_edge = n_comp or 100 * m
+    n_edge = SAMPLES_PER_DIM * m
     quadrant = orthant(2)
     strata = [
         Stratum(0, "vertex-0", np.array([(0.0, 0.0)]),
                 CanonicalDomain.wedge(m, 0, quadrant)),
-        Stratum(1, "edge-0", _segment_samples((0, 0), (1, 0), n_edge, delta),
+        Stratum(1, "edge-0", _segment_samples((0, 0), (1, 0), n_edge),
                 CanonicalDomain.half_space(m)),
-        Stratum(1, "edge-1", _segment_samples((0, 0), (0, 1), n_edge, delta),
+        Stratum(1, "edge-1", _segment_samples((0, 0), (0, 1), n_edge),
                 CanonicalDomain.half_space(m)),
-        Stratum(2, "interior", _grid_samples(2, 49, delta, 1 - delta),
+        Stratum(2, "interior", _grid_samples(2, 49),
                 CanonicalDomain.full_space(m)),
     ]
     # all stratum closures meet at the corner: no disjoint pair
-    return Stratification("wedge2d", m, strata, delta,
+    return Stratification("wedge2d", m, strata, DELTA_STRAT,
                           min_separation=math.inf)
 
 

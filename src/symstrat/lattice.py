@@ -46,7 +46,7 @@ from .errors import (ConfigError, DuplicateComponentError, EmptyDomainError,
                      MissingPatchError, NormNotConverged, OrderMismatch,
                      SupportOverlapError, UnstableRank, ZeroOnCircle)
 from .geometry import CanonicalDomain, PartitionOfUnity
-from .laurent import LaurentPolynomial, laurent_winding
+from .laurent import TOL_CIRCLE, LaurentPolynomial, laurent_winding
 from .symbols import Symbol
 
 __all__ = [
@@ -74,12 +74,12 @@ _BLOCK_COLUMNS = 16
 _EDGE_PAD = 4               # extra columns in the right-edge window
 
 
-def check_dense_size(n: int, limit: int = DENSE_LIMIT) -> None:
-    """Refuse a dense matrix with a side of more than ``limit`` points."""
-    if n > limit:
+def check_dense_size(n: int) -> None:
+    """Refuse a dense matrix with a side of more than DENSE_LIMIT points."""
+    if n > DENSE_LIMIT:
         raise ConfigError(
             f"a dense matrix over {n} points is above the dense limit of "
-            f"{limit}; use matvec-based routines")
+            f"{DENSE_LIMIT}; use matvec-based routines")
 
 
 # --------------------------------------------------------------------------
@@ -173,6 +173,11 @@ def high_frequency_mask(grid: LatticeGrid) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Operators
 
+def _scale_rows(w, v):
+    """w times each column of v, for v of shape (P,) or (P, k)."""
+    return w * v if v.ndim == 1 else w[:, None] * v
+
+
 class DiscreteOperator:
     """Linear map between lattice spaces with batched matvec/rmatvec.
 
@@ -213,31 +218,20 @@ class DiscreteOperator:
         if values.shape != (grid.size,):
             raise ValueError("multiplier values must live on the dual grid")
 
-        def mv(v):
-            vals = values if v.ndim == 1 else values[:, None]
-            return grid.ifft_flat(vals * grid.fft_flat(v))
-
-        def rmv(v):
-            vals = values.conj() if v.ndim == 1 else values.conj()[:, None]
-            return grid.ifft_flat(vals * grid.fft_flat(v))
-
-        return DiscreteOperator((grid.size, grid.size), mv, rmv, src, dst,
-                                kind="multiplier", data=values,
-                                provenance=provenance)
+        return DiscreteOperator(
+            (grid.size, grid.size),
+            lambda v: grid.ifft_flat(_scale_rows(values, grid.fft_flat(v))),
+            lambda v: grid.ifft_flat(_scale_rows(values.conj(),
+                                                 grid.fft_flat(v))),
+            src, dst, kind="multiplier", data=values, provenance=provenance)
 
     @staticmethod
     def diagonal(values, src=None, dst=None, provenance=None):
         values = np.asarray(values, dtype=complex)
-
-        def mv(v):
-            vals = values if v.ndim == 1 else values[:, None]
-            return vals * v
-
-        def rmv(v):
-            vals = values.conj() if v.ndim == 1 else values.conj()[:, None]
-            return vals * v
-
-        return DiscreteOperator((values.size, values.size), mv, rmv, src, dst,
+        return DiscreteOperator((values.size, values.size),
+                                lambda v: _scale_rows(values, v),
+                                lambda v: _scale_rows(values.conj(), v),
+                                src, dst,
                                 kind="diag", data=values,
                                 provenance=provenance)
 
@@ -321,10 +315,6 @@ def lattice_projector(mask, space=None) -> DiscreteOperator:
 
 # --------------------------------------------------------------------------
 # Norms
-
-def _scale_rows(w, v):
-    return w * v if v.ndim == 1 else w[:, None] * v
-
 
 def _conjugated_linear_operator(op: DiscreteOperator, freq_mask=None):
     """The operator expressed between weighted DFT coordinate spaces, so
@@ -570,16 +560,15 @@ class IndexReport:
 
 
 def numerical_index(coeffs: LaurentPolynomial, n: int,
-                    rank_tol: float = RANK_TOL, label: str = "half-space",
-                    tol_circle: float = 1e-10) -> IndexEntry:
+                    label: str = "half-space") -> IndexEntry:
     """Kernel/cokernel dimensions of the semi-infinite truncated convolution
     operator, detected from rectangular sections and stabilized over N and
     2N; the index is cross-checked against minus the symbol winding."""
-    if coeffs.min_modulus_on_circle() <= tol_circle:
+    if coeffs.min_modulus_on_circle() <= TOL_CIRCLE:
         raise ZeroOnCircle("symbol vanishes on the unit circle")
     adj = coeffs.conj_reflected()
-    kers = [_kernel_count([coeffs], m, rank_tol) for m in (n, 2 * n)]
-    coks = [_kernel_count([adj], m, rank_tol) for m in (n, 2 * n)]
+    kers = [_kernel_count([coeffs], m, RANK_TOL) for m in (n, 2 * n)]
+    coks = [_kernel_count([adj], m, RANK_TOL) for m in (n, 2 * n)]
     if kers[0] != kers[1] or coks[0] != coks[1]:
         raise UnstableRank(
             f"kernel counts did not stabilize between N={n} and 2N: "
@@ -588,17 +577,16 @@ def numerical_index(coeffs: LaurentPolynomial, n: int,
     return IndexEntry(
         label=label, dim_ker=kers[0], dim_coker=coks[0],
         index=kers[0] - coks[0],
-        diagnostics={"n": n, "rank_tol": rank_tol, "winding": wind,
+        diagnostics={"n": n, "rank_tol": RANK_TOL, "winding": wind,
                      "matches_minus_winding": kers[0] - coks[0] == -wind})
 
 
-def numerical_index_direct_sum(symbol_list, n: int,
-                               rank_tol: float = RANK_TOL) -> IndexEntry:
+def numerical_index_direct_sum(symbol_list, n: int) -> IndexEntry:
     """Kernel/cokernel detection run on the block-diagonal direct sum of the
     rectangular sections (not on the per-block results)."""
     adj = [a.conj_reflected() for a in symbol_list]
-    kers = [_kernel_count(symbol_list, m, rank_tol) for m in (n, 2 * n)]
-    coks = [_kernel_count(adj, m, rank_tol) for m in (n, 2 * n)]
+    kers = [_kernel_count(symbol_list, m, RANK_TOL) for m in (n, 2 * n)]
+    coks = [_kernel_count(adj, m, RANK_TOL) for m in (n, 2 * n)]
     if kers[0] != kers[1] or coks[0] != coks[1]:
         raise UnstableRank("direct-sum kernel counts did not stabilize")
     return IndexEntry(
@@ -861,18 +849,14 @@ def assemble_operator(family, pou: PartitionOfUnity,
     def mv(v):
         out = np.zeros_like(v) if windows is None else windows.apply(v)
         for fj, gj, op in others:
-            if v.ndim == 2:
-                fj, gj = fj[:, None], gj[:, None]
-            out = out + fj * op.matvec(gj * v)
+            out = out + _scale_rows(fj, op.matvec(_scale_rows(gj, v)))
         return out
 
     def rmv(v):
         out = np.zeros_like(v) if windows is None \
             else windows.apply(v, adjoint=True)
         for fj, gj, op in others:
-            if v.ndim == 2:
-                fj, gj = fj[:, None], gj[:, None]
-            out = out + gj * op.rmatvec(fj * v)
+            out = out + _scale_rows(gj, op.rmatvec(_scale_rows(fj, v)))
         return out
 
     def dense():
@@ -894,15 +878,14 @@ def assemble_operator(family, pou: PartitionOfUnity,
 
 def quantize_full_symbol(s: Symbol, grid: LatticeGrid,
                          src: DiscreteSobolevSpace,
-                         dst: DiscreteSobolevSpace,
-                         limit: int = DENSE_LIMIT) -> DiscreteOperator:
+                         dst: DiscreteSobolevSpace) -> DiscreteOperator:
     """Dense direct quantization of an x-dependent symbol on the torus:
     (A u)(x) = sum_xi a(x, xi) u_hat(xi) e^(i x.xi).  Reference object for
     patch-assembly comparisons; dense, so limited to small grids."""
     if abs(dst.s_order - (src.s_order - s.order_alpha)) > 1e-12:
         raise OrderMismatch("target order != source order - symbol order")
     p = grid.size
-    check_dense_size(p, limit)
+    check_dense_size(p)
     pts = grid.points()
     freqs = grid.frequencies()
     vals = eval_on_grid(s.expr, pts[:, None, :], freqs[None, :, :].astype(complex))

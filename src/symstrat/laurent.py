@@ -75,8 +75,8 @@ class LaurentPolynomial:
         return LaurentPolynomial.make(
             np.conj(np.asarray(self.coeffs))[::-1], -self.max_deg)
 
-    def min_modulus_on_circle(self, samples: int = CIRCLE_SAMPLES) -> float:
-        theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    def min_modulus_on_circle(self) -> float:
+        theta = np.linspace(0.0, 2 * np.pi, CIRCLE_SAMPLES, endpoint=False)
         return float(np.min(np.abs(self(np.exp(1j * theta)))))
 
     def lifted_text(self, var: str = "k1") -> str:
@@ -93,14 +93,14 @@ class LaurentPolynomial:
         return "+".join(terms) if terms else "0"
 
 
-def laurent_winding(a: LaurentPolynomial, tol: float = TOL_CIRCLE) -> int:
+def laurent_winding(a: LaurentPolynomial) -> int:
     """Winding number of a(z) around 0 as z traverses the unit circle once
     counterclockwise, via root counting.
 
     Equals (number of roots of z^p a(z) strictly inside the disk) - p,
     roots from companion-matrix eigenvalues.
     """
-    if a.min_modulus_on_circle() <= tol:
+    if a.min_modulus_on_circle() <= TOL_CIRCLE:
         raise ZeroOnCircle("Laurent symbol vanishes on the unit circle")
     p = a.pole_order
     # z^p * a(z): polynomial with coefficients of degrees min_deg+p .. max_deg+p

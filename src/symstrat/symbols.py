@@ -119,12 +119,13 @@ class EllipticityReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def check_ellipticity(s: Symbol, x_samples, xi_grid: FrequencyGridSpec | None = None,
-                      tol_ell: float = TOL_ELL) -> EllipticityReport:
+def check_ellipticity(s: Symbol, x_samples,
+                      xi_grid: FrequencyGridSpec | None = None
+                      ) -> EllipticityReport:
     """Certify the two-sided order estimate on a finite sample set.
 
     c1 is the minimum of |a(x, xi)| (1+|xi|)^(-alpha) over all samples, c2
-    the maximum; the symbol is reported elliptic when c1 exceeds ``tol_ell``
+    the maximum; the symbol is reported elliptic when c1 exceeds TOL_ELL
     (which separates genuine zeros from roundoff).  The witness is the
     argmin sample when the lower bound degenerates.
     """
@@ -150,14 +151,14 @@ def check_ellipticity(s: Symbol, x_samples, xi_grid: FrequencyGridSpec | None = 
             witness = EvalPoint.make(x, xi_pts[j])
         c2 = max(c2, float(np.max(ratio)))
 
-    elliptic = c1 > tol_ell
+    elliptic = c1 > TOL_ELL
     return EllipticityReport(
         elliptic=elliptic,
         c1=c1 if elliptic else None,
         c2=c2 if elliptic else None,
         witness=None if elliptic else witness,
         sample_spec={**xi_grid.describe(), "x_samples": int(x_arr.shape[0]),
-                     "c1_raw": c1, "c2_raw": c2, "tol_ell": tol_ell},
+                     "c1_raw": c1, "c2_raw": c2, "tol_ell": TOL_ELL},
     )
 
 

@@ -137,6 +137,19 @@ def test_verify_paired_suite():
     assert report["passed"]
 
 
+def test_verify_paired_suite_decides_singular_cases_and_flags_its_control():
+    report = run_verify_suite("paired", 3)
+    # every other draw is singular by construction, and its conditioning
+    # is far from the borderline band on both sides
+    assert report["n_borderline"] == 0
+    assert report["n_singular"] == 50
+    assert [c["singular"] for c in report["cases"]] == [False, True] * 50
+    assert all(c["ok"] for c in report["cases"])
+    control = report["negative_control"]
+    assert control["singular"] and control["flagged"]
+    assert control["rcond_compression"] <= 1e-12 <= control["rcond_paired"]
+
+
 def test_verify_assembly_suite():
     report = run_verify_suite("assembly", 7)
     assert report["passed"]

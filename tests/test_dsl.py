@@ -1,6 +1,8 @@
 """Parser, printer and evaluator tests for the symbol expression language."""
 
+import cmath
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -275,23 +277,49 @@ def test_conjugate_symmetry_even_symbols():
             assert abs(val.imag) <= 1e-12 * max(abs(val), 1.0)
 
 
+# one expression per node kind, with its value written out by hand;
+# abs2/normx2 square without conjugation, powers take the principal branch
+_CLOSED_FORMS = [
+    ("k1 + x1", lambda x, k: k[0] + x[0]),
+    ("k1 - x2", lambda x, k: k[0] - x[1]),
+    ("k1 * k2", lambda x, k: k[0] * k[1]),
+    ("k2 / (k1 + i)", lambda x, k: k[1] / (k[0] + 1j)),
+    ("-k1", lambda x, k: -k[0]),
+    ("(k1 + i)^-2", lambda x, k: 1 / ((k[0] + 1j) * (k[0] + 1j))),
+    ("(1 + abs2(k))^(3/2)",
+     lambda x, k: cmath.sqrt(1 + k[0] * k[0] + k[1] * k[1]) ** 3),
+    ("abs2(k)", lambda x, k: k[0] * k[0] + k[1] * k[1]),
+    ("abs2(k1 + i)", lambda x, k: (k[0] + 1j) * (k[0] + 1j)),
+    ("normx2(x)", lambda x, k: x[0] * x[0] + x[1] * x[1]),
+    ("exp(i*k1)", lambda x, k: cmath.exp(1j * k[0])),
+    ("sqrt(abs2(k))", lambda x, k: cmath.sqrt(k[0] * k[0] + k[1] * k[1])),
+]
+
+
 def test_vectorized_matches_scalar():
-    rng = random.Random(99)
-    for _ in range(50):
-        ast = _random_ast(rng, 2, 3)
-        expr = SymbolExpr(ast, 2)
-        x = np.array([[0.3, -1.2]])
-        xi = np.array([[0.5 + 0.1j, -2.0], [1.0, 3.0 - 0.4j], [0.0, 0.0]])
-        try:
-            grid_vals = eval_on_grid(expr, x, xi)
-            scalar_vals = [eval_symbol(expr, EvalPoint.make(x[0], row))
-                           for row in xi]
-        except EvalError:
-            continue
-        if not np.all(np.isfinite(grid_vals)):
-            continue
-        np.testing.assert_allclose(grid_vals, scalar_vals, rtol=1e-12,
-                                   atol=1e-12)
+    x = [0.3, -1.2]
+    xi = [[0.5 + 0.1j, -2.0], [1.0, 3.0 - 0.4j], [-0.7 + 0.2j, 0.25 + 1j]]
+    for text, value in _CLOSED_FORMS:
+        expr = parse_symbol(text, 2)
+        expected = [value(x, row) for row in xi]
+        np.testing.assert_allclose(
+            eval_on_grid(expr, np.array([x]), np.array(xi)), expected,
+            rtol=1e-12, atol=1e-15, err_msg=text)
+        for row, want in zip(xi, expected):
+            got = eval_symbol(expr, EvalPoint.make(x, row))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), text
+
+
+def test_eval_overflow_is_an_eval_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalError):
+            eval_symbol(parse_symbol("exp(k1)", 1), _pt([0], [1000]))
+        # also where a later step would bring the overflow back to 0
+        with pytest.raises(EvalError):
+            eval_symbol(parse_symbol("1/exp(k1)", 1), _pt([0], [1000]))
+        assert eval_symbol(parse_symbol("exp(k1)", 1),
+                           _pt([0], [700])) == pytest.approx(cmath.exp(700))
 
 
 def test_asts_are_immutable():
