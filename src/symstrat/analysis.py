@@ -1,6 +1,6 @@
 """End-to-end analysis pipeline and the seeded verification suites.
 
-``run_analysis`` drives: ellipticity certificate -> model stratification ->
+``run_analysis`` drives: model stratification -> ellipticity certificate ->
 per-stratum factorization indices -> Fredholm verdict, collecting every
 stage into a reproducible manifest.  A failed Fredholm condition is a
 successful analysis (the tool classifies, it does not chase green); a
@@ -30,9 +30,11 @@ from .dsl import depends_on_x
 from .errors import ConfigError, SymstratError
 from .factorization import (FactorizationReport, check_fredholm_condition,
                             winding_index)
-from .geometry import build_covering, partition_of_unity, stratify_model
+from .geometry import (Ball, Covering, build_covering, partition_of_unity,
+                       stratify_model)
 from .lattice import (DiscreteOperator, DiscreteSobolevSpace, LatticeGrid,
                       aggregate_index, assemble_frozen_family,
+                      assemble_operator, discretize_symbol_op,
                       high_frequency_mask, locality_defect,
                       numerical_index, numerical_index_direct_sum,
                       operator_norm, quantize_full_symbol)
@@ -45,15 +47,31 @@ __all__ = ["AnalysisConfig", "RunManifest", "run_analysis",
 
 MODEL_DIMS = {"square": 2, "cube": 3, "wedge2d": 2}
 
+# The pipeline's stages in order, and the reason each failing stage gives
+# the stages after it, which are recorded as skipped.
+STAGES = ("stratification", "ellipticity", "factorization", "fredholm")
+SKIP_REASONS = {"stratification": "stratification failed",
+                "ellipticity": "ellipticity stage failed",
+                "factorization": "factorization failed"}
+
+# The toeplitz suite's cases and section size, and the additivity suite's
+# section size.
+TOEPLITZ_CASES = 20
+TOEPLITZ_N = 256
+ADDITIVITY_N = 64
+
 # The additivity suite's fixed triple as (coefficients, lowest degree),
 # with windings 1, -2 and 0, and the total index it must report.
 ADDITIVITY_FIXED = (([0, 1], 0), ([1], -2), ([-2.0, 1], 0))
 ADDITIVITY_FIXED_INDEX = 1
 
-# The paired suite's thresholds on the reciprocal condition number 1/cond:
-# a matrix is invertible at or above the first, singular at or below the
-# second, and too close to call in between.  Gaussian 50x50 draws stay
-# above 1e-5, and those made singular by construction below 1e-15.
+# The paired suite's draws and their size, and its thresholds on the
+# reciprocal condition number 1/cond: a matrix is invertible at or above
+# the first, singular at or below the second, and too close to call in
+# between.  Gaussian 50x50 draws stay above 1e-5, and those made singular
+# by construction below 1e-15.
+PAIRED_CASES = 100
+PAIRED_SIZE = 50
 PAIRED_RCOND_REGULAR = 1e-8
 PAIRED_RCOND_SINGULAR = 1e-12
 
@@ -135,134 +153,98 @@ def _stratum_points(stratum, n_points: int, x_dependent: bool) -> np.ndarray:
     return pts[idx]
 
 
+def _factorize(sym: Symbol, strat, config: AnalysisConfig) -> list:
+    """One winding-quadrature report per boundary stratum."""
+    x_dep = depends_on_x(sym.expr)
+    reports = []
+    for st in strat.boundary_strata():
+        pts = _stratum_points(st, config.points_per_stratum, x_dep)
+        ae_vals = [winding_index(sym, p, np.zeros(config.dim() - 1),
+                                 cutoff=config.cutoff,
+                                 quad_samples=config.quad_samples)
+                   for p in pts]
+        diag = {"xi_prime": [0.0] * (config.dim() - 1),
+                "x_dependent": x_dep}
+        if st.domain.kind == "wedge":
+            diag["proxy"] = ("axis-ray winding; exact for even "
+                             "frequency dependence, otherwise supply "
+                             "a factorization candidate")
+        reports.append(FactorizationReport(
+            stratum_label=st.label, k=st.k,
+            points=[list(map(float, p)) for p in pts],
+            ae_values=ae_vals, method="winding-quadrature",
+            diagnostics=diag))
+    return reports
+
+
+class _Stop(Exception):
+    """Ends run_analysis; args[0] is the skip reason of the stages not run."""
+
+
 def run_analysis(config: AnalysisConfig) -> RunManifest:
     sym = config.validate()
     manifest = RunManifest(config=config.to_dict(),
                            config_hash=_config_hash(config),
                            version=_VERSION, seed=config.seed)
 
-    def record(stage, payload):
-        manifest.stages[stage] = payload
-
-    def timed(stage, fn):
+    def stage(name, fn, payload):
+        """Run fn() timed; record payload of its result, or its error."""
         t0 = time.perf_counter()
         try:
             out = fn()
-            manifest.wall_times[stage] = time.perf_counter() - t0
-            return out
         except SymstratError as exc:
-            manifest.wall_times[stage] = time.perf_counter() - t0
-            record(stage, {"status": "error", "error": str(exc),
-                           "error_type": type(exc).__name__})
-            manifest.ok = False
-            raise
-
-    # stage: stratification (cheap, gives the x samples for ellipticity)
-    try:
-        strat = timed("stratification", lambda: stratify_model(
-            config.model, config.dim()))
-        record("stratification", {"status": "ok", **strat.to_dict()})
-    except SymstratError:
-        _skip_rest(manifest, ("ellipticity", "factorization", "fredholm"),
-                   "stratification failed")
-        _write_manifest(manifest, config)
-        return manifest
-
-    # stage: ellipticity on representative spatial samples
-    x_samples = [st.sample_points[0] for st in strat.strata][:8]
-    x_samples.append(np.full(config.dim(), 0.5))
-    try:
-        ell = timed("ellipticity", lambda: check_ellipticity(
-            sym, np.asarray(x_samples),
-            FrequencyGridSpec(seed=config.seed)))
-        record("ellipticity", {"status": "ok", **ell.to_dict()})
-    except SymstratError:
-        _skip_rest(manifest, ("factorization", "fredholm"),
-                   "ellipticity stage failed")
-        _write_manifest(manifest, config)
-        return manifest
-    if not ell.elliptic:
-        record("ellipticity", {"status": "error",
-                               "error": "symbol is not elliptic on the "
-                                        "sample grid", **ell.to_dict()})
-        manifest.ok = False
-        _skip_rest(manifest, ("factorization", "fredholm"),
-                   "symbol not elliptic")
-        _write_manifest(manifest, config)
-        return manifest
-
-    # stage: per-stratum factorization indices
-    x_dep = depends_on_x(sym.expr)
-
-    def factorize():
-        reports = []
-        for st in strat.boundary_strata():
-            pts = _stratum_points(st, config.points_per_stratum, x_dep)
-            ae_vals = []
-            for p in pts:
-                ae_vals.append(winding_index(
-                    sym, p, np.zeros(config.dim() - 1),
-                    cutoff=config.cutoff, quad_samples=config.quad_samples))
-            diag = {"xi_prime": [0.0] * (config.dim() - 1),
-                    "x_dependent": x_dep}
-            if st.domain.kind == "wedge":
-                diag["proxy"] = ("axis-ray winding; exact for even "
-                                 "frequency dependence, otherwise supply "
-                                 "a factorization candidate")
-            reports.append(FactorizationReport(
-                stratum_label=st.label, k=st.k,
-                points=[list(map(float, p)) for p in pts],
-                ae_values=ae_vals, method="winding-quadrature",
-                diagnostics=diag))
-        return reports
+            manifest.stages[name] = {"status": "error", "error": str(exc),
+                                     "error_type": type(exc).__name__}
+            raise _Stop(SKIP_REASONS.get(name)) from exc
+        finally:
+            manifest.wall_times[name] = time.perf_counter() - t0
+        manifest.stages[name] = {"status": "ok", **payload(out)}
+        return out
 
     try:
-        reports = timed("factorization", factorize)
-        record("factorization",
-               {"status": "ok", "reports": [r.to_dict() for r in reports]})
-    except SymstratError:
-        _skip_rest(manifest, ("fredholm",), "factorization failed")
-        _write_manifest(manifest, config)
-        return manifest
-
-    # stage: Fredholm verdict
-    try:
-        verdict = timed("fredholm", lambda: check_fredholm_condition(
+        # stratification first: it gives the x samples for ellipticity
+        strat = stage("stratification", lambda: stratify_model(
+            config.model, config.dim()), lambda out: out.to_dict())
+        x_samples = [st.sample_points[0] for st in strat.strata][:8]
+        x_samples.append(np.full(config.dim(), 0.5))
+        ell = stage("ellipticity", lambda: check_ellipticity(
+            sym, np.asarray(x_samples), FrequencyGridSpec(seed=config.seed)),
+            lambda out: out.to_dict())
+        if not ell.elliptic:
+            manifest.stages["ellipticity"].update(
+                status="error",
+                error="symbol is not elliptic on the sample grid")
+            raise _Stop("symbol not elliptic")
+        reports = stage("factorization",
+                        lambda: _factorize(sym, strat, config),
+                        lambda out: {"reports": [r.to_dict() for r in out]})
+        stage("fredholm", lambda: check_fredholm_condition(
             reports, config.s_order, stratification=strat,
-            interior_elliptic=ell.elliptic))
-        record("fredholm", {"status": "ok", **verdict.to_dict()})
-    except SymstratError:
-        _write_manifest(manifest, config)
-        return manifest
+            interior_elliptic=ell.elliptic), lambda out: out.to_dict())
+    except _Stop as stop:
+        manifest.ok = False
+        for name in STAGES:
+            manifest.stages.setdefault(
+                name, {"status": "skipped", "reason": stop.args[0]})
 
-    _write_manifest(manifest, config)
+    if config.out_dir is not None:
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").write_text(manifest.to_json(),
+                                           encoding="utf-8")
     return manifest
-
-
-def _skip_rest(manifest, stages, reason):
-    for st in stages:
-        if st not in manifest.stages:
-            manifest.stages[st] = {"status": "skipped", "reason": reason}
-
-
-def _write_manifest(manifest: RunManifest, config: AnalysisConfig):
-    if config.out_dir is None:
-        return
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
 
 
 # --------------------------------------------------------------------------
 # Verification suites
 
-def _suite_toeplitz(seed: int, n_cases: int = 20, n: int = 256) -> dict:
+def _suite_toeplitz(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     cases = []
-    for _ in range(n_cases):
+    for _ in range(TOEPLITZ_CASES):
         a = random_elliptic_laurent(rng)
         wind = laurent_winding(a)
-        entry = numerical_index(a, n)
+        entry = numerical_index(a, TOEPLITZ_N)
         sym = Symbol.parse(a.lifted_text(), 0.0, 1)
         quad = winding_index(sym, [0.0], [], quad_samples=2 ** 14)
         quad_int = int(round(quad))
@@ -276,15 +258,15 @@ def _suite_toeplitz(seed: int, n_cases: int = 20, n: int = 256) -> dict:
             "passed": all(c["ok"] for c in cases)}
 
 
-def _suite_additivity(seed: int, n: int = 64) -> dict:
+def _suite_additivity(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     cases = []
 
     def run_triple(symbols, label, expected_index=None):
-        entries = [numerical_index(a, n, label=f"{label}-{i}")
+        entries = [numerical_index(a, ADDITIVITY_N, label=f"{label}-{i}")
                    for i, a in enumerate(symbols)]
         report = aggregate_index(entries)
-        direct = numerical_index_direct_sum(symbols, n)
+        direct = numerical_index_direct_sum(symbols, ADDITIVITY_N)
         ok = (report.total_index == sum(e.index for e in entries)
               and direct.index == report.total_index
               and direct.dim_ker == report.total_ker
@@ -347,7 +329,7 @@ def _paired_verdicts(a, paired_mask, compression_mask):
     return sing_p is None or sing_c is None, sing_p == sing_c, record
 
 
-def _suite_paired(seed: int, n_cases: int = 100, size: int = 50) -> dict:
+def _suite_paired(seed: int) -> dict:
     """Paired operators against their compressions, singular by
     construction in every other case, with a negative control that pairs
     a singular compression with the operator of a shifted mask, whose
@@ -355,16 +337,16 @@ def _suite_paired(seed: int, n_cases: int = 100, size: int = 50) -> dict:
     rng = np.random.default_rng(seed)
     cases = []
     n_border = 0
-    for t in range(n_cases):
+    for t in range(PAIRED_CASES):
         singular = t % 2 == 1
-        a, mask = _paired_draw(rng, size, singular)
+        a, mask = _paired_draw(rng, PAIRED_SIZE, singular)
         borderline, agree, case = _paired_verdicts(a, mask, mask)
         if borderline:
             n_border += 1
             continue
         case["ok"] = agree and case["singular"] == singular
         cases.append(case)
-    a, mask = _paired_draw(rng, size, True)
+    a, mask = _paired_draw(rng, PAIRED_SIZE, True)
     borderline, agree, control = _paired_verdicts(a, np.roll(mask, 1), mask)
     control["flagged"] = not (borderline or agree)
     return {"suite": "paired", "seed": seed, "cases": cases,
@@ -383,7 +365,6 @@ def _suite_assembly(seed: int) -> dict:
     space = DiscreteSobolevSpace(grid, 0.0)
     ident = DiscreteOperator.identity(space)
     family = {b.center: ident for b in cov.balls}
-    from .lattice import assemble_operator
     assembled = assemble_operator(family, pou, grid)
     dev = operator_norm(assembled - ident)
     results["identity_family_error"] = dev
@@ -409,7 +390,6 @@ def _suite_assembly(seed: int) -> dict:
     covered_pts = pts[np.abs(chi) > 0]
     mask = high_frequency_mask(grid_e)
     errs = []
-    from .geometry import Ball, Covering
     for eps in (0.4, 0.2):
         centers = np.arange(0.0, 1.0 + 1e-9, 0.6 * eps)
         cov_e = Covering(eps=eps, balls=[Ball((float(c),), eps, 0)
@@ -418,7 +398,6 @@ def _suite_assembly(seed: int) -> dict:
         assembled_e = assemble_frozen_family(sym, pou_e, grid_e, src, dst,
                                              outside="zero")
         diff = cut_dst @ (assembled_e - full) @ cut_src
-        diff.src, diff.dst = src, dst
         errs.append(operator_norm(diff, freq_mask=mask))
     results["frozen_vs_full_proxy"] = errs
     passed = dev <= 1e-12 and errs[1] < errs[0]
@@ -431,8 +410,6 @@ def _suite_locality(seed: int) -> dict:
     space0 = DiscreteSobolevSpace(grid, 0.0)
     space1 = DiscreteSobolevSpace(grid, 1.0)
     sym = Symbol.parse("(1+abs2(k))^(-1/2)", -1.0, 1)
-    op = None
-    from .lattice import discretize_symbol_op
     op = discretize_symbol_op(sym, [0.0], grid, space0, space1)
     pts = grid.points()[:, 0]
     center = grid.period / 2

@@ -449,9 +449,11 @@ def eval_on_grid(expr: SymbolExpr, x, xi) -> np.ndarray:
 
     ``x`` has shape (..., m) real and ``xi`` shape (..., m) complex; leading
     shapes broadcast against each other.  Returns a complex array of the
-    broadcast shape.  Raises :class:`EvalError` on division by zero and on
-    exact branch-cut hits (negative real base of a half-integer power or
-    sqrt) anywhere on the grid.
+    broadcast shape.  Raises :class:`EvalError` anywhere on the grid on
+    division by zero, on exact branch-cut hits (negative real base of a
+    half-integer power or sqrt), on an overflow in any subexpression (so
+    exp(1000) is refused even under a division that would bring it back
+    to 0), and on a non-finite value.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     xi = np.atleast_2d(np.asarray(xi, dtype=complex))
@@ -459,28 +461,22 @@ def eval_on_grid(expr: SymbolExpr, x, xi) -> np.ndarray:
         raise DimensionError(
             f"grid component count {x.shape[-1]}/{xi.shape[-1]} does not "
             f"match expression dimension {expr.dim}")
-    out = _eval_vec(expr.ast, x, xi)
+    with np.errstate(all="ignore", over="raise"):
+        try:
+            out = _eval_vec(expr.ast, x, xi)
+        except FloatingPointError as exc:
+            raise EvalError(f"{exc} on the grid") from exc
+    out = np.asarray(out, dtype=complex)
+    if not np.all(np.isfinite(out)):
+        raise EvalError("non-finite value on the grid")
     shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
-    return np.broadcast_to(np.asarray(out, dtype=complex), shape).copy()
+    return np.broadcast_to(out, shape).copy()
 
 
 def eval_symbol(expr: SymbolExpr, p: EvalPoint) -> complex:
-    """Evaluate the expression at a single point, as :func:`eval_on_grid`
-    on the one-point grid (p.x, p.xi).
-
-    Raises :class:`EvalError` where :func:`eval_on_grid` does, on an
-    overflow in any subexpression (so exp(1000) is refused even under a
-    division that would bring it back to 0), and when the value is not
-    finite.
-    """
-    with np.errstate(all="ignore", over="raise"):
-        try:
-            val = complex(eval_on_grid(expr, [p.x], [p.xi])[0])
-        except FloatingPointError as exc:
-            raise EvalError(f"{exc} at {p}") from exc
-    if not np.isfinite(val):
-        raise EvalError(f"non-finite value {val!r} at {p}")
-    return val
+    """The expression at a single point: :func:`eval_on_grid` on the
+    one-point grid (p.x, p.xi), with its errors."""
+    return complex(eval_on_grid(expr, [p.x], [p.xi])[0])
 
 
 def _vec_pow(base, exponent):

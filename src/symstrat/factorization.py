@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsl import SymbolExpr, eval_on_grid, frequency_support
-from .errors import (BranchJumpError, GrowthViolation, MissingStratumReport,
-                     NonEllipticOnLine, ProductMismatch, SlopeDisagreement,
-                     SupportLeak, TailJumpError)
+from .errors import (BranchJumpError, EvalError, GrowthViolation,
+                     MissingStratumReport, NonEllipticOnLine, ProductMismatch,
+                     SlopeDisagreement, SupportLeak, TailJumpError)
 from .geometry import Cone, Stratification, dual_cone
 from .symbols import TOL_ELL, Symbol
 
@@ -314,7 +314,7 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
             try:
                 slope = _growth_slope(expr, m, k, ray, sign)
                 ok = abs(slope - expected) <= TOL_SLOPE
-            except GrowthViolation:
+            except (EvalError, GrowthViolation):
                 slope, ok = math.nan, False
             growth.append({"factor": which, "ray": [float(v) for v in ray],
                            "slope": slope, "expected": expected, "ok": ok})

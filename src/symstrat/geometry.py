@@ -41,6 +41,9 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Cones
 
+TOL_CONE = 1e-12    # Cone.contains, relative to the point's and normals' scale
+
+
 def _to_fraction(v):
     if isinstance(v, Fraction):
         return v
@@ -108,12 +111,12 @@ class Cone:
         """Facet normals: the generators of the dual cone (exact)."""
         return dual_cone(self).generators
 
-    def contains(self, point, tol: float = 1e-12) -> bool:
+    def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         scale = max(1.0, float(np.max(np.abs(p))))
         for n_vec in self.halfspaces():
             n_arr = np.array([float(v) for v in n_vec])
-            if float(np.dot(n_arr, p)) < -tol * scale * max(
+            if float(np.dot(n_arr, p)) < -TOL_CONE * scale * max(
                     1.0, float(np.max(np.abs(n_arr)))):
                 return False
         return True

@@ -45,7 +45,8 @@ from .dsl import eval_on_grid
 from .errors import (ConfigError, DuplicateComponentError, EmptyDomainError,
                      MissingPatchError, NormNotConverged, OrderMismatch,
                      SupportOverlapError, UnstableRank, ZeroOnCircle)
-from .geometry import CanonicalDomain, PartitionOfUnity
+from .geometry import (CanonicalDomain, PartitionOfUnity, build_covering,
+                       partition_of_unity)
 from .laurent import TOL_CIRCLE, LaurentPolynomial, laurent_winding
 from .symbols import Symbol
 
@@ -270,16 +271,14 @@ class DiscreteOperator:
             provenance={"construction": "sum"})
 
     def __sub__(self, other):
-        return self + other.scaled(-1.0)
-
-    def scaled(self, c):
-        c = complex(c)
+        if self.shape != other.shape:
+            raise ValueError("operator shapes do not subtract")
         return DiscreteOperator(
             self.shape,
-            lambda v: c * self.matvec(v),
-            lambda v: np.conj(c) * self.rmatvec(v),
-            self.src, self.dst, kind="composite",
-            provenance={"construction": "scale"})
+            lambda v: self.matvec(v) - other.matvec(v),
+            lambda v: self.rmatvec(v) - other.rmatvec(v),
+            self.src or other.src, self.dst or other.dst, kind="composite",
+            provenance={"construction": "difference"})
 
     # -- materialization ---------------------------------------------------
 
@@ -349,9 +348,9 @@ def _conjugated_linear_operator(op: DiscreteOperator, freq_mask=None):
 
 def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     """Operator norm in the weighted source/target norms (plain l2 when the
-    operator has no attached spaces).  Multipliers and diagonals have
-    closed forms; any other operator goes to ARPACK svds, with power
-    iteration as the fallback when ARPACK fails."""
+    operator has no attached spaces).  Multipliers have a closed form; any
+    other operator goes to ARPACK svds, with power iteration as the
+    fallback when ARPACK fails."""
     if op.kind == "multiplier" and op.src is not None and op.dst is not None:
         ratio = np.abs(op.data) * op.dst.weights() / op.src.weights()
         if freq_mask is not None:
@@ -359,9 +358,6 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
             if ratio.size == 0:
                 return 0.0
         return float(np.max(ratio))
-    if op.kind == "diag" and op.src is None and op.dst is None \
-            and freq_mask is None:
-        return float(np.max(np.abs(op.data))) if op.data.size else 0.0
 
     if freq_mask is not None and (op.src is None or op.dst is None):
         raise ValueError("frequency mask needs lattice spaces")
@@ -529,6 +525,19 @@ def _kernel_count(symbols, n: int, rank_tol: float) -> int:
     return (small - pad) // 2
 
 
+def _stable_counts(symbols, n: int) -> tuple:
+    """(kernel, cokernel) counts of the direct sum of ``symbols``, which
+    must agree between the sections at N and 2N."""
+    adj = [a.conj_reflected() for a in symbols]
+    kers = [_kernel_count(symbols, m, RANK_TOL) for m in (n, 2 * n)]
+    coks = [_kernel_count(adj, m, RANK_TOL) for m in (n, 2 * n)]
+    if kers[0] != kers[1] or coks[0] != coks[1]:
+        raise UnstableRank(
+            f"kernel counts did not stabilize between N={n} and 2N: "
+            f"ker {kers}, coker {coks}")
+    return kers[0], coks[0]
+
+
 @dataclass(frozen=True)
 class IndexEntry:
     label: str
@@ -566,32 +575,20 @@ def numerical_index(coeffs: LaurentPolynomial, n: int,
     2N; the index is cross-checked against minus the symbol winding."""
     if coeffs.min_modulus_on_circle() <= TOL_CIRCLE:
         raise ZeroOnCircle("symbol vanishes on the unit circle")
-    adj = coeffs.conj_reflected()
-    kers = [_kernel_count([coeffs], m, RANK_TOL) for m in (n, 2 * n)]
-    coks = [_kernel_count([adj], m, RANK_TOL) for m in (n, 2 * n)]
-    if kers[0] != kers[1] or coks[0] != coks[1]:
-        raise UnstableRank(
-            f"kernel counts did not stabilize between N={n} and 2N: "
-            f"ker {kers}, coker {coks}")
+    ker, coker = _stable_counts([coeffs], n)
     wind = laurent_winding(coeffs)
     return IndexEntry(
-        label=label, dim_ker=kers[0], dim_coker=coks[0],
-        index=kers[0] - coks[0],
+        label=label, dim_ker=ker, dim_coker=coker, index=ker - coker,
         diagnostics={"n": n, "rank_tol": RANK_TOL, "winding": wind,
-                     "matches_minus_winding": kers[0] - coks[0] == -wind})
+                     "matches_minus_winding": ker - coker == -wind})
 
 
 def numerical_index_direct_sum(symbol_list, n: int) -> IndexEntry:
     """Kernel/cokernel detection run on the block-diagonal direct sum of the
     rectangular sections (not on the per-block results)."""
-    adj = [a.conj_reflected() for a in symbol_list]
-    kers = [_kernel_count(symbol_list, m, RANK_TOL) for m in (n, 2 * n)]
-    coks = [_kernel_count(adj, m, RANK_TOL) for m in (n, 2 * n)]
-    if kers[0] != kers[1] or coks[0] != coks[1]:
-        raise UnstableRank("direct-sum kernel counts did not stabilize")
+    ker, coker = _stable_counts(symbol_list, n)
     return IndexEntry(
-        label="direct-sum", dim_ker=kers[0], dim_coker=coks[0],
-        index=kers[0] - coks[0],
+        label="direct-sum", dim_ker=ker, dim_coker=coker, index=ker - coker,
         diagnostics={"n": n, "blocks": len(symbol_list)})
 
 
@@ -636,10 +633,9 @@ def locality_defect(a_op: DiscreteOperator, f, g) -> float:
         if d < 2 * grid.h - 1e-12:
             raise SupportOverlapError(
                 f"support separation {d:.6g} < 2h = {2 * grid.h:.6g}")
-    op = DiscreteOperator.diagonal(f, a_op.dst, a_op.dst) @ a_op \
-        @ DiscreteOperator.diagonal(g, a_op.src, a_op.src)
-    op.src, op.dst = a_op.src, a_op.dst
-    return operator_norm(op)
+    return operator_norm(DiscreteOperator.diagonal(f, a_op.dst, a_op.dst)
+                         @ a_op
+                         @ DiscreteOperator.diagonal(g, a_op.src, a_op.src))
 
 
 # --------------------------------------------------------------------------
@@ -919,8 +915,6 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     weighted operator norm compressed to the upper frequency half; callers
     check that the table decreases.
     """
-    from .geometry import build_covering, partition_of_unity
-
     eps_sequence = [float(e) for e in eps_sequence]
     if len(eps_sequence) < 3:
         raise ValueError("need at least 3 covering radii")
@@ -939,10 +933,9 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     table = []
     for (e_coarse, a_coarse), (e_fine, a_fine) in zip(
             zip(eps_sequence, assembled), zip(eps_sequence[1:], assembled[1:])):
-        diff = a_coarse - a_fine
-        diff.src, diff.dst = src, dst
         table.append({"eps_coarse": e_coarse, "eps_fine": e_fine,
-                      "proxy": operator_norm(diff, freq_mask=mask)})
+                      "proxy": operator_norm(a_coarse - a_fine,
+                                             freq_mask=mask)})
     return table
 
 

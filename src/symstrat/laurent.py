@@ -18,6 +18,8 @@ __all__ = ["LaurentPolynomial", "laurent_winding", "random_elliptic_laurent"]
 
 CIRCLE_SAMPLES = 4096
 TOL_CIRCLE = 1e-10
+MAX_HALF_DEGREE = 2     # random_elliptic_laurent: largest p and q, and the
+MIN_ROOT_GAP = 0.35     # least distance of a root from the circle
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,9 @@ class LaurentPolynomial:
         theta = np.linspace(0.0, 2 * np.pi, CIRCLE_SAMPLES, endpoint=False)
         return float(np.min(np.abs(self(np.exp(1j * theta)))))
 
-    def lifted_text(self, var: str = "k1") -> str:
-        """Symbol text for a(z) with z = (xi - i)/(xi + i), usable by the
-        expression parser (increasing xi traverses the circle once
+    def lifted_text(self) -> str:
+        """Symbol text in k1 for a(z) with z = (k1 - i)/(k1 + i), usable by
+        the expression parser (increasing k1 traverses the circle once
         counterclockwise)."""
         terms = []
         for j, c in zip(range(self.min_deg, self.max_deg + 1), self.coeffs):
@@ -89,7 +91,7 @@ class LaurentPolynomial:
             if j == 0:
                 terms.append(coeff)
             else:
-                terms.append(f"{coeff}*(({var}-i)/({var}+i))^{j}")
+                terms.append(f"{coeff}*((k1-i)/(k1+i))^{j}")
         return "+".join(terms) if terms else "0"
 
 
@@ -113,20 +115,19 @@ def laurent_winding(a: LaurentPolynomial) -> int:
     return inside - p
 
 
-def random_elliptic_laurent(rng, max_half_degree: int = 2,
-                            min_gap: float = 0.35) -> LaurentPolynomial:
+def random_elliptic_laurent(rng) -> LaurentPolynomial:
     """Random Laurent symbol nonvanishing on the circle, with all roots of
-    z^p a(z) at distance >= min_gap from the circle so kernel decay rates
-    stay resolvable at moderate section sizes."""
-    p = int(rng.integers(0, max_half_degree + 1))
-    q = int(rng.integers(0, max_half_degree + 1))
+    z^p a(z) at distance >= MIN_ROOT_GAP from the circle so kernel decay
+    rates stay resolvable at moderate section sizes."""
+    p = int(rng.integers(0, MAX_HALF_DEGREE + 1))
+    q = int(rng.integers(0, MAX_HALF_DEGREE + 1))
     n_roots = p + q
     roots = []
     for _ in range(n_roots):
         if rng.random() < 0.5:
-            r = rng.uniform(0.15, 1.0 - min_gap)
+            r = rng.uniform(0.15, 1.0 - MIN_ROOT_GAP)
         else:
-            r = rng.uniform(1.0 + min_gap, 4.0)
+            r = rng.uniform(1.0 + MIN_ROOT_GAP, 4.0)
         phi = rng.uniform(0, 2 * np.pi)
         roots.append(r * np.exp(1j * phi))
     lead = (rng.standard_normal() + 1j * rng.standard_normal())

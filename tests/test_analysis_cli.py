@@ -9,7 +9,7 @@ from symstrat import analysis
 from symstrat.analysis import (AnalysisConfig, run_analysis,
                                run_verify_suite)
 from symstrat.cli import main
-from symstrat.errors import ConfigError
+from symstrat.errors import ConfigError, SymstratError
 
 
 def _analyze(symbol, alpha, model="square", s=0.0, **kw):
@@ -39,6 +39,57 @@ def test_non_elliptic_symbol_records_witness_and_fails():
     assert ell["witness"] is not None
     assert manifest.stages["factorization"]["status"] == "skipped"
     assert manifest.stages["fredholm"]["status"] == "skipped"
+
+
+_STAGES = ("stratification", "ellipticity", "factorization", "fredholm")
+
+
+class InjectedError(SymstratError):
+    pass
+
+
+def _raise_injected(*args, **kwargs):
+    raise InjectedError("injected failure")
+
+
+@pytest.mark.parametrize("symbol, target, failing, reason", [
+    ("5", "stratify_model", "stratification", "stratification failed"),
+    ("5", "check_ellipticity", "ellipticity", "ellipticity stage failed"),
+    ("5", "winding_index", "factorization", "factorization failed"),
+    ("5", "check_fredholm_condition", "fredholm", None),
+    ("k1", None, "ellipticity", "symbol not elliptic"),
+], ids=["stratification", "ellipticity", "factorization", "fredholm",
+        "not-elliptic"])
+def test_every_stage_outcome(monkeypatch, tmp_path, symbol, target, failing,
+                             reason):
+    if target is not None:
+        monkeypatch.setattr(analysis, target, _raise_injected)
+    cfg = AnalysisConfig(symbol_text=symbol, alpha=1.0 if symbol == "k1"
+                         else 0.0, out_dir=str(tmp_path))
+    manifest = run_analysis(cfg)
+    at = _STAGES.index(failing)
+    record = manifest.stages[failing]
+    assert record["status"] == "error"
+    if target is not None:
+        assert record["error_type"] == "InjectedError"
+        assert record["error"] == "injected failure"
+    assert all(manifest.stages[st]["status"] == "ok" for st in _STAGES[:at])
+    assert all(manifest.stages[st] == {"status": "skipped", "reason": reason}
+               for st in _STAGES[at + 1:])
+    assert set(manifest.wall_times) == set(_STAGES[:at + 1])
+    assert manifest.ok is False
+    written = json.loads((tmp_path / "manifest.json").read_text())
+    assert written == json.loads(manifest.to_json())
+
+
+def test_overflowing_symbol_is_an_ellipticity_error():
+    manifest = _analyze("exp(abs2(k))", 0.0)
+    assert not manifest.ok
+    assert manifest.stages["ellipticity"]["status"] == "error"
+    assert manifest.stages["ellipticity"]["error_type"] == "EvalError"
+    for st in ("factorization", "fredholm"):
+        assert manifest.stages[st] == {"status": "skipped",
+                                       "reason": "ellipticity stage failed"}
 
 
 def test_constant_symbol_passes_with_zero_index():

@@ -322,6 +322,17 @@ def test_eval_overflow_is_an_eval_error():
                            _pt([0], [700])) == pytest.approx(cmath.exp(700))
 
 
+def test_grid_overflow_is_an_eval_error():
+    # one overflowing node refuses the whole grid, even under a division
+    # that would bring it back to 0
+    expr = parse_symbol("1/exp(k1)", 1)
+    with pytest.raises(EvalError):
+        eval_on_grid(expr, np.zeros((1, 1)), np.array([[0.0], [1000.0]]))
+    np.testing.assert_allclose(
+        eval_on_grid(expr, np.zeros((1, 1)), np.array([[0.0], [700.0]])),
+        [1.0, np.exp(-700.0)], rtol=1e-12)
+
+
 def test_asts_are_immutable():
     expr = parse_symbol("k1+1", 1)
     with pytest.raises(Exception):

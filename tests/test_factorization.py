@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from symstrat.dsl import parse_symbol
-from symstrat.errors import (BranchJumpError, GrowthViolation,
+from symstrat.errors import (BranchJumpError, EvalError, GrowthViolation,
                              MissingStratumReport, NonEllipticOnLine,
                              ProductMismatch, SlopeDisagreement, SupportLeak,
                              TailJumpError, ZeroOnCircle)
@@ -141,6 +141,13 @@ def test_winding_nonelliptic_on_line():
         winding_index(s, [0.0], [])
 
 
+def test_winding_refuses_an_overflowing_symbol():
+    # exp(1e8) on the quadrature line is not a phase to track
+    s = Symbol.parse("exp(abs2(k))", 0.0, 1)
+    with pytest.raises(EvalError):
+        winding_index(s, [0.0], [])
+
+
 def test_winding_branch_jump_on_coarse_grid():
     # steep winding needs resolution: with a handful of nodes the phase
     # steps exceed pi/2 and the tracker refuses to guess
@@ -235,6 +242,18 @@ def test_growth_violation_detected():
     cand = _candidate("(k1+i)*(k2+i)", "1", 1.0)
     with pytest.raises(GrowthViolation):
         validate_wave_factors(cand, s)
+
+
+def test_growth_overflow_is_a_failed_ray():
+    # exp(i*k1) grows like exp(t) into the lower tube and overflows on the
+    # longest rungs: each a_eq ray fails instead of aborting the report
+    cand = _candidate("1", "exp(i*k1)", 0.0)
+    sym = Symbol.parse("exp(i*k1)", 0.0, 2)
+    report = validate_wave_factors(cand, sym, raise_on_fail=False)
+    assert report.product_ok and not report.growth_ok
+    for rec in report.growth:
+        assert rec["ok"] == (rec["factor"] == "a_neq")
+        assert np.isnan(rec["slope"]) == (rec["factor"] == "a_eq")
 
 
 def test_estimate_wave_index_values():

@@ -116,6 +116,25 @@ def test_multiplier_algebra_is_exact():
     np.testing.assert_allclose(composed, op12.to_dense(), atol=1e-10)
 
 
+def test_difference_and_products_carry_spaces():
+    grid = LatticeGrid(1, 16, 0.5)
+    src = DiscreteSobolevSpace(grid, 1.0)
+    dst = DiscreteSobolevSpace(grid, 0.0)
+    sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)", 1.0, 1)
+    a = discretize_symbol_op(sym, [0.0], grid, src, dst)
+    b = discretize_symbol_op(sym, [1.0], grid, src, dst)
+    f = DiscreteOperator.diagonal(np.linspace(0.0, 1.0, grid.size), dst, dst)
+    g = DiscreteOperator.diagonal(np.linspace(1.0, 2.0, grid.size), src, src)
+    diff = a - b
+    for op in (diff, f @ a @ g):
+        assert op.src is src and op.dst is dst
+    want = a.to_dense() - b.to_dense()
+    np.testing.assert_allclose(diff.to_dense(), want, atol=1e-12)
+    v = np.random.default_rng(0).standard_normal(grid.size)
+    np.testing.assert_allclose(diff.rmatvec(v), want.conj().T @ v,
+                               atol=1e-12)
+
+
 def test_weighted_norm_covariance():
     # the norm of a frozen multiplier H^s -> H^(s-alpha) is the weight-ratio
     # sup and is independent of s
@@ -313,6 +332,14 @@ def test_numerical_index_unstable_rank_near_circle():
     entry = numerical_index(poly, 256)
     assert entry.index == -laurent_winding(poly) == 1
     assert (entry.dim_ker, entry.dim_coker) == (1, 0)
+
+
+def test_direct_sum_unstable_rank_names_sizes_and_counts():
+    poly = LaurentPolynomial.make([-1.2, 1], -1)
+    with pytest.raises(UnstableRank) as info:
+        numerical_index_direct_sum([LaurentPolynomial.make([1], 0), poly], 64)
+    message = str(info.value)
+    assert "N=64" in message and "ker [0, 1]" in message
 
 
 def test_numerical_index_matches_minus_winding_random():
