@@ -123,7 +123,7 @@ class UnstableRank(SymstratError):
 
 
 class NormNotConverged(SymstratError):
-    """Neither ARPACK nor the power-iteration fallback converged to an
+    """Neither PROPACK nor the power-iteration fallback converged to an
     operator norm."""
 
 

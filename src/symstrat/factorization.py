@@ -242,23 +242,21 @@ def _pw_mass_outside(expr: SymbolExpr, m: int, k: int, cone: Cone,
     xi = np.zeros((rho.shape[0], m), dtype=complex)
     xi[:, k:] = rho @ basis
     vals = eval_on_grid(expr, np.zeros(m), xi).reshape((n_pts,) * n)
-    coeffs = np.fft.fftn(1.0 / vals) / n_pts ** n
-    idx = np.fft.fftfreq(n_pts, d=1.0 / n_pts)
-    mode_mesh = np.meshgrid(*([idx] * n), indexing="ij")
-    if tube_sign > 0:
-        bad = np.zeros((n_pts,) * n, dtype=bool)
-        for g in mode_mesh:
-            bad |= g < 0
-    else:
-        bad = np.zeros((n_pts,) * n, dtype=bool)
-        for g in mode_mesh:
-            bad |= g > 0
-    mass = np.abs(coeffs) ** 2
+    with np.errstate(all="ignore"):
+        mass = np.abs(np.fft.fftn(1.0 / vals) / n_pts ** n) ** 2
     total = float(mass.sum())
-    outside = float(mass[bad].sum())
-    return {"mass_outside": outside / total if total > 0 else 0.0,
-            "dims": deps, "grid_points": n_pts,
+    grid = {"dims": deps, "grid_points": n_pts,
             "cayley_basis": basis.tolist()}
+    if not (math.isfinite(total) and total > 0):
+        # a factor that vanishes or underflows on the grid gives no evidence
+        # of one-sided support: count the whole inverse as leaked
+        return {"mass_outside": 1.0, **grid,
+                "reason": "inverse factor not finite on the Cayley grid"}
+    idx = np.fft.fftfreq(n_pts, d=1.0 / n_pts)
+    bad = np.zeros((n_pts,) * n, dtype=bool)
+    for g in np.meshgrid(*([idx] * n), indexing="ij"):
+        bad |= (g < 0) if tube_sign > 0 else (g > 0)
+    return {"mass_outside": float(mass[bad].sum()) / total, **grid}
 
 
 def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,

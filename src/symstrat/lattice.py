@@ -37,9 +37,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import LinAlgError
 from scipy.linalg import eigvals_banded, toeplitz
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import ArpackError, LinearOperator, svds
+from scipy.sparse.linalg import LinearOperator, svds
 
 from .dsl import eval_on_grid
 from .errors import (ConfigError, DuplicateComponentError, EmptyDomainError,
@@ -63,11 +64,9 @@ __all__ = [
 
 DENSE_LIMIT = 2048          # max side of a materialized matrix
 POWER_STEPS = 500           # power-iteration fallback of operator_norm
-# Lanczos basis size of operator_norm's svds.  With scipy's default of 20,
-# one in seven assembly-ladder norms needs an extra restart (51 instead of
-# 41 products on the 32x32 grid), so a ladder's cost swings with its
-# symbol; with 28 nearly all take 43 (57 on the 64x64 grid).
-ARPACK_NCV = 28
+# Lanczos basis size (PROPACK's kmax) of operator_norm's svds; svds passes
+# its maxiter through as kmax, so an unbounded one spans the whole space
+_PROPACK_KMAX = 48
 RANK_TOL = 1e-8
 # unit vectors per matvec in DiscreteOperator.block: a sum of assembled
 # operators holds every patch window of the whole batch at once
@@ -349,8 +348,9 @@ def _conjugated_linear_operator(op: DiscreteOperator, freq_mask=None):
 def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     """Operator norm in the weighted source/target norms (plain l2 when the
     operator has no attached spaces).  Multipliers have a closed form; any
-    other operator goes to ARPACK svds, with power iteration as the
-    fallback when ARPACK fails."""
+    other operator goes to PROPACK's Lanczos bidiagonalization of A itself
+    (svds, seeded so that the norm is deterministic), with power iteration
+    as the fallback when PROPACK fails."""
     if op.kind == "multiplier" and op.src is not None and op.dst is not None:
         ratio = np.abs(op.data) * op.dst.weights() / op.src.weights()
         if freq_mask is not None:
@@ -364,21 +364,22 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     n_dst, n_src = op.shape
     shape, mv, rmv = _conjugated_linear_operator(op, freq_mask)
     if min(shape) < 3:
-        # too small for ARPACK, whose svds needs at least 3 points
+        # too small for a Lanczos basis; take the norm directly
         return float(np.linalg.norm(mv(np.eye(n_src, dtype=complex)), 2))
     lin = LinearOperator(shape, matvec=lambda v: mv(v.astype(complex)),
                          rmatvec=lambda v: rmv(v.astype(complex)),
                          dtype=complex)
-    v0 = np.ones(n_src) / math.sqrt(n_src)
-    ncv = ARPACK_NCV if min(op.shape) > ARPACK_NCV else None
+    u0 = np.ones(n_dst, dtype=complex) / math.sqrt(n_dst)
     try:
-        sigma = svds(lin, k=1, ncv=ncv, which="LM", v0=v0, maxiter=8000,
-                     return_singular_vectors=False, tol=1e-9)
+        sigma = svds(lin, k=1, solver="propack", v0=u0,
+                     maxiter=_PROPACK_KMAX, tol=1e-9,
+                     rng=np.random.default_rng(0),
+                     return_singular_vectors=False)
         return float(sigma[0])
-    except ArpackError as exc:
-        # no convergence, or a start vector that A*A annihilates (error -9,
-        # as on a zero or roundoff-sized operator); other errors propagate
-        arpack_failure = exc
+    except LinAlgError as exc:
+        # no convergence within kmax, or an invariant subspace (as from a
+        # start that A^H annihilates); other errors propagate
+        propack_failure = exc
     # power iteration on A*A as a deterministic fallback, from a generic
     # start so that a null vector of A cannot pass for the answer
     v = np.random.default_rng(0).standard_normal(n_src).astype(complex)
@@ -394,7 +395,7 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
         sigma2 = nrm
         v = w / nrm
     raise NormNotConverged(
-        f"{arpack_failure}; power iteration on the {n_dst}x{n_src} operator "
+        f"{propack_failure}; power iteration on the {n_dst}x{n_src} operator "
         f"had not converged after {POWER_STEPS} steps (last estimate "
         f"{math.sqrt(sigma2):.6g})")
 

@@ -1,6 +1,7 @@
 """Pipeline manifests, verification suites and the command-line interface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,23 @@ def test_cli_wave_validate_reports_failure(capsys):
     payload = json.loads(capsys.readouterr().out)
     verdicts = {r["factor"]: r["ok"] for r in payload["support"]}
     assert verdicts == {"a_neq": True, "a_eq": False}
+
+
+def test_cli_wave_validate_underflowing_factor_leaks(capsys):
+    # exp(-abs2(k)) underflows to 0 on the Cayley grid, so its inverse has
+    # no Fourier coefficients to judge; the support check must fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["wave-validate", "--symbol", "(k1+i)*(k2+i)",
+                     "--alpha", "2", "--dim", "2",
+                     "--a-neq", "exp(-abs2(k))", "--a-eq", "1",
+                     "--cone", "[[1,0],[0,1]]", "--k", "0",
+                     "--declared-ae", "2"])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["support_ok"] is False
+    leak = next(r for r in payload["support"] if r["factor"] == "a_neq")
+    assert leak["mass_outside"] == 1.0 and leak["reason"]
 
 
 def test_cli_verify(tmp_path):
