@@ -28,10 +28,10 @@ import numpy as np
 from . import __version__ as _VERSION
 from .dsl import depends_on_x
 from .errors import ConfigError, SymstratError
-from .factorization import (FactorizationReport, check_fredholm_condition,
-                            winding_index)
-from .geometry import (Ball, Covering, build_covering, partition_of_unity,
-                       stratify_model)
+from .factorization import (CUTOFF, QUAD_SAMPLES, FactorizationReport,
+                            check_fredholm_condition, winding_index)
+from .geometry import (Ball, Covering, _bump, build_covering,
+                       partition_of_unity, stratify_model)
 from .lattice import (DiscreteOperator, DiscreteSobolevSpace, LatticeGrid,
                       aggregate_index, assemble_frozen_family,
                       assemble_operator, discretize_symbol_op,
@@ -85,8 +85,8 @@ class AnalysisConfig:
     seed: int = 0
     out_dir: str | None = None
     points_per_stratum: int = 2
-    cutoff: float = 1.0e4
-    quad_samples: int = 2 ** 16
+    cutoff: float = CUTOFF
+    quad_samples: int = QUAD_SAMPLES
 
     def dim(self) -> int:
         return MODEL_DIMS[self.model]
@@ -415,11 +415,7 @@ def _suite_locality(seed: int) -> dict:
     center = grid.period / 2
 
     def bump(c, w):
-        t = np.clip(np.abs(pts - c) / w, 0, 1)
-        out = np.zeros_like(pts, dtype=complex)
-        inside = t < 1
-        out[inside] = np.exp(-1.0 / (1 - t[inside] ** 2))
-        return out
+        return _bump((pts - c) / w)
 
     f = bump(4.0, 2.0)
     defects = []

@@ -20,7 +20,8 @@ from .analysis import (MODEL_DIMS, VERIFY_SUITES, AnalysisConfig,
                        run_analysis, run_verify_suite)
 from .dsl import parse_symbol
 from .errors import ConfigError, SymstratError
-from .factorization import WaveFactorCandidate, validate_wave_factors, winding_index
+from .factorization import (CUTOFF, N_RAYS, QUAD_SAMPLES, WaveFactorCandidate,
+                            validate_wave_factors, winding_index)
 from .geometry import Cone, build_covering, partition_of_unity, stratify_model
 from .lattice import (DiscreteSobolevSpace, LatticeGrid,
                       assemble_frozen_family, assembly_convergence,
@@ -66,8 +67,8 @@ def _build_parser():
     pw.add_argument("--dim", type=int, required=True)
     pw.add_argument("--x0", default=None, help="comma-separated point")
     pw.add_argument("--xi-prime", default=None)
-    pw.add_argument("--cutoff", type=float, default=1.0e4)
-    pw.add_argument("--quad-samples", type=int, default=2 ** 16)
+    pw.add_argument("--cutoff", type=float, default=CUTOFF)
+    pw.add_argument("--quad-samples", type=int, default=QUAD_SAMPLES)
     pw.add_argument("--out", default=None)
 
     pq = sub.add_parser("wave-validate", help="validate a factorization "
@@ -81,7 +82,7 @@ def _build_parser():
                     help="JSON generator list, e.g. [[1,0],[0,1]]")
     pq.add_argument("--k", type=int, default=0)
     pq.add_argument("--declared-ae", type=float, required=True)
-    pq.add_argument("--rays", type=int, default=3,
+    pq.add_argument("--rays", type=int, default=N_RAYS,
                     help="number of interior dual-cone rays for the growth fit")
     pq.add_argument("--out", default=None)
 

@@ -5,22 +5,29 @@ Grammar (whitespace-insensitive)::
     expr     := term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
     factor   := atom ('^' rational)?
-    atom     := number | 'i' | var | func '(' expr ')' | '(' expr ')' | '-' atom
+    atom     := number | 'i' | var | func '(' expr ')'
+              | ('abs2'|'normx2') '(' ('x'|'k') ')' | '(' expr ')' | '-' atom
     var      := ('x'|'k') digits
     func     := 'abs2' | 'normx2' | 'exp' | 'sqrt'
     rational := integer | '(' integer '/' integer ')'
 
 ``x1..xm`` are spatial coordinates, ``k1..km`` frequency coordinates.  The
-bare names ``x`` and ``k`` are allowed only as the direct argument of
+bare names ``x`` and ``k`` are allowed only as the whole argument of
 ``abs2``/``normx2`` and denote the whole vector, so ``abs2(k)`` is the
-squared frequency norm.  On complex arguments ``abs2``/``normx2`` compute
-the sum of squared components without conjugation (the analytic
-continuation of the squared norm off the real axis), and ``abs2`` of a
-scalar subexpression is its plain square.
+squared frequency norm; anywhere else, ``abs2((k))`` included, they are a
+syntax error.  On complex arguments ``abs2``/``normx2`` compute the sum of
+squared components without conjugation (the analytic continuation of the
+squared norm off the real axis), and ``abs2``/``normx2`` of a scalar
+subexpression ``e`` is its plain square ``e*e``.
 
 Exponents are integers or half-integers.  A half-integer exponent is
 accepted only on a subexpression that is guaranteed nonnegative-real for
-real arguments, so evaluation at real frequencies is single-valued.
+real arguments, so evaluation at real frequencies is single-valued.  The
+guarantee is a conservative sign class: ``abs2``/``normx2`` of a vector or
+of a real scalar is nonnegative-real, of a possibly non-real scalar it is
+not (``abs2(i*k1)`` is -k1^2), and purely imaginary values are not
+tracked, so ``exp(abs2(i*k1))^(1/2)`` is refused though its base is
+positive.
 Evaluation at complex frequencies uses the principal branch and raises
 :class:`~symstrat.errors.EvalError` on an exact branch-cut hit (negative
 real base with zero imaginary part) instead of guessing a branch.
@@ -160,7 +167,6 @@ class _Parser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.vec_offsets = {}
 
     def peek(self):
         return self.tokens[self.pos]
@@ -207,7 +213,7 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             num, den = self.parse_rational()
-            if den == 2 and not _nonneg_real(node):
+            if den == 2 and _sign(node) != _NONNEG:
                 raise SymbolSyntaxError(
                     "half-integer power applied to a subexpression not "
                     "guaranteed nonnegative-real on real arguments", off)
@@ -250,7 +256,8 @@ class _Parser:
         self.advance()
         return sign * int(val)
 
-    # atom := number | 'i' | var | func '(' expr ')' | '(' expr ')' | '-' atom
+    # atom := number | 'i' | var | func '(' expr ')'
+    #       | ('abs2'|'normx2') '(' ('x'|'k') ')' | '(' expr ')' | '-' atom
     def parse_atom(self):
         kind, val, off = self.advance()
         if kind == "number":
@@ -266,16 +273,21 @@ class _Parser:
                 return Num(1j)
             if val in _FUNCS:
                 self.expect_op("(")
-                arg = self.parse_expr()
+                _, arg, _ = self.peek()
+                if (val in ("abs2", "normx2") and arg in ("x", "k")
+                        and self.tokens[self.pos + 1][:2] == ("op", ")")):
+                    self.advance()
+                    node = Call(val, VecRef(arg))
+                else:
+                    node = Call(val, self.parse_expr())
                 self.expect_op(")")
-                return Call(val, arg)
+                return node
             m = re.fullmatch(r"([xk])(\d*)", val)
             if m:
                 axis, digits = m.groups()
                 if not digits:
-                    node = VecRef(axis)
-                    self.vec_offsets[id(node)] = off
-                    return node
+                    raise SymbolSyntaxError(
+                        f"bare vector {axis!r} outside abs2/normx2", off)
                 index = int(digits)
                 if index < 1 or index > self.dim:
                     raise DimensionError(
@@ -283,21 +295,6 @@ class _Parser:
                 return Coord(axis, index)
             raise SymbolSyntaxError(f"unknown name {val!r}", off)
         raise SymbolSyntaxError(f"unexpected token {val!r}", off)
-
-    def validate_vecrefs(self, node, allowed=False):
-        # A bare vector name is legal only as the *entire* argument of
-        # abs2/normx2; anywhere else it has no scalar value.
-        if isinstance(node, VecRef):
-            if not allowed:
-                raise SymbolSyntaxError(
-                    f"bare vector {node.axis!r} outside abs2/normx2",
-                    self.vec_offsets.get(id(node), 0))
-            return
-        if isinstance(node, Call):
-            self.validate_vecrefs(node.arg, node.func in ("abs2", "normx2"))
-            return
-        for child in _children(node):
-            self.validate_vecrefs(child, allowed=False)
 
 
 def _children(node):
@@ -312,48 +309,41 @@ def _children(node):
     return ()
 
 
-def _nonneg_real(node):
-    """Conservative static check: is the node nonnegative-real whenever all
-    coordinates are real?"""
-    if isinstance(node, Num):
-        return node.value.imag == 0 and node.value.real >= 0
-    if isinstance(node, Call):
-        if node.func in ("abs2", "normx2"):
-            return True
-        if node.func == "exp":
-            return _real_on_real(node.arg)
-        if node.func == "sqrt":
-            return _nonneg_real(node.arg)
-    if isinstance(node, BinOp) and node.op in "+*/":
-        return _nonneg_real(node.lhs) and _nonneg_real(node.rhs)
-    if isinstance(node, Pow):
-        return _nonneg_real(node.base)
-    return False
+def _leaves(node):
+    """The leaf nodes under ``node``, left to right."""
+    children = _children(node)
+    if not children:
+        yield node
+    for child in children:
+        yield from _leaves(child)
 
 
-def _real_on_real(node):
+# sign classes on real coordinates, ordered so that max() joins them
+_NONNEG, _REAL, _ANY = range(3)
+
+
+def _sign(node):
+    """Conservative sign class of the node whenever all coordinates are
+    real: _NONNEG (nonnegative-real), _REAL or _ANY."""
     if isinstance(node, Num):
-        return node.value.imag == 0
-    if isinstance(node, Coord):
-        return True
-    if isinstance(node, VecRef):
-        return False
+        if node.value.imag != 0:
+            return _ANY
+        return _NONNEG if node.value.real >= 0 else _REAL
+    if isinstance(node, (Coord, VecRef)):
+        return _REAL
     if isinstance(node, Neg):
-        return _real_on_real(node.arg)
+        return max(_REAL, _sign(node.arg))
     if isinstance(node, BinOp):
-        return _real_on_real(node.lhs) and _real_on_real(node.rhs)
+        joined = max(_sign(node.lhs), _sign(node.rhs))
+        return max(_REAL, joined) if node.op == "-" else joined
     if isinstance(node, Pow):
-        if node.den == 2:
-            return _nonneg_real(node.base)
-        return _real_on_real(node.base)
-    if isinstance(node, Call):
-        if node.func in ("abs2", "normx2"):
-            return True
-        if node.func == "exp":
-            return _real_on_real(node.arg)
-        if node.func == "sqrt":
-            return _nonneg_real(node.arg)
-    return False
+        # a half-integer power only ever sits on a _NONNEG base
+        return _sign(node.base)
+    arg = _sign(node.arg)
+    if node.func == "sqrt":
+        return _NONNEG if arg == _NONNEG else _ANY
+    # exp of a real is positive; abs2/normx2 square a real vector or scalar
+    return _NONNEG if arg <= _REAL else _ANY
 
 
 def parse_symbol(text: str, dim: int) -> SymbolExpr:
@@ -367,7 +357,6 @@ def parse_symbol(text: str, dim: int) -> SymbolExpr:
     kind, val, off = parser.peek()
     if kind != "end":
         raise SymbolSyntaxError(f"trailing input {val!r}", off)
-    parser.validate_vecrefs(node)
     return SymbolExpr(node, dim)
 
 
@@ -501,8 +490,6 @@ def _eval_vec(node, x, xi):
     if isinstance(node, Coord):
         src = x if node.axis == "x" else xi
         return src[..., node.index - 1]
-    if isinstance(node, VecRef):
-        raise EvalError("bare vector reference outside abs2/normx2")
     if isinstance(node, Neg):
         return -_eval_vec(node.arg, x, xi)
     if isinstance(node, BinOp):
@@ -545,13 +532,8 @@ def _eval_vec(node, x, xi):
 
 def depends_on_x(expr: SymbolExpr) -> bool:
     """Does the expression reference any spatial coordinate?"""
-    def walk(node):
-        if isinstance(node, Coord) and node.axis == "x":
-            return True
-        if isinstance(node, VecRef) and node.axis == "x":
-            return True
-        return any(walk(c) for c in _children(node))
-    return walk(expr.ast)
+    return any(isinstance(leaf, (Coord, VecRef)) and leaf.axis == "x"
+               for leaf in _leaves(expr.ast))
 
 
 def frequency_support(expr: SymbolExpr) -> frozenset:
@@ -560,12 +542,9 @@ def frequency_support(expr: SymbolExpr) -> frozenset:
     ``abs2(k)``/``normx2(k)`` read every component.
     """
     found = set()
-    def walk(node):
-        if isinstance(node, Coord) and node.axis == "k":
-            found.add(node.index)
-        elif isinstance(node, VecRef) and node.axis == "k":
-            found.update(range(1, expr.dim + 1))
-        for c in _children(node):
-            walk(c)
-    walk(expr.ast)
+    for leaf in _leaves(expr.ast):
+        if isinstance(leaf, VecRef) and leaf.axis == "k":
+            return frozenset(range(1, expr.dim + 1))
+        if isinstance(leaf, Coord) and leaf.axis == "k":
+            found.add(leaf.index)
     return frozenset(found)

@@ -82,10 +82,6 @@ class GrowthViolation(SymstratError):
 class SupportLeak(SymstratError):
     """Inverse-factor transform mass escapes the required cone."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 class SlopeDisagreement(SymstratError):
     """Growth slopes measured along different rays disagree too much to

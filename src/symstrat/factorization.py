@@ -24,7 +24,6 @@ the two coincide.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -148,7 +147,7 @@ class WaveFactorCandidate:
 
 @dataclass
 class WaveValidationReport:
-    product_max_rel_err: float
+    product_max_rel_err: float | None     # None when (i) could not evaluate
     product_ok: bool
     growth: list            # per factor, per ray: slope records
     growth_ok: bool
@@ -165,9 +164,6 @@ class WaveValidationReport:
                 "product_ok": self.product_ok, "growth": self.growth,
                 "growth_ok": self.growth_ok, "support": self.support,
                 "support_ok": self.support_ok, "grid": self.grid}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _exceptional_margin(cone: Cone, xi_tail: np.ndarray) -> np.ndarray:
@@ -241,12 +237,17 @@ def _pw_mass_outside(expr: SymbolExpr, m: int, k: int, cone: Cone,
     rho = np.stack([g.ravel() for g in mesh], axis=-1)
     xi = np.zeros((rho.shape[0], m), dtype=complex)
     xi[:, k:] = rho @ basis
-    vals = eval_on_grid(expr, np.zeros(m), xi).reshape((n_pts,) * n)
+    grid = {"dims": deps, "grid_points": n_pts,
+            "cayley_basis": basis.tolist()}
+    try:
+        vals = eval_on_grid(expr, np.zeros(m), xi).reshape((n_pts,) * n)
+    except EvalError as exc:
+        # as below: a factor that cannot be evaluated on the grid gives no
+        # evidence of one-sided support
+        return {"mass_outside": 1.0, **grid, "reason": str(exc)}
     with np.errstate(all="ignore"):
         mass = np.abs(np.fft.fftn(1.0 / vals) / n_pts ** n) ** 2
     total = float(mass.sum())
-    grid = {"dims": deps, "grid_points": n_pts,
-            "cayley_basis": basis.tolist()}
     if not (math.isfinite(total) and total > 0):
         # a factor that vanishes or underflows on the grid gives no evidence
         # of one-sided support: count the whole inverse as leaked
@@ -274,9 +275,11 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
     (iii) Fourier support of the inverse factors (see _pw_mass_outside).
 
     All three checks always run so the report carries per-factor verdicts;
-    with raise_on_fail the most structural failure is raised afterwards
-    (ProductMismatch, then SupportLeak, then GrowthViolation), each
-    carrying the full report.
+    an EvalError in a check fails that check (a null product error with
+    the error text as grid["reason"], a nan slope, a mass_outside of 1.0
+    with the text as reason).  With raise_on_fail the most structural
+    failure is raised afterwards (ProductMismatch, then SupportLeak, then
+    GrowthViolation), each carrying the full report as ``exc.report``.
     """
     m = s.dim
     if cand.a_neq.dim != m:
@@ -292,12 +295,17 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
     keep = margin >= 2.0 * cell
     pts = pts[keep]
     x0 = np.zeros(m)
-    a_vals = eval_on_grid(s.expr, x0, pts.astype(complex))
-    prod = (eval_on_grid(cand.a_neq, x0, pts.astype(complex))
-            * eval_on_grid(cand.a_eq, x0, pts.astype(complex)))
-    denom = np.maximum(np.abs(a_vals), 1e-300)
-    rel = float(np.max(np.abs(prod - a_vals) / denom))
-    product_ok = rel < TOL_PROD
+    grid = {"points_per_axis": PROD_GRID_POINTS,
+            "radius": PROD_GRID_RADIUS, "excluded": int((~keep).sum())}
+    try:
+        a_vals = eval_on_grid(s.expr, x0, pts.astype(complex))
+        prod = (eval_on_grid(cand.a_neq, x0, pts.astype(complex))
+                * eval_on_grid(cand.a_eq, x0, pts.astype(complex)))
+        denom = np.maximum(np.abs(a_vals), 1e-300)
+        rel = float(np.max(np.abs(prod - a_vals) / denom))
+    except EvalError as exc:
+        rel, grid["reason"] = None, str(exc)
+    product_ok = rel is not None and rel < TOL_PROD
 
     # (ii) growth estimates along interior dual-cone rays
     rays = _interior_rays(cand.cone, n_rays)
@@ -332,30 +340,26 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
     report = WaveValidationReport(
         product_max_rel_err=rel, product_ok=product_ok,
         growth=growth, growth_ok=growth_ok,
-        support=support, support_ok=support_ok,
-        grid={"points_per_axis": PROD_GRID_POINTS,
-              "radius": PROD_GRID_RADIUS, "excluded": int((~keep).sum())})
-    if raise_on_fail:
-        if not product_ok:
-            exc = ProductMismatch(
-                f"max relative product error {rel:.3e} >= {TOL_PROD:.1e}")
-            exc.report = report
-            raise exc
-        if not support_ok:
-            leaks = [r for r in support if not r["ok"]]
-            raise SupportLeak(
-                "inverse-factor mass outside the cone: " + ", ".join(
-                    f"{r['factor']}: {r['mass_outside']:.3e}" for r in leaks),
-                report=report)
-        if not growth_ok:
-            bad = next(r for r in growth if not r["ok"])
-            exc = GrowthViolation(
-                f"{bad['factor']} slope {bad['slope']:.3f} along ray "
-                f"{bad['ray']} differs from expected {bad['expected']:.3f} "
-                f"by more than {TOL_SLOPE}")
-            exc.report = report
-            raise exc
-    return report
+        support=support, support_ok=support_ok, grid=grid)
+    if not raise_on_fail or report.ok:
+        return report
+    if not product_ok:
+        detail = (f"{rel:.3e} >= {TOL_PROD:.1e}" if rel is not None
+                  else f"null: {grid['reason']}")
+        exc = ProductMismatch(f"max relative product error {detail}")
+    elif not support_ok:
+        leaks = [r for r in support if not r["ok"]]
+        exc = SupportLeak(
+            "inverse-factor mass outside the cone: " + ", ".join(
+                f"{r['factor']}: {r['mass_outside']:.3e}" for r in leaks))
+    else:
+        bad = next(r for r in growth if not r["ok"])
+        exc = GrowthViolation(
+            f"{bad['factor']} slope {bad['slope']:.3f} along ray "
+            f"{bad['ray']} differs from expected {bad['expected']:.3f} "
+            f"by more than {TOL_SLOPE}")
+    exc.report = report
+    raise exc
 
 
 def estimate_wave_index(cand: WaveFactorCandidate) -> float:
@@ -421,9 +425,6 @@ class FredholmVerdict:
                 "per_stratum": [v.to_dict() for v in self.per_stratum],
                 "interior_elliptic": self.interior_elliptic,
                 "fredholm": self.fredholm}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def check_fredholm_condition(reports, s_order: float,

@@ -507,9 +507,6 @@ class Covering:
                        for k, bs in sorted(self.stages.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def _dists_to_centers(points, centers):
     if len(centers) == 0:

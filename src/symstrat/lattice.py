@@ -314,35 +314,31 @@ def lattice_projector(mask, space=None) -> DiscreteOperator:
 # --------------------------------------------------------------------------
 # Norms
 
-def _conjugated_linear_operator(op: DiscreteOperator, freq_mask=None):
+def _conjugated_linear_operator(op: DiscreteOperator,
+                                freq_mask=None) -> LinearOperator:
     """The operator expressed between weighted DFT coordinate spaces, so
     its plain sigma_max is the H^s_src -> H^s_dst operator norm.  An
-    optional 0/1 frequency mask compresses both sides."""
+    optional 0/1 frequency mask compresses both sides, folded into the
+    weights."""
     if op.src is None or op.dst is None:
-        return op.shape, op.matvec, op.rmatvec
+        mv, rmv = op.matvec, op.rmatvec
+    else:
+        g_src, g_dst = op.src.grid, op.dst.grid
+        q = 1.0 if freq_mask is None else np.asarray(freq_mask, float)
+        w_in = q / op.src.weights()
+        w_out = q * op.dst.weights()
 
-    g_src, g_dst = op.src.grid, op.dst.grid
-    w_src = op.src.weights()
-    w_dst = op.dst.weights()
-    q = None if freq_mask is None else np.asarray(freq_mask, float)
+        def mv(v):
+            u = g_src.ifft_flat(_scale_rows(w_in, v))
+            return _scale_rows(w_out, g_dst.fft_flat(op.matvec(u)))
 
-    def mv(v):
-        if q is not None:
-            v = _scale_rows(q, v)
-        u = g_src.ifft_flat(_scale_rows(1.0 / w_src, v))
-        y_hat = g_dst.fft_flat(op.matvec(u))
-        out = _scale_rows(w_dst, y_hat)
-        return _scale_rows(q, out) if q is not None else out
+        def rmv(v):
+            y = g_dst.ifft_flat(_scale_rows(w_out, v))
+            return _scale_rows(w_in, g_src.fft_flat(op.rmatvec(y)))
 
-    def rmv(v):
-        if q is not None:
-            v = _scale_rows(q, v)
-        y = g_dst.ifft_flat(_scale_rows(w_dst, v))
-        u_hat = g_src.fft_flat(op.rmatvec(y))
-        out = _scale_rows(1.0 / w_src, u_hat)
-        return _scale_rows(q, out) if q is not None else out
-
-    return op.shape, mv, rmv
+    return LinearOperator(op.shape, matvec=lambda v: mv(v.astype(complex)),
+                          rmatvec=lambda v: rmv(v.astype(complex)),
+                          matmat=mv, dtype=complex)
 
 
 def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
@@ -362,13 +358,11 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     if freq_mask is not None and (op.src is None or op.dst is None):
         raise ValueError("frequency mask needs lattice spaces")
     n_dst, n_src = op.shape
-    shape, mv, rmv = _conjugated_linear_operator(op, freq_mask)
-    if min(shape) < 3:
+    lin = _conjugated_linear_operator(op, freq_mask)
+    if min(op.shape) < 3:
         # too small for a Lanczos basis; take the norm directly
-        return float(np.linalg.norm(mv(np.eye(n_src, dtype=complex)), 2))
-    lin = LinearOperator(shape, matvec=lambda v: mv(v.astype(complex)),
-                         rmatvec=lambda v: rmv(v.astype(complex)),
-                         dtype=complex)
+        return float(np.linalg.norm(lin.matmat(np.eye(n_src, dtype=complex)),
+                                    2))
     u0 = np.ones(n_dst, dtype=complex) / math.sqrt(n_dst)
     try:
         sigma = svds(lin, k=1, solver="propack", v0=u0,
@@ -386,7 +380,7 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     v /= np.linalg.norm(v)
     sigma2 = 0.0
     for _ in range(POWER_STEPS):
-        w = rmv(mv(v))
+        w = lin.rmatvec(lin.matvec(v))
         nrm = np.linalg.norm(w)
         if nrm == 0:
             return 0.0
@@ -528,7 +522,14 @@ def _kernel_count(symbols, n: int, rank_tol: float) -> int:
 
 def _stable_counts(symbols, n: int) -> tuple:
     """(kernel, cokernel) counts of the direct sum of ``symbols``, which
-    must agree between the sections at N and 2N."""
+    must agree between the sections at N and 2N.  A block that vanishes on
+    the unit circle has no Fredholm index and raises ZeroOnCircle."""
+    for j, a in enumerate(symbols):
+        low = a.min_modulus_on_circle()
+        if low <= TOL_CIRCLE:
+            raise ZeroOnCircle(
+                f"block {j} of {len(symbols)} vanishes on the unit circle: "
+                f"min |a(z)| = {low:.3e} <= {TOL_CIRCLE:g}")
     adj = [a.conj_reflected() for a in symbols]
     kers = [_kernel_count(symbols, m, RANK_TOL) for m in (n, 2 * n)]
     coks = [_kernel_count(adj, m, RANK_TOL) for m in (n, 2 * n)]
@@ -565,17 +566,12 @@ class IndexReport:
                 "total_ker": self.total_ker, "total_coker": self.total_coker,
                 "total_index": self.total_index}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 def numerical_index(coeffs: LaurentPolynomial, n: int,
                     label: str = "half-space") -> IndexEntry:
     """Kernel/cokernel dimensions of the semi-infinite truncated convolution
     operator, detected from rectangular sections and stabilized over N and
     2N; the index is cross-checked against minus the symbol winding."""
-    if coeffs.min_modulus_on_circle() <= TOL_CIRCLE:
-        raise ZeroOnCircle("symbol vanishes on the unit circle")
     ker, coker = _stable_counts([coeffs], n)
     wind = laurent_winding(coeffs)
     return IndexEntry(

@@ -327,6 +327,26 @@ def test_cli_wave_validate_underflowing_factor_leaks(capsys):
     assert leak["mass_outside"] == 1.0 and leak["reason"]
 
 
+@pytest.mark.parametrize("a_neq, failing", [
+    ("exp(abs2(k))", "support_ok"),       # overflows on the Cayley grid
+    ("exp(2*abs2(k))", "product_ok"),     # overflows on the product grid
+])
+def test_cli_wave_validate_overflowing_factor_fails(a_neq, failing, tmp_path):
+    # an EvalError in a check is that check's failed verdict, and the
+    # report is still written
+    code = main(_WAVE + ["--symbol", "(k1+i)*(k2+i)", "--a-neq", a_neq,
+                         "--a-eq", "1", "--out", str(tmp_path)])
+    assert code == 2
+    payload = json.loads((tmp_path / "wave-validation.json").read_text())
+    assert payload[failing] is False
+    if failing == "product_ok":
+        assert payload["product_max_rel_err"] is None
+        assert "overflow" in payload["grid"]["reason"]
+    else:
+        leak = next(r for r in payload["support"] if r["factor"] == "a_neq")
+        assert leak["mass_outside"] == 1.0 and "overflow" in leak["reason"]
+
+
 def test_cli_verify(tmp_path):
     code = main(["verify", "--suite", "additivity", "--seed", "1",
                  "--out", str(tmp_path)])

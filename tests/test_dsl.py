@@ -66,17 +66,26 @@ def test_half_integer_power_needs_nonnegative_base():
     # fine: 1 + |xi|^2 is positive on real arguments
     parse_symbol("(1+abs2(k))^(1/2)", 2)
     parse_symbol("exp(x1)^(1/2)", 2)
+    # the square of a real scalar is nonnegative, and exp of it positive
+    parse_symbol("abs2(x1)^(1/2)", 2)
+    parse_symbol("exp(abs2(k1))^(1/2)", 2)
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("k1^(1/2)", 2)
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("(k1+k2)^(3/2)", 2)
     with pytest.raises(SymbolSyntaxError):
         parse_symbol("(1+abs2(k))^(1/3)", 2)
+    # the square of a non-real scalar is not: abs2(i*k1) = -k1^2 <= 0
+    for bad in ("abs2(i*k1)^(1/2)", "normx2(i)^(1/2)",
+                "(abs2(i)^3)^(-1/2)"):
+        with pytest.raises(SymbolSyntaxError):
+            parse_symbol(bad, 2)
 
 
 def test_bare_vector_only_under_norm_functions():
     parse_symbol("abs2(k)+normx2(x)", 2)
-    for bad in ("k", "k + 1", "exp(k)", "abs2(k*2)", "abs2(k)+x"):
+    for bad in ("k", "k + 1", "exp(k)", "abs2(k*2)", "abs2(k)+x",
+                "abs2((k))"):
         with pytest.raises(SymbolSyntaxError):
             parse_symbol(bad, 2)
 

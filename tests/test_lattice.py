@@ -323,6 +323,11 @@ def test_numerical_index_backshift_kernel_vector():
 def test_numerical_index_zero_on_circle():
     with pytest.raises(ZeroOnCircle):
         numerical_index(LaurentPolynomial.make([-1, 1], 0), 32)
+    # 1 + z vanishes at z = -1: the direct sum refuses and names the block
+    blocks = [LaurentPolynomial.make([1, 1], 0),
+              LaurentPolynomial.make([2, 1], 0)]
+    with pytest.raises(ZeroOnCircle, match="block 0 of 2"):
+        numerical_index_direct_sum(blocks, 64)
 
 
 def test_numerical_index_unstable_rank_near_circle():
