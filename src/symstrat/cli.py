@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (MODEL_DIMS, VERIFY_SUITES, AnalysisConfig,
-                       run_analysis, run_verify_suite)
+                       dump_json, run_analysis, run_verify_suite)
 from .dsl import parse_symbol
 from .errors import ConfigError, SymstratError
 from .factorization import (CUTOFF, N_RAYS, QUAD_SAMPLES, WaveFactorCandidate,
@@ -68,7 +68,9 @@ def _build_parser():
     pw.add_argument("--x0", default=None, help="comma-separated point")
     pw.add_argument("--xi-prime", default=None)
     pw.add_argument("--cutoff", type=float, default=CUTOFF)
-    pw.add_argument("--quad-samples", type=int, default=QUAD_SAMPLES)
+    pw.add_argument("--quad-samples", type=int, default=QUAD_SAMPLES,
+                    help="node cap of the adaptive winding grid; an "
+                    "interval still unresolved at the cap is an error")
     pw.add_argument("--out", default=None)
 
     pq = sub.add_parser("wave-validate", help="validate a factorization "
@@ -102,7 +104,7 @@ def _build_parser():
 
 
 def _emit(payload: dict, out: str | None, name: str) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = dump_json(payload)
     if out is None:
         print(text)
     else:

@@ -43,7 +43,7 @@ __all__ = [
     "check_fredholm_condition",
 ]
 
-QUAD_SAMPLES = 2 ** 16
+QUAD_SAMPLES = 2 ** 16     # node cap of winding_index
 CUTOFF = 1.0e4
 TOL_PROD = 1e-10
 TOL_PW = 1e-6
@@ -55,66 +55,98 @@ N_RAYS = 3
 PROD_GRID_POINTS = 33
 PROD_GRID_RADIUS = 16.0
 _PW_GRID = {1: 4096, 2: 256, 3: 96}
+# the adaptive winding grid: start nodes, and the acceptance test of an
+# interval on its two half-steps of phase (rad)
+WIND_START_NODES = 65
+WIND_MAX_HALF_STEP = math.pi / 4
+WIND_HALF_STEP_TOL = 0.005
 
 
 # --------------------------------------------------------------------------
 # Half-space winding
 
-def _quadrature_nodes(cutoff: float, samples: int) -> np.ndarray:
-    """Merged linear + tangent-mapped nodes on [-cutoff, cutoff]: uniform
-    resolution at moderate frequencies plus circle-uniform resolution for
-    symbols pulled back from the unit circle."""
-    n_half = max(16, samples // 2)
-    lin = np.linspace(-cutoff, cutoff, n_half)
-    theta = np.linspace(-math.atan(cutoff), math.atan(cutoff), n_half)
-    tan = np.tan(theta)
-    # 0 is included exactly so sign changes through the origin register as
-    # a vanishing symbol rather than a phase jump
-    nodes = np.unique(np.concatenate([lin, tan, [0.0]]))
-    return nodes
-
-
 def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
                   quad_samples: int = QUAD_SAMPLES) -> float:
     """alpha/2 plus the winding of the reduced symbol along the last
-    frequency axis, by stepwise phase unwrapping with a tail correction
-    from the values at +-cutoff.
+    frequency axis, by adaptive phase unwrapping in theta = arctan(t) over
+    |t| <= cutoff, with a tail correction from the values at +-cutoff.
 
-    Raises NonEllipticOnLine if the reduced symbol vanishes on the grid,
-    BranchJumpError if any adjacent phase step exceeds pi/2 (grid too
-    coarse; refine rather than guess), and its subclass TailJumpError if
-    the phases at -cutoff and +cutoff differ by more than pi/2."""
+    The grid starts from WIND_START_NODES theta-uniform nodes, theta = 0
+    among them (so a symbol vanishing at t = 0 is seen), and probes every
+    interval at its theta-midpoint.  An interval is accepted when both of
+    its half-steps of phase are at most WIND_MAX_HALF_STEP and differ by at
+    most WIND_HALF_STEP_TOL; every other interval is bisected.  The
+    half-step test is what notices a phase turn narrower than the spacing:
+    a zero at distance eps >= 1e-4 from the Cayley circle is resolved,
+    while a narrower one can be missed.  A phase linear in theta takes the
+    129 nodes of the start grid and its midpoints.  ``quad_samples`` caps
+    the nodes evaluated; below 129 the start grid shrinks so that it and
+    its midpoints fit.
+
+    Raises NonEllipticOnLine if the reduced symbol vanishes at a node,
+    TailJumpError (a BranchJumpError) if the phases at -cutoff and +cutoff
+    differ by more than pi/2, and BranchJumpError if an interval is still
+    unresolved when the node cap is reached (raise the cap rather than
+    guess)."""
     x0 = np.asarray(x0, dtype=float)
     xi_prime = np.asarray(xi_prime, dtype=float).reshape(-1)
     if xi_prime.size != s.dim - 1:
         raise ValueError(
             f"xi_prime must have length m-1 = {s.dim - 1}, got {xi_prime.size}")
-    t = _quadrature_nodes(cutoff, quad_samples)
-    xi = np.empty((t.size, s.dim), dtype=complex)
-    xi[:, : s.dim - 1] = xi_prime[None, :]
-    xi[:, -1] = t
-    vals = eval_on_grid(s.expr, x0[None, :], xi)
-    norm2 = 1.0 + float(xi_prime @ xi_prime) + t ** 2
-    reduced = vals * norm2 ** (-s.order_alpha / 2.0)
-    mods = np.abs(reduced)
-    if np.min(mods) <= TOL_ELL:
-        j = int(np.argmin(mods))
-        raise NonEllipticOnLine(
-            f"reduced symbol modulus {mods[j]:.3e} at t={t[j]:.6g}")
-    steps = np.angle(reduced[1:] * np.conj(reduced[:-1]))
-    tail = float(np.angle(reduced[0] * np.conj(reduced[-1])))
-    if np.max(np.abs(steps)) > math.pi / 2:
-        j = int(np.argmax(np.abs(steps)))
-        raise BranchJumpError(
-            f"phase step {np.max(np.abs(steps)):.3f} rad near t={t[j]:.6g} "
-            "exceeds pi/2; refine the quadrature grid")
+    norm2_prime = 1.0 + float(xi_prime @ xi_prime)
+
+    def reduced(t):
+        xi = np.empty((t.size, s.dim), dtype=complex)
+        xi[:, : s.dim - 1] = xi_prime[None, :]
+        xi[:, -1] = t
+        vals = eval_on_grid(s.expr, x0[None, :], xi)
+        red = vals * (norm2_prime + t ** 2) ** (-s.order_alpha / 2.0)
+        mods = np.abs(red)
+        if np.min(mods) <= TOL_ELL:
+            j = int(np.argmin(mods))
+            raise NonEllipticOnLine(
+                f"reduced symbol modulus {mods[j]:.3e} at t={t[j]:.6g}")
+        return red
+
+    # an odd start grid, so that theta = 0 is a node, no larger than lets
+    # it and its midpoints fit under the cap
+    n_start = max(3, min(WIND_START_NODES, ((quad_samples + 1) // 2 - 1) | 1))
+    theta = math.atan(cutoff) * np.linspace(-1.0, 1.0, n_start)
+    t = np.tan(theta)
+    t[0], t[-1] = -cutoff, cutoff
+    vals = reduced(t)
+    tail = float(np.angle(vals[0] * np.conj(vals[-1])))
     if abs(tail) > math.pi / 2:
         raise TailJumpError(
             f"tail phase jump {tail:.3f} rad exceeds pi/2: the reduced "
-            f"symbol has phase {np.angle(reduced[-1]):.3f} rad at "
-            f"t=+{cutoff:.6g} and {np.angle(reduced[0]):.3f} rad at "
+            f"symbol has phase {np.angle(vals[-1]):.3f} rad at "
+            f"t=+{cutoff:.6g} and {np.angle(vals[0]):.3f} rad at "
             f"t=-{cutoff:.6g}, so it does not close up at infinity")
-    total = float(np.sum(steps)) + tail
+
+    # open intervals [lo, hi] in theta with the values at their ends
+    lo, hi, v_lo, v_hi = theta[:-1], theta[1:], vals[:-1], vals[1:]
+    nodes = n_start
+    total = tail
+    while lo.size:
+        if nodes + lo.size > quad_samples:
+            raise BranchJumpError(
+                f"winding unresolved at the node cap quad_samples="
+                f"{quad_samples}: {lo.size} intervals open, the first on "
+                f"t in [{math.tan(lo[0]):.6g}, {math.tan(hi[0]):.6g}]; "
+                "raise the cap")
+        mid = 0.5 * (lo + hi)
+        v_mid = reduced(np.tan(mid))
+        nodes += mid.size
+        left = np.angle(v_mid * np.conj(v_lo))
+        right = np.angle(v_hi * np.conj(v_mid))
+        done = ((np.maximum(np.abs(left), np.abs(right)) <= WIND_MAX_HALF_STEP)
+                & (np.abs(left - right) <= WIND_HALF_STEP_TOL))
+        total += float(np.sum(left[done] + right[done]))
+        split = ~done
+        lo, hi = (np.concatenate([lo[split], mid[split]]),
+                  np.concatenate([mid[split], hi[split]]))
+        v_lo, v_hi = (np.concatenate([v_lo[split], v_mid[split]]),
+                      np.concatenate([v_mid[split], v_hi[split]]))
     return s.order_alpha / 2.0 + total / (2.0 * math.pi)
 
 
@@ -160,8 +192,11 @@ class WaveValidationReport:
         return self.product_ok and self.growth_ok and self.support_ok
 
     def to_dict(self) -> dict:
+        # a failed ray's nan slope is null in JSON; the record has a reason
+        growth = [{**r, "slope": None} if math.isnan(r["slope"]) else r
+                  for r in self.growth]
         return {"product_max_rel_err": self.product_max_rel_err,
-                "product_ok": self.product_ok, "growth": self.growth,
+                "product_ok": self.product_ok, "growth": growth,
                 "growth_ok": self.growth_ok, "support": self.support,
                 "support_ok": self.support_ok, "grid": self.grid}
 
@@ -276,10 +311,11 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
 
     All three checks always run so the report carries per-factor verdicts;
     an EvalError in a check fails that check (a null product error with
-    the error text as grid["reason"], a nan slope, a mass_outside of 1.0
-    with the text as reason).  With raise_on_fail the most structural
-    failure is raised afterwards (ProductMismatch, then SupportLeak, then
-    GrowthViolation), each carrying the full report as ``exc.report``.
+    the error text as grid["reason"], a nan slope, null in ``to_dict``,
+    with the text as reason, a mass_outside of 1.0 with the text as
+    reason).  With raise_on_fail the most structural failure is raised
+    afterwards (ProductMismatch, then SupportLeak, then GrowthViolation),
+    each carrying the full report as ``exc.report``.
     """
     m = s.dim
     if cand.a_neq.dim != m:
@@ -317,14 +353,15 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
             ("a_neq", cand.a_neq, +1.0, ae),
             ("a_eq", cand.a_eq, -1.0, alpha - ae)):
         for ray in rays:
+            rec = {"factor": which, "ray": [float(v) for v in ray],
+                   "expected": expected}
             try:
-                slope = _growth_slope(expr, m, k, ray, sign)
-                ok = abs(slope - expected) <= TOL_SLOPE
-            except (EvalError, GrowthViolation):
-                slope, ok = math.nan, False
-            growth.append({"factor": which, "ray": [float(v) for v in ray],
-                           "slope": slope, "expected": expected, "ok": ok})
-            growth_ok = growth_ok and ok
+                rec["slope"] = _growth_slope(expr, m, k, ray, sign)
+                rec["ok"] = abs(rec["slope"] - expected) <= TOL_SLOPE
+            except (EvalError, GrowthViolation) as exc:
+                rec.update(slope=math.nan, ok=False, reason=str(exc))
+            growth.append(rec)
+            growth_ok = growth_ok and rec["ok"]
 
     # (iii) Fourier support of the inverse factors
     support = []

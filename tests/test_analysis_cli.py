@@ -347,6 +347,24 @@ def test_cli_wave_validate_overflowing_factor_fails(a_neq, failing, tmp_path):
         assert leak["mass_outside"] == 1.0 and "overflow" in leak["reason"]
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_cli_wave_validate_report_is_strict_json(capsys):
+    # exp(abs2(k)) underflows along every a_neq tube ray: each failed slope
+    # is null with a reason, never a bare NaN token
+    code = main(_WAVE + ["--symbol", "(k1+i)*(k2+i)",
+                         "--a-neq", "exp(abs2(k))", "--a-eq", "1"])
+    assert code == 2
+    payload = json.loads(capsys.readouterr().out,
+                         parse_constant=_refuse_constant)
+    failed = [g for g in payload["growth"] if g["factor"] == "a_neq"]
+    assert len(failed) == 3
+    assert all(g["slope"] is None and g["reason"] and not g["ok"]
+               for g in failed)
+
+
 def test_cli_verify(tmp_path):
     code = main(["verify", "--suite", "additivity", "--seed", "1",
                  "--out", str(tmp_path)])

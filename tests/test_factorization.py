@@ -171,6 +171,99 @@ def test_winding_tail_jump_names_the_tail():
     assert "t=+10000" in message and "t=-10000" in message
 
 
+def test_winding_node_cap_names_cap_and_interval():
+    text = "*".join(["((k1-i)/(k1+i))"] * 8)
+    s = Symbol.parse(text, 0.0, 1)
+    with pytest.raises(BranchJumpError) as info:
+        winding_index(s, [0.0], [], quad_samples=64)
+    message = str(info.value)
+    assert "quad_samples=64" in message and "t in [" in message
+    assert not isinstance(info.value, TailJumpError)
+
+
+# Narrow phase features between coarse nodes.  The Blaschke factor
+# (Z - z0)/(1 - conj(z0) Z) of Z = (t-i)/(t+i) winds +1 for |z0| < 1 and -1
+# for |z0| > 1; its phase turns within about eps of the angle phi, where
+# z0 sits at distance eps from the circle.
+_BLASCHKE_PHIS = (np.pi, 2.0, np.pi / 2, 0.3, 0.05, 0.01)
+_BLASCHKE_EPS = (0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+
+
+def _const(z):
+    return f"({z.real:.17g}+({z.imag:.17g})*i)"
+
+
+@pytest.mark.parametrize("phi", _BLASCHKE_PHIS)
+def test_winding_resolves_blaschke_zeros_near_the_circle(phi):
+    cayley = "((k1-i)/(k1+i))"
+    for eps in _BLASCHKE_EPS:
+        for radius, expected in ((1.0 - eps, 1.0), (1.0 / (1.0 - eps), -1.0)):
+            z0 = radius * np.exp(1j * phi)
+            text = (f"({cayley}-{_const(z0)})"
+                    f"/(1-{_const(np.conj(z0))}*{cayley})")
+            value = winding_index(Symbol.parse(text, 0.0, 1), [0.0], [])
+            assert value == pytest.approx(expected, abs=1e-9), (phi, eps)
+
+
+# The line family (t - t0 + d*i)/(t - t0 - d*i) winds -1.  The smallest d
+# per t0 down to which the former fixed grid of 65,537 merged linear and
+# tangent nodes returned -1; below it that grid returned 0 or refused.
+_LINE_DELTAS = (1.0, 0.3, 0.1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5,
+                1e-5)
+_LINE_FIXED_GRID_FLOOR = {0.0: 1e-4, 0.37: 3e-4, 3.1: 3e-3, 50.0: 0.3}
+
+
+@pytest.mark.parametrize("t0", sorted(_LINE_FIXED_GRID_FLOOR))
+def test_winding_resolves_narrow_line_features(t0):
+    for delta in _LINE_DELTAS:
+        text = f"(k1-{t0:g}+{delta:g}*i)/(k1-{t0:g}-{delta:g}*i)"
+        try:
+            value = winding_index(Symbol.parse(text, 0.0, 1), [0.0], [])
+        except BranchJumpError:
+            value = None
+        if delta >= _LINE_FIXED_GRID_FLOOR[t0]:
+            assert value == pytest.approx(-1.0, abs=1e-9), delta
+        else:
+            # below the floor a feature narrower than ~1e-5 of the circle
+            # may be missed, never counted with the wrong sign
+            assert value is None or round(value) in (-1, 0), delta
+
+
+def test_winding_node_count_on_the_cube(monkeypatch):
+    # every winding line of this cube analysis has linear phase in theta,
+    # so the start grid and its midpoints settle it: a return to a dense
+    # grid fails here without any timing
+    from symstrat import analysis, factorization
+
+    counts = []
+    real_eval = factorization.eval_on_grid
+    real_winding = factorization.winding_index
+
+    def counting_eval(expr, x, xi):
+        out = real_eval(expr, x, xi)
+        counts[-1] += out.size
+        return out
+
+    def counting_winding(*args, **kwargs):
+        counts.append(0)
+        return real_winding(*args, **kwargs)
+
+    monkeypatch.setattr(factorization, "eval_on_grid", counting_eval)
+    monkeypatch.setattr(analysis, "winding_index", counting_winding)
+    manifest = analysis.run_analysis(analysis.AnalysisConfig(
+        symbol_text="(1.5+0.2*x1)*((k3-i)/(k3+i))^2*(1+abs2(k))^(1/2)",
+        alpha=1.0, model="cube", s_order=0.3))
+    assert manifest.ok
+    assert len(counts) == 44            # 26 strata, two points where x1 varies
+    assert max(counts) <= 257
+    # the benchmark warm-up caps at 256 nodes: start grid plus midpoints fit
+    counts.append(0)
+    s = Symbol.parse("(1+abs2(k))^(1/2)", 1.0, 3)
+    assert real_winding(s, [0.5] * 3, [0.0, 0.0], quad_samples=256) == \
+        pytest.approx(0.5, abs=1e-12)
+    assert counts[-1] == 129
+
+
 # --------------------------------------------------------------------------
 # wave factorization validation
 
