@@ -476,11 +476,12 @@ def _vec_pow(base, exponent):
             "non-principal-branch demand: negative real base under "
             "fractional power on the grid")
     zero = base == 0
-    if np.any(zero) and exponent < 0:
+    has_zero = bool(np.any(zero))
+    if has_zero and exponent < 0:
         raise EvalError("zero base with negative exponent on the grid")
-    out = np.zeros_like(base)
-    nz = ~zero
-    out[nz] = base[nz] ** exponent
+    out = np.asarray(base ** exponent)
+    if has_zero:
+        out[zero] = 0
     return out
 
 

@@ -88,10 +88,12 @@ class Cone:
     def is_full_dimensional(self) -> bool:
         return self.rank() == self.dim
 
+    @lru_cache(maxsize=None)
     def is_pointed(self) -> bool:
         """No line contained in the cone, decided exactly (Gordan's
         alternative): the cone is pointed iff some y has g.y > 0 for every
-        generator g.
+        generator g.  Memoized per cone, which is frozen and hashable, as
+        :func:`dual_cone` is.
 
         Such a y can be sought in the span V of the generators, where the
         dual {y in V : g.y >= 0 for all g} is pointed and so generated by
@@ -327,7 +329,7 @@ class Stratification:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 # distance of boundary samples from lower-dimensional strata, and boundary

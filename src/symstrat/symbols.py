@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsl import EvalPoint, SymbolExpr, eval_on_grid, parse_symbol
-from .errors import DegenerateFit, GridError
+from .errors import DegenerateFit, EvalError, GridError
 
 __all__ = [
     "Symbol", "FrequencyGridSpec", "EllipticityReport",
@@ -26,6 +26,9 @@ __all__ = [
 ]
 
 TOL_ELL = 1e-10
+# points of the (x, xi) product grid per eval_on_grid call in
+# check_ellipticity; bounds the peak memory of the sweep
+ELL_BLOCK_POINTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class EllipticityReport:
                 "witness": wit, "grid": self.sample_spec}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
 
 def check_ellipticity(s: Symbol, x_samples,
@@ -127,7 +130,17 @@ def check_ellipticity(s: Symbol, x_samples,
     c1 is the minimum of |a(x, xi)| (1+|xi|)^(-alpha) over all samples, c2
     the maximum; the symbol is reported elliptic when c1 exceeds TOL_ELL
     (which separates genuine zeros from roundoff).  The witness is the
-    argmin sample when the lower bound degenerates.
+    argmin sample when the lower bound degenerates: the first x sample,
+    then the first frequency, at which the minimum is attained.
+
+    The sweep evaluates blocks of the (x, xi) product grid, every x sample
+    against one slice of the frequencies, one :func:`eval_on_grid` call per
+    block: subexpressions of xi alone are computed once per frequency, and
+    those of x alone once per block.  A block holds at most
+    ``ELL_BLOCK_POINTS`` points (one frequency per x sample if there are
+    more samples), which bounds the memory of the sweep.  The sampled set
+    and every reported number are those of one evaluation per x sample;
+    an evaluation error is the one the first failing x sample raises.
     """
     if xi_grid is None:
         xi_grid = FrequencyGridSpec()
@@ -139,17 +152,33 @@ def check_ellipticity(s: Symbol, x_samples,
         raise GridError("empty sample grid")
 
     scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
+    xi_c = xi_pts.astype(complex)
+    n_x = x_arr.shape[0]
+    cols = max(1, ELL_BLOCK_POINTS // n_x)
+    # per x sample: the least ratio and its first frequency index, and the
+    # greatest ratio; a nan ratio makes both nan, as np.min and np.max do
+    lo = np.full(n_x, math.inf)
+    arg = np.zeros(n_x, dtype=int)
+    hi = np.full(n_x, -math.inf)
+    for start in range(0, xi_pts.shape[0], cols):
+        block = slice(start, start + cols)
+        ratio = np.abs(_eval_block(s.expr, x_arr, xi_c, block))
+        ratio *= scale[block]
+        j = np.argmin(ratio, axis=1)
+        m = ratio[np.arange(n_x), j]
+        take = (m < lo) | np.isnan(m)     # strict: a tie keeps the earlier
+        lo[take] = m[take]
+        arg[take] = j[take] + start
+        hi = np.maximum(hi, np.max(ratio, axis=1))
+
     c1 = math.inf
     c2 = -math.inf
     witness = None
-    for x in x_arr:
-        vals = eval_on_grid(s.expr, x[None, :], xi_pts.astype(complex))
-        ratio = np.abs(vals) * scale
-        j = int(np.argmin(ratio))
-        if ratio[j] < c1:
-            c1 = float(ratio[j])
+    for x, m, j, h in zip(x_arr, lo, arg, hi):
+        if m < c1:
+            c1 = float(m)
             witness = EvalPoint.make(x, xi_pts[j])
-        c2 = max(c2, float(np.max(ratio)))
+        c2 = max(c2, float(h))
 
     elliptic = c1 > TOL_ELL
     return EllipticityReport(
@@ -157,9 +186,26 @@ def check_ellipticity(s: Symbol, x_samples,
         c1=c1 if elliptic else None,
         c2=c2 if elliptic else None,
         witness=None if elliptic else witness,
-        sample_spec={**xi_grid.describe(), "x_samples": int(x_arr.shape[0]),
+        sample_spec={**xi_grid.describe(), "x_samples": n_x,
                      "c1_raw": c1, "c2_raw": c2, "tol_ell": TOL_ELL},
     )
+
+
+def _eval_block(expr: SymbolExpr, x_arr: np.ndarray, xi_c: np.ndarray,
+                block: slice) -> np.ndarray:
+    """Values at every x sample and the frequencies xi_c[block], shape
+    (len(x_arr), len(xi_c[block])).
+
+    On an evaluation error each x sample is evaluated on all of xi_c in
+    turn, so the error raised is that of the first failing x sample,
+    whichever subexpression or block fails first.
+    """
+    try:
+        return eval_on_grid(expr, x_arr[:, None, :], xi_c[None, block, :])
+    except EvalError:
+        for x in x_arr:
+            eval_on_grid(expr, x[None, :], xi_c)
+        raise
 
 
 def fit_order(s: Symbol, ray, radii, x0=None) -> float:

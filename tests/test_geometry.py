@@ -1,6 +1,9 @@
 """Cones, stratifications, coverings and partitions of unity."""
 
+import dataclasses
 import hashlib
+import json
+import math
 import os
 import subprocess
 import sys
@@ -166,6 +169,20 @@ def test_square_stratification_counts():
 def test_wedge2d_stratification_counts():
     s = stratify_model("wedge2d", 2)
     assert s.counts() == {0: 1, 1: 2, 2: 1}
+
+
+def test_repeated_stratification_decides_pointedness_from_cache():
+    stratify_model("cube", 3)
+    misses = Cone.is_pointed.cache_info().misses
+    stratify_model("cube", 3)
+    assert Cone.is_pointed.cache_info().misses == misses
+
+
+def test_stratification_report_with_nan_is_refused():
+    s = stratify_model("square", 2)
+    json.loads(s.to_json())
+    with pytest.raises(ValueError):
+        dataclasses.replace(s, delta_strat=math.nan).to_json()
 
 
 def test_unsupported_models():
