@@ -30,7 +30,7 @@ from .dsl import depends_on_x
 from .errors import ConfigError, SymstratError
 from .factorization import (CUTOFF, QUAD_SAMPLES, FactorizationReport,
                             check_fredholm_condition, winding_index)
-from .geometry import (Ball, Covering, _bump, build_covering,
+from .geometry import (_MODELS, Ball, Covering, _bump, build_covering,
                        partition_of_unity, stratify_model)
 from .lattice import (DiscreteOperator, DiscreteSobolevSpace, LatticeGrid,
                       aggregate_index, assemble_frozen_family,
@@ -45,7 +45,7 @@ from .symbols import FrequencyGridSpec, Symbol, check_ellipticity
 __all__ = ["AnalysisConfig", "RunManifest", "run_analysis",
            "run_verify_suite", "VERIFY_SUITES", "MODEL_DIMS"]
 
-MODEL_DIMS = {"square": 2, "cube": 3, "wedge2d": 2}
+MODEL_DIMS = {model: spec[0] for model, spec in _MODELS.items()}
 
 # The pipeline's stages in order, and the reason each failing stage gives
 # the stages after it, which are recorded as skipped.

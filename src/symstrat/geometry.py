@@ -5,11 +5,13 @@ exact.  The dual here is the closed dual  {y : x.y >= 0 for all x in C};
 the strictly-positive variant is its interior and is recorded as metadata
 rather than computed separately.
 
-Model domains (unit square, unit cube, one corner of the plane) come with
-a stratification of their boundary into vertices, edges, faces and the
-interior, each stratum carrying the canonical domain of its type: full
-space for the interior, half-space for top-dimensional boundary pieces,
-and wedge = R^k x cone for everything of lower dimension.
+Model domains (unit square, unit cube, one corner of the plane) are
+stratified by the faces of the box [0, 1]^m, each stratum carrying its
+canonical domain: full space for the interior, half-space for faces of
+codimension 1, and otherwise a wedge on the box's tangent cone there, the
+signed orthant of the fixed axes written in those axes in ascending order
+(the stratum's normal coordinates).  ``CanonicalDomain.wedge``'s R^k x C
+is that model with the free axes moved first.
 
 The covering construction is stage-ordered: vertices are covered first,
 then each higher-dimensional stratum on whatever the earlier stages left
@@ -130,8 +132,17 @@ class Cone:
 
 def orthant(dim: int) -> Cone:
     """The closed first orthant in the given dimension."""
-    eye = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    return Cone.make(eye)
+    return _signed_orthant((1,) * dim)
+
+
+@lru_cache(maxsize=None)
+def _signed_orthant(signs) -> Cone:
+    """The closed orthant {x : s_i x_i >= 0}, spanned by the s_i e_i: the
+    tangent cone of [0, 1]^n at the corner with 0 where s_i = +1 and 1
+    where s_i = -1.  Built once per sign pattern, as :func:`dual_cone`
+    and :meth:`Cone.is_pointed` are memoized."""
+    return Cone.make([[s * int(i == j) for j in range(len(signs))]
+                      for i, s in enumerate(signs)])
 
 
 def _dot(u, v):
@@ -337,32 +348,56 @@ class Stratification:
 DELTA_STRAT = 0.025
 SAMPLES_PER_DIM = 100
 
-
-def _segment_samples(p0, p1, n):
-    """n points on the segment p0->p1 keeping DELTA_STRAT away from both
-    ends."""
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    length = np.linalg.norm(p1 - p0)
-    t = np.linspace(DELTA_STRAT / length, 1 - DELTA_STRAT / length, n)
-    return p0[None, :] + t[:, None] * (p1 - p0)[None, :]
+# Per model: dimension m, interior grid points per axis, and the minimal
+# distance between disjoint closed strata (none on wedge2d: every stratum
+# closure meets the corner)
+_MODELS = {"square": (2, 49, 1.0), "cube": (3, 21, 1.0),
+           "wedge2d": (2, 49, math.inf)}
+# the square's corners counter-clockwise: edge i runs from corner i to i+1
+_SQUARE_WALK = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-def _face_samples(origin, u_dir, v_dir, n_u, n_v):
-    origin = np.asarray(origin, float)
-    u_dir = np.asarray(u_dir, float)
-    v_dir = np.asarray(v_dir, float)
-    tu = np.linspace(DELTA_STRAT, 1 - DELTA_STRAT, n_u)
-    tv = np.linspace(DELTA_STRAT, 1 - DELTA_STRAT, n_v)
-    uu, vv = np.meshgrid(tu, tv, indexing="ij")
-    return (origin[None, :] + uu.ravel()[:, None] * u_dir[None, :]
-            + vv.ravel()[:, None] * v_dir[None, :])
+def _box_faces(m):
+    """Faces of [0, 1]^m, m <= 3, as (corner, free) with free the (axis,
+    sign) of each free axis: the vertices, the edges along each axis, the
+    faces normal to each axis if m = 3, and the box.  Corners come in
+    product order, with 0 on the free axes."""
+    groups = [()] + [(a,) for a in range(m)]
+    if m > 2:
+        groups += [tuple(b for b in range(m) if b != a) for a in range(m)]
+    groups.append(tuple(range(m)))
+    faces = []
+    for free in groups:
+        fixed = [b for b in range(m) if b not in free]
+        for vals in itertools.product((0, 1), repeat=len(fixed)):
+            corner = dict(zip(fixed, vals))
+            faces.append((tuple(corner.get(b, 0) for b in range(m)),
+                          tuple((b, 1) for b in free)))
+    return faces
 
 
-def _grid_samples(dim, n_per_axis):
-    axes = [np.linspace(DELTA_STRAT, 1 - DELTA_STRAT, n_per_axis)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def _face_stratum(corner, free, m, n_interior, label):
+    """Samples linspace(DELTA_STRAT, 1-DELTA_STRAT) from the corner along
+    each free axis, and the canonical domain: below codimension 1, the
+    wedge on the box's tangent cone, the orthant signed +1 where a fixed
+    coordinate is 0 and -1 where it is 1."""
+    k = len(free)
+    n = n_interior if k == m else (
+        math.ceil((SAMPLES_PER_DIM * m) ** (1 / k)) if k else 1)
+    t = np.linspace(DELTA_STRAT, 1 - DELTA_STRAT, n)
+    pts = np.tile(np.asarray(corner, float), (n ** k, 1))
+    for (axis, sign), g in zip(free, np.meshgrid(*[t] * k, indexing="ij")):
+        pts[:, axis] = corner[axis] + sign * g.ravel()
+    if k == m:
+        dom = CanonicalDomain.full_space(m)
+    elif k == m - 1:
+        dom = CanonicalDomain.half_space(m)
+    else:
+        free_axes = {a for a, _ in free}
+        signs = tuple(1 - 2 * c for b, c in enumerate(corner)
+                      if b not in free_axes)
+        dom = CanonicalDomain.wedge(m, k, _signed_orthant(signs))
+    return Stratum(k, label, pts, dom)
 
 
 def stratify_model(domain: str, m: int) -> Stratification:
@@ -370,110 +405,40 @@ def stratify_model(domain: str, m: int) -> Stratification:
 
     Supported models: ``"cube"`` (m=3, unit cube), ``"square"`` (m=2, unit
     square) and ``"wedge2d"`` (m=2, one corner of the plane, truncated to
-    the unit square for sampling).  Boundary sample points keep distance
-    DELTA_STRAT from lower-dimensional strata, and each boundary component
-    gets about SAMPLES_PER_DIM * m of them; the interior is sampled on a
-    grid dense enough to anchor covering balls at small radii.
+    the unit square for sampling: the square's faces through the origin).
+    Each stratum is a face of [0, 1]^m and carries its tangent cone, with
+    generators written in the fixed axes in ascending order.  Boundary
+    sample points keep distance DELTA_STRAT from lower-dimensional strata,
+    and each boundary component gets about SAMPLES_PER_DIM * m of them;
+    the interior is sampled on a grid dense enough to anchor covering
+    balls at small radii.
     """
-    if domain == "cube":
-        if m != 3:
-            raise UnsupportedModelError(f"cube model requires m=3, got {m}")
-        return _stratify_cube()
-    if domain == "square":
-        if m != 2:
-            raise UnsupportedModelError(f"square model requires m=2, got {m}")
-        return _stratify_square()
+    if domain not in _MODELS:
+        raise UnsupportedModelError(f"unknown model domain {domain!r}")
+    dim, n_interior, min_separation = _MODELS[domain]
+    if m != dim:
+        raise UnsupportedModelError(
+            f"{domain} model requires m={dim}, got {m}")
+    faces = _box_faces(m)
     if domain == "wedge2d":
-        if m != 2:
-            raise UnsupportedModelError(f"wedge2d model requires m=2, got {m}")
-        return _stratify_wedge2d()
-    raise UnsupportedModelError(f"unknown model domain {domain!r}")
-
-
-def _stratify_square():
-    m = 2
-    n_edge = SAMPLES_PER_DIM * m
+        faces = [f for f in faces if not any(f[0])]
+    elif domain == "square":
+        walk = _SQUARE_WALK
+        faces = ([(c, ()) for c in walk]
+                 + [(c, ((a, d[a] - c[a]),))
+                    for c, d in zip(walk, walk[1:] + walk[:1])
+                    for a in range(m) if c[a] != d[a]]
+                 + faces[-1:])
     strata = []
-    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    quadrant = orthant(2)
-    for idx, c in enumerate(corners):
-        strata.append(Stratum(0, f"vertex-{idx}", np.array([c]),
-                              CanonicalDomain.wedge(m, 0, quadrant)))
-    edges = [((0, 0), (1, 0)), ((1, 0), (1, 1)),
-             ((1, 1), (0, 1)), ((0, 1), (0, 0))]
-    for idx, (p0, p1) in enumerate(edges):
-        strata.append(Stratum(1, f"edge-{idx}",
-                              _segment_samples(p0, p1, n_edge),
-                              CanonicalDomain.half_space(m)))
-    interior = _grid_samples(2, 49)
-    strata.append(Stratum(2, "interior", interior,
-                          CanonicalDomain.full_space(m)))
-    return Stratification("square", m, strata, DELTA_STRAT, min_separation=1.0)
-
-
-def _stratify_cube():
-    m = 3
-    n_edge = SAMPLES_PER_DIM * m
-    n_face = int(math.ceil(math.sqrt(SAMPLES_PER_DIM * m)))
-    strata = []
-    octant = orthant(3)
-    quarter = orthant(2)
-    corners = list(itertools.product((0.0, 1.0), repeat=3))
-    for idx, c in enumerate(corners):
-        strata.append(Stratum(0, f"vertex-{idx}", np.array([c]),
-                              CanonicalDomain.wedge(m, 0, octant)))
-    edge_idx = 0
-    for axis in range(3):
-        fixed = [a for a in range(3) if a != axis]
-        for vals in itertools.product((0.0, 1.0), repeat=2):
-            p0 = np.zeros(3)
-            p1 = np.zeros(3)
-            p1[axis] = 1.0
-            for a, v in zip(fixed, vals):
-                p0[a] = v
-                p1[a] = v
-            strata.append(Stratum(1, f"edge-{edge_idx}",
-                                  _segment_samples(p0, p1, n_edge),
-                                  CanonicalDomain.wedge(m, 1, quarter)))
-            edge_idx += 1
-    face_idx = 0
-    for axis in range(3):
-        others = [a for a in range(3) if a != axis]
-        for side in (0.0, 1.0):
-            origin = np.zeros(3)
-            origin[axis] = side
-            u_dir = np.zeros(3)
-            u_dir[others[0]] = 1.0
-            v_dir = np.zeros(3)
-            v_dir[others[1]] = 1.0
-            strata.append(Stratum(2, f"face-{face_idx}",
-                                  _face_samples(origin, u_dir, v_dir,
-                                                n_face, n_face),
-                                  CanonicalDomain.half_space(m)))
-            face_idx += 1
-    interior = _grid_samples(3, 21)
-    strata.append(Stratum(3, "interior", interior,
-                          CanonicalDomain.full_space(m)))
-    return Stratification("cube", m, strata, DELTA_STRAT, min_separation=1.0)
-
-
-def _stratify_wedge2d():
-    m = 2
-    n_edge = SAMPLES_PER_DIM * m
-    quadrant = orthant(2)
-    strata = [
-        Stratum(0, "vertex-0", np.array([(0.0, 0.0)]),
-                CanonicalDomain.wedge(m, 0, quadrant)),
-        Stratum(1, "edge-0", _segment_samples((0, 0), (1, 0), n_edge),
-                CanonicalDomain.half_space(m)),
-        Stratum(1, "edge-1", _segment_samples((0, 0), (0, 1), n_edge),
-                CanonicalDomain.half_space(m)),
-        Stratum(2, "interior", _grid_samples(2, 49),
-                CanonicalDomain.full_space(m)),
-    ]
-    # all stratum closures meet at the corner: no disjoint pair
-    return Stratification("wedge2d", m, strata, DELTA_STRAT,
-                          min_separation=math.inf)
+    counts = [0] * m
+    for corner, free in faces:
+        k = len(free)
+        label = "interior"
+        if k < m:
+            label = f"{('vertex', 'edge', 'face')[k]}-{counts[k]}"
+            counts[k] += 1
+        strata.append(_face_stratum(corner, free, m, n_interior, label))
+    return Stratification(domain, m, strata, DELTA_STRAT, min_separation)
 
 
 # --------------------------------------------------------------------------

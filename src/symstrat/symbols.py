@@ -131,7 +131,8 @@ def check_ellipticity(s: Symbol, x_samples,
     the maximum; the symbol is reported elliptic when c1 exceeds TOL_ELL
     (which separates genuine zeros from roundoff).  The witness is the
     argmin sample when the lower bound degenerates: the first x sample,
-    then the first frequency, at which the minimum is attained.
+    then the first frequency, at which the minimum is attained.  A weight
+    (1+|xi|)^(-alpha) that overflows on the grid raises GridError.
 
     The sweep evaluates blocks of the (x, xi) product grid, every x sample
     against one slice of the frequencies, one :func:`eval_on_grid` call per
@@ -151,7 +152,13 @@ def check_ellipticity(s: Symbol, x_samples,
     if x_arr.shape[0] == 0 or xi_pts.shape[0] == 0:
         raise GridError("empty sample grid")
 
-    scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
+    with np.errstate(over="ignore"):
+        scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
+    if not np.all(np.isfinite(scale)):
+        raise GridError(
+            f"ellipticity weight (1+|xi|)^(-alpha) overflows at alpha="
+            f"{s.order_alpha:g} for |xi| up to "
+            f"{np.linalg.norm(xi_pts, axis=1).max():g}")
     xi_c = xi_pts.astype(complex)
     n_x = x_arr.shape[0]
     cols = max(1, ELL_BLOCK_POINTS // n_x)

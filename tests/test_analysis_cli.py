@@ -11,6 +11,7 @@ from symstrat.analysis import (AnalysisConfig, run_analysis,
                                run_verify_suite)
 from symstrat.cli import main
 from symstrat.errors import ConfigError, SymstratError
+from symstrat.symbols import FrequencyGridSpec
 
 
 def _analyze(symbol, alpha, model="square", s=0.0, **kw):
@@ -251,6 +252,28 @@ def test_cli_exit_codes():
     # failed verdict still exits 0
     assert main(["analyze", "--symbol", "(1+abs2(k))^(1/2)", "--alpha", "1",
                  "--s-order", "1.1"]) == 0
+
+
+def test_cli_analyze_refuses_an_overflowing_ellipticity_weight(tmp_path,
+                                                              capsys):
+    # (1+|xi|)^80 overflows on the frequency grid: the ellipticity stage
+    # fails naming the weight, and the manifest is still written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--symbol", "1", "--alpha", "-80",
+                     "--model", "square", "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error" not in capsys.readouterr().err
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert stages["stratification"]["status"] == "ok"
+    ell = stages["ellipticity"]
+    assert ell["status"] == "error" and ell["error_type"] == "GridError"
+    xi_max = np.linalg.norm(FrequencyGridSpec(seed=0).points(2), axis=1).max()
+    for part in ("(1+|xi|)^(-alpha)", "alpha=-80", f"up to {xi_max:g}"):
+        assert part in ell["error"]
+    for st in ("factorization", "fredholm"):
+        assert stages[st] == {"status": "skipped",
+                              "reason": "ellipticity stage failed"}
 
 
 _WAVE = ["wave-validate", "--alpha", "2", "--dim", "2",

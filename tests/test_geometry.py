@@ -156,19 +156,55 @@ def test_rational_generators_kept_exact():
 # --------------------------------------------------------------------------
 # stratifications
 
-def test_cube_stratification_counts():
-    s = stratify_model("cube", 3)
-    assert s.counts() == {0: 8, 1: 12, 2: 6, 3: 1}
+# one character per coordinate of a sample point: l and h are the sample
+# range's ends DELTA_STRAT and 1 - DELTA_STRAT, and L and H are 1 - l and
+# 1 - h, as met on an edge run towards 0
+_COORDS = {"0": 0.0, "1": 1.0, "l": 0.025, "h": 0.975,
+           "L": 1 - 0.025, "H": 1 - 0.975}
+
+# per model: strata per k, samples per stratum of each k, and every
+# stratum's label with its first and last sample point, in order
+_STRATA_PINS = {
+    "square": ({0: 4, 1: 4, 2: 1}, {0: 1, 1: 200, 2: 2401}, [
+        ("vertex-0", "00", "00"), ("vertex-1", "10", "10"),
+        ("vertex-2", "11", "11"), ("vertex-3", "01", "01"),
+        ("edge-0", "l0", "h0"), ("edge-1", "1l", "1h"),
+        ("edge-2", "L1", "H1"), ("edge-3", "0L", "0H"),
+        ("interior", "ll", "hh")]),
+    "cube": ({0: 8, 1: 12, 2: 6, 3: 1}, {0: 1, 1: 300, 2: 324, 3: 9261}, [
+        ("vertex-0", "000", "000"), ("vertex-1", "001", "001"),
+        ("vertex-2", "010", "010"), ("vertex-3", "011", "011"),
+        ("vertex-4", "100", "100"), ("vertex-5", "101", "101"),
+        ("vertex-6", "110", "110"), ("vertex-7", "111", "111"),
+        ("edge-0", "l00", "h00"), ("edge-1", "l01", "h01"),
+        ("edge-2", "l10", "h10"), ("edge-3", "l11", "h11"),
+        ("edge-4", "0l0", "0h0"), ("edge-5", "0l1", "0h1"),
+        ("edge-6", "1l0", "1h0"), ("edge-7", "1l1", "1h1"),
+        ("edge-8", "00l", "00h"), ("edge-9", "01l", "01h"),
+        ("edge-10", "10l", "10h"), ("edge-11", "11l", "11h"),
+        ("face-0", "0ll", "0hh"), ("face-1", "1ll", "1hh"),
+        ("face-2", "l0l", "h0h"), ("face-3", "l1l", "h1h"),
+        ("face-4", "ll0", "hh0"), ("face-5", "ll1", "hh1"),
+        ("interior", "lll", "hhh")]),
+    "wedge2d": ({0: 1, 1: 2, 2: 1}, {0: 1, 1: 200, 2: 2401}, [
+        ("vertex-0", "00", "00"), ("edge-0", "l0", "h0"),
+        ("edge-1", "0l", "0h"), ("interior", "ll", "hh")]),
+}
 
 
-def test_square_stratification_counts():
-    s = stratify_model("square", 2)
-    assert s.counts() == {0: 4, 1: 4, 2: 1}
-
-
-def test_wedge2d_stratification_counts():
-    s = stratify_model("wedge2d", 2)
-    assert s.counts() == {0: 1, 1: 2, 2: 1}
+@pytest.mark.parametrize("model", sorted(_STRATA_PINS))
+def test_stratification_counts_labels_and_samples(model):
+    counts, n_samples, pins = _STRATA_PINS[model]
+    m = len(pins[0][1])
+    s = stratify_model(model, m)
+    assert s.counts() == counts
+    assert [st.label for st in s.strata] == [label for label, _, _ in pins]
+    for st, (_, first, last) in zip(s.strata, pins):
+        assert st.sample_points.shape == (n_samples[st.k], m)
+        np.testing.assert_array_equal(st.sample_points[0],
+                                      [_COORDS[c] for c in first])
+        np.testing.assert_array_equal(st.sample_points[-1],
+                                      [_COORDS[c] for c in last])
 
 
 def test_repeated_stratification_decides_pointedness_from_cache():
@@ -195,18 +231,31 @@ def test_unsupported_models():
 
 
 def test_canonical_domains_per_stratum():
-    s = stratify_model("cube", 3)
-    kinds = {}
-    for st in s.strata:
-        kinds.setdefault(st.k, set()).add(st.domain.kind)
-    assert kinds[3] == {"full-space"}
-    assert kinds[2] == {"half-space"}
-    assert kinds[1] == {"wedge"}
-    assert kinds[0] == {"wedge"}
-    edge = next(st for st in s.strata if st.k == 1)
-    vertex = next(st for st in s.strata if st.k == 0)
-    assert edge.domain.cone.dim == 2
-    assert vertex.domain.cone.dim == 3
+    # each wedge's cone is the tangent cone of the box at the stratum, in
+    # its fixed axes: a step along a seeded direction w on those axes stays
+    # in [0, 1]^m exactly when the cone contains w
+    rng = np.random.default_rng(0)
+    for model, m in (("square", 2), ("cube", 3), ("wedge2d", 2)):
+        s = stratify_model(model, m)
+        kinds = {}
+        for st in s.strata:
+            kinds.setdefault(st.k, set()).add(st.domain.kind)
+        assert kinds == {**{k: {"wedge"} for k in range(m - 1)},
+                         m - 1: {"half-space"}, m: {"full-space"}}
+        for st in s.strata:
+            if st.domain.kind != "wedge":
+                continue
+            pts = st.sample_points
+            fixed = np.flatnonzero(np.all(pts == pts[0], axis=0))
+            assert st.domain.cone.dim == len(fixed) == m - st.k
+            w = rng.standard_normal((64, len(fixed)))
+            step = np.zeros((64, m))
+            step[:, fixed] = 1e-3 * w
+            moved = pts[None, :, :] + step[:, None, :]
+            inside = np.all((moved >= 0) & (moved <= 1), axis=(1, 2))
+            assert 0 < inside.sum() < 64, (model, st.label)
+            assert [st.domain.cone.contains(v) for v in w] == \
+                inside.tolist(), (model, st.label)
 
 
 def test_boundary_samples_avoid_lower_strata():

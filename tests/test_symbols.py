@@ -141,17 +141,21 @@ def test_block_sweep_equals_per_x_evaluation(case, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_block_sweep_skips_a_sample_with_a_nan_ratio(monkeypatch):
-    # alpha = -100 overflows the weight (1+|xi|)^100 to inf far out, and
-    # 0 * inf is nan at the sample x1 = 0: as with np.min and np.max of its
-    # row, that sample then counts towards neither bound (numpy warns of
-    # the overflow and the nan, here as in one evaluation per x sample)
+    # at x1 = 1, |a| overflows to inf for |xi| > 2.4, and beyond about
+    # |xi| = 1700 the weight (1+|xi|)^-100 underflows to 0, so inf * 0 is
+    # nan there: as with np.min and np.max of its row, that sample then
+    # counts towards neither bound nor the witness, although its ratio is
+    # 0 at xi = 0 and inf further out (numpy warns of the overflow and the
+    # nan, here as in one evaluation per x sample)
     monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", 90)
-    s = Symbol.parse("x1", -100.0, 2)
-    x_samples = [[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
-    c1, c2, _ = _per_x_reference(s, x_samples, _COARSE)
-    assert (c1, c2) == (0.5, math.inf)
+    s = Symbol.parse("x1*(abs2(k)/(1+abs2(k)))*1.5e308*(1+i)", 100.0, 2)
+    x_samples = [[1.0, 0.0], [0.5, 0.0]]
+    c1, c2, witness = _per_x_reference(s, x_samples, _COARSE)
+    assert c1 == 0.0 and witness.x == (0.5, 0.0)
+    assert 0 < c2 < math.inf
     rep = check_ellipticity(s, x_samples, _COARSE)
     assert (rep.sample_spec["c1_raw"], rep.sample_spec["c2_raw"]) == (c1, c2)
+    assert rep.witness == witness
 
 
 # (symbol, x samples): the first failing x sample fails in the second
