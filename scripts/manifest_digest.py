@@ -1,9 +1,12 @@
 """Print one sha256 over the comparable output of a fixed set of runs.
 
 The digest covers ``dump_json(run_analysis(cfg).comparable_dict())`` for
-every configuration below, followed by the toeplitz, additivity, paired
-and locality verification suites at seed 0.  Two checkouts whose digests
-agree produce byte-identical manifests and suite reports on this set.
+every configuration below, followed by the toeplitz, additivity, paired,
+locality and assembly verification suites at seed 0, and by the
+``float.hex`` of the ``assembly_convergence`` proxies of the first two
+``assemble_n32`` benchmark inputs of seed 1 on the 32 x 32 grid.  Two
+checkouts whose digests agree produce byte-identical manifests, suite
+reports and ladder proxies on this set.
 
 Usage: python scripts/manifest_digest.py [--each]
 
@@ -20,11 +23,16 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import inputs  # noqa: E402  (perfbench/inputs.py)
+from workloads import LADDER  # noqa: E402  (perfbench/workloads.py)
 from symstrat.analysis import (AnalysisConfig, dump_json,  # noqa: E402
                                run_analysis, run_verify_suite)
+from symstrat.geometry import stratify_model  # noqa: E402
+from symstrat.lattice import LatticeGrid, assembly_convergence  # noqa: E402
+from symstrat.symbols import Symbol  # noqa: E402
 
 CUBE_SEEDS = (1, 2, 3)
-SUITES = ("toeplitz", "additivity", "paired", "locality")
+SUITES = ("toeplitz", "additivity", "paired", "locality", "assembly")
+LADDER_N = 32
 
 # (symbol, alpha, s_order) on square and wedge2d: elliptic, x-dependent,
 # nonzero-winding, non-elliptic, erroring (division by zero, overflow) and
@@ -67,6 +75,14 @@ def entries():
         yield label, dump_json(run_analysis(cfg).comparable_dict())
     for name in SUITES:
         yield f"suite {name}", dump_json(run_verify_suite(name, 0))
+    grid = LatticeGrid(2, LADDER_N, 1.0 / LADDER_N)
+    strat = stratify_model("square", 2)
+    for scale in inputs.assemble_scales(1, 2):
+        sym = Symbol.parse(f"(1+{scale:.4f}*normx2(x))*(1+abs2(k))^(1/2)",
+                           1.0, 2)
+        table = assembly_convergence(sym, strat, LADDER, grid, s_order=1.0)
+        yield (f"ladder N={LADDER_N} scale={scale}",
+               dump_json([float(row["proxy"]).hex() for row in table]))
 
 
 def main(argv):

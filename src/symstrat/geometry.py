@@ -22,7 +22,6 @@ are normalized to a partition of unity.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -339,9 +338,6 @@ class Stratification:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
 
 # distance of boundary samples from lower-dimensional strata, and boundary
 # samples per component and per space dimension
@@ -590,87 +586,45 @@ def _transition(u):
 class PartitionOfUnity:
     """Normalized bumps f_j subordinate to the covering balls, plus plateau
     companions g_j that equal 1 on supp f_j and vanish outside the doubled
-    ball."""
+    ball, at the points the partition was built on."""
 
     covering: Covering
     grid_points: np.ndarray
     f_values: np.ndarray        # (J, P)
     g_values: np.ndarray        # (J, P)
 
-    def evaluate_f(self, points, outside: str = "error") -> np.ndarray:
-        """Normalized bumps at arbitrary points.  Uncovered points raise
-        ZeroDivisionError with outside="error" (the partition contract) or
-        get all-zero bumps with outside="zero" (for operators assembled on
-        a grid larger than the covered domain).  At the partition's own
-        grid points this is the stored f_values, read-only."""
-        points = np.atleast_2d(np.asarray(points, float))
-        if np.array_equal(points, self.grid_points):
-            return _read_only(self.f_values)
-        phi = _raw_bumps(self.covering, points)
-        total = phi.sum(axis=0)
-        uncovered = total == 0
-        if np.any(uncovered):
-            if outside == "error":
-                raise ZeroDivisionError(
-                    "partition of unity undefined: point not covered by "
-                    "any ball")
-            total = np.where(uncovered, 1.0, total)
-        return phi / total[None, :]
 
-    def evaluate_g(self, points) -> np.ndarray:
-        """Plateaus at arbitrary points; the stored g_values, read-only, at
-        the partition's own grid points."""
-        points = np.atleast_2d(np.asarray(points, float))
-        if np.array_equal(points, self.grid_points):
-            return _read_only(self.g_values)
-        return _plateaus(self.covering, points)
+def partition_of_unity(c: Covering, points,
+                       outside: str = "error") -> PartitionOfUnity:
+    """Partition of unity at ``points``, shape (P, m): f_j = phi_j / sum_l
+    phi_l with phi_j a smooth bump on ball j, and g_j = 1 on the eps-ball
+    decaying to 0 on the doubled ball.  This is the one evaluator of the
+    cutoffs; assemble_operator reads the arrays it stores.
 
-
-def _read_only(values):
-    view = values.view()
-    view.flags.writeable = False
-    return view
-
-
-def _raw_bumps(covering, points):
-    centers = covering.centers_array()
-    eps = covering.eps
-    d = np.sqrt(((points[None, :, :] - centers[:, None, :]) ** 2).sum(-1))
-    return _bump(d / eps)
-
-
-def _plateaus(covering, points):
-    centers = covering.centers_array()
-    eps = covering.eps
-    d = np.sqrt(((points[None, :, :] - centers[:, None, :]) ** 2).sum(-1))
-    g = np.zeros_like(d)
-    g[d <= eps] = 1.0
-    ring = (d > eps) & (d < 2 * eps)
-    g[ring] = _transition((d[ring] - eps) / eps)
-    return g
-
-
-def partition_of_unity(c: Covering, grid) -> PartitionOfUnity:
-    """Partition of unity on the grid: f_j = phi_j / sum_l phi_l with phi_j
-    a smooth bump on ball j, and g_j = 1 on the eps-ball decaying to 0 on
-    the doubled ball.
-
-    ``grid`` is an array of points, shape (P, m), or any object exposing
-    ``points()`` returning one.  Raises ZeroDivisionError if some grid
-    point is uncovered (which surfaces an earlier covering failure).
+    A point that no ball covers raises ZeroDivisionError naming it with
+    outside="error" (which surfaces an earlier covering failure), or gets
+    all-zero bumps with outside="zero" (for operators assembled on a grid
+    larger than the covered domain).
     """
-    if hasattr(grid, "points"):
-        pts = np.asarray(grid.points(), dtype=float)
-    else:
-        pts = np.atleast_2d(np.asarray(grid, dtype=float))
-    phi = _raw_bumps(c, pts)
-    total = phi.sum(axis=0)
-    if np.any(total == 0):
-        bad = int(np.argmax(total == 0))
-        raise ZeroDivisionError(
-            f"grid point {pts[bad].tolist()} is not covered by any ball "
-            f"(eps={c.eps}); rebuild the covering with this grid as cover "
-            "points")
-    f_vals = phi / total[None, :]
-    g_vals = _plateaus(c, pts)
+    if outside not in ("error", "zero"):
+        raise ValueError(f"outside must be 'error' or 'zero', not {outside!r}")
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    eps = c.eps
+    d = np.sqrt(((pts[None, :, :] - c.centers_array()[:, None, :]) ** 2)
+                .sum(-1))
+    f_vals = _bump(d / eps)
+    total = f_vals.sum(axis=0)
+    uncovered = total == 0
+    if np.any(uncovered):
+        if outside == "error":
+            bad = int(np.argmax(uncovered))
+            raise ZeroDivisionError(
+                f"grid point {pts[bad].tolist()} is not covered by any ball "
+                f"(eps={eps}); rebuild the covering with this grid as "
+                "cover points")
+        total[uncovered] = 1.0
+    f_vals /= total
+    g_vals = (d <= eps).astype(float)
+    ring = (d > eps) & (d < 2 * eps)
+    g_vals[ring] = _transition((d[ring] - eps) / eps)
     return PartitionOfUnity(c, pts, f_vals, g_vals)

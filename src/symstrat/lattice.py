@@ -804,12 +804,12 @@ def _patch_entries(cutoffs, n_patch, box):
             for a, b in zip(ends[:-1], ends[1:])]
 
 
-def assemble_operator(family, pou: PartitionOfUnity,
-                      grid: LatticeGrid | None = None,
-                      outside: str = "error") -> DiscreteOperator:
+def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
     """Sum_j f_j * A_j * g_j over the covering balls, with A_j looked up in
-    ``family`` by ball center.  ``outside`` controls grid points beyond the
-    covered set (see PartitionOfUnity.evaluate_f).
+    ``family`` by ball center and f_j, g_j read from the partition's
+    stored arrays.  The partition must be built on the operators' grid
+    points in grid order (``grid.points()``); any other partition raises
+    ValueError.
 
     Frozen-multiplier patches are applied in small zero-padded FFT windows
     (see _MultiplierWindows); every other patch keeps its own matvec."""
@@ -826,11 +826,10 @@ def assemble_operator(family, pou: PartitionOfUnity,
     for op in ops:
         if op.shape != shape:
             raise ValueError("patch operators must share their grid")
-    if grid is None:
-        grid = src.grid
-    pts = grid.points()
-    f_vals = pou.evaluate_f(pts, outside=outside)
-    g_vals = pou.evaluate_g(pts)
+    if not np.array_equal(pou.grid_points, src.grid.points()):
+        raise ValueError("the partition of unity is not built on the "
+                         "operators' grid points in grid order")
+    f_vals, g_vals = pou.f_values, pou.g_values
     mult = [j for j, op in enumerate(ops) if op.kind == "multiplier"]
     windows = None if not mult else _MultiplierWindows(
         [ops[j].data for j in mult], [f_vals[j] for j in mult],
@@ -892,15 +891,14 @@ def quantize_full_symbol(s: Symbol, grid: LatticeGrid,
 
 def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
                            grid: LatticeGrid, src: DiscreteSobolevSpace,
-                           dst: DiscreteSobolevSpace,
-                           outside: str = "error") -> DiscreteOperator:
+                           dst: DiscreteSobolevSpace) -> DiscreteOperator:
     """Assembled operator with the frozen-coefficient family at the ball
     centers (the standard patch quantization of an x-dependent symbol)."""
     family = {
         ball.center: discretize_symbol_op(s, ball.center, grid, src, dst)
         for ball in pou.covering.balls
     }
-    return assemble_operator(family, pou, grid, outside=outside)
+    return assemble_operator(family, pou)
 
 
 def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,

@@ -11,7 +11,6 @@ sampling certificate, not a proof.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -118,9 +117,6 @@ class EllipticityReport:
         return {"elliptic": self.elliptic, "c1": self.c1, "c2": self.c2,
                 "witness": wit, "grid": self.sample_spec}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
-
 
 def check_ellipticity(s: Symbol, x_samples,
                       xi_grid: FrequencyGridSpec | None = None
@@ -131,8 +127,10 @@ def check_ellipticity(s: Symbol, x_samples,
     the maximum; the symbol is reported elliptic when c1 exceeds TOL_ELL
     (which separates genuine zeros from roundoff).  The witness is the
     argmin sample when the lower bound degenerates: the first x sample,
-    then the first frequency, at which the minimum is attained.  A weight
-    (1+|xi|)^(-alpha) that overflows on the grid raises GridError.
+    then the first frequency, at which the minimum is attained.  A ratio
+    that is not finite, because |a| or the weight (1+|xi|)^(-alpha)
+    overflows or their product does, raises GridError naming the first
+    such (x, xi) of the sweep.
 
     The sweep evaluates blocks of the (x, xi) product grid, every x sample
     against one slice of the frequencies, one :func:`eval_on_grid` call per
@@ -154,29 +152,33 @@ def check_ellipticity(s: Symbol, x_samples,
 
     with np.errstate(over="ignore"):
         scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
-    if not np.all(np.isfinite(scale)):
-        raise GridError(
-            f"ellipticity weight (1+|xi|)^(-alpha) overflows at alpha="
-            f"{s.order_alpha:g} for |xi| up to "
-            f"{np.linalg.norm(xi_pts, axis=1).max():g}")
     xi_c = xi_pts.astype(complex)
     n_x = x_arr.shape[0]
     cols = max(1, ELL_BLOCK_POINTS // n_x)
     # per x sample: the least ratio and its first frequency index, and the
-    # greatest ratio; a nan ratio makes both nan, as np.min and np.max do
+    # greatest ratio
     lo = np.full(n_x, math.inf)
     arg = np.zeros(n_x, dtype=int)
     hi = np.full(n_x, -math.inf)
     for start in range(0, xi_pts.shape[0], cols):
         block = slice(start, start + cols)
-        ratio = np.abs(_eval_block(s.expr, x_arr, xi_c, block))
-        ratio *= scale[block]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = np.abs(_eval_block(s.expr, x_arr, xi_c, block))
+            ratio *= scale[block]
+        top = np.max(ratio, axis=1)     # inf or nan if any ratio in its row
+        if not np.all(np.isfinite(top)):
+            i, j = np.argwhere(~np.isfinite(ratio))[0]
+            raise GridError(
+                "ellipticity ratio |a|*(1+|xi|)^(-alpha) is not finite at "
+                f"x={x_arr[i].tolist()}, xi={xi_pts[start + j].tolist()} "
+                f"(alpha={s.order_alpha:g}, |xi| up to "
+                f"{np.linalg.norm(xi_pts, axis=1).max():g})")
         j = np.argmin(ratio, axis=1)
         m = ratio[np.arange(n_x), j]
-        take = (m < lo) | np.isnan(m)     # strict: a tie keeps the earlier
+        take = m < lo                   # strict: a tie keeps the earlier
         lo[take] = m[take]
         arg[take] = j[take] + start
-        hi = np.maximum(hi, np.max(ratio, axis=1))
+        hi = np.maximum(hi, top)
 
     c1 = math.inf
     c2 = -math.inf

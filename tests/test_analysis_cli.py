@@ -276,6 +276,26 @@ def test_cli_analyze_refuses_an_overflowing_ellipticity_weight(tmp_path,
                               "reason": "ellipticity stage failed"}
 
 
+def test_cli_analyze_refuses_an_overflowing_ellipticity_ratio(tmp_path,
+                                                             capsys):
+    # the weight (1+|xi|)^10 is finite on the frequency grid, but its
+    # product with |a| ~ 1e300*|xi|^2 overflows: the ellipticity stage
+    # fails naming the ratio, and the manifest is still written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["analyze", "--symbol", "1e300*(1+abs2(k))", "--alpha",
+                     "-10", "--model", "square", "--out", str(tmp_path)])
+    assert code == 2
+    assert "configuration error" not in capsys.readouterr().err
+    ell = json.loads((tmp_path / "manifest.json").read_text()
+                     )["stages"]["ellipticity"]
+    assert ell["status"] == "error" and ell["error_type"] == "GridError"
+    xi_max = np.linalg.norm(FrequencyGridSpec(seed=0).points(2), axis=1).max()
+    for part in ("ratio |a|*(1+|xi|)^(-alpha) is not finite at x=",
+                 "alpha=-10", f"up to {xi_max:g}"):
+        assert part in ell["error"]
+
+
 _WAVE = ["wave-validate", "--alpha", "2", "--dim", "2",
          "--cone", "[[1,0],[0,1]]", "--declared-ae", "2"]
 

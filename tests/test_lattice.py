@@ -17,9 +17,9 @@ from symstrat.errors import (DuplicateComponentError, EmptyDomainError,
                              MissingPatchError, NormNotConverged,
                              OrderMismatch, SupportOverlapError,
                              UnstableRank, ZeroOnCircle)
-from symstrat.geometry import (Ball, CanonicalDomain, Covering, orthant,
-                               partition_of_unity, stratify_model,
-                               build_covering)
+from symstrat.geometry import (Ball, CanonicalDomain, Covering,
+                               PartitionOfUnity, orthant, partition_of_unity,
+                               stratify_model, build_covering)
 from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
                               IndexEntry, LatticeGrid, aggregate_index,
                               assemble_frozen_family, assemble_operator,
@@ -517,26 +517,12 @@ def test_single_patch_returns_the_patch():
     np.testing.assert_allclose(assembled.to_dense(), a.to_dense(), atol=1e-12)
 
 
-class _IndexPartition:
-    """Partition stand-in whose cutoffs are given grid functions, so a test
-    can place supports anywhere on the torus, across the seam included."""
-
-    def __init__(self, f_vals, g_vals):
-        self.covering = Covering(eps=1.0, balls=[
-            Ball((0.5 * j, 0.5), 1.0, 0) for j in range(len(f_vals))])
-        self.f_vals, self.g_vals = f_vals, g_vals
-
-    def evaluate_f(self, points, outside="error"):
-        return self.f_vals
-
-    def evaluate_g(self, points):
-        return self.g_vals
-
-
-def _seam_cutoffs(grid, rng):
-    """Cutoffs on two boxes of the torus: one around index (0, ..., 0),
-    which wraps the seam on every axis, and one in the middle.  f_j lives
-    on the box of radius 1 and g_j on the box of radius 2."""
+def _seam_partition(grid, rng):
+    """Partition whose cutoffs are given grid functions, so a test can place
+    supports anywhere on the torus, across the seam included: two boxes,
+    one around index (0, ..., 0), which wraps the seam on every axis, and
+    one in the middle.  f_j lives on the box of radius 1 and g_j on the box
+    of radius 2."""
     n = grid.n
     pos = np.stack(np.unravel_index(np.arange(grid.size), (n,) * grid.dim),
                    -1)
@@ -551,7 +537,9 @@ def _seam_cutoffs(grid, rng):
         inner, outer = box(center, 1), box(center, 2)
         f_vals[j, inner] = rng.uniform(0.2, 1.0, inner.sum())
         g_vals[j, outer] = rng.uniform(0.2, 1.0, outer.sum())
-    return f_vals, g_vals
+    covering = Covering(eps=1.0, balls=[Ball((0.5 * j, 0.5), 1.0, 0)
+                                        for j in range(2)])
+    return PartitionOfUnity(covering, grid.points(), f_vals, g_vals)
 
 
 def test_block_built_dense_matches_identity_block_reference():
@@ -564,7 +552,7 @@ def test_block_built_dense_matches_identity_block_reference():
     cov = build_covering(stratify_model("square", 2), 0.3,
                          cover_points=grid.points())
     partitions = [partition_of_unity(cov, grid.points()),
-                  _IndexPartition(*_seam_cutoffs(grid, rng))]
+                  _seam_partition(grid, rng)]
     families = {
         "multiplier": lambda c: discretize_symbol_op(sym, c, grid, src, dst),
         "diag": lambda c: DiscreteOperator.diagonal(
@@ -578,7 +566,7 @@ def test_block_built_dense_matches_identity_block_reference():
     for pou in partitions:
         for kind, make in families.items():
             family = {b.center: make(b.center) for b in pou.covering.balls}
-            assembled = assemble_operator(family, pou, grid)
+            assembled = assemble_operator(family, pou)
             reference = assembled.matvec(np.eye(p, dtype=complex))
             scale = np.abs(reference).max()
             assert scale > 0
@@ -590,10 +578,8 @@ def test_block_built_dense_matches_identity_block_reference():
 def _torus_reference(family, pou, grid, v, adjoint=False):
     """sum_j f_j A_j g_j v, or its adjoint, patch by patch with each A_j
     applied over the whole torus."""
-    pts = grid.points()
     out = np.zeros_like(v)
-    for fj, gj, ball in zip(pou.evaluate_f(pts), pou.evaluate_g(pts),
-                            pou.covering.balls):
+    for fj, gj, ball in zip(pou.f_values, pou.g_values, pou.covering.balls):
         op = family[ball.center]
         if v.ndim == 2:
             fj, gj = fj[:, None], gj[:, None]
@@ -633,7 +619,7 @@ def _window_cases():
         grid = LatticeGrid(dim, n, 1.0 / n)
         src = DiscreteSobolevSpace(grid, 1.0)
         dst = DiscreteSobolevSpace(grid, 0.0)
-        pou = _IndexPartition(*_seam_cutoffs(grid, rng))
+        pou = _seam_partition(grid, rng)
         sym_d = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)+k1", 1.0, dim)
         family = {b.center: discretize_symbol_op(
             sym_d, b.center[:1] + (0.5,) * (dim - 1), grid, src, dst)
@@ -645,9 +631,8 @@ def test_windowed_assembly_matches_torus_reference():
     rng = np.random.default_rng(3)
     empty_support_seen = False
     for label, grid, pou, family in _window_cases():
-        f_vals = pou.evaluate_f(grid.points())
-        empty_support_seen |= bool(np.any(~np.any(f_vals != 0, axis=1)))
-        assembled = assemble_operator(family, pou, grid)
+        empty_support_seen |= bool(np.any(~np.any(pou.f_values != 0, axis=1)))
+        assembled = assemble_operator(family, pou)
         p = grid.size
         for shape in (p, (p, 3)):
             v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -872,6 +857,18 @@ def test_missing_patch_rejected():
     pou = partition_of_unity(cov, grid.points())
     with pytest.raises(MissingPatchError):
         assemble_operator({(9.0,): DiscreteOperator.identity(sp)}, pou)
+
+
+def test_assembly_refuses_a_partition_built_on_other_points():
+    grid = LatticeGrid(2, 8, 1.0 / 8)
+    ident = DiscreteOperator.identity(DiscreteSobolevSpace(grid, 0.0))
+    cov = build_covering(stratify_model("square", 2), 0.4,
+                         cover_points=grid.points())
+    family = {b.center: ident for b in cov.balls}
+    for points in (grid.points()[::-1], grid.points()[:-1],
+                   LatticeGrid(2, 8, 1.0 / 16).points()):
+        with pytest.raises(ValueError, match="grid points"):
+            assemble_operator(family, partition_of_unity(cov, points))
 
 
 def test_assembly_convergence_constant_symbol_zero_table():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symstrat import symbols
-from symstrat.analysis import AnalysisConfig, run_analysis
+from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
 from symstrat.dsl import BinOp, EvalPoint, Num, SymbolExpr, eval_on_grid
 from symstrat.errors import DegenerateFit, EvalError, GridError
 from symstrat.symbols import (EllipticityReport, FrequencyGridSpec, Symbol,
@@ -59,7 +59,7 @@ def test_grid_preconditions():
 def test_report_serializes():
     s = Symbol.parse("k1", 1.0, 2)
     rep = check_ellipticity(s, X0)
-    blob = rep.to_json()
+    blob = dump_json(rep.to_dict())
     assert '"elliptic": false' in blob
     assert '"witness"' in blob
 
@@ -67,8 +67,9 @@ def test_report_serializes():
 def test_report_with_nan_is_refused():
     rep = EllipticityReport(elliptic=True, c1=math.nan, c2=1.0, witness=None)
     with pytest.raises(ValueError):
-        rep.to_json()
-    json.loads(check_ellipticity(Symbol.parse("k1", 1.0, 2), X0).to_json())
+        dump_json(rep.to_dict())
+    json.loads(dump_json(
+        check_ellipticity(Symbol.parse("k1", 1.0, 2), X0).to_dict()))
 
 
 def _per_x_reference(s, x_samples, xi_grid):
@@ -139,23 +140,19 @@ def test_block_sweep_equals_per_x_evaluation(case, monkeypatch):
         assert rep.witness.x == tuple(x_samples[0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_block_sweep_skips_a_sample_with_a_nan_ratio(monkeypatch):
+def test_block_sweep_refuses_a_nan_ratio(monkeypatch):
     # at x1 = 1, |a| overflows to inf for |xi| > 2.4, and beyond about
     # |xi| = 1700 the weight (1+|xi|)^-100 underflows to 0, so inf * 0 is
-    # nan there: as with np.min and np.max of its row, that sample then
-    # counts towards neither bound nor the witness, although its ratio is
-    # 0 at xi = 0 and inf further out (numpy warns of the overflow and the
-    # nan, here as in one evaluation per x sample)
+    # nan there; the sweep refuses the symbol rather than let that sample
+    # count towards neither bound, and no numpy warning escapes
     monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", 90)
     s = Symbol.parse("x1*(abs2(k)/(1+abs2(k)))*1.5e308*(1+i)", 100.0, 2)
-    x_samples = [[1.0, 0.0], [0.5, 0.0]]
-    c1, c2, witness = _per_x_reference(s, x_samples, _COARSE)
-    assert c1 == 0.0 and witness.x == (0.5, 0.0)
-    assert 0 < c2 < math.inf
-    rep = check_ellipticity(s, x_samples, _COARSE)
-    assert (rep.sample_spec["c1_raw"], rep.sample_spec["c2_raw"]) == (c1, c2)
-    assert rep.witness == witness
+    with pytest.raises(GridError, match=r"ratio .* is not finite at "
+                       r"x=\[1\.0, 0\.0\].*alpha=100"):
+        check_ellipticity(s, [[0.5, 0.0], [1.0, 0.0]], _COARSE)
+    # the x sample that stays finite is unaffected
+    rep = check_ellipticity(s, [[0.5, 0.0]], _COARSE)
+    assert rep.sample_spec["c1_raw"] == 0.0 and 0 < rep.sample_spec["c2_raw"]
 
 
 # (symbol, x samples): the first failing x sample fails in the second
