@@ -13,21 +13,35 @@ Usage: python scripts/manifest_digest.py [--each]
 Run it from the root of a source checkout; it imports ``symstrat`` from
 that checkout's ``src/`` and the cube inputs from its ``perfbench/``.
 ``--each`` also prints one digest per entry, to locate a difference.
+
+The BLAS thread count matters: with two OpenBLAS threads the assembly
+suite's report differs in its last bits.  The script therefore pins one
+thread before numpy is imported, and prints the thread count, the numpy
+and scipy versions and the BLAS library above the digest.
 """
 
 import hashlib
+import os
 import sys
 from pathlib import Path
+
+BLAS_THREADS = "1"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = BLAS_THREADS
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
 import inputs  # noqa: E402  (perfbench/inputs.py)
 from workloads import LADDER  # noqa: E402  (perfbench/workloads.py)
 from symstrat.analysis import (AnalysisConfig, dump_json,  # noqa: E402
-                               run_analysis, run_verify_suite)
+                               run_analysis)
 from symstrat.geometry import stratify_model  # noqa: E402
 from symstrat.lattice import LatticeGrid, assembly_convergence  # noqa: E402
+from symstrat.suites import run_verify_suite  # noqa: E402
 from symstrat.symbols import Symbol  # noqa: E402
 
 CUBE_SEEDS = (1, 2, 3)
@@ -95,6 +109,9 @@ def main(argv):
         count += 1
         if each:
             print(f"{hashlib.sha256(blob).hexdigest()[:16]}  {label}")
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    print(f"blas_threads={BLAS_THREADS} numpy={np.__version__} "
+          f"scipy={scipy.__version__} blas={blas['name']} {blas['version']}")
     print(f"{total.hexdigest()}  {count} entries")
     return 0
 

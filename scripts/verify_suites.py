@@ -6,7 +6,7 @@ Usage: python scripts/verify_suites.py [seed]
 import sys
 import time
 
-from symstrat.analysis import VERIFY_SUITES, run_verify_suite
+from symstrat.suites import VERIFY_SUITES, run_verify_suite
 
 
 def main():

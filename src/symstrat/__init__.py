@@ -8,42 +8,3 @@ index additivity on discrete lattice realizations.
 """
 
 __version__ = "0.1.0"
-
-from .dsl import EvalPoint, SymbolExpr, eval_symbol, parse_symbol, print_symbol
-from .errors import SymstratError
-from .factorization import (FactorizationReport, FredholmVerdict,
-                            WaveFactorCandidate, check_fredholm_condition,
-                            estimate_wave_index, validate_wave_factors,
-                            winding_index)
-from .geometry import (CanonicalDomain, Cone, Covering, PartitionOfUnity,
-                       Stratification, build_covering, dual_cone, orthant,
-                       partition_of_unity, stratify_model)
-from .laurent import LaurentPolynomial, laurent_winding
-from .lattice import (DiscreteOperator, DiscreteSobolevSpace, IndexEntry,
-                      IndexReport, LatticeGrid, aggregate_index,
-                      assemble_operator, assembly_convergence,
-                      build_paired_operator, discretize_symbol_op,
-                      locality_defect, numerical_index, operator_norm,
-                      toeplitz_sections)
-from .symbols import (EllipticityReport, FrequencyGridSpec, Symbol,
-                      check_ellipticity, fit_order)
-
-__all__ = [
-    "__version__",
-    "EvalPoint", "SymbolExpr", "eval_symbol", "parse_symbol", "print_symbol",
-    "SymstratError",
-    "FactorizationReport", "FredholmVerdict", "WaveFactorCandidate",
-    "check_fredholm_condition", "estimate_wave_index",
-    "validate_wave_factors", "winding_index",
-    "CanonicalDomain", "Cone", "Covering", "PartitionOfUnity",
-    "Stratification", "build_covering", "dual_cone", "orthant",
-    "partition_of_unity", "stratify_model",
-    "LaurentPolynomial", "laurent_winding",
-    "DiscreteOperator", "DiscreteSobolevSpace", "IndexEntry", "IndexReport",
-    "LatticeGrid", "aggregate_index", "assemble_operator",
-    "assembly_convergence", "build_paired_operator", "discretize_symbol_op",
-    "locality_defect", "numerical_index", "operator_norm",
-    "toeplitz_sections",
-    "EllipticityReport", "FrequencyGridSpec", "Symbol", "check_ellipticity",
-    "fit_order",
-]

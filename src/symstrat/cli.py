@@ -14,18 +14,13 @@ import json
 import sys
 from pathlib import Path
 
-
 from . import __version__
-from .analysis import (MODEL_DIMS, VERIFY_SUITES, AnalysisConfig,
-                       dump_json, run_analysis, run_verify_suite)
+from .analysis import MODEL_DIMS, AnalysisConfig, dump_json, run_analysis
 from .dsl import parse_symbol
 from .errors import ConfigError, SymstratError
 from .factorization import (CUTOFF, N_RAYS, QUAD_SAMPLES, WaveFactorCandidate,
                             validate_wave_factors, winding_index)
 from .geometry import Cone, build_covering, partition_of_unity, stratify_model
-from .lattice import (DiscreteSobolevSpace, LatticeGrid,
-                      assemble_frozen_family, assembly_convergence,
-                      check_dense_size, export_operator)
 from .symbols import Symbol
 
 EXIT_OK = 0
@@ -52,7 +47,7 @@ def _build_parser():
     pa.add_argument("--out", default=None, help="output directory")
 
     pv = sub.add_parser("verify", help="run a seeded property suite")
-    pv.add_argument("--suite", required=True, choices=sorted(VERIFY_SUITES))
+    pv.add_argument("--suite", required=True)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--out", default=None)
 
@@ -146,6 +141,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import run_verify_suite  # imports scipy, via lattice
     report = run_verify_suite(args.suite, args.seed)
     _emit(report, args.out, f"verify-{args.suite}.json")
     return EXIT_OK if report["passed"] else EXIT_STAGE_ERROR
@@ -182,27 +178,28 @@ def _cmd_wave_validate(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
+    from . import lattice  # imports scipy, which the other commands skip
     dim = MODEL_DIMS[args.model]
     h = args.grid_h if args.grid_h is not None else 1.0 / args.grid_n
-    grid = LatticeGrid(dim, args.grid_n, h)
-    check_dense_size(grid.size)     # the export is dense: refuse up front
+    grid = lattice.LatticeGrid(dim, args.grid_n, h)
+    lattice.check_dense_size(grid.size)  # the export is dense: refuse first
     sym = Symbol(_parse_expr(args.symbol, dim), args.alpha, dim)
     strat = stratify_model(args.model, dim)
-    src = DiscreteSobolevSpace(grid, args.s_order)
-    dst = DiscreteSobolevSpace(grid, args.s_order - args.alpha)
+    src = lattice.DiscreteSobolevSpace(grid, args.s_order)
+    dst = lattice.DiscreteSobolevSpace(grid, args.s_order - args.alpha)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cov = build_covering(strat, args.eps, cover_points=grid.points())
     pou = partition_of_unity(cov, grid.points())
-    op = assemble_frozen_family(sym, pou, grid, src, dst)
-    export_operator(op, out_dir / "assembled")
+    op = lattice.assemble_frozen_family(sym, pou, grid, src, dst)
+    lattice.export_operator(op, out_dir / "assembled")
     print(str(out_dir / "assembled.bin"))
 
     if args.convergence_eps:
         eps_seq = _parse_floats(args.convergence_eps)
-        table = assembly_convergence(sym, strat, eps_seq, grid,
-                                     s_order=args.s_order)
+        table = lattice.assembly_convergence(sym, strat, eps_seq, grid,
+                                             s_order=args.s_order)
         csv_path = out_dir / "convergence.csv"
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("eps_coarse,eps_fine,proxy\n")

@@ -56,8 +56,9 @@ class NonEllipticOnLine(SymstratError):
 
 
 class BranchJumpError(SymstratError):
-    """Adjacent-sample phase jump exceeded pi/2; the quadrature grid is too
-    coarse to track a continuous argument branch."""
+    """The adaptive winding grid reached its node cap with an interval
+    still unresolved, so the argument branch is not tracked there; the
+    tail is TailJumpError's case."""
 
 
 class TailJumpError(BranchJumpError):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from symstrat.analysis import AnalysisConfig, run_analysis, run_verify_suite
+from symstrat.analysis import AnalysisConfig, run_analysis
 from symstrat.dsl import parse_symbol
 from symstrat.factorization import WaveFactorCandidate, validate_wave_factors
 from symstrat.geometry import (Cone, build_covering, dual_cone, orthant,
@@ -22,6 +22,7 @@ from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
                               operator_norm)
 from symstrat.laurent import (LaurentPolynomial, laurent_winding,
                               random_elliptic_laurent)
+from symstrat.suites import run_verify_suite
 from symstrat.symbols import Symbol
 
 

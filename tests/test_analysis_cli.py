@@ -1,16 +1,19 @@
 """Pipeline manifests, verification suites and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from symstrat import analysis
-from symstrat.analysis import (AnalysisConfig, run_analysis,
-                               run_verify_suite)
+from symstrat import analysis, suites
+from symstrat.analysis import AnalysisConfig, run_analysis
 from symstrat.cli import main
 from symstrat.errors import ConfigError, SymstratError
+from symstrat.suites import run_verify_suite
 from symstrat.symbols import FrequencyGridSpec
 
 
@@ -177,7 +180,7 @@ def test_verify_additivity_suite():
 def test_verify_additivity_fixed_triple_is_a_case(monkeypatch):
     # a wrong total on the fixed triple fails the suite instead of
     # tripping an assert that python -O would strip
-    monkeypatch.setattr(analysis, "ADDITIVITY_FIXED_INDEX", 2)
+    monkeypatch.setattr(suites, "ADDITIVITY_FIXED_INDEX", 2)
     report = run_verify_suite("additivity", 1)
     assert not report["passed"]
     fixed = report["cases"][0]
@@ -414,6 +417,42 @@ def test_cli_verify(tmp_path):
     assert code == 0
     data = json.loads((tmp_path / "verify-additivity.json").read_text())
     assert data["passed"]
+
+
+def test_cli_verify_unknown_suite_lists_the_suites(capsys):
+    assert main(["verify", "--suite", "nonesuch"]) == 3
+    err = capsys.readouterr().err
+    for name in ("toeplitz", "additivity", "paired", "assembly", "locality"):
+        assert name in err
+
+
+def test_cli_analysis_commands_do_not_import_scipy(tmp_path):
+    # only verify and assemble run the lattice realizations, which need
+    # scipy; the symbol-level commands must not pay for loading it
+    code = (
+        "import json, sys\n"
+        "import symstrat.analysis\n"
+        "from symstrat.cli import main\n"
+        f"out = {str(tmp_path)!r}\n"
+        "codes = [main(argv + ['--out', out]) for argv in [\n"
+        "    ['analyze', '--model', 'cube', '--alpha', '2', '--symbol',\n"
+        "     '(1+abs2(k))*((k3-i)/(k3+i))'],\n"
+        "    ['stratify', '--model', 'square'],\n"
+        "    ['winding', '--symbol', '(1+abs2(k))^(1/2)', '--alpha', '1',\n"
+        "     '--dim', '2'],\n"
+        "    ['wave-validate', '--symbol', '(k1+i)*(k2+i)', '--alpha', '2',\n"
+        "     '--dim', '2', '--a-neq', '(k1+i)*(k2+i)', '--a-eq', '1',\n"
+        "     '--cone', '[[1,0],[0,1]]', '--declared-ae', '2']]]\n"
+        "loaded = sorted(m for m in sys.modules if m == 'symstrat.lattice'\n"
+        "                or m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps([codes, loaded]))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert loaded == []
 
 
 def test_cli_assemble_exports(tmp_path):
