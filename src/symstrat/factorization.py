@@ -60,6 +60,9 @@ _PW_GRID = {1: 4096, 2: 256, 3: 96}
 WIND_START_NODES = 65
 WIND_MAX_HALF_STEP = math.pi / 4
 WIND_HALF_STEP_TOL = 0.005
+# below this modulus, every phase product v_to * conj(v_from) of two
+# reduced-symbol values is finite (1e300 < the float limit 1.8e308)
+_WIND_MAX_MODULUS = 1e150
 
 
 # --------------------------------------------------------------------------
@@ -106,6 +109,10 @@ def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
             j = int(np.argmin(mods))
             raise NonEllipticOnLine(
                 f"reduced symbol modulus {mods[j]:.3e} at t={t[j]:.6g}")
+        if mods.max() > _WIND_MAX_MODULUS:
+            # only phases are read: scale each value to a modulus in
+            # [1, sqrt 2], which keeps its phase and cannot overflow
+            red = red / np.maximum(np.abs(red.real), np.abs(red.imag))
         return red
 
     # an odd start grid, so that theta = 0 is a node, no larger than lets

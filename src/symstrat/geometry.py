@@ -471,11 +471,21 @@ class Covering:
         }
 
 
+def _sq_dists(points, centers):
+    """Squared distances from each point (P, m) to each center (C, m),
+    shape (P, C), summed one coordinate at a time."""
+    out = (points[:, None, 0] - centers[None, :, 0]) ** 2
+    for a in range(1, points.shape[1]):
+        out += (points[:, None, a] - centers[None, :, a]) ** 2
+    return out
+
+
 def _dists_to_centers(points, centers):
+    """Distance from each point to its nearest center (inf without any);
+    the minimum is taken before the square root, which is monotone."""
     if len(centers) == 0:
         return np.full(points.shape[0], np.inf)
-    c = np.asarray(centers, float)
-    return np.sqrt(((points[:, None, :] - c[None, :, :]) ** 2).sum(-1)).min(axis=1)
+    return np.sqrt(_sq_dists(points, np.asarray(centers, float)).min(axis=1))
 
 
 def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering:
@@ -531,7 +541,7 @@ def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering
         for i, p in enumerate(cover_points):
             if d_cover[i] < eps:
                 continue
-            d_p = np.sqrt(((cand - p[None, :]) ** 2).sum(-1))
+            d_p = np.sqrt(_sq_dists(cand, p[None, :])[:, 0])
             ok = (d_p < _GREEDY_SLACK * eps) & eligible
             if not np.any(ok):
                 raise CoverageError(
@@ -599,7 +609,9 @@ def partition_of_unity(c: Covering, points,
     """Partition of unity at ``points``, shape (P, m): f_j = phi_j / sum_l
     phi_l with phi_j a smooth bump on ball j, and g_j = 1 on the eps-ball
     decaying to 0 on the doubled ball.  This is the one evaluator of the
-    cutoffs; assemble_operator reads the arrays it stores.
+    cutoffs; assemble_operator reads the arrays it stores.  Every cutoff is
+    computed in whole-array passes over the (J, P) distances from the ball
+    centers, which are summed one coordinate at a time.
 
     A point that no ball covers raises ZeroDivisionError naming it with
     outside="error" (which surfaces an earlier covering failure), or gets
@@ -610,8 +622,7 @@ def partition_of_unity(c: Covering, points,
         raise ValueError(f"outside must be 'error' or 'zero', not {outside!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eps = c.eps
-    d = np.sqrt(((pts[None, :, :] - c.centers_array()[:, None, :]) ** 2)
-                .sum(-1))
+    d = np.sqrt(_sq_dists(c.centers_array(), pts))
     f_vals = _bump(d / eps)
     total = f_vals.sum(axis=0)
     uncovered = total == 0

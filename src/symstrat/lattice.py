@@ -48,8 +48,9 @@ from .errors import (ConfigError, DuplicateComponentError, EmptyDomainError,
                      SupportOverlapError, UnstableRank, ZeroOnCircle)
 from .geometry import (CanonicalDomain, PartitionOfUnity, build_covering,
                        partition_of_unity)
+from . import symbols
 from .laurent import TOL_CIRCLE, LaurentPolynomial, laurent_winding
-from .symbols import Symbol
+from .symbols import Symbol, eval_blocks
 
 __all__ = [
     "LatticeGrid", "DiscreteSobolevSpace", "DiscreteOperator",
@@ -401,20 +402,36 @@ def discretize_symbol_op(s: Symbol, x0, grid: LatticeGrid,
                          src: DiscreteSobolevSpace,
                          dst: DiscreteSobolevSpace) -> DiscreteOperator:
     """Exact Fourier multiplier of the symbol frozen at x0, mapping
-    H^s -> H^(s-alpha) on the torus."""
+    H^s -> H^(s-alpha) on the torus: the one-center case of
+    :func:`_frozen_multipliers`."""
+    return _frozen_multipliers(s, [x0], grid, src, dst)[0]
+
+
+def _frozen_multipliers(s: Symbol, centers, grid: LatticeGrid,
+                        src: DiscreteSobolevSpace,
+                        dst: DiscreteSobolevSpace) -> list:
+    """The frozen multipliers of the symbol at each of the centers (J, m),
+    in order.  Every center is evaluated against the grid frequencies in
+    the blocks of :func:`~symstrat.symbols.eval_blocks`, into one (J, P)
+    array whose rows the multipliers share; an evaluation error is that of
+    the first failing center."""
     if abs(dst.s_order - (src.s_order - s.order_alpha)) > 1e-12:
         raise OrderMismatch(
             f"target order {dst.s_order} != source order {src.s_order} "
             f"minus symbol order {s.order_alpha}")
     if src.grid != grid or dst.grid != grid:
         raise ValueError("source/target spaces must live on the given grid")
-    x0 = np.asarray(x0, dtype=float)
-    values = eval_on_grid(s.expr, x0[None, :], grid.frequencies().astype(complex))
-    return DiscreteOperator.multiplier(
-        values, src, dst,
-        provenance={"construction": "frozen-multiplier",
-                    "symbol": str(s.expr), "alpha": s.order_alpha,
-                    "x0": [float(v) for v in x0]})
+    centers = np.asarray(centers, dtype=float)
+    values = np.empty((len(centers), grid.size), dtype=complex)
+    for block, vals in eval_blocks(s.expr, centers,
+                                   grid.frequencies().astype(complex)):
+        values[:, block] = vals
+    text = str(s.expr)
+    return [DiscreteOperator.multiplier(
+        row, src, dst,
+        provenance={"construction": "frozen-multiplier", "symbol": text,
+                    "alpha": s.order_alpha, "x0": [float(v) for v in x0]})
+        for x0, row in zip(centers, values)]
 
 
 def build_paired_operator(a_op: DiscreteOperator, domain: CanonicalDomain,
@@ -724,7 +741,9 @@ class _MultiplierWindows:
     batched small FFTs took twice as long and varied more from run to run.
     Kept: f and g on their boxes (as sparse gather matrices that also
     record the box starts), the spectra of the kernel windows over L^d,
-    and the DFT matrices.
+    and the DFT matrices.  The kernels come from batched inverse DFTs over
+    the torus, each on as many patches as fit in ``ELL_BLOCK_POINTS``
+    points, and their windows are gathered in one pass per batch.
     """
 
     def __init__(self, values, f_rows, g_rows, grid):
@@ -738,16 +757,28 @@ class _MultiplierWindows:
         self.f = _box_cutoffs(f_rows, f_start, self.b_f, n)
         self.g = _box_cutoffs(g_rows, g_start, self.b_g, n)
         self.f_t, self.g_t = self.f.T, self.g.T
-        # window offsets m: 0 .. L - B_g, then -(B_g - 1) .. -1 wrapped
-        m = [np.r_[0:size - bg + 1, 1 - bg:0]
-             for size, bg in zip(self.size, self.b_g)]
+        # kernel offsets a_f - a_g + m per patch, each (J, L_a) set on
+        # axis a of a batch (J, L_1, ..., L_d), with the window offsets
+        # m: 0 .. L - B_g, then -(B_g - 1) .. -1 wrapped
+        offsets = []
+        for a, (size, bg) in enumerate(zip(self.size, self.b_g)):
+            shape = [len(values)] + [1] * d
+            shape[a + 1] = size
+            offsets.append((f_start[:, a, None] - g_start[:, a, None]
+                            + np.r_[0:size - bg + 1, 1 - bg:0]).reshape(shape))
         # windows and spectra in the window layout (L_1, J, L_2, ..., L_d)
         self.axes = (0,) + tuple(range(2, d + 1))
-        windows = np.stack([
-            _at_offsets(np.fft.ifftn(vals.reshape((n,) * d)),
-                        np.ix_(*(fa - ga + ma for fa, ga, ma
-                                 in zip(f_start[j], g_start[j], m))))
-            for j, vals in enumerate(values)], axis=1)
+        windows = np.empty(self.size[:1] + (len(values),) + self.size[1:],
+                           dtype=complex)
+        step = max(1, symbols.ELL_BLOCK_POINTS // n ** d)
+        for start in range(0, len(values), step):
+            batch = slice(start, start + step)
+            kernels = np.fft.ifftn(
+                np.reshape(values[batch], (-1,) + (n,) * d),
+                axes=tuple(range(1, d + 1)))
+            rows = np.arange(len(kernels)).reshape((-1,) + (1,) * d)
+            windows[:, batch] = np.moveaxis(_at_offsets(
+                kernels, (rows,) + tuple(o[batch] for o in offsets)), 0, 1)
         spectra = np.fft.fftn(windows, axes=self.axes)
         # the 1/L^d of the inverse DFT folded in, and an axis for k
         spectra /= math.prod(self.size)
@@ -893,12 +924,15 @@ def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
                            grid: LatticeGrid, src: DiscreteSobolevSpace,
                            dst: DiscreteSobolevSpace) -> DiscreteOperator:
     """Assembled operator with the frozen-coefficient family at the ball
-    centers (the standard patch quantization of an x-dependent symbol)."""
-    family = {
-        ball.center: discretize_symbol_op(s, ball.center, grid, src, dst)
-        for ball in pou.covering.balls
-    }
-    return assemble_operator(family, pou)
+    centers (the standard patch quantization of an x-dependent symbol).
+    The family is set up in one pass over all centers, evaluated in
+    blocks of at most ``ELL_BLOCK_POINTS`` points (see
+    :func:`_frozen_multipliers`); the first failing ball's evaluation
+    error is raised."""
+    balls = pou.covering.balls
+    ops = _frozen_multipliers(s, [b.center for b in balls], grid, src, dst)
+    return assemble_operator(
+        {b.center: op for b, op in zip(balls, ops)}, pou)
 
 
 def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,

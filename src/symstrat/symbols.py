@@ -21,12 +21,13 @@ from .errors import DegenerateFit, EvalError, GridError
 
 __all__ = [
     "Symbol", "FrequencyGridSpec", "EllipticityReport",
-    "check_ellipticity", "fit_order",
+    "check_ellipticity", "eval_blocks", "fit_order",
 ]
 
 TOL_ELL = 1e-10
-# points of the (x, xi) product grid per eval_on_grid call in
-# check_ellipticity; bounds the peak memory of the sweep
+# points per eval_on_grid call of eval_blocks (the ellipticity sweep and
+# the frozen-coefficient families of lattice) and per batched kernel
+# transform of lattice's patch windows; bounds the peak memory of both
 ELL_BLOCK_POINTS = 2 ** 17
 
 
@@ -132,14 +133,10 @@ def check_ellipticity(s: Symbol, x_samples,
     overflows or their product does, raises GridError naming the first
     such (x, xi) of the sweep.
 
-    The sweep evaluates blocks of the (x, xi) product grid, every x sample
-    against one slice of the frequencies, one :func:`eval_on_grid` call per
-    block: subexpressions of xi alone are computed once per frequency, and
-    those of x alone once per block.  A block holds at most
-    ``ELL_BLOCK_POINTS`` points (one frequency per x sample if there are
-    more samples), which bounds the memory of the sweep.  The sampled set
-    and every reported number are those of one evaluation per x sample;
-    an evaluation error is the one the first failing x sample raises.
+    The sweep evaluates the (x, xi) product grid in the blocks of
+    :func:`eval_blocks`, which bounds its memory.  The sampled set and
+    every reported number are those of one evaluation per x sample; an
+    evaluation error is the one the first failing x sample raises.
     """
     if xi_grid is None:
         xi_grid = FrequencyGridSpec()
@@ -154,17 +151,17 @@ def check_ellipticity(s: Symbol, x_samples,
         scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
     xi_c = xi_pts.astype(complex)
     n_x = x_arr.shape[0]
-    cols = max(1, ELL_BLOCK_POINTS // n_x)
     # per x sample: the least ratio and its first frequency index, and the
     # greatest ratio
     lo = np.full(n_x, math.inf)
     arg = np.zeros(n_x, dtype=int)
     hi = np.full(n_x, -math.inf)
-    for start in range(0, xi_pts.shape[0], cols):
-        block = slice(start, start + cols)
+    for block, vals in eval_blocks(s.expr, x_arr, xi_c):
+        start = block.start
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = np.abs(_eval_block(s.expr, x_arr, xi_c, block))
+            ratio = np.abs(vals)
             ratio *= scale[block]
+        del vals                        # one block alive at a time
         top = np.max(ratio, axis=1)     # inf or nan if any ratio in its row
         if not np.all(np.isfinite(top)):
             i, j = np.argwhere(~np.isfinite(ratio))[0]
@@ -198,6 +195,26 @@ def check_ellipticity(s: Symbol, x_samples,
         sample_spec={**xi_grid.describe(), "x_samples": n_x,
                      "c1_raw": c1, "c2_raw": c2, "tol_ell": TOL_ELL},
     )
+
+
+def eval_blocks(expr: SymbolExpr, x_arr: np.ndarray, xi_c: np.ndarray):
+    """Yield (block, values) for consecutive slices ``block`` that cover
+    the frequencies xi_c (F, m): the expression at every row of x_arr
+    (J, m) against xi_c[block], of shape (J, len(xi_c[block])).
+
+    One :func:`eval_on_grid` call per block, so subexpressions of xi alone
+    are computed once per frequency and those of x alone once per block.
+    A block holds at most ``ELL_BLOCK_POINTS`` points (one frequency per x
+    sample if there are more samples); a caller that drops each block's
+    values before asking for the next keeps one block alive at a time.
+    The values are those of one evaluation per x sample, and an
+    evaluation error is that of the first failing x sample (see
+    :func:`_eval_block`).
+    """
+    cols = max(1, ELL_BLOCK_POINTS // x_arr.shape[0])
+    for start in range(0, xi_c.shape[0], cols):
+        block = slice(start, start + cols)
+        yield block, _eval_block(expr, x_arr, xi_c, block)
 
 
 def _eval_block(expr: SymbolExpr, x_arr: np.ndarray, xi_c: np.ndarray,

@@ -334,6 +334,24 @@ def test_cli_winding(capsys):
     assert payload["index"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_cli_winding_and_analyze_near_the_float_limit(tmp_path, capsys):
+    # phase products of values near 1e300 would overflow; the values are
+    # scaled first, so the index is a number and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["winding", "--symbol", "1e200*((k1-i)/(k1+i))",
+                     "--alpha", "0", "--dim", "1"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["index"] == pytest.approx(1.0, abs=1e-9)
+        assert main(["analyze", "--symbol", "1e300*(1+abs2(k))", "--alpha",
+                     "0", "--model", "square", "--out", str(tmp_path)]) == 0
+    stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
+    assert stages["factorization"]["status"] == "ok"
+    for report in stages["factorization"]["reports"]:
+        assert report["ae_values"] == pytest.approx([0.0], abs=1e-9)
+
+
 def test_cli_wave_validate(capsys):
     code = main(["wave-validate", "--symbol", "(k1+i)*(k2+i)", "--alpha", "2",
                  "--dim", "2", "--a-neq", "(k1+i)*(k2+i)", "--a-eq", "1",

@@ -148,6 +148,19 @@ def test_winding_refuses_an_overflowing_symbol():
         winding_index(s, [0.0], [])
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e300"])
+@pytest.mark.parametrize("power", [1, 2])
+def test_winding_of_a_huge_multiple_reads_its_factors_winding(scale, power):
+    # the phase products of values near 1e200 or 1e300 would overflow, the
+    # tail's among them; the values are scaled first, and no warning
+    # escapes
+    base = f"((k1-i)/(k1+i))^{power}"
+    plain = winding_index(Symbol.parse(base, 0.0, 1), [0.0], [])
+    huge = winding_index(Symbol.parse(f"{scale}*{base}", 0.0, 1), [0.0], [])
+    assert plain == pytest.approx(power, abs=1e-9)
+    assert huge == pytest.approx(plain, abs=1e-9)
+
+
 def test_winding_branch_jump_on_coarse_grid():
     # steep winding needs resolution: with a handful of nodes the phase
     # steps exceed pi/2 and the tracker refuses to guess

@@ -7,6 +7,11 @@ depend on the BLAS thread count: ten cube inputs and every square and
 wedge2d configuration.  A change that moves an entry on purpose copies the
 new digest that this test reports into the file, and names the moved
 entries and the reason in ``CHANGES.md``.
+
+``data/ladder_proxies.json`` holds the ``float.hex`` of the
+``assembly_convergence`` proxies on the 16 x 16 grid for the first two
+``assemble_n32`` benchmark inputs of seed 1; they are the same under one
+and two BLAS threads.  Moved proxies are handled as moved digests.
 """
 
 import hashlib
@@ -14,8 +19,12 @@ import json
 from pathlib import Path
 
 from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
+from symstrat.geometry import stratify_model
+from symstrat.lattice import LatticeGrid, assembly_convergence
+from symstrat.symbols import Symbol
 
 PINNED = Path(__file__).parent / "data" / "manifest_digests.json"
+LADDERS = Path(__file__).parent / "data" / "ladder_proxies.json"
 
 
 def test_pinned_manifests_are_byte_identical():
@@ -31,3 +40,19 @@ def test_pinned_manifests_are_byte_identical():
             moved.append(f"{row['model']} {row['symbol']} "
                          f"s={row['s_order']}: now {digest}")
     assert not moved, "manifests moved:\n" + "\n".join(moved)
+
+
+def test_pinned_ladder_proxies_are_bit_identical():
+    pinned = json.loads(LADDERS.read_text(encoding="utf-8"))
+    grid = LatticeGrid(2, pinned["grid_n"], 1.0 / pinned["grid_n"])
+    strat = stratify_model(pinned["model"], 2)
+    moved = []
+    for row in pinned["ladders"]:
+        table = assembly_convergence(
+            Symbol.parse(row["symbol"], pinned["alpha"], 2), strat,
+            pinned["eps"], grid, s_order=pinned["s_order"])
+        proxies = [float(r["proxy"]).hex() for r in table]
+        if proxies != row["proxies"]:
+            moved.append(f"{row['symbol']}: now {proxies}")
+    assert len(pinned["ladders"]) == 2
+    assert not moved, "ladder proxies moved:\n" + "\n".join(moved)
