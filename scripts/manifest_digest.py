@@ -18,6 +18,13 @@ The BLAS thread count matters: with two OpenBLAS threads the assembly
 suite's report differs in its last bits.  The script therefore pins one
 thread before numpy is imported, and prints the thread count, the numpy
 and scipy versions and the BLAS library above the digest.
+
+Beside them, ``ladder_norm_threads=`` is the number of threads that ran
+the norms of each ladder (see ``lattice._ladder_norm_threads``).  With
+one BLAS thread pinned, a machine with two or more usable CPUs takes the
+concurrent path: the caller and one helper thread each take one of the
+two rung pairs, and it reads 2.  On one CPU it reads 1, the sequential
+loop.  Both paths give the same proxies bit for bit.
 """
 
 import hashlib
@@ -40,7 +47,8 @@ from workloads import LADDER  # noqa: E402  (perfbench/workloads.py)
 from symstrat.analysis import (AnalysisConfig, dump_json,  # noqa: E402
                                run_analysis)
 from symstrat.geometry import stratify_model  # noqa: E402
-from symstrat.lattice import LatticeGrid, assembly_convergence  # noqa: E402
+from symstrat.lattice import (LatticeGrid,  # noqa: E402
+                              _ladder_norm_threads, assembly_convergence)
 from symstrat.suites import run_verify_suite  # noqa: E402
 from symstrat.symbols import Symbol  # noqa: E402
 
@@ -110,7 +118,9 @@ def main(argv):
         if each:
             print(f"{hashlib.sha256(blob).hexdigest()[:16]}  {label}")
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    print(f"blas_threads={BLAS_THREADS} numpy={np.__version__} "
+    norm_threads = _ladder_norm_threads(len(LADDER) - 1)
+    print(f"blas_threads={BLAS_THREADS} ladder_norm_threads={norm_threads} "
+          f"numpy={np.__version__} "
           f"scipy={scipy.__version__} blas={blas['name']} {blas['version']}")
     print(f"{total.hexdigest()}  {count} entries")
     return 0

@@ -34,6 +34,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,25 +409,40 @@ def discretize_symbol_op(s: Symbol, x0, grid: LatticeGrid,
     return _frozen_multipliers(s, [x0], grid, src, dst)[0]
 
 
-def _frozen_multipliers(s: Symbol, centers, grid: LatticeGrid,
-                        src: DiscreteSobolevSpace,
-                        dst: DiscreteSobolevSpace) -> list:
-    """The frozen multipliers of the symbol at each of the centers (J, m),
-    in order.  Every center is evaluated against the grid frequencies in
-    the blocks of :func:`~symstrat.symbols.eval_blocks`, into one (J, P)
-    array whose rows the multipliers share; an evaluation error is that of
-    the first failing center."""
+def _check_frozen_spaces(s: Symbol, grid: LatticeGrid,
+                         src: DiscreteSobolevSpace,
+                         dst: DiscreteSobolevSpace) -> None:
+    """Refuse spaces whose orders do not differ by the symbol's order
+    (OrderMismatch) or that live on another grid (ValueError)."""
     if abs(dst.s_order - (src.s_order - s.order_alpha)) > 1e-12:
         raise OrderMismatch(
             f"target order {dst.s_order} != source order {src.s_order} "
             f"minus symbol order {s.order_alpha}")
     if src.grid != grid or dst.grid != grid:
         raise ValueError("source/target spaces must live on the given grid")
-    centers = np.asarray(centers, dtype=float)
-    values = np.empty((len(centers), grid.size), dtype=complex)
-    for block, vals in eval_blocks(s.expr, centers,
-                                   grid.frequencies().astype(complex)):
+
+
+def _frozen_values(s: Symbol, centers: np.ndarray,
+                   freqs: np.ndarray) -> np.ndarray:
+    """The symbol at each of the centers (J, m) against the frequencies
+    (P, m), as one (J, P) array.  Every center is evaluated in the blocks
+    of :func:`~symstrat.symbols.eval_blocks`; an evaluation error is that
+    of the first failing center."""
+    values = np.empty((len(centers), len(freqs)), dtype=complex)
+    for block, vals in eval_blocks(s.expr, centers, freqs):
         values[:, block] = vals
+    return values
+
+
+def _frozen_multipliers(s: Symbol, centers, grid: LatticeGrid,
+                        src: DiscreteSobolevSpace,
+                        dst: DiscreteSobolevSpace) -> list:
+    """The frozen multipliers of the symbol at each of the centers (J, m),
+    in order, sharing the rows of one (J, P) array of
+    :func:`_frozen_values`."""
+    _check_frozen_spaces(s, grid, src, dst)
+    centers = np.asarray(centers, dtype=float)
+    values = _frozen_values(s, centers, grid.frequencies().astype(complex))
     text = str(s.expr)
     return [DiscreteOperator.multiplier(
         row, src, dst,
@@ -741,9 +758,15 @@ class _MultiplierWindows:
     batched small FFTs took twice as long and varied more from run to run.
     Kept: f and g on their boxes (as sparse gather matrices that also
     record the box starts), the spectra of the kernel windows over L^d,
-    and the DFT matrices.  The kernels come from batched inverse DFTs over
-    the torus, each on as many patches as fit in ``ELL_BLOCK_POINTS``
-    points, and their windows are gathered in one pass per batch.
+    and the DFT matrices.  Nothing is written after set-up, so ``apply``
+    may run in several threads at once.
+
+    The spectra are set up one batch of patches at a time, as many as fit
+    in ``ELL_BLOCK_POINTS`` torus points: ``values(batch)`` gives the
+    batch's multiplier values, shape (len(batch), P), which one inverse
+    DFT turns into kernels; their windows are gathered in one pass and
+    transformed into the batch's slice of the spectra.  Only one batch of
+    values, kernels and windows is alive at a time.
     """
 
     def __init__(self, values, f_rows, g_rows, grid):
@@ -757,34 +780,39 @@ class _MultiplierWindows:
         self.f = _box_cutoffs(f_rows, f_start, self.b_f, n)
         self.g = _box_cutoffs(g_rows, g_start, self.b_g, n)
         self.f_t, self.g_t = self.f.T, self.g.T
+        n_patch = len(f_start)
         # kernel offsets a_f - a_g + m per patch, each (J, L_a) set on
         # axis a of a batch (J, L_1, ..., L_d), with the window offsets
         # m: 0 .. L - B_g, then -(B_g - 1) .. -1 wrapped
         offsets = []
         for a, (size, bg) in enumerate(zip(self.size, self.b_g)):
-            shape = [len(values)] + [1] * d
+            shape = [n_patch] + [1] * d
             shape[a + 1] = size
             offsets.append((f_start[:, a, None] - g_start[:, a, None]
                             + np.r_[0:size - bg + 1, 1 - bg:0]).reshape(shape))
-        # windows and spectra in the window layout (L_1, J, L_2, ..., L_d)
+        # spectra in the window layout (L_1, J, L_2, ..., L_d)
         self.axes = (0,) + tuple(range(2, d + 1))
-        windows = np.empty(self.size[:1] + (len(values),) + self.size[1:],
+        spectra = np.empty(self.size[:1] + (n_patch,) + self.size[1:],
                            dtype=complex)
         step = max(1, symbols.ELL_BLOCK_POINTS // n ** d)
-        for start in range(0, len(values), step):
+        for start in range(0, n_patch, step):
             batch = slice(start, start + step)
-            kernels = np.fft.ifftn(
-                np.reshape(values[batch], (-1,) + (n,) * d),
-                axes=tuple(range(1, d + 1)))
-            rows = np.arange(len(kernels)).reshape((-1,) + (1,) * d)
-            windows[:, batch] = np.moveaxis(_at_offsets(
-                kernels, (rows,) + tuple(o[batch] for o in offsets)), 0, 1)
-        spectra = np.fft.fftn(windows, axes=self.axes)
+            spectra[:, batch] = self._window_spectra(
+                values(batch), [o[batch] for o in offsets], n, d)
         # the 1/L^d of the inverse DFT folded in, and an axis for k
         spectra /= math.prod(self.size)
         self.spectra = spectra[:, :, None]
         self.dft = [_dft_matrix(size) for size in self.size]
         self.idft = [w.conj() for w in self.dft]
+
+    def _window_spectra(self, values, offsets, n, d) -> np.ndarray:
+        """The unscaled spectra of one batch's kernel windows, laid out
+        (L_1, batch, L_2, ..., L_d)."""
+        kernels = np.fft.ifftn(np.reshape(values, (-1,) + (n,) * d),
+                               axes=tuple(range(1, d + 1)))
+        rows = np.arange(len(kernels)).reshape((-1,) + (1,) * d)
+        windows = np.moveaxis(_at_offsets(kernels, (rows, *offsets)), 0, 1)
+        return np.fft.fftn(windows, axes=self.axes)
 
     def apply(self, v, adjoint=False) -> np.ndarray:
         """sum_j f_j A_j g_j v, or sum_j g_j A_j^H f_j v with ``adjoint``,
@@ -835,6 +863,13 @@ def _patch_entries(cutoffs, n_patch, box):
             for a, b in zip(ends[:-1], ends[1:])]
 
 
+def _check_partition(pou: PartitionOfUnity, grid: LatticeGrid) -> None:
+    """Refuse a partition not built on ``grid.points()`` (ValueError)."""
+    if not np.array_equal(pou.grid_points, grid.points()):
+        raise ValueError("the partition of unity is not built on the "
+                         "operators' grid points in grid order")
+
+
 def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
     """Sum_j f_j * A_j * g_j over the covering balls, with A_j looked up in
     ``family`` by ball center and f_j, g_j read from the partition's
@@ -843,7 +878,8 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
     ValueError.
 
     Frozen-multiplier patches are applied in small zero-padded FFT windows
-    (see _MultiplierWindows); every other patch keeps its own matvec."""
+    (see _MultiplierWindows), set up batch by batch from their operators'
+    values; every other patch keeps its own matvec."""
     balls = pou.covering.balls
     ops = []
     for ball in balls:
@@ -857,17 +893,22 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
     for op in ops:
         if op.shape != shape:
             raise ValueError("patch operators must share their grid")
-    if not np.array_equal(pou.grid_points, src.grid.points()):
-        raise ValueError("the partition of unity is not built on the "
-                         "operators' grid points in grid order")
+    _check_partition(pou, src.grid)
     f_vals, g_vals = pou.f_values, pou.g_values
     mult = [j for j, op in enumerate(ops) if op.kind == "multiplier"]
     windows = None if not mult else _MultiplierWindows(
-        [ops[j].data for j in mult], [f_vals[j] for j in mult],
-        [g_vals[j] for j in mult], ops[mult[0]].src.grid)
+        lambda batch: np.array([ops[j].data for j in mult[batch]]),
+        [f_vals[j] for j in mult], [g_vals[j] for j in mult],
+        ops[mult[0]].src.grid)
     # copies, so that the full (J, P) cutoff arrays are not kept alive
     others = [(np.array(f_vals[j]), np.array(g_vals[j]), op)
               for j, op in enumerate(ops) if op.kind != "multiplier"]
+    return _patch_sum(shape, src, dst, len(ops), windows, others)
+
+
+def _patch_sum(shape, src, dst, n_patches, windows, others):
+    """The assembled operator of the multiplier ``windows`` (or None) plus
+    the ``others``, triples (f_j, g_j, A_j) applied one by one."""
 
     def mv(v):
         out = np.zeros_like(v) if windows is None else windows.apply(v)
@@ -895,7 +936,7 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
 
     return DiscreteOperator(shape, mv, rmv, src, dst, kind="composite",
                             provenance={"construction": "assembled",
-                                        "n_patches": len(ops)},
+                                        "n_patches": n_patches},
                             dense=dense)
 
 
@@ -924,15 +965,113 @@ def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
                            grid: LatticeGrid, src: DiscreteSobolevSpace,
                            dst: DiscreteSobolevSpace) -> DiscreteOperator:
     """Assembled operator with the frozen-coefficient family at the ball
-    centers (the standard patch quantization of an x-dependent symbol).
-    The family is set up in one pass over all centers, evaluated in
-    blocks of at most ``ELL_BLOCK_POINTS`` points (see
-    :func:`_frozen_multipliers`); the first failing ball's evaluation
-    error is raised."""
+    centers (the standard patch quantization of an x-dependent symbol),
+    equal bit for bit to :func:`assemble_operator` on the family of
+    :func:`_frozen_multipliers`.
+
+    The spaces and the partition are checked before anything is
+    evaluated.  The family is never held whole: the windows are set up
+    one batch of ``ELL_BLOCK_POINTS // P`` ball centers at a time (see
+    _MultiplierWindows), each batch evaluated by :func:`_frozen_values`
+    and dropped once its window spectra are written.  The first failing
+    ball's evaluation error is raised."""
+    _check_frozen_spaces(s, grid, src, dst)
     balls = pou.covering.balls
-    ops = _frozen_multipliers(s, [b.center for b in balls], grid, src, dst)
-    return assemble_operator(
-        {b.center: op for b, op in zip(balls, ops)}, pou)
+    if not balls:
+        raise MissingPatchError("empty covering")
+    _check_partition(pou, grid)
+    centers = np.array([b.center for b in balls], dtype=float)
+    freqs = grid.frequencies().astype(complex)
+    windows = _MultiplierWindows(
+        lambda batch: _frozen_values(s, centers[batch], freqs),
+        pou.f_values, pou.g_values, grid)
+    return _patch_sum((grid.size, grid.size), src, dst, len(balls), windows,
+                      [])
+
+
+# the variables that size the BLAS thread pool, in the order OpenBLAS
+# reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                     "OMP_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _blas_threads(environ):
+    """The first positive integer among _BLAS_THREAD_VARS in ``environ``,
+    or None."""
+    for name in _BLAS_THREAD_VARS:
+        try:
+            threads = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+# BLAS sizes its pool from the environment once, when numpy loads it; this
+# module is loaded after numpy, so a later change of os.environ is ignored
+# here as it is there
+_BLAS_THREADS = _blas_threads(os.environ)
+
+
+def _ladder_norm_threads(pairs: int) -> int:
+    """Threads that take the norms of ``pairs`` rung differences: 2, the
+    caller and one helper, when there are two pairs or more and the
+    usable CPUs hold two BLAS pools; else 1, the sequential loop.
+
+    The BLAS pool is taken to be the first positive count among
+    _BLAS_THREAD_VARS, in OpenBLAS's order, as set when this module was
+    loaded.  Without one, BLAS is taken to use every CPU already.  An MKL
+    build that ignores OPENBLAS_NUM_THREADS may then be sized wrongly;
+    the norms stay the same bit for bit, only slower.  No more than one
+    helper is started: the caller plus one helper on two CPUs is the one
+    layout whose time and memory were measured."""
+    cpus = _usable_cpus()
+    return 2 if pairs > 1 and cpus >= 2 * (_BLAS_THREADS or cpus) else 1
+
+
+def _norms_until_failure(diffs, mask):
+    """The masked norms of ``diffs`` in order, up to the first that raises,
+    and that error (or None)."""
+    norms = []
+    for d in diffs:
+        try:
+            norms.append(operator_norm(d, freq_mask=mask))
+        except Exception as exc:
+            return norms, exc
+    return norms, None
+
+
+def _ladder_norms(diffs, mask) -> list:
+    """The masked operator norms of the rung differences, in order.
+
+    With a helper (see _ladder_norm_threads), the caller takes the even
+    pairs and the helper the odd ones, each in ladder order and each up
+    to its first failure.  The error raised is then the first failing
+    pair's in ladder order, as in the sequential loop.  The helper is
+    joined before returning."""
+    if _ladder_norm_threads(len(diffs)) == 1:
+        return [operator_norm(d, freq_mask=mask) for d in diffs]
+    with ThreadPoolExecutor(1) as pool:
+        odd = pool.submit(_norms_until_failure, diffs[1::2], mask)
+        runs = [_norms_until_failure(diffs[::2], mask), odd.result()]
+    # run r's norms are those of pairs r, r + 2, ..., so its failure is
+    # at pair r + 2 * (the norms it got)
+    failed = [(r + 2 * len(norms), error)
+              for r, (norms, error) in enumerate(runs) if error is not None]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    norms = [None] * len(diffs)
+    norms[::2], norms[1::2] = runs[0][0], runs[1][0]
+    return norms
 
 
 def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
@@ -943,6 +1082,13 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     Returns a list of rows {eps_coarse, eps_fine, proxy}.  The proxy is the
     weighted operator norm compressed to the upper frequency half; callers
     check that the table decreases.
+
+    Each rung keeps only its assembled operator: its covering and
+    partition are dropped once it is set up, the last rung's too, before
+    the norms start.  The norms are those of :func:`operator_norm`, bit
+    for bit, and run on the caller and one helper thread where the BLAS
+    thread count leaves CPUs idle (see _ladder_norm_threads and
+    _ladder_norms).
     """
     eps_sequence = [float(e) for e in eps_sequence]
     if len(eps_sequence) < 3:
@@ -953,19 +1099,15 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     src = DiscreteSobolevSpace(grid, s_order)
     dst = DiscreteSobolevSpace(grid, s_order - s.order_alpha)
     pts = grid.points()
-    assembled = []
-    for eps in eps_sequence:
-        cov = build_covering(strat, eps, cover_points=pts)
-        pou = partition_of_unity(cov, pts)
-        assembled.append(assemble_frozen_family(s, pou, grid, src, dst))
-    mask = high_frequency_mask(grid)
-    table = []
-    for (e_coarse, a_coarse), (e_fine, a_fine) in zip(
-            zip(eps_sequence, assembled), zip(eps_sequence[1:], assembled[1:])):
-        table.append({"eps_coarse": e_coarse, "eps_fine": e_fine,
-                      "proxy": operator_norm(a_coarse - a_fine,
-                                             freq_mask=mask)})
-    return table
+    assembled = [assemble_frozen_family(
+        s, partition_of_unity(build_covering(strat, eps, cover_points=pts),
+                              pts), grid, src, dst)
+        for eps in eps_sequence]
+    proxies = _ladder_norms([a - b for a, b in zip(assembled, assembled[1:])],
+                            high_frequency_mask(grid))
+    return [{"eps_coarse": e_coarse, "eps_fine": e_fine, "proxy": proxy}
+            for e_coarse, e_fine, proxy in zip(eps_sequence, eps_sequence[1:],
+                                               proxies)]
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Lattice grids, multipliers, paired operators, Toeplitz index detection,
 locality defects and partition-of-unity assembly."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -911,6 +913,173 @@ def test_assembly_convergence_requires_decreasing_eps():
         assembly_convergence(sym, strat, [0.4, 0.4, 0.2], grid)
     with pytest.raises(ValueError):
         assembly_convergence(sym, strat, [0.4, 0.2], grid)
+
+
+def _ladder_on(n, radii):
+    grid = LatticeGrid(2, n, 1.0 / n)
+    sym = Symbol.parse("(1+1.1457*normx2(x))*(1+abs2(k))^(1/2)", 1.0, 2)
+    return lambda: assembly_convergence(sym, stratify_model("square", 2),
+                                        radii, grid, s_order=1.0)
+
+
+def _norm_threads(monkeypatch, cpus):
+    """Fix the CPU count at ``cpus`` and the BLAS pool at one thread, so
+    that the ladder's norms take one helper from two CPUs on (one CPU is
+    the sequential loop); returns the set that collects the ident of each
+    norm's thread."""
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lattice, "_BLAS_THREADS", 1)
+    idents = set()
+    norm = lattice.operator_norm
+
+    def recording_norm(*args, **kwargs):
+        idents.add(threading.get_ident())
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "operator_norm", recording_norm)
+    return idents
+
+
+def test_concurrent_ladder_norms_match_the_sequential_loop(monkeypatch):
+    ladder = _ladder_on(32, [0.4, 0.3, 0.2, 0.1])
+    idents = _norm_threads(monkeypatch, 1)
+    sequential = [float(row["proxy"]).hex() for row in ladder()]
+    assert idents == {threading.get_ident()}
+    # eight CPUs still start one helper only
+    idents = _norm_threads(monkeypatch, 8)
+    before = threading.active_count()
+    concurrent = [float(row["proxy"]).hex() for row in ladder()]
+    assert threading.active_count() == before
+    assert len(idents) == 2 and threading.get_ident() in idents
+    assert concurrent == sequential
+
+
+@pytest.mark.parametrize("radii, failing", [
+    ([0.45, 0.3, 0.2], {1}),
+    ([0.45, 0.3, 0.2], {0}),
+    ([0.45, 0.3, 0.2], {0, 1}),
+    # four rungs: the caller takes pairs 0 and 2, the helper pair 1, so
+    # the caller's own failure is not always the first
+    ([0.45, 0.3, 0.2, 0.15], {1, 2}),
+    ([0.45, 0.3, 0.2, 0.15], {2}),
+])
+def test_concurrent_ladder_raises_the_first_failing_pairs_error(
+        radii, failing, monkeypatch):
+    # svds fails on the chosen pairs, told apart by the norm of their
+    # first product, and the power iteration gets no steps, so each
+    # failing pair raises its own NormNotConverged
+    ladder = _ladder_on(16, radii)
+    svds = lattice.svds
+    seen = []
+
+    def first_product(op, kwargs):
+        return float(np.linalg.norm(op.matvec(kwargs["v0"])))
+
+    def recording_svds(op, *args, **kwargs):
+        seen.append(first_product(op, kwargs))
+        return svds(op, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "svds", recording_svds)
+    _norm_threads(monkeypatch, 1)
+    ladder()
+    assert len(set(seen)) == len(seen) == len(radii) - 1
+    fail_at = {seen[k] for k in failing}
+
+    def failing_svds(op, *args, **kwargs):
+        key = first_product(op, kwargs)
+        if key in fail_at:
+            raise LinAlgError(f"no convergence at {key!r}")
+        return svds(op, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "svds", failing_svds)
+    monkeypatch.setattr(lattice, "POWER_STEPS", 0)
+    errors = []
+    for cpus in (1, 2):
+        _norm_threads(monkeypatch, cpus)
+        before = threading.active_count()
+        with pytest.raises(NormNotConverged) as got:
+            ladder()
+        assert threading.active_count() == before
+        errors.append(str(got.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"no convergence at {seen[min(failing)]!r};")
+
+
+def test_assembled_operator_applies_from_several_threads():
+    # a ladder's middle rung is applied from two threads at once; apply
+    # writes nothing, so each thread must get the one-thread results
+    sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)", 1.0, 2)
+    grid = LatticeGrid(2, 16, 1.0 / 16)
+    pts = grid.points()
+    op = assemble_frozen_family(
+        sym, partition_of_unity(build_covering(
+            stratify_model("square", 2), 0.2, cover_points=pts), pts),
+        grid, DiscreteSobolevSpace(grid, 1.0), DiscreteSobolevSpace(grid, 0.0))
+    rng = np.random.default_rng(4)
+    inputs = [rng.standard_normal((grid.size, k)) + 0j for k in (1, 2, 3)]
+    expected = [(op.matvec(v), op.rmatvec(v)) for v in inputs]
+    wrong = []
+
+    def work(i):
+        for _ in range(5):
+            if not (np.array_equal(op.matvec(inputs[i]), expected[i][0])
+                    and np.array_equal(op.rmatvec(inputs[i]),
+                                       expected[i][1])):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("env, blas", [
+    ({}, None),
+    ({"OPENBLAS_NUM_THREADS": "0"}, None),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, None),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, None),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "abc", "MKL_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "3"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+])
+def test_blas_thread_count_from_the_environment(env, blas):
+    assert lattice._blas_threads(env) == blas
+
+
+@pytest.mark.parametrize("blas, cpus, pairs, threads", [
+    (None, 2, 2, 1),
+    (None, 64, 2, 1),
+    (2, 2, 2, 1),
+    (1, 2, 2, 2),
+    (1, 2, 1, 1),
+    (1, 1, 2, 1),
+    (2, 4, 2, 2),
+    (2, 3, 2, 1),
+    (1, 10 ** 6, 5, 2),
+])
+def test_ladder_norm_threads(blas, cpus, pairs, threads, monkeypatch):
+    # the count alone, never more than the caller and one helper; no
+    # thread is started
+    monkeypatch.setattr(lattice, "_BLAS_THREADS", blas)
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: cpus)
+    assert lattice._ladder_norm_threads(pairs) == threads
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(lattice.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
+    assert lattice._usable_cpus() == 3
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: None)
+    assert lattice._usable_cpus() == 1
 
 
 def test_high_frequency_mask_shape():

@@ -13,9 +13,10 @@ import pytest
 
 from symstrat import geometry, lattice, symbols
 from symstrat.dsl import eval_on_grid
-from symstrat.errors import EvalError
-from symstrat.geometry import (Ball, Covering, build_covering,
-                               partition_of_unity, stratify_model)
+from symstrat.errors import EvalError, MissingPatchError, OrderMismatch
+from symstrat.geometry import (Ball, Covering, PartitionOfUnity,
+                               build_covering, partition_of_unity,
+                               stratify_model)
 from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
                               LatticeGrid, assemble_frozen_family,
                               assemble_operator, discretize_symbol_op)
@@ -76,11 +77,12 @@ def test_frozen_family_matches_the_per_ball_loop(text, block, monkeypatch):
                           .matvec(v), assemble_operator(family, pou).matvec(v))
 
 
-@pytest.mark.parametrize("block", [None, 100])
+@pytest.mark.parametrize("block", [None, 100, 5 * 256])
 def test_frozen_family_raises_the_first_failing_balls_error(block,
                                                             monkeypatch):
     # the vertex ball (0, 1) overflows in exp and (1, 0) divides by zero;
-    # a block holding both balls could fail on either
+    # a block holding both balls could fail on either.  The set-up takes
+    # one batch of balls, one ball per batch, or five balls per batch
     if block is not None:
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
     s = Symbol.parse("abs2(k)/(x1-1)+exp(x2*1000)", 2.0, 2)
@@ -99,6 +101,83 @@ def test_frozen_family_raises_the_first_failing_balls_error(block,
     assert type(got.value) is type(errors[0][1])
     assert str(got.value) == str(errors[0][1])
     assert any(str(exc) != str(errors[0][1]) for _, exc in errors)
+
+
+def _recorded_windows(monkeypatch) -> list:
+    """Collect every _MultiplierWindows that lattice sets up."""
+    made = []
+
+    class Recording(lattice._MultiplierWindows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(lattice, "_MultiplierWindows", Recording)
+    return made
+
+
+def _line_or_box_rung(dim, n, eps):
+    grid = LatticeGrid(dim, n, 1.0 / n)
+    pts = grid.points()
+    if dim == 1:
+        cov = Covering(eps, [Ball((float(c),), eps, 0)
+                             for c in np.arange(0.0, 1.0, eps)])
+    else:
+        model = "square" if dim == 2 else "cube"
+        cov = build_covering(stratify_model(model, dim), eps,
+                             cover_points=pts)
+    return grid, cov, partition_of_unity(cov, pts, outside="zero")
+
+
+@pytest.mark.parametrize("dim, n, eps", [(1, 32, 0.1), (2, 16, 0.1),
+                                         (3, 8, 0.3)])
+def test_streamed_setup_matches_the_operator_family(dim, n, eps,
+                                                    monkeypatch):
+    # three balls per batch, so a rung takes many batches
+    grid, cov, pou = _line_or_box_rung(dim, n, eps)
+    monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", 3 * grid.size)
+    made = _recorded_windows(monkeypatch)
+    sym = Symbol.parse(f"(1+normx2(x))*(1+abs2(k))^(1/2)+k{dim}", 1.0, dim)
+    src, dst = _spaces(grid, 1.0)
+    centers = cov.centers_array()
+    assert len(centers) > 6
+    streamed = assemble_frozen_family(sym, pou, grid, src, dst)
+    ops = lattice._frozen_multipliers(sym, centers, grid, src, dst)
+    reference = assemble_operator(
+        {b.center: op for b, op in zip(cov.balls, ops)}, pou)
+    (got, ref) = made
+    assert (got.b_f, got.b_g, got.size) == (ref.b_f, ref.b_g, ref.size)
+    assert np.array_equal(got.spectra, ref.spectra)
+    for a, b in ((got.f, ref.f), (got.g, ref.g)):
+        assert np.array_equal(a.toarray(), b.toarray())
+    assert np.array_equal(streamed.to_dense(), reference.to_dense())
+    assert streamed.provenance == reference.provenance
+
+
+def test_frozen_family_checks_before_evaluating(monkeypatch):
+    evaluated = []
+
+    def counting_eval(*args):
+        evaluated.append(args)
+        return eval_on_grid(*args)
+
+    monkeypatch.setattr(symbols, "eval_on_grid", counting_eval)
+    s = Symbol.parse("abs2(k)/(x1-1)+exp(x2*1000)", 2.0, 2)
+    grid, cov, pou = _rung(16, 0.2)
+    src, dst = _spaces(grid, 2.0)
+    other = DiscreteSobolevSpace(LatticeGrid(2, 16, 1.0 / 32), 1.0)
+    with pytest.raises(OrderMismatch):
+        assemble_frozen_family(s, pou, grid, src, src)
+    with pytest.raises(ValueError, match="given grid"):
+        assemble_frozen_family(s, pou, grid, other, dst)
+    with pytest.raises(ValueError, match="grid points"):
+        assemble_frozen_family(s, partition_of_unity(cov, grid.points()[::-1]),
+                               grid, src, dst)
+    none = np.zeros((0, grid.size))
+    empty = PartitionOfUnity(Covering(0.2, []), grid.points(), none, none)
+    with pytest.raises(MissingPatchError, match="empty covering"):
+        assemble_frozen_family(s, empty, grid, src, dst)
+    assert evaluated == []
 
 
 # --------------------------------------------------------------------------
@@ -170,23 +249,15 @@ def test_window_spectra_match_the_per_patch_transforms(dim, n, eps, block,
     # batches of 2^17 points, of a few patches, and of one patch
     if block is not None:
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
-    grid = LatticeGrid(dim, n, 1.0 / n)
-    pts = grid.points()
-    if dim == 1:
-        centers = np.arange(0.0, 1.0, eps)
-        cov = Covering(eps, [Ball((float(c),), eps, 0) for c in centers])
-    else:
-        model = "square" if dim == 2 else "cube"
-        cov = build_covering(stratify_model(model, dim), eps,
-                             cover_points=pts)
-    pou = partition_of_unity(cov, pts, outside="zero")
+    grid, cov, pou = _line_or_box_rung(dim, n, eps)
     sym = Symbol.parse(f"(1+normx2(x))*(1+abs2(k))^(1/2)+k{dim}", 1.0, dim)
     src, dst = _spaces(grid, 1.0)
     ops = lattice._frozen_multipliers(sym, cov.centers_array(), grid,
                                       src, dst)
     values = [op.data for op in ops]
     f_rows, g_rows = list(pou.f_values), list(pou.g_values)
-    windows = lattice._MultiplierWindows(values, f_rows, g_rows, grid)
+    windows = lattice._MultiplierWindows(lambda b: np.array(values[b]),
+                                         f_rows, g_rows, grid)
     assert np.array_equal(
         windows.spectra[:, :, 0],
         _reference_spectra(windows, values, f_rows, g_rows, n, dim))
@@ -197,9 +268,10 @@ def test_window_spectra_match_the_per_patch_transforms(dim, n, eps, block,
 
 def test_rung_setup_stays_within_the_block_bound(monkeypatch):
     # the finest N=32 rung: 169 balls x 1024 points is above the bound of
-    # 2^17, so the evaluation and the kernel transforms are split
-    evaluated, transformed = [], []
-    real_ifftn = np.fft.ifftn
+    # 2^17, so the evaluation, the kernel transforms and the window
+    # transforms are split
+    evaluated, transformed, spectra = [], [], []
+    real_ifftn, real_fftn = np.fft.ifftn, np.fft.fftn
 
     def counting_eval(expr, x, xi):
         evaluated.append(math.prod(np.broadcast_shapes(
@@ -210,14 +282,21 @@ def test_rung_setup_stays_within_the_block_bound(monkeypatch):
         transformed.append(np.size(a))
         return real_ifftn(a, *args, **kwargs)
 
+    def counting_fftn(a, *args, **kwargs):
+        spectra.append(np.size(a))
+        return real_fftn(a, *args, **kwargs)
+
     monkeypatch.setattr(symbols, "eval_on_grid", counting_eval)
     monkeypatch.setattr(np.fft, "ifftn", counting_ifftn)
+    monkeypatch.setattr(np.fft, "fftn", counting_fftn)
+    made = _recorded_windows(monkeypatch)
     s = Symbol.parse(FAMILY_SYMBOLS[0], 1.0, 2)
     grid, cov, pou = _rung(32, 0.1)
     src, dst = _spaces(grid, 1.0)
     assemble_frozen_family(s, pou, grid, src, dst)
     n_balls = len(cov.balls)
     assert n_balls * grid.size > symbols.ELL_BLOCK_POINTS
-    assert len(evaluated) >= 2 and len(transformed) >= 2
-    assert max(evaluated + transformed) <= symbols.ELL_BLOCK_POINTS
+    assert min(len(evaluated), len(transformed), len(spectra)) >= 2
+    assert max(evaluated + transformed + spectra) <= symbols.ELL_BLOCK_POINTS
     assert sum(evaluated) == sum(transformed) == n_balls * grid.size
+    assert sum(spectra) == n_balls * math.prod(made[0].size)
