@@ -1,6 +1,8 @@
 """Run all seeded verification suites and print a summary table.
 
 Usage: python scripts/verify_suites.py [seed]
+
+The seed defaults to 0, as in ``symstrat verify``.
 """
 
 import sys
@@ -10,7 +12,7 @@ from symstrat.suites import VERIFY_SUITES, run_verify_suite
 
 
 def main():
-    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 42
+    seed = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     all_ok = True
     for name in sorted(VERIFY_SUITES):
         t0 = time.perf_counter()

@@ -163,9 +163,6 @@ class DiscreteSobolevSpace:
         xi = self.grid.frequencies()
         return (1.0 + (xi ** 2).sum(axis=1)) ** (self.s_order / 2.0)
 
-    def norm(self, u: np.ndarray) -> float:
-        return float(np.linalg.norm(self.weights() * self.grid.fft_flat(u)))
-
 
 def high_frequency_mask(grid: LatticeGrid) -> np.ndarray:
     """Upper half of the frequency grid: |integer index|_inf >= N/4."""
@@ -349,7 +346,13 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     operator has no attached spaces).  Multipliers have a closed form; any
     other operator goes to PROPACK's Lanczos bidiagonalization of A itself
     (svds, seeded so that the norm is deterministic), with power iteration
-    as the fallback when PROPACK fails."""
+    on A^H A as the fallback when PROPACK fails.
+
+    The fallback stops once two estimates of sigma^2 differ by less than
+    1e-10 * max(sigma^2, 1).  Below sigma^2 = 1 that test is absolute, so
+    a norm below about 1e-5 can be returned wrong, without a refusal;
+    NormNotConverged is raised only when POWER_STEPS steps never meet
+    the test."""
     if op.kind == "multiplier" and op.src is not None and op.dst is not None:
         ratio = np.abs(op.data) * op.dst.weights() / op.src.weights()
         if freq_mask is not None:
@@ -405,8 +408,14 @@ def discretize_symbol_op(s: Symbol, x0, grid: LatticeGrid,
                          dst: DiscreteSobolevSpace) -> DiscreteOperator:
     """Exact Fourier multiplier of the symbol frozen at x0, mapping
     H^s -> H^(s-alpha) on the torus: the one-center case of
-    :func:`_frozen_multipliers`."""
-    return _frozen_multipliers(s, [x0], grid, src, dst)[0]
+    :func:`_frozen_values`."""
+    _check_frozen_spaces(s, grid, src, dst)
+    x0 = np.asarray(x0, dtype=float)
+    values = _frozen_values(s, x0[None, :], grid.frequencies().astype(complex))
+    return DiscreteOperator.multiplier(
+        values[0], src, dst,
+        provenance={"construction": "frozen-multiplier", "symbol": str(s.expr),
+                    "alpha": s.order_alpha, "x0": [float(v) for v in x0]})
 
 
 def _check_frozen_spaces(s: Symbol, grid: LatticeGrid,
@@ -432,23 +441,6 @@ def _frozen_values(s: Symbol, centers: np.ndarray,
     for block, vals in eval_blocks(s.expr, centers, freqs):
         values[:, block] = vals
     return values
-
-
-def _frozen_multipliers(s: Symbol, centers, grid: LatticeGrid,
-                        src: DiscreteSobolevSpace,
-                        dst: DiscreteSobolevSpace) -> list:
-    """The frozen multipliers of the symbol at each of the centers (J, m),
-    in order, sharing the rows of one (J, P) array of
-    :func:`_frozen_values`."""
-    _check_frozen_spaces(s, grid, src, dst)
-    centers = np.asarray(centers, dtype=float)
-    values = _frozen_values(s, centers, grid.frequencies().astype(complex))
-    text = str(s.expr)
-    return [DiscreteOperator.multiplier(
-        row, src, dst,
-        provenance={"construction": "frozen-multiplier", "symbol": text,
-                    "alpha": s.order_alpha, "x0": [float(v) for v in x0]})
-        for x0, row in zip(centers, values)]
 
 
 def build_paired_operator(a_op: DiscreteOperator, domain: CanonicalDomain,
@@ -762,11 +754,13 @@ class _MultiplierWindows:
     may run in several threads at once.
 
     The spectra are set up one batch of patches at a time, as many as fit
-    in ``ELL_BLOCK_POINTS`` torus points: ``values(batch)`` gives the
-    batch's multiplier values, shape (len(batch), P), which one inverse
-    DFT turns into kernels; their windows are gathered in one pass and
-    transformed into the batch's slice of the spectra.  Only one batch of
-    values, kernels and windows is alive at a time.
+    in ``ELL_BLOCK_POINTS`` torus points.  The one feeder is
+    :func:`assemble_frozen_family`: its ``values(batch)`` evaluates the
+    symbol at the batch's ball centers (:func:`_frozen_values`), shape
+    (len(batch), P), which one inverse DFT turns into kernels; their
+    windows are gathered in one pass and transformed into the batch's
+    slice of the spectra.  Only one batch of values, kernels and windows
+    is alive at a time.
     """
 
     def __init__(self, values, f_rows, g_rows, grid):
@@ -836,9 +830,11 @@ class _MultiplierWindows:
         out = dst_t @ np.moveaxis(y, 2, -1).reshape(-1, k)
         return (out.conj() if adjoint else out).reshape(v.shape)
 
-    def add_dense(self, mat) -> None:
-        """Add each patch's block on supp f_j x supp g_j to ``mat``, read off
-        its kernel window at the box offsets (t - s) mod L."""
+    def to_dense(self) -> np.ndarray:
+        """The P x P matrix, built patch by patch: each patch's block on
+        supp f_j x supp g_j is read off its kernel window at the box
+        offsets (t - s) mod L."""
+        mat = np.zeros((self.f.shape[1],) * 2, dtype=complex)
         windows = np.moveaxis(np.fft.ifftn(
             self.spectra[:, :, 0] * math.prod(self.size), axes=self.axes),
             1, 0)
@@ -848,6 +844,7 @@ class _MultiplierWindows:
             block = _at_offsets(window, tuple(
                 ta[:, None] - sa[None, :] for ta, sa in zip(t, s)))
             mat[np.ix_(rows, cols)] += f[:, None] * block * g[None, :]
+        return mat
 
 
 def _patch_entries(cutoffs, n_patch, box):
@@ -877,9 +874,8 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
     points in grid order (``grid.points()``); any other partition raises
     ValueError.
 
-    Frozen-multiplier patches are applied in small zero-padded FFT windows
-    (see _MultiplierWindows), set up batch by batch from their operators'
-    values; every other patch keeps its own matvec."""
+    Every patch is applied through its own matvec and rmatvec; only
+    :func:`assemble_frozen_family` uses kernel windows."""
     balls = pou.covering.balls
     ops = []
     for ball in balls:
@@ -894,41 +890,26 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
         if op.shape != shape:
             raise ValueError("patch operators must share their grid")
     _check_partition(pou, src.grid)
-    f_vals, g_vals = pou.f_values, pou.g_values
-    mult = [j for j, op in enumerate(ops) if op.kind == "multiplier"]
-    windows = None if not mult else _MultiplierWindows(
-        lambda batch: np.array([ops[j].data for j in mult[batch]]),
-        [f_vals[j] for j in mult], [g_vals[j] for j in mult],
-        ops[mult[0]].src.grid)
     # copies, so that the full (J, P) cutoff arrays are not kept alive
-    others = [(np.array(f_vals[j]), np.array(g_vals[j]), op)
-              for j, op in enumerate(ops) if op.kind != "multiplier"]
-    return _patch_sum(shape, src, dst, len(ops), windows, others)
-
-
-def _patch_sum(shape, src, dst, n_patches, windows, others):
-    """The assembled operator of the multiplier ``windows`` (or None) plus
-    the ``others``, triples (f_j, g_j, A_j) applied one by one."""
+    patches = [(np.array(fj), np.array(gj), op)
+               for fj, gj, op in zip(pou.f_values, pou.g_values, ops)]
 
     def mv(v):
-        out = np.zeros_like(v) if windows is None else windows.apply(v)
-        for fj, gj, op in others:
+        out = np.zeros_like(v)
+        for fj, gj, op in patches:
             out = out + _scale_rows(fj, op.matvec(_scale_rows(gj, v)))
         return out
 
     def rmv(v):
-        out = np.zeros_like(v) if windows is None \
-            else windows.apply(v, adjoint=True)
-        for fj, gj, op in others:
+        out = np.zeros_like(v)
+        for fj, gj, op in patches:
             out = out + _scale_rows(gj, op.rmatvec(_scale_rows(fj, v)))
         return out
 
     def dense():
         # patch j touches only rows supp f_j and columns supp g_j
         mat = np.zeros(shape, dtype=complex)
-        if windows is not None:
-            windows.add_dense(mat)
-        for fj, gj, op in others:
+        for fj, gj, op in patches:
             rows, cols = np.flatnonzero(fj), np.flatnonzero(gj)
             mat[np.ix_(rows, cols)] += (fj[rows, None] * op.block(rows, cols)
                                         * gj[None, cols])
@@ -936,7 +917,7 @@ def _patch_sum(shape, src, dst, n_patches, windows, others):
 
     return DiscreteOperator(shape, mv, rmv, src, dst, kind="composite",
                             provenance={"construction": "assembled",
-                                        "n_patches": n_patches},
+                                        "n_patches": len(ops)},
                             dense=dense)
 
 
@@ -946,8 +927,7 @@ def quantize_full_symbol(s: Symbol, grid: LatticeGrid,
     """Dense direct quantization of an x-dependent symbol on the torus:
     (A u)(x) = sum_xi a(x, xi) u_hat(xi) e^(i x.xi).  Reference object for
     patch-assembly comparisons; dense, so limited to small grids."""
-    if abs(dst.s_order - (src.s_order - s.order_alpha)) > 1e-12:
-        raise OrderMismatch("target order != source order - symbol order")
+    _check_frozen_spaces(s, grid, src, dst)
     p = grid.size
     check_dense_size(p)
     pts = grid.points()
@@ -965,9 +945,9 @@ def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
                            grid: LatticeGrid, src: DiscreteSobolevSpace,
                            dst: DiscreteSobolevSpace) -> DiscreteOperator:
     """Assembled operator with the frozen-coefficient family at the ball
-    centers (the standard patch quantization of an x-dependent symbol),
-    equal bit for bit to :func:`assemble_operator` on the family of
-    :func:`_frozen_multipliers`.
+    centers (the standard patch quantization of an x-dependent symbol):
+    the sum of f_j A_j g_j with A_j the :func:`discretize_symbol_op` of
+    ball j, applied in kernel windows (see _MultiplierWindows).
 
     The spaces and the partition are checked before anything is
     evaluated.  The family is never held whole: the windows are set up
@@ -985,8 +965,12 @@ def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
     windows = _MultiplierWindows(
         lambda batch: _frozen_values(s, centers[batch], freqs),
         pou.f_values, pou.g_values, grid)
-    return _patch_sum((grid.size, grid.size), src, dst, len(balls), windows,
-                      [])
+    return DiscreteOperator((grid.size, grid.size), windows.apply,
+                            lambda v: windows.apply(v, adjoint=True),
+                            src, dst, kind="composite",
+                            provenance={"construction": "assembled",
+                                        "n_patches": len(balls)},
+                            dense=windows.to_dense)
 
 
 # the variables that size the BLAS thread pool, in the order OpenBLAS

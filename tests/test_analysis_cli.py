@@ -473,6 +473,20 @@ def test_cli_analysis_commands_do_not_import_scipy(tmp_path):
     assert loaded == []
 
 
+@pytest.mark.parametrize("script, expected", [
+    ("analyze_square.py", "s = 0.5: fredholm = True"),
+    ("quadrant_factorization_demo.py", "support a_eq   ok=False")])
+def test_script_runs(script, expected):
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.abspath(os.path.join(root, "src")))
+    done = subprocess.run([sys.executable,
+                           os.path.join(root, "scripts", script)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert expected in done.stdout
+
+
 def test_cli_assemble_exports(tmp_path):
     code = main(["assemble", "--symbol", "normx2(x)+abs2(k)", "--alpha", "2",
                  "--model", "square", "--eps", "0.3", "--grid-n", "16",

@@ -163,6 +163,23 @@ def test_full_quantization_agrees_with_frozen_for_constant_x():
     np.testing.assert_allclose(full.to_dense(), frozen.to_dense(), atol=1e-10)
 
 
+def test_full_quantization_checks_its_spaces_like_the_frozen_one():
+    # spaces on a 16-point grid used to give an 8 x 8 operator on the
+    # 8-point grid, whose norm failed inside PROPACK
+    grid = LatticeGrid(1, 8, 0.5)
+    sym = Symbol.parse("abs2(k)", 2.0, 1)
+    other = LatticeGrid(1, 16, 0.5)
+    cases = [((DiscreteSobolevSpace(other, 0.0),
+               DiscreteSobolevSpace(other, -2.0)), ValueError, "given grid"),
+             ((DiscreteSobolevSpace(grid, 0.0),
+               DiscreteSobolevSpace(grid, 0.0)), OrderMismatch, "target order")]
+    for (src, dst), error, message in cases:
+        for build in (lambda: discretize_symbol_op(sym, [0.0], grid, src, dst),
+                      lambda: quantize_full_symbol(sym, grid, src, dst)):
+            with pytest.raises(error, match=message):
+                build()
+
+
 # --------------------------------------------------------------------------
 # projectors and paired operators
 
@@ -524,7 +541,8 @@ def _seam_partition(grid, rng):
     supports anywhere on the torus, across the seam included: two boxes,
     one around index (0, ..., 0), which wraps the seam on every axis, and
     one in the middle.  f_j lives on the box of radius 1 and g_j on the box
-    of radius 2."""
+    of radius 2.  The ball centers (0, 0.5, ...) and (0.5, 0.5, ...) have
+    the grid's dimension, so a symbol can be frozen at them."""
     n = grid.n
     pos = np.stack(np.unravel_index(np.arange(grid.size), (n,) * grid.dim),
                    -1)
@@ -539,8 +557,8 @@ def _seam_partition(grid, rng):
         inner, outer = box(center, 1), box(center, 2)
         f_vals[j, inner] = rng.uniform(0.2, 1.0, inner.sum())
         g_vals[j, outer] = rng.uniform(0.2, 1.0, outer.sum())
-    covering = Covering(eps=1.0, balls=[Ball((0.5 * j, 0.5), 1.0, 0)
-                                        for j in range(2)])
+    covering = Covering(eps=1.0, balls=[
+        Ball((0.5 * j,) + (0.5,) * (grid.dim - 1), 1.0, 0) for j in range(2)])
     return PartitionOfUnity(covering, grid.points(), f_vals, g_vals)
 
 
@@ -556,7 +574,6 @@ def test_block_built_dense_matches_identity_block_reference():
     partitions = [partition_of_unity(cov, grid.points()),
                   _seam_partition(grid, rng)]
     families = {
-        "multiplier": lambda c: discretize_symbol_op(sym, c, grid, src, dst),
         "diag": lambda c: DiscreteOperator.diagonal(
             rng.standard_normal(p) + 1j * rng.standard_normal(p), src, dst),
         "dense": lambda c: DiscreteOperator.from_matrix(
@@ -566,9 +583,14 @@ def test_block_built_dense_matches_identity_block_reference():
         @ DiscreteOperator.diagonal(rng.uniform(1, 2, p) + 0j, src, src),
     }
     for pou in partitions:
+        # multiplier patches through the kernel windows, the others patch
+        # by patch
+        built = {"multiplier": assemble_frozen_family(sym, pou, grid, src,
+                                                      dst)}
         for kind, make in families.items():
-            family = {b.center: make(b.center) for b in pou.covering.balls}
-            assembled = assemble_operator(family, pou)
+            built[kind] = assemble_operator(
+                {b.center: make(b.center) for b in pou.covering.balls}, pou)
+        for kind, assembled in built.items():
             reference = assembled.matvec(np.eye(p, dtype=complex))
             scale = np.abs(reference).max()
             assert scale > 0
@@ -591,11 +613,14 @@ def _torus_reference(family, pou, grid, v, adjoint=False):
 
 
 def _window_cases():
-    """(label, grid, partition, family): square partitions whose windows
-    span the whole torus (eps 0.4, 0.2) or a box of 19 (N=32) or 38 (N=64)
-    points per axis (eps 0.1); seam-wrapping cutoffs, windowed at N=16 and
-    N=32 on the square, N=16 on the circle and N=8 on the 3-torus; and
-    families that mix multiplier and diagonal patches."""
+    """(label, grid, partition, family, assembled): the frozen families of
+    square partitions whose windows span the whole torus (eps 0.4, 0.2) or
+    a box of 19 (N=32) or 38 (N=64) points per axis (eps 0.1), and of
+    seam-wrapping cutoffs, windowed at N=16 and N=32 on the square, N=16
+    on the circle and N=8 on the 3-torus, all assembled by
+    assemble_frozen_family; and families that mix multiplier and diagonal
+    patches, assembled patch by patch by assemble_operator.  ``family``
+    maps each ball center to its patch operator for the reference."""
     sym = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)+k1", 1.0, 2)
     rng = np.random.default_rng(11)
     for n, eps_list in ((8, (0.4, 0.2, 0.1)), (32, (0.2, 0.1)),
@@ -610,31 +635,33 @@ def _window_cases():
             family = {b.center: discretize_symbol_op(sym, b.center, grid,
                                                      src, dst)
                       for b in cov.balls}
-            yield f"square N={n} eps={eps}", grid, pou, family
+            yield (f"square N={n} eps={eps}", grid, pou, family,
+                   assemble_frozen_family(sym, pou, grid, src, dst))
             if n == 32:
                 p = grid.size
                 mixed = {c: op if j % 3 else DiscreteOperator.diagonal(
                     rng.standard_normal(p) + 1j * rng.standard_normal(p),
                     src, dst) for j, (c, op) in enumerate(family.items())}
-                yield f"mixed N={n} eps={eps}", grid, pou, mixed
+                yield (f"mixed N={n} eps={eps}", grid, pou, mixed,
+                       assemble_operator(mixed, pou))
     for dim, n in ((2, 16), (2, 32), (1, 16), (3, 8)):
         grid = LatticeGrid(dim, n, 1.0 / n)
         src = DiscreteSobolevSpace(grid, 1.0)
         dst = DiscreteSobolevSpace(grid, 0.0)
         pou = _seam_partition(grid, rng)
         sym_d = Symbol.parse("(1+normx2(x))*(1+abs2(k))^(1/2)+k1", 1.0, dim)
-        family = {b.center: discretize_symbol_op(
-            sym_d, b.center[:1] + (0.5,) * (dim - 1), grid, src, dst)
-            for b in pou.covering.balls}
-        yield f"seam d={dim} N={n}", grid, pou, family
+        family = {b.center: discretize_symbol_op(sym_d, b.center, grid,
+                                                 src, dst)
+                  for b in pou.covering.balls}
+        yield (f"seam d={dim} N={n}", grid, pou, family,
+               assemble_frozen_family(sym_d, pou, grid, src, dst))
 
 
 def test_windowed_assembly_matches_torus_reference():
     rng = np.random.default_rng(3)
     empty_support_seen = False
-    for label, grid, pou, family in _window_cases():
+    for label, grid, pou, family, assembled in _window_cases():
         empty_support_seen |= bool(np.any(~np.any(pou.f_values != 0, axis=1)))
-        assembled = assemble_operator(family, pou)
         p = grid.size
         for shape in (p, (p, 3)):
             v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

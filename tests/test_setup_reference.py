@@ -17,9 +17,9 @@ from symstrat.errors import EvalError, MissingPatchError, OrderMismatch
 from symstrat.geometry import (Ball, Covering, PartitionOfUnity,
                                build_covering, partition_of_unity,
                                stratify_model)
-from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
-                              LatticeGrid, assemble_frozen_family,
-                              assemble_operator, discretize_symbol_op)
+from symstrat.lattice import (DiscreteSobolevSpace, LatticeGrid,
+                              assemble_frozen_family, assemble_operator,
+                              discretize_symbol_op)
 from symstrat.symbols import Symbol
 
 # the assemble_* benchmark symbol, and one with x inside a xi subtree
@@ -60,21 +60,23 @@ def test_frozen_family_matches_the_per_ball_loop(text, block, monkeypatch):
     src, dst = _spaces(grid, 1.0)
     centers = [b.center for b in cov.balls]
     assert len(centers) == 169
-    ops = lattice._frozen_multipliers(s, centers, grid, src, dst)
-    for c, op, ref in zip(centers, ops, _per_ball_values(s, centers, grid)):
-        assert np.array_equal(op.data, ref), c
-        assert op.provenance == {"construction": "frozen-multiplier",
-                                 "symbol": str(s.expr), "alpha": 1.0,
-                                 "x0": list(c)}
-    one = discretize_symbol_op(s, centers[7], grid, src, dst)
-    assert np.array_equal(one.data, ops[7].data)
-    assert one.provenance == ops[7].provenance
-    # the assembled operator of the per-ball family, applied bit for bit
-    family = {c: DiscreteOperator.multiplier(ref, src, dst) for c, ref
-              in zip(centers, _per_ball_values(s, centers, grid))}
+    values = lattice._frozen_values(s, np.array(centers, dtype=float),
+                                    grid.frequencies().astype(complex))
+    refs = _per_ball_values(s, centers, grid)
+    for c, row, ref in zip(centers, values, refs):
+        assert np.array_equal(row, ref), c
+        # the one-center case
+        one = discretize_symbol_op(s, c, grid, src, dst)
+        assert np.array_equal(one.data, ref), c
+        assert one.provenance == {"construction": "frozen-multiplier",
+                                  "symbol": str(s.expr), "alpha": 1.0,
+                                  "x0": list(c)}
+    # the windows of the per-ball values, applied bit for bit
+    windows = lattice._MultiplierWindows(lambda b: np.array(refs[b]),
+                                         pou.f_values, pou.g_values, grid)
     v = np.random.default_rng(2).standard_normal((grid.size, 2)) + 0j
     assert np.array_equal(assemble_frozen_family(s, pou, grid, src, dst)
-                          .matvec(v), assemble_operator(family, pou).matvec(v))
+                          .matvec(v), windows.apply(v))
 
 
 @pytest.mark.parametrize("block", [None, 100, 5 * 256])
@@ -129,22 +131,43 @@ def _line_or_box_rung(dim, n, eps):
     return grid, cov, partition_of_unity(cov, pts, outside="zero")
 
 
+def test_assemble_operator_sets_up_no_windows(monkeypatch):
+    # a family of frozen multipliers goes patch by patch; only
+    # assemble_frozen_family uses kernel windows
+    made = _recorded_windows(monkeypatch)
+    grid, cov, pou = _line_or_box_rung(2, 16, 0.2)
+    sym = Symbol.parse(FAMILY_SYMBOLS[0], 1.0, 2)
+    src, dst = _spaces(grid, 1.0)
+    family = {b.center: discretize_symbol_op(sym, b.center, grid, src, dst)
+              for b in cov.balls}
+    assembled = assemble_operator(family, pou)
+    v = np.random.default_rng(4).standard_normal(grid.size) + 0j
+    assembled.matvec(v)
+    assembled.rmatvec(v)
+    assembled.to_dense()
+    assert made == []
+    assemble_frozen_family(sym, pou, grid, src, dst)
+    assert len(made) == 1
+
+
 @pytest.mark.parametrize("dim, n, eps", [(1, 32, 0.1), (2, 16, 0.1),
                                          (3, 8, 0.3)])
-def test_streamed_setup_matches_the_operator_family(dim, n, eps,
+def test_streamed_setup_matches_the_one_batch_setup(dim, n, eps,
                                                     monkeypatch):
-    # three balls per batch, so a rung takes many batches
+    # three balls per batch, so a rung takes many batches, against all
+    # balls in one batch
     grid, cov, pou = _line_or_box_rung(dim, n, eps)
-    monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", 3 * grid.size)
     made = _recorded_windows(monkeypatch)
     sym = Symbol.parse(f"(1+normx2(x))*(1+abs2(k))^(1/2)+k{dim}", 1.0, dim)
     src, dst = _spaces(grid, 1.0)
-    centers = cov.centers_array()
-    assert len(centers) > 6
-    streamed = assemble_frozen_family(sym, pou, grid, src, dst)
-    ops = lattice._frozen_multipliers(sym, centers, grid, src, dst)
-    reference = assemble_operator(
-        {b.center: op for b, op in zip(cov.balls, ops)}, pou)
+    assert len(cov.balls) > 6
+
+    def rung(balls_per_batch):
+        monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS",
+                            balls_per_batch * grid.size)
+        return assemble_frozen_family(sym, pou, grid, src, dst)
+
+    streamed, reference = rung(3), rung(len(cov.balls))
     (got, ref) = made
     assert (got.b_f, got.b_g, got.size) == (ref.b_f, ref.b_g, ref.size)
     assert np.array_equal(got.spectra, ref.spectra)
@@ -251,13 +274,11 @@ def test_window_spectra_match_the_per_patch_transforms(dim, n, eps, block,
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
     grid, cov, pou = _line_or_box_rung(dim, n, eps)
     sym = Symbol.parse(f"(1+normx2(x))*(1+abs2(k))^(1/2)+k{dim}", 1.0, dim)
-    src, dst = _spaces(grid, 1.0)
-    ops = lattice._frozen_multipliers(sym, cov.centers_array(), grid,
-                                      src, dst)
-    values = [op.data for op in ops]
+    values = lattice._frozen_values(sym, cov.centers_array(),
+                                    grid.frequencies().astype(complex))
     f_rows, g_rows = list(pou.f_values), list(pou.g_values)
-    windows = lattice._MultiplierWindows(lambda b: np.array(values[b]),
-                                         f_rows, g_rows, grid)
+    windows = lattice._MultiplierWindows(lambda b: values[b], f_rows, g_rows,
+                                         grid)
     assert np.array_equal(
         windows.spectra[:, :, 0],
         _reference_spectra(windows, values, f_rows, g_rows, n, dim))
