@@ -21,6 +21,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -131,15 +132,18 @@ def _stratum_points(stratum, n_points: int, x_dependent: bool) -> np.ndarray:
 
 
 def _factorize(sym: Symbol, strat, config: AnalysisConfig) -> list:
-    """One winding-quadrature report per boundary stratum."""
+    """One winding-quadrature report per boundary stratum, from one
+    winding_index call over the sample points of every stratum."""
     x_dep = depends_on_x(sym.expr)
+    strata = strat.boundary_strata()
+    points = [_stratum_points(st, config.points_per_stratum, x_dep)
+              for st in strata]
+    values = iter(winding_index(sym, np.concatenate(points),
+                                np.zeros(config.dim() - 1),
+                                cutoff=config.cutoff,
+                                quad_samples=config.quad_samples))
     reports = []
-    for st in strat.boundary_strata():
-        pts = _stratum_points(st, config.points_per_stratum, x_dep)
-        ae_vals = [winding_index(sym, p, np.zeros(config.dim() - 1),
-                                 cutoff=config.cutoff,
-                                 quad_samples=config.quad_samples)
-                   for p in pts]
+    for st, pts in zip(strata, points):
         diag = {"xi_prime": [0.0] * (config.dim() - 1),
                 "x_dependent": x_dep}
         if st.domain.kind == "wedge":
@@ -149,8 +153,8 @@ def _factorize(sym: Symbol, strat, config: AnalysisConfig) -> list:
         reports.append(FactorizationReport(
             stratum_label=st.label, k=st.k,
             points=[list(map(float, p)) for p in pts],
-            ae_values=ae_vals, method="winding-quadrature",
-            diagnostics=diag))
+            ae_values=list(islice(values, len(pts))),
+            method="winding-quadrature", diagnostics=diag))
     return reports
 
 

@@ -32,9 +32,10 @@ import numpy as np
 from .dsl import SymbolExpr, eval_on_grid, frequency_support
 from .errors import (BranchJumpError, EvalError, GrowthViolation,
                      MissingStratumReport, NonEllipticOnLine, ProductMismatch,
-                     SlopeDisagreement, SupportLeak, TailJumpError)
+                     SlopeDisagreement, SupportLeak, SymstratError,
+                     TailJumpError)
 from .geometry import Cone, Stratification, dual_cone
-from .symbols import TOL_ELL, Symbol
+from .symbols import ELL_BLOCK_POINTS, TOL_ELL, Symbol
 
 __all__ = [
     "winding_index", "WaveFactorCandidate", "WaveValidationReport",
@@ -69,10 +70,20 @@ _WIND_MAX_MODULUS = 1e150
 # Half-space winding
 
 def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
-                  quad_samples: int = QUAD_SAMPLES) -> float:
+                  quad_samples: int = QUAD_SAMPLES) -> float | list:
     """alpha/2 plus the winding of the reduced symbol along the last
     frequency axis, by adaptive phase unwrapping in theta = arctan(t) over
     |t| <= cutoff, with a tail correction from the values at +-cutoff.
+
+    An ``x0`` of shape (m,) gives the index on the one line through x0 as
+    a float; an ``x0`` of shape (Q, m) gives a list of Q floats, one per
+    row, each equal bit for bit to the call on that row alone.  The lines
+    share every evaluation: one :func:`eval_on_grid` call for all their
+    start grids and one per bisection round for all their open intervals,
+    each split into blocks of at most ``ELL_BLOCK_POINTS`` nodes, which
+    bounds the memory of an evaluation.  Everything a line's index is read
+    from stays per line: its tail phase, node cap, rescaling, interval
+    order and sum of phase steps.
 
     The grid starts from WIND_START_NODES theta-uniform nodes, theta = 0
     among them (so a symbol vanishing at t = 0 is seen), and probes every
@@ -83,36 +94,64 @@ def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
     a zero at distance eps >= 1e-4 from the Cayley circle is resolved,
     while a narrower one can be missed.  A phase linear in theta takes the
     129 nodes of the start grid and its midpoints.  ``quad_samples`` caps
-    the nodes evaluated; below 129 the start grid shrinks so that it and
-    its midpoints fit.
+    the nodes evaluated per line; below 129 the start grid shrinks so that
+    it and its midpoints fit.
 
     Raises NonEllipticOnLine if the reduced symbol vanishes at a node,
     TailJumpError (a BranchJumpError) if the phases at -cutoff and +cutoff
     differ by more than pi/2, and BranchJumpError if an interval is still
     unresolved when the node cap is reached (raise the cap rather than
-    guess)."""
+    guess).  With several lines the error raised is the one the first
+    failing row raises in a call of its own: on any error the rows are
+    rerun one at a time, in order."""
     x0 = np.asarray(x0, dtype=float)
+    if x0.ndim not in (1, 2):
+        raise ValueError(f"x0 must have shape (m,) or (Q, m), got {x0.shape}")
     xi_prime = np.asarray(xi_prime, dtype=float).reshape(-1)
     if xi_prime.size != s.dim - 1:
         raise ValueError(
             f"xi_prime must have length m-1 = {s.dim - 1}, got {xi_prime.size}")
+    pts = x0.reshape(-1, x0.shape[-1])
+    try:
+        values = _wind_lines(s, pts, xi_prime, cutoff, quad_samples)
+    except SymstratError:
+        if len(pts) > 1:
+            for p in pts:
+                _wind_lines(s, p[None, :], xi_prime, cutoff, quad_samples)
+        raise
+    return values[0] if x0.ndim == 1 else values
+
+
+def _wind_lines(s: Symbol, pts: np.ndarray, xi_prime: np.ndarray,
+                cutoff: float, quad_samples: int) -> list:
+    """The index of winding_index on the line through each row of pts."""
+    n_lines, m = pts.shape[0], s.dim
     norm2_prime = 1.0 + float(xi_prime @ xi_prime)
 
-    def reduced(t):
-        xi = np.empty((t.size, s.dim), dtype=complex)
-        xi[:, : s.dim - 1] = xi_prime[None, :]
-        xi[:, -1] = t
-        vals = eval_on_grid(s.expr, x0[None, :], xi)
+    def reduced(line, t):
+        """The reduced symbol at the nodes t of the lines ``line``."""
+        vals = np.empty(t.size, dtype=complex)
+        for start in range(0, t.size, ELL_BLOCK_POINTS):
+            block = slice(start, start + ELL_BLOCK_POINTS)
+            xi = np.empty((t[block].size, m), dtype=complex)
+            xi[:, : m - 1] = xi_prime[None, :]
+            xi[:, -1] = t[block]
+            vals[block] = eval_on_grid(s.expr, pts[line[block]], xi)
         red = vals * (norm2_prime + t ** 2) ** (-s.order_alpha / 2.0)
         mods = np.abs(red)
         if np.min(mods) <= TOL_ELL:
             j = int(np.argmin(mods))
             raise NonEllipticOnLine(
                 f"reduced symbol modulus {mods[j]:.3e} at t={t[j]:.6g}")
-        if mods.max() > _WIND_MAX_MODULUS:
-            # only phases are read: scale each value to a modulus in
-            # [1, sqrt 2], which keeps its phase and cannot overflow
-            red = red / np.maximum(np.abs(red.real), np.abs(red.imag))
+        big = np.zeros(n_lines, dtype=bool)
+        big[line[mods > _WIND_MAX_MODULUS]] = True
+        if big.any():
+            # only phases are read: scale each value of a line that passes
+            # the bound to a modulus in [1, sqrt 2], which keeps its phase
+            # and cannot overflow
+            sel = big[line]
+            red[sel] = red[sel] / np.maximum(np.abs(red[sel].real),
+                                             np.abs(red[sel].imag))
         return red
 
     # an odd start grid, so that theta = 0 is a node, no larger than lets
@@ -121,40 +160,58 @@ def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
     theta = math.atan(cutoff) * np.linspace(-1.0, 1.0, n_start)
     t = np.tan(theta)
     t[0], t[-1] = -cutoff, cutoff
-    vals = reduced(t)
-    tail = float(np.angle(vals[0] * np.conj(vals[-1])))
-    if abs(tail) > math.pi / 2:
-        raise TailJumpError(
-            f"tail phase jump {tail:.3f} rad exceeds pi/2: the reduced "
-            f"symbol has phase {np.angle(vals[-1]):.3f} rad at "
-            f"t=+{cutoff:.6g} and {np.angle(vals[0]):.3f} rad at "
-            f"t=-{cutoff:.6g}, so it does not close up at infinity")
+    vals = reduced(np.repeat(np.arange(n_lines), n_start),
+                   np.tile(t, n_lines)).reshape(n_lines, n_start)
+    totals = []
+    for row in vals:
+        tail = float(np.angle(row[0] * np.conj(row[-1])))
+        if abs(tail) > math.pi / 2:
+            raise TailJumpError(
+                f"tail phase jump {tail:.3f} rad exceeds pi/2: the reduced "
+                f"symbol has phase {np.angle(row[-1]):.3f} rad at "
+                f"t=+{cutoff:.6g} and {np.angle(row[0]):.3f} rad at "
+                f"t=-{cutoff:.6g}, so it does not close up at infinity")
+        totals.append(tail)
 
-    # open intervals [lo, hi] in theta with the values at their ends
-    lo, hi, v_lo, v_hi = theta[:-1], theta[1:], vals[:-1], vals[1:]
-    nodes = n_start
-    total = tail
-    while lo.size:
-        if nodes + lo.size > quad_samples:
+    # open intervals [lo, hi] in theta with the values at their ends, and
+    # the line of each, grouped by line
+    line = np.repeat(np.arange(n_lines), n_start - 1)
+    lo, hi = np.tile(theta[:-1], n_lines), np.tile(theta[1:], n_lines)
+    v_lo, v_hi = vals[:, :-1].ravel(), vals[:, 1:].ravel()
+    nodes = np.full(n_lines, n_start)
+    while line.size:
+        counts = np.bincount(line, minlength=n_lines)
+        over = nodes + counts > quad_samples
+        if over.any():
+            q = int(np.argmax(over))
+            i = int(np.searchsorted(line, q))
             raise BranchJumpError(
                 f"winding unresolved at the node cap quad_samples="
-                f"{quad_samples}: {lo.size} intervals open, the first on "
-                f"t in [{math.tan(lo[0]):.6g}, {math.tan(hi[0]):.6g}]; "
+                f"{quad_samples}: {counts[q]} intervals open, the first on "
+                f"t in [{math.tan(lo[i]):.6g}, {math.tan(hi[i]):.6g}]; "
                 "raise the cap")
         mid = 0.5 * (lo + hi)
-        v_mid = reduced(np.tan(mid))
-        nodes += mid.size
+        v_mid = reduced(line, np.tan(mid))
+        nodes += counts
         left = np.angle(v_mid * np.conj(v_lo))
         right = np.angle(v_hi * np.conj(v_mid))
         done = ((np.maximum(np.abs(left), np.abs(right)) <= WIND_MAX_HALF_STEP)
                 & (np.abs(left - right) <= WIND_HALF_STEP_TOL))
-        total += float(np.sum(left[done] + right[done]))
+        steps = left[done] + right[done]
+        n_done = np.bincount(line[done], minlength=n_lines)
+        ends = np.cumsum(n_done)
+        for q in np.flatnonzero(counts):
+            totals[q] += float(np.sum(steps[ends[q] - n_done[q]:ends[q]]))
+        # each line's left halves, then its right halves
         split = ~done
-        lo, hi = (np.concatenate([lo[split], mid[split]]),
-                  np.concatenate([mid[split], hi[split]]))
-        v_lo, v_hi = (np.concatenate([v_lo[split], v_mid[split]]),
-                      np.concatenate([v_mid[split], v_hi[split]]))
-    return s.order_alpha / 2.0 + total / (2.0 * math.pi)
+        key = np.concatenate([2 * line[split], 2 * line[split] + 1])
+        order = np.argsort(key, kind="stable")
+        line = key[order] // 2
+        lo = np.concatenate([lo[split], mid[split]])[order]
+        hi = np.concatenate([mid[split], hi[split]])[order]
+        v_lo = np.concatenate([v_lo[split], v_mid[split]])[order]
+        v_hi = np.concatenate([v_mid[split], v_hi[split]])[order]
+    return [s.order_alpha / 2.0 + total / (2.0 * math.pi) for total in totals]
 
 
 # --------------------------------------------------------------------------

@@ -244,22 +244,23 @@ def test_winding_resolves_narrow_line_features(t0):
 
 def test_winding_node_count_on_the_cube(monkeypatch):
     # every winding line of this cube analysis has linear phase in theta,
-    # so the start grid and its midpoints settle it: a return to a dense
-    # grid fails here without any timing
+    # so the start grid and its midpoints settle it: 129 nodes on each of
+    # the 44 lines, all wound in one call, so a return to a dense grid or
+    # to one call per line fails here without any timing
     from symstrat import analysis, factorization
 
-    counts = []
+    calls, nodes = [], []
     real_eval = factorization.eval_on_grid
     real_winding = factorization.winding_index
 
     def counting_eval(expr, x, xi):
         out = real_eval(expr, x, xi)
-        counts[-1] += out.size
+        nodes.append(out.size)
         return out
 
-    def counting_winding(*args, **kwargs):
-        counts.append(0)
-        return real_winding(*args, **kwargs)
+    def counting_winding(s, x0, *args, **kwargs):
+        calls.append(np.shape(x0))
+        return real_winding(s, x0, *args, **kwargs)
 
     monkeypatch.setattr(factorization, "eval_on_grid", counting_eval)
     monkeypatch.setattr(analysis, "winding_index", counting_winding)
@@ -267,14 +268,109 @@ def test_winding_node_count_on_the_cube(monkeypatch):
         symbol_text="(1.5+0.2*x1)*((k3-i)/(k3+i))^2*(1+abs2(k))^(1/2)",
         alpha=1.0, model="cube", s_order=0.3))
     assert manifest.ok
-    assert len(counts) == 44            # 26 strata, two points where x1 varies
-    assert max(counts) <= 257
+    # 26 strata, two points where x1 varies
+    assert calls == [(44, 3)]
+    assert sum(nodes) == 44 * 129
     # the benchmark warm-up caps at 256 nodes: start grid plus midpoints fit
-    counts.append(0)
+    nodes.clear()
     s = Symbol.parse("(1+abs2(k))^(1/2)", 1.0, 3)
     assert real_winding(s, [0.5] * 3, [0.0, 0.0], quad_samples=256) == \
         pytest.approx(0.5, abs=1e-12)
-    assert counts[-1] == 129
+    assert sum(nodes) == 129
+
+
+def _hex_one_by_one(s, points, xi_prime, **kwargs):
+    return [winding_index(s, p, xi_prime, **kwargs).hex() for p in points]
+
+
+def _hex_batched(s, points, xi_prime, **kwargs):
+    values = winding_index(s, np.asarray(points, dtype=float), xi_prime,
+                           **kwargs)
+    assert isinstance(values, list) and len(values) == len(points)
+    return [v.hex() for v in values]
+
+
+def _cube_points():
+    """The sample points run_analysis winds on the cube: two per stratum
+    where the symbol depends on x, one on each vertex."""
+    from symstrat.analysis import _stratum_points
+    strat = stratify_model("cube", 3)
+    return np.concatenate([_stratum_points(st, 2, True)
+                           for st in strat.boundary_strata()])
+
+
+@pytest.mark.parametrize("w", [0, -1, 1, 2])
+def test_batched_winding_matches_one_point_calls_on_the_cube(w):
+    # symbols of the form of the benchmark's cube inputs
+    points = _cube_points()
+    assert points.shape == (44, 3)
+    for alpha in (1, 2):
+        s = Symbol.parse(
+            "(1.4217-0.2311*x1+0.1702*x2+0.0856*x3+0.3120*normx2(x))"
+            f"*((k3-i)/(k3+i))^{w}*(1+abs2(k))^({alpha}/2)", alpha, 3)
+        batched = _hex_batched(s, points, [0.0, 0.0])
+        assert batched == _hex_one_by_one(s, points, [0.0, 0.0])
+        assert {round(float.fromhex(v) - alpha / 2) for v in batched} == {w}
+
+
+def test_batched_winding_matches_one_point_calls_over_several_rounds():
+    # x1 = 0 gives the narrow feature (k1-3+0.0001*i)/(k1-3-0.0001*i),
+    # which takes many bisection rounds, the wider lines only one or two
+    s = Symbol.parse("(k1-3+(0.0001+x1)*i)/(k1-3-(0.0001+x1)*i)", 0.0, 1)
+    points = [[0.0], [0.5], [0.001], [2.0], [0.0]]
+    batched = _hex_batched(s, points, [])
+    assert batched == _hex_one_by_one(s, points, [])
+    assert [round(float.fromhex(v)) for v in batched] == [-1] * 5
+
+
+def test_batched_winding_rescales_only_the_lines_past_the_bound():
+    # 1e145*exp(20*x1)*(1+k1^2) passes 1e150 on every node of the line at
+    # x1 = 1, only near the ends of the lines at x1 = 0 and 0.3 (so their
+    # start grids are rescaled and their midpoints are not), and nowhere
+    # at x1 = -5 or -12.5, whose last bits a rescaling would move
+    s = Symbol.parse("1e145*exp(20*x1)*(1+k1^2)*((k1-i)/(k1+i))^2"
+                     "*(k1-2+0.5*i)/(k1-2-0.5*i)", 0.0, 1)
+    points = [[0.0], [1.0], [-5.0], [0.3], [-12.5]]
+    batched = _hex_batched(s, points, [])
+    assert batched == _hex_one_by_one(s, points, [])
+    assert [round(float.fromhex(v)) for v in batched] == [1] * 5
+
+
+def _error_of(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return info.value
+
+
+# A batch [fine, first, later] where the point ``later`` fails before the
+# point ``first`` would: at the start grid or its tail, where ``first``
+# fails in a bisection round or at its own tail.  c is the node of the
+# first bisection round between t = 0 and the next start node.
+_ROUND_ONE_NODE = 0.024547058667373674
+_ERROR_ORDER_CASES = {
+    "NonEllipticOnLine": (f"((k2-{_ROUND_ONE_NODE!r})^2+x1)/(k2^2+x2)",
+                          {}, [1, 1], [0, 1], [1, 0]),
+    "TailJumpError": ("(x1*k2+i)/(k2^2+x2)", {}, [0, 1], [1, 1], [0, 0]),
+    "BranchJumpError": ("(x1*((k2-i)/(k2+i))^8+1-x1)*(x2*k2+i)",
+                        {"quad_samples": 64}, [0, 0], [1, 0], [0, 1]),
+    "EvalError": ("exp(1000*x1/(1+10000*(k2-0.0245)^2))*(k2^2+x2)", {},
+                  [0.5, 1], [1, 1], [0, 0]),
+}
+
+
+@pytest.mark.parametrize("expected", sorted(_ERROR_ORDER_CASES))
+def test_batched_winding_raises_the_first_failing_points_error(expected):
+    text, kwargs, fine, first, later = _ERROR_ORDER_CASES[expected]
+    s = Symbol.parse(text, 0.0, 2)
+    assert winding_index(s, fine, [0.0], **kwargs) == 0.0
+    own = _error_of(lambda: winding_index(s, first, [0.0], **kwargs))
+    assert type(own).__name__ == expected
+    # the later point fails otherwise, and earlier in the batch's rounds
+    assert type(_error_of(lambda: winding_index(s, later, [0.0],
+                                                **kwargs))) is not type(own)
+    batched = _error_of(lambda: winding_index(
+        s, np.array([fine, first, later], dtype=float), [0.0], **kwargs))
+    assert type(batched) is type(own) and str(batched) == str(own)
 
 
 # --------------------------------------------------------------------------

@@ -12,19 +12,30 @@ entries and the reason in ``CHANGES.md``.
 ``assembly_convergence`` proxies on the 16 x 16 grid for the first two
 ``assemble_n32`` benchmark inputs of seed 1; they are the same under one
 and two BLAS threads.  Moved proxies are handled as moved digests.
+
+``data/toeplitz_windings.json`` holds the ``float.hex`` of the
+``winding_index`` of the lifted symbols of the toeplitz suite of seed 0,
+drawn as the suite draws them; moved values are handled as moved
+digests.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
+from symstrat.factorization import winding_index
 from symstrat.geometry import stratify_model
 from symstrat.lattice import LatticeGrid, assembly_convergence
+from symstrat.laurent import random_elliptic_laurent
+from symstrat.suites import TOEPLITZ_CASES
 from symstrat.symbols import Symbol
 
 PINNED = Path(__file__).parent / "data" / "manifest_digests.json"
 LADDERS = Path(__file__).parent / "data" / "ladder_proxies.json"
+WINDINGS = Path(__file__).parent / "data" / "toeplitz_windings.json"
 
 
 def test_pinned_manifests_are_byte_identical():
@@ -56,3 +67,14 @@ def test_pinned_ladder_proxies_are_bit_identical():
             moved.append(f"{row['symbol']}: now {proxies}")
     assert len(pinned["ladders"]) == 2
     assert not moved, "ladder proxies moved:\n" + "\n".join(moved)
+
+
+def test_pinned_toeplitz_windings_are_bit_identical():
+    # the draws of the toeplitz suite, without its Toeplitz sections
+    pinned = json.loads(WINDINGS.read_text(encoding="utf-8"))
+    rng = np.random.default_rng(pinned["seed"])
+    windings = [winding_index(Symbol.parse(
+        random_elliptic_laurent(rng).lifted_text(), 0.0, 1), [0.0], []).hex()
+        for _ in range(TOEPLITZ_CASES)]
+    assert len(pinned["windings"]) == TOEPLITZ_CASES == 20
+    assert windings == pinned["windings"]
