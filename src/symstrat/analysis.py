@@ -45,6 +45,9 @@ SKIP_REASONS = {"stratification": "stratification failed",
                 "ellipticity": "ellipticity stage failed",
                 "factorization": "factorization failed"}
 
+# winding sample points per boundary stratum of an x-dependent symbol
+POINTS_PER_STRATUM = 2
+
 
 @dataclass
 class AnalysisConfig:
@@ -54,8 +57,6 @@ class AnalysisConfig:
     s_order: float = 0.0
     seed: int = 0
     out_dir: str | None = None
-    points_per_stratum: int = 2
-    cutoff: float = CUTOFF
     quad_samples: int = QUAD_SAMPLES
 
     def dim(self) -> int:
@@ -69,8 +70,6 @@ class AnalysisConfig:
             sym = Symbol.parse(self.symbol_text, self.alpha, self.dim())
         except SymstratError as exc:
             raise ConfigError(f"bad symbol: {exc}") from exc
-        if self.points_per_stratum < 1:
-            raise ConfigError("points_per_stratum must be >= 1")
         return sym
 
     def to_dict(self) -> dict:
@@ -78,8 +77,8 @@ class AnalysisConfig:
             "symbol": self.symbol_text, "alpha": self.alpha,
             "model": self.model, "s_order": self.s_order,
             "seed": self.seed,
-            "points_per_stratum": self.points_per_stratum,
-            "cutoff": self.cutoff, "quad_samples": self.quad_samples,
+            "points_per_stratum": POINTS_PER_STRATUM,
+            "cutoff": CUTOFF, "quad_samples": self.quad_samples,
         }
 
 
@@ -136,11 +135,10 @@ def _factorize(sym: Symbol, strat, config: AnalysisConfig) -> list:
     winding_index call over the sample points of every stratum."""
     x_dep = depends_on_x(sym.expr)
     strata = strat.boundary_strata()
-    points = [_stratum_points(st, config.points_per_stratum, x_dep)
+    points = [_stratum_points(st, POINTS_PER_STRATUM, x_dep)
               for st in strata]
     values = iter(winding_index(sym, np.concatenate(points),
                                 np.zeros(config.dim() - 1),
-                                cutoff=config.cutoff,
                                 quad_samples=config.quad_samples))
     reports = []
     for st, pts in zip(strata, points):

@@ -488,7 +488,7 @@ class FactorizationReport:
     k: int
     points: list
     ae_values: list
-    method: str              # winding-quadrature | root-count | wave-slope
+    method: str              # winding-quadrature
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:

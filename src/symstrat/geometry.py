@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -457,18 +457,17 @@ class Ball:
 class Covering:
     eps: float
     balls: list
-    stages: dict = field(default_factory=dict)   # stage k -> list of Ball
+
+    @property
+    def stages(self) -> dict:
+        """Stage k -> its balls in covering order, for each k with a ball."""
+        out = {}
+        for b in self.balls:
+            out.setdefault(b.stage, []).append(b)
+        return dict(sorted(out.items()))
 
     def centers_array(self) -> np.ndarray:
         return np.array([b.center for b in self.balls])
-
-    def to_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "n_balls": len(self.balls),
-            "stages": {str(k): [list(b.center) for b in bs]
-                       for k, bs in sorted(self.stages.items())},
-        }
 
 
 def _sq_dists(points, centers):
@@ -503,18 +502,13 @@ def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering
             f"eps={eps} must be < half the minimal stratum separation "
             f"{s.min_separation}")
 
-    all_centers = []
-    stages = {}
     balls = []
     for k in sorted({st.k for st in s.strata}):
-        stage_balls = []
-        stage_pts = [st.sample_points for st in s.strata if st.k == k]
-        if not stage_pts:
-            continue
-        pts = np.concatenate(stage_pts, axis=0)
+        pts = np.concatenate(
+            [st.sample_points for st in s.strata if st.k == k], axis=0)
         # distances to the earlier-stage centers, and a running minimum
         # over every center so far, updated once per new ball
-        d_earlier = _dists_to_centers(pts, all_centers)
+        d_earlier = _dists_to_centers(pts, [b.center for b in balls])
         d_all = d_earlier.copy()
         for idx in np.lexsort(pts.T[::-1]):
             if d_all[idx] < _GREEDY_SLACK * eps:
@@ -524,11 +518,8 @@ def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering
                 # ineligible as a center for this stage
                 continue
             p = pts[idx]
-            all_centers.append(p)
             d_all = np.minimum(d_all, _dists_to_centers(pts, [p]))
-            stage_balls.append(Ball(tuple(float(v) for v in p), eps, k))
-        stages[k] = stage_balls
-        balls.extend(stage_balls)
+            balls.append(Ball(tuple(float(v) for v in p), eps, k))
 
     if cover_points is not None:
         cover_points = np.atleast_2d(np.asarray(cover_points, float))
@@ -548,12 +539,10 @@ def build_covering(s: Stratification, eps: float, cover_points=None) -> Covering
                     f"point {p.tolist()} cannot be covered at eps={eps}: "
                     "no eligible interior center nearby")
             q = cand[np.flatnonzero(ok)[int(np.argmin(d_p[ok]))]]
-            ball = Ball(tuple(float(v) for v in q), eps, k_top)
-            balls.append(ball)
-            stages.setdefault(k_top, []).append(ball)
+            balls.append(Ball(tuple(float(v) for v in q), eps, k_top))
             d_cover = np.minimum(d_cover, _dists_to_centers(cover_points, [q]))
 
-    cov = Covering(eps=float(eps), balls=balls, stages=stages)
+    cov = Covering(eps=float(eps), balls=balls)
     centers = cov.centers_array()
     for st in s.strata:
         d = _dists_to_centers(st.sample_points, centers)

@@ -177,14 +177,10 @@ def check_ellipticity(s: Symbol, x_samples,
         arg[take] = j[take] + start
         hi = np.maximum(hi, top)
 
-    c1 = math.inf
-    c2 = -math.inf
-    witness = None
-    for x, m, j, h in zip(x_arr, lo, arg, hi):
-        if m < c1:
-            c1 = float(m)
-            witness = EvalPoint.make(x, xi_pts[j])
-        c2 = max(c2, float(h))
+    first = int(np.argmin(lo))          # a tie keeps the earliest x sample
+    c1 = float(lo[first])
+    c2 = float(np.max(hi))
+    witness = EvalPoint.make(x_arr[first], xi_pts[arg[first]])
 
     elliptic = c1 > TOL_ELL
     return EllipticityReport(
