@@ -19,10 +19,14 @@ No section is ever dense.  The singular values of a restricted section S
 are read off the eigenvalues of its Golub-Kahan matrix [[0, S], [S^H, 0]]:
 they are +-sigma_i plus one structural zero per extra row of S.  With row
 i of S interleaved next to column i - floor((min_deg + max_deg) / 2), that
-matrix is banded with bandwidth at most max_deg - min_deg + 1, so one
-scipy.linalg.eigvals_banded call costs O(N^2 b), not the O(N^3) of a
-dense SVD.  Unlike S^H S it does not square the singular values, so a
-rank tolerance of 1e-8 stays 1e-8.
+matrix is banded with bandwidth at most max_deg - min_deg + 1.  One
+LAPACK zhbevx call reduces it to tridiagonal form in O(N^2 b), not the
+O(N^3) of a dense SVD, and then bisects by Sturm counts for only the
+eigenvalues near zero, between bounds on sigma_max read off the band;
+the full spectrum is read only when an eigenvalue sits too close to the
+rank threshold to decide (see _kernel_count).  Unlike S^H S the matrix
+does not square the singular values, so a rank tolerance of 1e-8 stays
+1e-8.
 
 The essential-norm proxy used by the assembly convergence table is the
 operator norm compressed to the upper half of the frequency grid; it is a
@@ -41,6 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import eigvals_banded
+from scipy.linalg.lapack import zhbevx
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, svds
 
@@ -489,6 +494,20 @@ def _golub_kahan_band(coeffs: LaurentPolynomial, n: int):
             np.concatenate(vals))
 
 
+def _band_norm_bounds(band: np.ndarray) -> tuple:
+    """(l, u) with l <= ||H||_2 <= u for the Hermitian matrix H held in
+    lower band storage: its largest column 2-norm and its largest absolute
+    row sum.  Row k of ``band`` holds H[j + k, j] at column j, whose
+    conjugate H[j, j + k] belongs to column j + k."""
+    mag = np.abs(band)
+    col_sq = (mag ** 2).sum(axis=0)
+    row_sum = mag.sum(axis=0)
+    for k in range(1, band.shape[0]):
+        col_sq[k:] += mag[k, :-k] ** 2
+        row_sum[k:] += mag[k, :-k]
+    return math.sqrt(col_sq.max()), float(row_sum.max())
+
+
 def _kernel_count(symbols, n: int, rank_tol: float) -> int:
     """Number of decaying null vectors of the block-diagonal direct sum of
     the N x (N + b) sections of ``symbols``, not counting those localized
@@ -503,17 +522,44 @@ def _kernel_count(symbols, n: int, rank_tol: float) -> int:
     while edge artifacts and growing recurrence solutions do not.
 
     The singular values come from the eigenvalues of the banded
-    Golub-Kahan matrices of the blocks (see _golub_kahan_band), stacked
+    Golub-Kahan matrix H of the blocks (see _golub_kahan_band), stacked
     along the diagonal: they are +-sigma_i plus _EDGE_PAD structural
-    zeros per block, so nothing is squared and sigma_max = max |lambda|."""
+    zeros per block, so nothing is squared and sigma_max = max |lambda|.
+    The count is #{|lambda| <= rank_tol * sigma_max}.
+
+    Only the few eigenvalues near zero are computed.  With the bounds
+    l <= sigma_max <= u of _band_norm_bounds, zhbevx bisects by Sturm
+    counts for the eigenvalues in (-2 rank_tol u, 2 rank_tol u]; their
+    number m is exact whatever the bisection tolerance abstol.  m is the
+    count when the threshold is above roundoff (dim * eps * u <
+    rank_tol * l, dim the order of H) and every returned |lambda| + abstol <= rank_tol * l:
+    then each lambda inside meets the rule and each outside fails it.
+    Otherwise (an eigenvalue near the threshold, a rank_tol below
+    roundoff, a zero matrix) the whole spectrum is read."""
     parts = [_golub_kahan_band(a, n) for a in symbols]
     size = 2 * n - _EDGE_PAD
     width = max(int(off.max()) for off, _, _ in parts)
     band = np.zeros((width + 1, size * len(parts)), dtype=complex)
     for k, (off, col, val) in enumerate(parts):
         band[off, col + k * size] = val
-    lam = np.abs(eigvals_banded(band, lower=True))
-    small = int(np.sum(lam <= rank_tol * lam.max()))
+    # zhbevx does not check its input as eigvals_banded does
+    if not np.isfinite(band).all():
+        raise ValueError("array must not contain infs or NaNs")
+    low, high = _band_norm_bounds(band)
+    dim = band.shape[1]
+    small = None
+    if dim * np.finfo(float).eps * high < rank_tol * low:
+        abstol = 1e-3 * rank_tol * low
+        # range=1 asks for the eigenvalues in (vl, vu], so il and iu go
+        # unused; overwrite_ab=0 keeps band intact for the fallback
+        lam, _, m, _, info = zhbevx(
+            band, -2 * rank_tol * high, 2 * rank_tol * high, 1, dim,
+            compute_v=0, range=1, lower=1, abstol=abstol, overwrite_ab=0)
+        if info == 0 and np.all(np.abs(lam[:m]) + abstol <= rank_tol * low):
+            small = int(m)
+    if small is None:
+        lam = np.abs(eigvals_banded(band, lower=True))
+        small = int(np.sum(lam <= rank_tol * lam.max()))
     pad = _EDGE_PAD * len(parts)
     if small < pad or (small - pad) % 2:
         raise UnstableRank(

@@ -34,6 +34,10 @@ class LaurentPolynomial:
         arr = np.asarray(coeffs, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must be a nonempty 1-d sequence")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"coefficient of degree {min_deg + int(bad[0])} "
+                             f"is not finite: {arr[bad[0]]}")
         # trim exact zeros at both ends so degrees are honest
         nz = np.flatnonzero(arr != 0)
         if nz.size == 0:

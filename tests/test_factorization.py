@@ -72,6 +72,15 @@ def test_laurent_trims_zero_coefficients():
     assert poly.min_deg == 0 and poly.max_deg == 0
 
 
+def test_laurent_make_refuses_non_finite_coefficients():
+    # a NaN would pass the zero-on-circle guard (NaN <= tol is false) and
+    # fail only deep inside the kernel count
+    with pytest.raises(ValueError, match="degree -1 is not finite"):
+        LaurentPolynomial.make([np.nan, 1], -1)
+    with pytest.raises(ValueError, match="degree 2 is not finite"):
+        LaurentPolynomial.make([0, 1, np.inf], 0)
+
+
 # --------------------------------------------------------------------------
 # half-space winding index
 

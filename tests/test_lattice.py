@@ -448,6 +448,138 @@ def test_kernel_count_parity_guard_below_noise_floor():
     assert "rank_tol=1e-20" in message and "N=64" in message
 
 
+def _stacked_band(symbols, n):
+    """Lower band storage of the block-diagonal Golub-Kahan matrix of the
+    restricted sections of ``symbols``, stacked as in _kernel_count."""
+    parts = [lattice._golub_kahan_band(a, n) for a in symbols]
+    size = 2 * n - lattice._EDGE_PAD
+    width = max(int(off.max()) for off, _, _ in parts)
+    band = np.zeros((width + 1, size * len(parts)), dtype=complex)
+    for k, (off, col, val) in enumerate(parts):
+        band[off, col + k * size] = val
+    return band
+
+
+def _full_spectrum_small(symbols, n, rank_tol):
+    """Reference: #{|lambda| <= rank_tol * max |lambda|} over every
+    eigenvalue of the stacked Golub-Kahan matrix, the count that
+    _kernel_count's interval bisection must reproduce."""
+    lam = np.abs(scipy.linalg.eigvals_banded(_stacked_band(symbols, n),
+                                             lower=True))
+    return int(np.sum(lam <= rank_tol * lam.max()))
+
+
+def _reference_kernel_count(symbols, n, rank_tol):
+    small = _full_spectrum_small(symbols, n, rank_tol)
+    pad = lattice._EDGE_PAD * len(symbols)
+    assert small >= pad and (small - pad) % 2 == 0
+    return (small - pad) // 2
+
+
+@pytest.fixture
+def full_spectrum_calls(monkeypatch):
+    """Counts the full-spectrum reads of lattice._kernel_count."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return scipy.linalg.eigvals_banded(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "eigvals_banded", counted)
+    return calls
+
+
+def _interval_count_cases():
+    rng = np.random.default_rng(23)
+    by_span = {}                  # one draw of each degree span 0..4
+    while len(by_span) < 5:
+        poly = random_elliptic_laurent(rng)
+        by_span.setdefault(poly.max_deg - poly.min_deg, poly)
+    for n in (64, 128, 256, 512):
+        for span, poly in sorted(by_span.items()):
+            yield f"span {span} N={n}", [poly], n
+            yield f"span {span} adjoint N={n}", [poly.conj_reflected()], n
+        blocks = [random_elliptic_laurent(rng) for _ in range(3)]
+        yield f"direct sum N={n}", blocks, n
+        yield (f"direct sum adjoint N={n}",
+               [a.conj_reflected() for a in blocks], n)
+
+
+def test_kernel_count_interval_matches_full_spectrum(full_spectrum_calls):
+    counts = []
+    for label, symbols, n in _interval_count_cases():
+        count = lattice._kernel_count(symbols, n, lattice.RANK_TOL)
+        assert count == _reference_kernel_count(symbols, n,
+                                                lattice.RANK_TOL), label
+        counts.append(count)
+    assert full_spectrum_calls == []     # every case bisected an interval
+    assert max(counts) >= 2
+
+
+def test_band_norm_bounds_bracket_sigma_max():
+    rng = np.random.default_rng(29)
+    for n in (64, 128):
+        band = _stacked_band([random_elliptic_laurent(rng)
+                              for _ in range(3)], n)
+        low, high = lattice._band_norm_bounds(band)
+        sigma_max = np.abs(scipy.linalg.eigvals_banded(band,
+                                                       lower=True)).max()
+        assert low <= sigma_max * (1 + 1e-12)
+        assert sigma_max <= high * (1 + 1e-12)
+        # the dense Hermitian matrix gives the same two norms
+        dense = np.zeros((band.shape[1],) * 2, dtype=complex)
+        for k in range(band.shape[0]):
+            j = np.arange(band.shape[1] - k)
+            dense[j + k, j] = band[k, j]
+            dense[j, j + k] = np.conj(band[k, j])
+        assert low == pytest.approx(np.linalg.norm(dense, axis=0).max())
+        assert high == pytest.approx(np.abs(dense).sum(axis=1).max())
+
+
+def test_kernel_count_falls_back_near_threshold(full_spectrum_calls):
+    # z^{-1}(z - 1.2) has a slowly decaying kernel vector, so its restricted
+    # section at N=64 has a small singular value well above roundoff; a
+    # rank_tol that puts it between rank_tol * l and 2 rank_tol * u leaves
+    # the bisected interval undecided
+    symbols, n = [LaurentPolynomial.make([-1.2, 1], -1)], 64
+    sig = np.linalg.svd(rect_section_matrix(symbols[0], n,
+                                            n - lattice._EDGE_PAD),
+                        compute_uv=False)[-1]
+    low, high = lattice._band_norm_bounds(_stacked_band(symbols, n))
+    rank_tol = sig / np.sqrt(2 * low * high)
+    assert rank_tol * low < sig < 2 * rank_tol * high
+    assert (2 * n - lattice._EDGE_PAD) * np.finfo(float).eps * high \
+        < rank_tol * low
+    count = lattice._kernel_count(symbols, n, rank_tol)
+    assert count == _reference_kernel_count(symbols, n, rank_tol)
+    assert len(full_spectrum_calls) == 1
+
+
+def test_kernel_count_falls_back_below_roundoff(full_spectrum_calls):
+    poly = LaurentPolynomial.make([-0.5, 1], 0)
+    small = _full_spectrum_small([poly], 64, 1e-20)
+    with pytest.raises(UnstableRank, match=f"^{small} eigenvalues"):
+        lattice._kernel_count([poly], 64, 1e-20)
+    assert len(full_spectrum_calls) == 1
+
+
+def test_kernel_count_zero_band_counts_every_eigenvalue(full_spectrum_calls):
+    # make() refuses a zero polynomial; built directly, every entry of the
+    # band is zero, so l = u = 0 and every eigenvalue is counted
+    zero = LaurentPolynomial((0j,), 0)
+    assert lattice._band_norm_bounds(_stacked_band([zero], 64)) == (0.0, 0.0)
+    assert lattice._kernel_count([zero], 64, lattice.RANK_TOL) == \
+        _reference_kernel_count([zero], 64, lattice.RANK_TOL) == 60
+    assert len(full_spectrum_calls) == 1
+
+
+def test_kernel_count_refuses_non_finite_band(full_spectrum_calls):
+    poly = LaurentPolynomial((complex("nan"), 1j), 0)   # bypasses make()
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lattice._kernel_count([poly], 64, lattice.RANK_TOL)
+    assert full_spectrum_calls == []
+
+
 def test_aggregate_index_sums():
     entries = [IndexEntry("a", 0, 1, -1), IndexEntry("b", 2, 0, 2),
                IndexEntry("c", 0, 0, 0)]
