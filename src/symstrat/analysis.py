@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -66,6 +67,8 @@ class AnalysisConfig:
         if self.model not in MODEL_DIMS:
             raise ConfigError(f"unknown model {self.model!r}; choose one of "
                               f"{sorted(MODEL_DIMS)}")
+        if not math.isfinite(self.s_order):
+            raise ConfigError(f"s_order must be finite, got {self.s_order}")
         try:
             sym = Symbol.parse(self.symbol_text, self.alpha, self.dim())
         except SymstratError as exc:
@@ -121,11 +124,11 @@ def _config_hash(cfg: AnalysisConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _stratum_points(stratum, n_points: int, x_dependent: bool) -> np.ndarray:
+def _stratum_points(stratum, x_dependent: bool) -> np.ndarray:
     pts = stratum.sample_points
     if not x_dependent:
         return pts[:1]
-    n = min(n_points, pts.shape[0])
+    n = min(POINTS_PER_STRATUM, pts.shape[0])
     idx = np.linspace(0, pts.shape[0] - 1, n).astype(int)
     return pts[idx]
 
@@ -135,8 +138,7 @@ def _factorize(sym: Symbol, strat, config: AnalysisConfig) -> list:
     winding_index call over the sample points of every stratum."""
     x_dep = depends_on_x(sym.expr)
     strata = strat.boundary_strata()
-    points = [_stratum_points(st, POINTS_PER_STRATUM, x_dep)
-              for st in strata]
+    points = [_stratum_points(st, x_dep) for st in strata]
     values = iter(winding_index(sym, np.concatenate(points),
                                 np.zeros(config.dim() - 1),
                                 quad_samples=config.quad_samples))

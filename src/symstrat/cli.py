@@ -4,13 +4,20 @@ Subcommands: analyze, verify, stratify, winding, wave-validate, assemble.
 All outputs are UTF-8 JSON (CSV for convergence tables); there is no
 environment-variable configuration.  Exit codes: 0 = completed (a failed
 Fredholm verdict is still a completed analysis), 2 = a pipeline stage
-errored, 3 = invalid configuration or arguments.
+errored, 3 = invalid configuration or arguments, among them a float that
+is not finite.
+
+The numerics no caller varies are fixed: ``winding`` winds over
+|t| <= factorization.CUTOFF = 1e4, ``wave-validate`` fits growth along
+factorization.N_RAYS = 3 rays, and ``assemble`` uses the lattice spacing
+1/N, so its torus is the unit box.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -18,7 +25,7 @@ from . import __version__
 from .analysis import MODEL_DIMS, AnalysisConfig, dump_json, run_analysis
 from .dsl import parse_symbol
 from .errors import ConfigError, SymstratError
-from .factorization import (CUTOFF, N_RAYS, QUAD_SAMPLES, WaveFactorCandidate,
+from .factorization import (QUAD_SAMPLES, WaveFactorCandidate,
                             validate_wave_factors, winding_index)
 from .geometry import Cone, build_covering, partition_of_unity, stratify_model
 from .symbols import Symbol
@@ -26,6 +33,18 @@ from .symbols import Symbol
 EXIT_OK = 0
 EXIT_STAGE_ERROR = 2
 EXIT_CONFIG = 3
+
+
+def _finite_float(text: str) -> float:
+    """The value of a float flag.  NaN, infinity and non-numbers are
+    refused before anything runs: no JSON report could hold the first two."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _build_parser():
@@ -40,9 +59,9 @@ def _build_parser():
     pa = sub.add_parser("analyze", help="full pipeline: ellipticity, "
                         "stratification, indices, Fredholm verdict")
     pa.add_argument("--symbol", required=True)
-    pa.add_argument("--alpha", type=float, required=True)
+    pa.add_argument("--alpha", type=_finite_float, required=True)
     pa.add_argument("--model", default="square", choices=sorted(MODEL_DIMS))
-    pa.add_argument("--s-order", type=float, default=0.0)
+    pa.add_argument("--s-order", type=_finite_float, default=0.0)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out", default=None, help="output directory")
 
@@ -58,11 +77,10 @@ def _build_parser():
     pw = sub.add_parser("winding", help="half-space factorization index "
                         "along the last frequency axis")
     pw.add_argument("--symbol", required=True)
-    pw.add_argument("--alpha", type=float, required=True)
+    pw.add_argument("--alpha", type=_finite_float, required=True)
     pw.add_argument("--dim", type=int, required=True)
     pw.add_argument("--x0", default=None, help="comma-separated point")
     pw.add_argument("--xi-prime", default=None)
-    pw.add_argument("--cutoff", type=float, default=CUTOFF)
     pw.add_argument("--quad-samples", type=int, default=QUAD_SAMPLES,
                     help="node cap of the adaptive winding grid; an "
                     "interval still unresolved at the cap is an error")
@@ -71,27 +89,24 @@ def _build_parser():
     pq = sub.add_parser("wave-validate", help="validate a factorization "
                         "candidate for a cone")
     pq.add_argument("--symbol", required=True)
-    pq.add_argument("--alpha", type=float, required=True)
+    pq.add_argument("--alpha", type=_finite_float, required=True)
     pq.add_argument("--dim", type=int, required=True)
     pq.add_argument("--a-neq", required=True)
     pq.add_argument("--a-eq", required=True)
     pq.add_argument("--cone", required=True,
                     help="JSON generator list, e.g. [[1,0],[0,1]]")
     pq.add_argument("--k", type=int, default=0)
-    pq.add_argument("--declared-ae", type=float, required=True)
-    pq.add_argument("--rays", type=int, default=N_RAYS,
-                    help="number of interior dual-cone rays for the growth fit")
+    pq.add_argument("--declared-ae", type=_finite_float, required=True)
     pq.add_argument("--out", default=None)
 
     pm = sub.add_parser("assemble", help="assemble the frozen-coefficient "
                         "patch operator on a lattice and export it")
     pm.add_argument("--symbol", required=True)
-    pm.add_argument("--alpha", type=float, required=True)
+    pm.add_argument("--alpha", type=_finite_float, required=True)
     pm.add_argument("--model", default="square", choices=sorted(MODEL_DIMS))
-    pm.add_argument("--eps", type=float, default=0.3)
+    pm.add_argument("--eps", type=_finite_float, default=0.3)
     pm.add_argument("--grid-n", type=int, default=16)
-    pm.add_argument("--grid-h", type=float, default=None)
-    pm.add_argument("--s-order", type=float, default=0.0)
+    pm.add_argument("--s-order", type=_finite_float, default=0.0)
     pm.add_argument("--convergence-eps", default=None,
                     help="comma list; also emit the convergence table CSV")
     pm.add_argument("--out", required=True)
@@ -109,13 +124,16 @@ def _emit(payload: dict, out: str | None, name: str) -> None:
         print(str(out_dir / name))
 
 
-def _parse_floats(text, expect=None):
-    if text is None:
-        return None
-    vals = [float(v) for v in text.split(",") if v.strip() != ""]
+def _parse_floats(text, flag, expect=None):
+    """The comma-separated values of a list flag, each checked as
+    _finite_float checks a float flag."""
+    try:
+        vals = [_finite_float(v) for v in text.split(",") if v.strip() != ""]
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
     if expect is not None and len(vals) != expect:
-        raise ConfigError(f"expected {expect} comma-separated values, "
-                          f"got {len(vals)}")
+        raise ConfigError(f"{flag}: expected {expect} comma-separated "
+                          f"values, got {len(vals)}")
     return vals
 
 
@@ -155,11 +173,11 @@ def _cmd_stratify(args) -> int:
 
 def _cmd_winding(args) -> int:
     sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha, args.dim)
-    x0 = _parse_floats(args.x0, args.dim) if args.x0 else [0.0] * args.dim
-    xip = (_parse_floats(args.xi_prime, args.dim - 1)
+    x0 = (_parse_floats(args.x0, "--x0", args.dim) if args.x0
+          else [0.0] * args.dim)
+    xip = (_parse_floats(args.xi_prime, "--xi-prime", args.dim - 1)
            if args.xi_prime else [0.0] * (args.dim - 1))
-    value = winding_index(sym, x0, xip, cutoff=args.cutoff,
-                          quad_samples=args.quad_samples)
+    value = winding_index(sym, x0, xip, quad_samples=args.quad_samples)
     _emit({"symbol": args.symbol, "alpha": args.alpha, "x0": x0,
            "xi_prime": xip, "index": value}, args.out, "winding.json")
     return EXIT_OK
@@ -171,8 +189,7 @@ def _cmd_wave_validate(args) -> int:
     cand = WaveFactorCandidate(
         _parse_expr(args.a_neq, args.dim), _parse_expr(args.a_eq, args.dim),
         cone, args.k, args.declared_ae)
-    report = validate_wave_factors(cand, sym, n_rays=args.rays,
-                                   raise_on_fail=False)
+    report = validate_wave_factors(cand, sym, raise_on_fail=False)
     _emit(report.to_dict(), args.out, "wave-validation.json")
     return EXIT_OK if report.ok else EXIT_STAGE_ERROR
 
@@ -180,8 +197,9 @@ def _cmd_wave_validate(args) -> int:
 def _cmd_assemble(args) -> int:
     from . import lattice  # imports scipy, which the other commands skip
     dim = MODEL_DIMS[args.model]
-    h = args.grid_h if args.grid_h is not None else 1.0 / args.grid_n
-    grid = lattice.LatticeGrid(dim, args.grid_n, h)
+    eps_seq = (_parse_floats(args.convergence_eps, "--convergence-eps")
+               if args.convergence_eps else None)
+    grid = lattice.LatticeGrid(dim, args.grid_n, 1.0 / args.grid_n)
     lattice.check_dense_size(grid.size)  # the export is dense: refuse first
     sym = Symbol(_parse_expr(args.symbol, dim), args.alpha, dim)
     strat = stratify_model(args.model, dim)
@@ -196,8 +214,7 @@ def _cmd_assemble(args) -> int:
     lattice.export_operator(op, out_dir / "assembled")
     print(str(out_dir / "assembled.bin"))
 
-    if args.convergence_eps:
-        eps_seq = _parse_floats(args.convergence_eps)
+    if eps_seq is not None:
         table = lattice.assembly_convergence(sym, strat, eps_seq, grid,
                                              s_order=args.s_order)
         csv_path = out_dir / "convergence.csv"

@@ -62,7 +62,7 @@ class BranchJumpError(SymstratError):
 
 
 class TailJumpError(BranchJumpError):
-    """The reduced symbol's phases at -cutoff and +cutoff differ by more than
+    """The reduced symbol's phases at -CUTOFF and +CUTOFF differ by more than
     pi/2: the symbol does not close up at infinity along the line, so the
     tail correction would guess a branch."""
 

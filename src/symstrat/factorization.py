@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 QUAD_SAMPLES = 2 ** 16     # node cap of winding_index
-CUTOFF = 1.0e4
+CUTOFF = 1.0e4             # winding_index winds over |t| <= CUTOFF
 TOL_PROD = 1e-10
 TOL_PW = 1e-6
 TOL_SLOPE = 0.1
@@ -69,11 +69,12 @@ _WIND_MAX_MODULUS = 1e150
 # --------------------------------------------------------------------------
 # Half-space winding
 
-def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
+def winding_index(s: Symbol, x0, xi_prime,
                   quad_samples: int = QUAD_SAMPLES) -> float | list:
     """alpha/2 plus the winding of the reduced symbol along the last
     frequency axis, by adaptive phase unwrapping in theta = arctan(t) over
-    |t| <= cutoff, with a tail correction from the values at +-cutoff.
+    |t| <= CUTOFF = 1e4, with a tail correction from the values at
+    +-CUTOFF.
 
     An ``x0`` of shape (m,) gives the index on the one line through x0 as
     a float; an ``x0`` of shape (Q, m) gives a list of Q floats, one per
@@ -98,7 +99,7 @@ def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
     it and its midpoints fit.
 
     Raises NonEllipticOnLine if the reduced symbol vanishes at a node,
-    TailJumpError (a BranchJumpError) if the phases at -cutoff and +cutoff
+    TailJumpError (a BranchJumpError) if the phases at -CUTOFF and +CUTOFF
     differ by more than pi/2, and BranchJumpError if an interval is still
     unresolved when the node cap is reached (raise the cap rather than
     guess).  With several lines the error raised is the one the first
@@ -113,17 +114,17 @@ def winding_index(s: Symbol, x0, xi_prime, cutoff: float = CUTOFF,
             f"xi_prime must have length m-1 = {s.dim - 1}, got {xi_prime.size}")
     pts = x0.reshape(-1, x0.shape[-1])
     try:
-        values = _wind_lines(s, pts, xi_prime, cutoff, quad_samples)
+        values = _wind_lines(s, pts, xi_prime, quad_samples)
     except SymstratError:
         if len(pts) > 1:
             for p in pts:
-                _wind_lines(s, p[None, :], xi_prime, cutoff, quad_samples)
+                _wind_lines(s, p[None, :], xi_prime, quad_samples)
         raise
     return values[0] if x0.ndim == 1 else values
 
 
 def _wind_lines(s: Symbol, pts: np.ndarray, xi_prime: np.ndarray,
-                cutoff: float, quad_samples: int) -> list:
+                quad_samples: int) -> list:
     """The index of winding_index on the line through each row of pts."""
     n_lines, m = pts.shape[0], s.dim
     norm2_prime = 1.0 + float(xi_prime @ xi_prime)
@@ -157,9 +158,9 @@ def _wind_lines(s: Symbol, pts: np.ndarray, xi_prime: np.ndarray,
     # an odd start grid, so that theta = 0 is a node, no larger than lets
     # it and its midpoints fit under the cap
     n_start = max(3, min(WIND_START_NODES, ((quad_samples + 1) // 2 - 1) | 1))
-    theta = math.atan(cutoff) * np.linspace(-1.0, 1.0, n_start)
+    theta = math.atan(CUTOFF) * np.linspace(-1.0, 1.0, n_start)
     t = np.tan(theta)
-    t[0], t[-1] = -cutoff, cutoff
+    t[0], t[-1] = -CUTOFF, CUTOFF
     vals = reduced(np.repeat(np.arange(n_lines), n_start),
                    np.tile(t, n_lines)).reshape(n_lines, n_start)
     totals = []
@@ -169,8 +170,8 @@ def _wind_lines(s: Symbol, pts: np.ndarray, xi_prime: np.ndarray,
             raise TailJumpError(
                 f"tail phase jump {tail:.3f} rad exceeds pi/2: the reduced "
                 f"symbol has phase {np.angle(row[-1]):.3f} rad at "
-                f"t=+{cutoff:.6g} and {np.angle(row[0]):.3f} rad at "
-                f"t=-{cutoff:.6g}, so it does not close up at infinity")
+                f"t=+{CUTOFF:.6g} and {np.angle(row[0]):.3f} rad at "
+                f"t=-{CUTOFF:.6g}, so it does not close up at infinity")
         totals.append(tail)
 
     # open intervals [lo, hi] in theta with the values at their ends, and
@@ -274,14 +275,14 @@ def _exceptional_margin(cone: Cone, xi_tail: np.ndarray) -> np.ndarray:
     return dots.min(axis=1)
 
 
-def _interior_rays(cone: Cone, n_rays: int) -> np.ndarray:
-    """Unit directions strictly inside the dual cone: the central direction
-    plus mild tilts towards individual extreme rays (strong tilts would
-    push the finite sampling ladder out of its asymptotic regime)."""
+def _interior_rays(cone: Cone) -> np.ndarray:
+    """N_RAYS unit directions strictly inside the dual cone: the central
+    direction plus mild tilts towards individual extreme rays (strong tilts
+    would push the finite sampling ladder out of its asymptotic regime)."""
     rays = dual_cone(cone).generator_array()
     n_gen = rays.shape[0]
     combos = []
-    for r in range(n_rays):
+    for r in range(N_RAYS):
         w = np.ones(n_gen)
         if r > 0:
             w[(r - 1) % n_gen] += 0.2
@@ -360,7 +361,6 @@ def _pw_mass_outside(expr: SymbolExpr, m: int, k: int, cone: Cone,
 
 
 def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
-                          n_rays: int = N_RAYS,
                           raise_on_fail: bool = True) -> WaveValidationReport:
     """Validate a factorization candidate by three independent checks.
 
@@ -368,7 +368,7 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
          tensor grid (PROD_GRID_POINTS per axis on [-PROD_GRID_RADIUS,
          PROD_GRID_RADIUS]) excluding a two-cell margin around the
          exceptional hyperplanes;
-    (ii) growth slopes of log|factor| along ``n_rays`` rays into the
+    (ii) growth slopes of log|factor| along N_RAYS = 3 rays into the
          analyticity tubes: a_neq must grow with the declared index, a_eq
          with alpha minus the declared index, each within TOL_SLOPE;
     (iii) Fourier support of the inverse factors (see _pw_mass_outside).
@@ -408,7 +408,7 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
     product_ok = rel is not None and rel < TOL_PROD
 
     # (ii) growth estimates along interior dual-cone rays
-    rays = _interior_rays(cand.cone, n_rays)
+    rays = _interior_rays(cand.cone)
     growth = []
     growth_ok = True
     alpha = s.order_alpha
@@ -468,7 +468,7 @@ def estimate_wave_index(cand: WaveFactorCandidate) -> float:
     interior dual-cone rays.  Ray slopes spreading by more than RAY_SPREAD
     raise SlopeDisagreement instead of being averaged away."""
     m = cand.a_neq.dim
-    rays = _interior_rays(cand.cone, N_RAYS)
+    rays = _interior_rays(cand.cone)
     slopes = [_growth_slope(cand.a_neq, m, cand.k, ray, +1.0)
               for ray in rays]
     spread = max(slopes) - min(slopes)

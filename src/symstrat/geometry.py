@@ -114,15 +114,17 @@ class Cone:
         """Facet normals: the generators of the dual cone (exact)."""
         return dual_cone(self).generators
 
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(p))))
-        for n_vec in self.halfspaces():
-            n_arr = np.array([float(v) for v in n_vec])
-            if float(np.dot(n_arr, p)) < -TOL_CONE * scale * max(
-                    1.0, float(np.max(np.abs(n_arr)))):
-                return False
-        return True
+    def contains(self, points):
+        """Closed-cone membership of one point (dim,), as a bool, or of each
+        row of an array (P, dim), as a boolean array: n.p >= -TOL_CONE
+        times the larger of 1 and the point's and the normal's max-norms,
+        for every facet normal n."""
+        p = np.asarray(points, dtype=float)
+        normals = np.array([[float(v) for v in n] for n in self.halfspaces()])
+        scale = np.maximum(1.0, np.max(np.abs(p), axis=-1))[..., None]
+        tol = TOL_CONE * scale * np.maximum(1.0, np.abs(normals).max(axis=1))
+        inside = np.all(p @ normals.T >= -tol, axis=-1)
+        return bool(inside) if p.ndim == 1 else inside
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,
@@ -271,19 +273,15 @@ class CanonicalDomain:
         return CanonicalDomain(WEDGE, dim, k, cone)
 
     def membership_mask(self, points: np.ndarray) -> np.ndarray:
-        """Closed-domain membership of an array of points, shape (P, m)."""
+        """Membership of an array of points, shape (P, m): every point of
+        the full space, the open half-space {x_m > 0}, and the closed wedge
+        as Cone.contains decides it on the last m-k coordinates."""
         points = np.asarray(points, dtype=float)
         if self.kind == FULL_SPACE:
             return np.ones(points.shape[0], dtype=bool)
         if self.kind == HALF_SPACE:
             return points[:, -1] > 0
-        tail = points[:, self.k:]
-        normals = self.cone.halfspaces()
-        mask = np.ones(points.shape[0], dtype=bool)
-        for n_vec in normals:
-            n_arr = np.array([float(v) for v in n_vec])
-            mask &= tail @ n_arr >= -1e-12
-        return mask
+        return self.cone.contains(points[:, self.k:])
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "dim": self.dim}

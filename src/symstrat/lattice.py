@@ -183,20 +183,19 @@ class DiscreteOperator:
     """Linear map between lattice spaces with batched matvec/rmatvec.
 
     Instances are immutable by convention once built; all combinators
-    return new operators.  ``kind`` records the structure for fast paths:
-    'multiplier' (diagonal in frequency), 'diag' (diagonal in space),
-    'dense', or 'composite'.
+    return new operators.  ``spectrum`` holds a Fourier multiplier's values
+    on the dual grid, from which operator_norm reads its norm in closed
+    form; it is None for every other operator.
     """
 
     def __init__(self, shape, matvec, rmatvec, src=None, dst=None,
-                 kind="composite", data=None, provenance=None, dense=None):
+                 spectrum=None, provenance=None, dense=None):
         self.shape = tuple(shape)
         self._matvec = matvec
         self._rmatvec = rmatvec
         self.src = src
         self.dst = dst
-        self.kind = kind
-        self.data = data
+        self.spectrum = spectrum
         self.provenance = dict(provenance or {})
         # builds the dense matrix; None means "from unit vectors" (see block)
         self._build_dense = dense
@@ -210,7 +209,7 @@ class DiscreteOperator:
             mat.shape,
             lambda v: mat @ v,
             lambda v: mat.conj().T @ v,
-            src, dst, kind="dense", data=mat, provenance=provenance)
+            src, dst, provenance=provenance, dense=lambda: mat)
 
     @staticmethod
     def multiplier(values, src, dst, provenance=None):
@@ -224,7 +223,7 @@ class DiscreteOperator:
             lambda v: grid.ifft_flat(_scale_rows(values, grid.fft_flat(v))),
             lambda v: grid.ifft_flat(_scale_rows(values.conj(),
                                                  grid.fft_flat(v))),
-            src, dst, kind="multiplier", data=values, provenance=provenance)
+            src, dst, spectrum=values, provenance=provenance)
 
     @staticmethod
     def diagonal(values, src=None, dst=None, provenance=None):
@@ -232,9 +231,7 @@ class DiscreteOperator:
         return DiscreteOperator((values.size, values.size),
                                 lambda v: _scale_rows(values, v),
                                 lambda v: _scale_rows(values.conj(), v),
-                                src, dst,
-                                kind="diag", data=values,
-                                provenance=provenance)
+                                src, dst, provenance=provenance)
 
     @staticmethod
     def identity(space):
@@ -257,8 +254,7 @@ class DiscreteOperator:
             (self.shape[0], other.shape[1]),
             lambda v: self.matvec(other.matvec(v)),
             lambda v: other.rmatvec(self.rmatvec(v)),
-            other.src, self.dst, kind="composite",
-            provenance={"construction": "compose"})
+            other.src, self.dst, provenance={"construction": "compose"})
 
     def __add__(self, other):
         if self.shape != other.shape:
@@ -267,7 +263,7 @@ class DiscreteOperator:
             self.shape,
             lambda v: self.matvec(v) + other.matvec(v),
             lambda v: self.rmatvec(v) + other.rmatvec(v),
-            self.src or other.src, self.dst or other.dst, kind="composite",
+            self.src or other.src, self.dst or other.dst,
             provenance={"construction": "sum"})
 
     def __sub__(self, other):
@@ -277,7 +273,7 @@ class DiscreteOperator:
             self.shape,
             lambda v: self.matvec(v) - other.matvec(v),
             lambda v: self.rmatvec(v) - other.rmatvec(v),
-            self.src or other.src, self.dst or other.dst, kind="composite",
+            self.src or other.src, self.dst or other.dst,
             provenance={"construction": "difference"})
 
     # -- materialization ---------------------------------------------------
@@ -295,8 +291,6 @@ class DiscreteOperator:
         return out
 
     def to_dense(self) -> np.ndarray:
-        if self.kind == "dense":
-            return self.data
         n_dst, n_src = self.shape
         check_dense_size(max(n_dst, n_src))
         if self._build_dense is not None:
@@ -354,8 +348,8 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     a norm below about 1e-5 can be returned wrong, without a refusal;
     NormNotConverged is raised only when POWER_STEPS steps never meet
     the test."""
-    if op.kind == "multiplier" and op.src is not None and op.dst is not None:
-        ratio = np.abs(op.data) * op.dst.weights() / op.src.weights()
+    if op.spectrum is not None and op.src is not None and op.dst is not None:
+        ratio = np.abs(op.spectrum) * op.dst.weights() / op.src.weights()
         if freq_mask is not None:
             ratio = ratio[np.asarray(freq_mask, bool)]
             if ratio.size == 0:
@@ -597,11 +591,6 @@ class IndexEntry:
     index: int
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"label": self.label, "dim_ker": self.dim_ker,
-                "dim_coker": self.dim_coker, "index": self.index,
-                "diagnostics": self.diagnostics}
-
 
 @dataclass(frozen=True)
 class IndexReport:
@@ -609,11 +598,6 @@ class IndexReport:
     total_ker: int
     total_coker: int
     total_index: int
-
-    def to_dict(self) -> dict:
-        return {"components": [c.to_dict() for c in self.components],
-                "total_ker": self.total_ker, "total_coker": self.total_coker,
-                "total_index": self.total_index}
 
 
 def numerical_index(coeffs: LaurentPolynomial, n: int,
@@ -938,7 +922,7 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
                                         * gj[None, cols])
         return mat
 
-    return DiscreteOperator(shape, mv, rmv, src, dst, kind="composite",
+    return DiscreteOperator(shape, mv, rmv, src, dst,
                             provenance={"construction": "assembled",
                                         "n_patches": len(ops)},
                             dense=dense)
@@ -990,8 +974,7 @@ def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
         pou.f_values, pou.g_values, grid)
     return DiscreteOperator((grid.size, grid.size), windows.apply,
                             lambda v: windows.apply(v, adjoint=True),
-                            src, dst, kind="composite",
-                            provenance={"construction": "assembled",
+                            src, dst, provenance={"construction": "assembled",
                                         "n_patches": len(balls)},
                             dense=windows.to_dense)
 

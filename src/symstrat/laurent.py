@@ -55,10 +55,6 @@ class LaurentPolynomial:
         """p >= 0 with a(z) = z^-p * polynomial."""
         return max(0, -self.min_deg)
 
-    @property
-    def bandwidth(self) -> int:
-        return max(abs(self.min_deg), 0) + max(self.max_deg, 0)
-
     def coeff(self, j: int) -> complex:
         if self.min_deg <= j <= self.max_deg:
             return self.coeffs[j - self.min_deg]

@@ -4,6 +4,8 @@ import importlib
 import json
 import os
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -151,6 +153,9 @@ def test_config_validation():
         AnalysisConfig(symbol_text="1", alpha=0.0, model="torus").validate()
     with pytest.raises(ConfigError):
         AnalysisConfig(symbol_text="k9", alpha=0.0, model="square").validate()
+    with pytest.raises(ConfigError, match="s_order must be finite"):
+        AnalysisConfig(symbol_text="1", alpha=0.0,
+                       s_order=float("nan")).validate()
 
 
 def test_x_dependent_symbol_samples_multiple_points():
@@ -319,6 +324,68 @@ def test_cli_malformed_symbol_is_a_config_error(argv, tmp_path, capsys):
     assert main(argv + ["--out", str(out)]) == 3
     assert "bad symbol" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["winding", "--symbol", "(k1-i)/(k1+i)", "--alpha", "0", "--dim", "1",
+     "--cutoff", "0"],
+    _WAVE + ["--symbol", "1", "--a-neq", "1", "--a-eq", "1", "--rays", "3"],
+    ["assemble", "--symbol", "normx2(x)+abs2(k)", "--alpha", "2",
+     "--grid-n", "16", "--grid-h", "0.1"],
+], ids=["cutoff", "rays", "grid-h"])
+def test_cli_fixed_numerics_take_no_flag(argv, tmp_path, capsys):
+    # the winding cutoff, the growth-fit ray count and the lattice spacing
+    # are constants: a flag for any of them is an unknown argument
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_WIND = ["winding", "--symbol", "(k1-i)/(k1+i)", "--alpha", "0"]
+_ASM = ["assemble", "--symbol", "1", "--alpha", "0", "--grid-n", "8"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["analyze", "--symbol", "1", "--alpha", "0", "--s-order", "nan"],
+     "--s-order"),
+    (["analyze", "--symbol", "1", "--alpha", "inf"], "--alpha"),
+    (_WIND + ["--dim", "1", "--x0", "nan"], "--x0"),
+    (_WIND + ["--dim", "2", "--xi-prime", "inf"], "--xi-prime"),
+    (_WAVE[:-1] + ["nan", "--symbol", "1", "--a-neq", "1", "--a-eq", "1"],
+     "--declared-ae"),
+    (_ASM + ["--eps", "nan"], "--eps"),
+    (_ASM + ["--convergence-eps", "0.4,nan"], "--convergence-eps"),
+], ids=["s-order", "alpha", "x0", "xi-prime", "declared-ae", "eps",
+        "convergence-eps"])
+def test_cli_non_finite_float_is_refused_by_name(argv, flag, tmp_path,
+                                                 capsys):
+    # refused before any stage runs, so nothing is written
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert f"{flag}: not a finite number" in err
+    assert not out.exists()
+
+
+def _readme_commands():
+    """The symstrat lines of README's "Command line" block, each with its
+    continuation lines joined, as argument lists."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = re.search(r"## Command line\n\n```sh\n(.*?)```", fh.read(),
+                          re.S).group(1)
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("symstrat ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def test_readme_command_line_runs(argv, tmp_path, capsys):
+    # every documented command runs as written, its --out under tmp_path
+    argv = [str(tmp_path / "out") if prev == "--out" else arg
+            for prev, arg in zip([None] + argv, argv)]
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 def test_cli_stratify(tmp_path):

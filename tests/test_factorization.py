@@ -186,7 +186,7 @@ def test_winding_tail_jump_names_the_tail():
     # jump sits in the tail and no interior step is large
     s = Symbol.parse("k1+i", 1.0, 1)
     with pytest.raises(TailJumpError) as info:
-        winding_index(s, [0.0], [], cutoff=1.0e4)
+        winding_index(s, [0.0], [])
     assert isinstance(info.value, BranchJumpError)
     message = str(info.value)
     assert "tail phase jump 3.14" in message
@@ -304,7 +304,7 @@ def _cube_points():
     where the symbol depends on x, one on each vertex."""
     from symstrat.analysis import _stratum_points
     strat = stratify_model("cube", 3)
-    return np.concatenate([_stratum_points(st, 2, True)
+    return np.concatenate([_stratum_points(st, True)
                            for st in strat.boundary_strata()])
 
 

@@ -15,9 +15,9 @@ import pytest
 from symstrat.analysis import dump_json
 from symstrat.errors import (CoverageError, DegenerateConeError,
                              UnsupportedModelError)
-from symstrat.geometry import (Ball, Cone, Covering, build_covering,
-                               dual_cone, orthant, partition_of_unity,
-                               stratify_model)
+from symstrat.geometry import (Ball, CanonicalDomain, Cone, Covering,
+                               build_covering, dual_cone, orthant,
+                               partition_of_unity, stratify_model)
 
 
 def _gens_as_float_set(cone):
@@ -145,6 +145,27 @@ def test_cone_membership_via_halfspaces():
     assert not c.contains([0, 1])
     assert not c.contains([-1, 0.5])
     assert c.contains([0, 0])
+
+
+def test_wedge_membership_is_closed_on_boundary_rays():
+    # the wedge mask is Cone.contains on the last m-k coordinates: points
+    # on a boundary ray are inside, and the R^k coordinates are free
+    quadrant = CanonicalDomain.wedge(2, 0, orthant(2))
+    pts = np.array([[1.0, 2.0], [0.0, 3.0], [3.0, 0.0], [0.0, 0.0],
+                    [-1e-3, 1.0], [1.0, -1e-3], [-1.0, -1.0]])
+    expected = [True, True, True, True, False, False, False]
+    assert quadrant.membership_mask(pts).tolist() == expected
+    assert quadrant.cone.contains(pts).tolist() == expected
+    assert [quadrant.cone.contains(p) for p in pts] == expected
+    # cube edge-1 (x free, y = 0, z = 1): the orthant {y >= 0, z <= 0}
+    edge = next(st.domain for st in stratify_model("cube", 3).strata
+                if st.label == "edge-1")
+    assert edge.k == 1
+    pts = np.array([[5.0, 1.0, -2.0], [-7.0, 0.0, -1.0], [0.5, 2.0, 0.0],
+                    [0.0, 0.0, 0.0], [0.0, -1e-3, -1.0], [0.0, 1.0, 1e-3]])
+    expected = [True, True, True, True, False, False]
+    assert edge.membership_mask(pts).tolist() == expected
+    assert [edge.cone.contains(p[1:]) for p in pts] == expected
 
 
 def test_rational_generators_kept_exact():

@@ -67,7 +67,7 @@ def test_frozen_family_matches_the_per_ball_loop(text, block, monkeypatch):
         assert np.array_equal(row, ref), c
         # the one-center case
         one = discretize_symbol_op(s, c, grid, src, dst)
-        assert np.array_equal(one.data, ref), c
+        assert np.array_equal(one.spectrum, ref), c
         assert one.provenance == {"construction": "frozen-multiplier",
                                   "symbol": str(s.expr), "alpha": 1.0,
                                   "x0": list(c)}
