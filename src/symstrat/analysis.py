@@ -30,8 +30,9 @@ import numpy as np
 from . import __version__ as _VERSION
 from .dsl import depends_on_x
 from .errors import ConfigError, SymstratError
-from .factorization import (CUTOFF, QUAD_SAMPLES, FactorizationReport,
-                            check_fredholm_condition, winding_index)
+from .factorization import (CUTOFF, MIN_QUAD_SAMPLES, QUAD_SAMPLES,
+                            FactorizationReport, check_fredholm_condition,
+                            winding_index)
 from .geometry import _MODELS, stratify_model
 from .symbols import FrequencyGridSpec, Symbol, check_ellipticity
 
@@ -69,6 +70,12 @@ class AnalysisConfig:
                               f"{sorted(MODEL_DIMS)}")
         if not math.isfinite(self.s_order):
             raise ConfigError(f"s_order must be finite, got {self.s_order}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got "
+                              f"{self.seed!r}")
+        if self.quad_samples < MIN_QUAD_SAMPLES:
+            raise ConfigError(f"quad_samples must be at least "
+                              f"{MIN_QUAD_SAMPLES}, got {self.quad_samples}")
         try:
             sym = Symbol.parse(self.symbol_text, self.alpha, self.dim())
         except SymstratError as exc:

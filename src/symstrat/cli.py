@@ -5,7 +5,7 @@ All outputs are UTF-8 JSON (CSV for convergence tables); there is no
 environment-variable configuration.  Exit codes: 0 = completed (a failed
 Fredholm verdict is still a completed analysis), 2 = a pipeline stage
 errored, 3 = invalid configuration or arguments, among them a float that
-is not finite.
+is not finite.  A value may start with '-', as in ``--x0 -0.5,0.2``.
 
 The numerics no caller varies are fixed: ``winding`` winds over
 |t| <= factorization.CUTOFF = 1e4, ``wave-validate`` fits growth along
@@ -110,7 +110,23 @@ def _build_parser():
     pm.add_argument("--convergence-eps", default=None,
                     help="comma list; also emit the convergence table CSV")
     pm.add_argument("--out", required=True)
-    return p
+    return p, sub.choices
+
+
+def _join_flag_values(argv, commands):
+    """argv with each value-taking flag of its subcommand and the next
+    token joined as ``flag=value``, unless that token is an option string:
+    argparse alone reads a value that starts with '-' as an option."""
+    actions = next((commands[t]._actions for t in argv if t in commands), [])
+    options = {o for a in actions for o in a.option_strings}
+    valued = {o for a in actions if a.nargs is None for o in a.option_strings}
+    out = []
+    for tok in argv:
+        if out and out[-1] in valued and tok not in options:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _emit(payload: dict, out: str | None, name: str) -> None:
@@ -238,9 +254,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_flag_values(argv, commands))
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for bad arguments
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 QUAD_SAMPLES = 2 ** 16     # node cap of winding_index
+MIN_QUAD_SAMPLES = 5       # least cap: 3 start nodes and 2 midpoints
 CUTOFF = 1.0e4             # winding_index winds over |t| <= CUTOFF
 TOL_PROD = 1e-10
 TOL_PW = 1e-6
@@ -96,7 +97,7 @@ def winding_index(s: Symbol, x0, xi_prime,
     while a narrower one can be missed.  A phase linear in theta takes the
     129 nodes of the start grid and its midpoints.  ``quad_samples`` caps
     the nodes evaluated per line; below 129 the start grid shrinks so that
-    it and its midpoints fit.
+    it and its midpoints fit; a cap below 5 raises ValueError.
 
     Raises NonEllipticOnLine if the reduced symbol vanishes at a node,
     TailJumpError (a BranchJumpError) if the phases at -CUTOFF and +CUTOFF
@@ -112,6 +113,9 @@ def winding_index(s: Symbol, x0, xi_prime,
     if xi_prime.size != s.dim - 1:
         raise ValueError(
             f"xi_prime must have length m-1 = {s.dim - 1}, got {xi_prime.size}")
+    if quad_samples < MIN_QUAD_SAMPLES:
+        raise ValueError(f"quad_samples must be at least {MIN_QUAD_SAMPLES}, "
+                         f"got {quad_samples}")
     pts = x0.reshape(-1, x0.shape[-1])
     try:
         values = _wind_lines(s, pts, xi_prime, quad_samples)
@@ -156,8 +160,8 @@ def _wind_lines(s: Symbol, pts: np.ndarray, xi_prime: np.ndarray,
         return red
 
     # an odd start grid, so that theta = 0 is a node, no larger than lets
-    # it and its midpoints fit under the cap
-    n_start = max(3, min(WIND_START_NODES, ((quad_samples + 1) // 2 - 1) | 1))
+    # it and its midpoints fit under the cap (3 nodes at the least cap)
+    n_start = min(WIND_START_NODES, ((quad_samples + 1) // 2 - 1) | 1)
     theta = math.atan(CUTOFF) * np.linspace(-1.0, 1.0, n_start)
     t = np.tan(theta)
     t[0], t[-1] = -CUTOFF, CUTOFF

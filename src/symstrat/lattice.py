@@ -76,7 +76,7 @@ POWER_STEPS = 500           # power-iteration fallback of operator_norm
 # its maxiter through as kmax, so an unbounded one spans the whole space
 _PROPACK_KMAX = 48
 RANK_TOL = 1e-8
-# unit vectors per matvec in DiscreteOperator.block: a sum of assembled
+# unit vectors per matvec in DiscreteOperator.to_dense: a sum of assembled
 # operators holds every patch window of the whole batch at once
 _BLOCK_COLUMNS = 16
 _EDGE_PAD = 4               # extra columns in the right-edge window
@@ -185,7 +185,8 @@ class DiscreteOperator:
     Instances are immutable by convention once built; all combinators
     return new operators.  ``spectrum`` holds a Fourier multiplier's values
     on the dual grid, from which operator_norm reads its norm in closed
-    form; it is None for every other operator.
+    form; it is None for every other operator.  ``dense`` builds the dense
+    matrix of a matrix or an assembled frozen family (see to_dense).
     """
 
     def __init__(self, shape, matvec, rmatvec, src=None, dst=None,
@@ -197,7 +198,6 @@ class DiscreteOperator:
         self.dst = dst
         self.spectrum = spectrum
         self.provenance = dict(provenance or {})
-        # builds the dense matrix; None means "from unit vectors" (see block)
         self._build_dense = dense
 
     # -- constructors -----------------------------------------------------
@@ -278,24 +278,19 @@ class DiscreteOperator:
 
     # -- materialization ---------------------------------------------------
 
-    def block(self, rows, cols) -> np.ndarray:
-        """The entries A[rows, cols] for integer index arrays, from the
-        operator applied to the unit vectors of ``cols``, _BLOCK_COLUMNS
-        at a time."""
-        out = np.empty((rows.size, cols.size), dtype=complex)
-        for start in range(0, cols.size, _BLOCK_COLUMNS):
-            part = cols[start:start + _BLOCK_COLUMNS]
-            unit = np.zeros((self.shape[1], part.size), dtype=complex)
-            unit[part, np.arange(part.size)] = 1.0
-            out[:, start:start + part.size] = self.matvec(unit)[rows]
-        return out
-
     def to_dense(self) -> np.ndarray:
+        """The dense matrix: the ``dense`` builder's if there is one, else
+        the operator applied to the unit vectors, _BLOCK_COLUMNS at a time."""
         n_dst, n_src = self.shape
         check_dense_size(max(n_dst, n_src))
         if self._build_dense is not None:
             return self._build_dense()
-        return self.block(np.arange(n_dst), np.arange(n_src))
+        out = np.empty(self.shape, dtype=complex)
+        for start in range(0, n_src, _BLOCK_COLUMNS):
+            unit = np.eye(n_src, min(_BLOCK_COLUMNS, n_src - start), -start,
+                          dtype=complex)
+            out[:, start:start + unit.shape[1]] = self.matvec(unit)
+        return out
 
 
 def lattice_projector(mask, space=None) -> DiscreteOperator:
@@ -881,7 +876,8 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
     points in grid order (``grid.points()``); any other partition raises
     ValueError.
 
-    Every patch is applied through its own matvec and rmatvec; only
+    Every patch is applied through its own matvec and rmatvec, and the
+    dense matrix comes from unit vectors; only
     :func:`assemble_frozen_family` uses kernel windows."""
     balls = pou.covering.balls
     ops = []
@@ -913,19 +909,9 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
             out = out + _scale_rows(gj, op.rmatvec(_scale_rows(fj, v)))
         return out
 
-    def dense():
-        # patch j touches only rows supp f_j and columns supp g_j
-        mat = np.zeros(shape, dtype=complex)
-        for fj, gj, op in patches:
-            rows, cols = np.flatnonzero(fj), np.flatnonzero(gj)
-            mat[np.ix_(rows, cols)] += (fj[rows, None] * op.block(rows, cols)
-                                        * gj[None, cols])
-        return mat
-
     return DiscreteOperator(shape, mv, rmv, src, dst,
                             provenance={"construction": "assembled",
-                                        "n_patches": len(ops)},
-                            dense=dense)
+                                        "n_patches": len(ops)})
 
 
 def quantize_full_symbol(s: Symbol, grid: LatticeGrid,
@@ -1028,47 +1014,32 @@ def _ladder_norm_threads(pairs: int) -> int:
     return 2 if pairs > 1 and cpus >= 2 * (_BLAS_THREADS or cpus) else 1
 
 
-def _norms_until_failure(diffs, mask):
-    """The masked norms of ``diffs`` in order, up to the first that raises,
-    and that error (or None)."""
-    norms = []
-    for d in diffs:
-        try:
-            norms.append(operator_norm(d, freq_mask=mask))
-        except Exception as exc:
-            return norms, exc
-    return norms, None
-
-
 def _ladder_norms(diffs, mask) -> list:
     """The masked operator norms of the rung differences, in order.
 
-    With a helper (see _ladder_norm_threads), the caller takes the even
-    pairs and the helper the odd ones, each in ladder order and each up
-    to its first failure.  The error raised is then the first failing
-    pair's in ladder order, as in the sequential loop.  The helper is
-    joined before returning.
+    With a helper (see _ladder_norm_threads), each odd pair goes to it as
+    a future of a one-thread pool, while the caller takes the even pairs
+    itself and reads every result in ladder order.  A future re-raises
+    its pair's error when read, so the error raised is the first failing
+    pair's, as in the sequential loop.  On the way out the queued pairs
+    are cancelled and the helper is joined.
 
     The caller takes a share rather than wait on a pool of two: a
-    ThreadPoolExecutor(2).map version, 26 lines shorter with the same
-    norms and error order, raised the peak RSS of perfbench's
-    assemble_n64 to 130.2-130.4 MB on 4 of 5 seeds, against 108.1-115.8
-    MB for this layout (2 CPUs, 1 BLAS thread); the cause was not
-    examined."""
+    ThreadPoolExecutor(2).map version with the same norms and error
+    order raised the peak RSS of perfbench's assemble_n64 to
+    130.2-130.4 MB on 4 of 5 seeds, against 108.1-115.8 MB for this
+    layout (2 CPUs, 1 BLAS thread); the cause was not examined."""
     if _ladder_norm_threads(len(diffs)) == 1:
         return [operator_norm(d, freq_mask=mask) for d in diffs]
-    with ThreadPoolExecutor(1) as pool:
-        odd = pool.submit(_norms_until_failure, diffs[1::2], mask)
-        runs = [_norms_until_failure(diffs[::2], mask), odd.result()]
-    # run r's norms are those of pairs r, r + 2, ..., so its failure is
-    # at pair r + 2 * (the norms it got)
-    failed = [(r + 2 * len(norms), error)
-              for r, (norms, error) in enumerate(runs) if error is not None]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    norms = [None] * len(diffs)
-    norms[::2], norms[1::2] = runs[0][0], runs[1][0]
-    return norms
+    pool = ThreadPoolExecutor(1)
+    try:
+        odd = [pool.submit(operator_norm, d, freq_mask=mask)
+               for d in diffs[1::2]]
+        return [odd[k // 2].result() if k % 2
+                else operator_norm(d, freq_mask=mask)
+                for k, d in enumerate(diffs)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
@@ -1084,8 +1055,8 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     partition are dropped once it is set up, the last rung's too, before
     the norms start.  The norms are those of :func:`operator_norm`, bit
     for bit, and run on the caller and one helper thread where the BLAS
-    thread count leaves CPUs idle (see _ladder_norm_threads and
-    _ladder_norms).
+    thread count leaves CPUs idle (see _ladder_norm_threads): the helper's
+    pairs are futures, read in ladder order (see _ladder_norms).
     """
     eps_sequence = [float(e) for e in eps_sequence]
     if len(eps_sequence) < 3:

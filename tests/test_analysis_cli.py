@@ -18,8 +18,9 @@ from symstrat import analysis, suites
 from symstrat.analysis import AnalysisConfig, run_analysis
 from symstrat.cli import main
 from symstrat.errors import ConfigError, SymstratError
+from symstrat.factorization import winding_index
 from symstrat.suites import run_verify_suite
-from symstrat.symbols import FrequencyGridSpec
+from symstrat.symbols import FrequencyGridSpec, Symbol
 
 
 def _analyze(symbol, alpha, model="square", s=0.0, **kw):
@@ -156,6 +157,11 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="s_order must be finite"):
         AnalysisConfig(symbol_text="1", alpha=0.0,
                        s_order=float("nan")).validate()
+    for field, value in (("seed", -1), ("seed", 1.5), ("quad_samples", 0),
+                         ("quad_samples", 4)):
+        with pytest.raises(ConfigError, match=field):
+            AnalysisConfig(symbol_text="1", alpha=0.0,
+                           **{field: value}).validate()
 
 
 def test_x_dependent_symbol_samples_multiple_points():
@@ -366,6 +372,57 @@ def test_cli_non_finite_float_is_refused_by_name(argv, flag, tmp_path,
     err = capsys.readouterr().err
     assert f"{flag}: not a finite number" in err
     assert not out.exists()
+
+
+_WIND2 = ["winding", "--symbol", "(k1-i)/(k1+i)*(1+normx2(x))", "--alpha",
+          "0", "--dim", "2"]
+_WIND3 = ["winding", "--symbol", "(k3-i)/(k3+i)", "--alpha", "0", "--dim",
+          "3"]
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_WIND2, "--x0", "-0.5,0.2"),
+    (_WIND3, "--xi-prime", "-0.3,0.1"),
+    (_ASM, "--convergence-eps", "-0.4,0.2,0.1"),
+    (_WIND2, "--x0", "-inf,0"),
+], ids=["x0", "xi-prime", "convergence-eps", "x0-non-finite"])
+def test_cli_flag_value_may_start_with_a_minus(argv, flag, value, tmp_path,
+                                               capsys):
+    # argparse alone reads "-0.5,0.2" as an option; either spelling must
+    # give the same exit code and output
+    results = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if argv is _ASM else []
+        code = main(argv + spelling + extra)
+        got = capsys.readouterr()
+        results.append((code, got.out.replace(str(out), "OUT"), got.err))
+    assert results[0] == results[1]
+    assert "expected one argument" not in results[0][2]
+
+
+def test_cli_minus_values_keep_argparse_checks(capsys):
+    assert main(["winding", "--symbol", "1", "--alpha", "-inf",
+                 "--dim", "1"]) == 3
+    assert "argument --alpha: not a finite number: '-inf'" in \
+        capsys.readouterr().err
+    # a flag followed by another option string still lacks its value
+    assert main(_WIND2 + ["--x0", "--out", "d"]) == 3
+    assert "argument --x0: expected one argument" in capsys.readouterr().err
+
+
+def test_least_quad_samples_cap(capsys):
+    sym = Symbol.parse("1", 0.0, 1)
+    assert winding_index(sym, [0.0], [], quad_samples=5) == 0.0
+    with pytest.raises(ValueError, match="at least 5"):
+        winding_index(sym, [0.0], [], quad_samples=4)
+    assert _analyze("1", 0.0, quad_samples=5).ok
+    assert main(["analyze", "--symbol", "1", "--alpha", "0",
+                 "--seed", "-1"]) == 3
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert main(["winding", "--symbol", "1", "--alpha", "0", "--dim", "1",
+                 "--quad-samples", "0"]) == 3
+    assert "quad_samples must be at least 5" in capsys.readouterr().err
 
 
 def _readme_commands():

@@ -5,6 +5,7 @@ import json
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -723,8 +724,8 @@ def test_block_built_dense_matches_identity_block_reference():
         @ DiscreteOperator.diagonal(rng.uniform(1, 2, p) + 0j, src, src),
     }
     for pou in partitions:
-        # multiplier patches through the kernel windows, the others patch
-        # by patch
+        # multiplier patches through the kernel windows' builder, the
+        # others from unit vectors
         built = {"multiplier": assemble_frozen_family(sym, pou, grid, src,
                                                       dst)}
         for kind, make in families.items():
@@ -1170,6 +1171,42 @@ def test_concurrent_ladder_raises_the_first_failing_pairs_error(
         errors.append(str(got.value))
     assert errors[0] == errors[1]
     assert errors[0].startswith(f"no convergence at {seen[min(failing)]!r};")
+
+
+def test_failing_caller_pair_cancels_the_helpers_queued_pairs(monkeypatch):
+    # six pairs: the caller takes 0, 2 and 4, the helper 1, 3 and 5.  Pair
+    # 0 fails once the helper is inside pair 1, which is held until the
+    # pool shuts down; by then pairs 3 and 5 must have been cancelled, so
+    # the helper runs neither
+    monkeypatch.setattr(lattice, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lattice, "_BLAS_THREADS", 1)
+    started, released = threading.Event(), threading.Event()
+    ran, held = [], []
+
+    def norm(pair, freq_mask=None):
+        ran.append(pair)
+        if pair == 0:
+            started.wait(timeout=10)
+            raise NormNotConverged("pair 0")
+        if pair == 1:
+            started.set()
+            held.append(released.wait(timeout=5))
+        return float(pair)
+
+    class ReleasingPool(ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            released.set()
+            super().shutdown(wait=wait)
+
+    monkeypatch.setattr(lattice, "operator_norm", norm)
+    monkeypatch.setattr(lattice, "ThreadPoolExecutor", ReleasingPool)
+    before = threading.active_count()
+    with pytest.raises(NormNotConverged, match="pair 0"):
+        lattice._ladder_norms(list(range(6)), None)
+    assert threading.active_count() == before
+    assert held == [True]
+    assert sorted(ran) == [0, 1]
 
 
 def test_assembled_operator_applies_from_several_threads():
