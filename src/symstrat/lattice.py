@@ -15,18 +15,19 @@ artifacts concentrate at the right edge and are filtered out by dropping
 the edge columns before the rank test.  Counts must agree between section
 sizes N and 2N or UnstableRank is raised.
 
-No section is ever dense.  The singular values of a restricted section S
-are read off the eigenvalues of its Golub-Kahan matrix [[0, S], [S^H, 0]]:
-they are +-sigma_i plus one structural zero per extra row of S.  With row
-i of S interleaved next to column i - floor((min_deg + max_deg) / 2), that
-matrix is banded with bandwidth at most max_deg - min_deg + 1.  One
-LAPACK zhbevx call reduces it to tridiagonal form in O(N^2 b), not the
-O(N^3) of a dense SVD, and then bisects by Sturm counts for only the
-eigenvalues near zero, between bounds on sigma_max read off the band;
-the full spectrum is read only when an eigenvalue sits too close to the
-rank threshold to decide (see _kernel_count).  Unlike S^H S the matrix
+No section is ever dense.  The restricted N x (N - _EDGE_PAD) section S
+of each block is written straight into LAPACK band storage, and zgbbrd
+reduces it in place, in O(N^2 b) for b = max_deg - min_deg, to a real upper
+bidiagonal B with the singular values of S, not the O(N^3) of a dense SVD.
+The singular values near zero are then bisected by Sturm counts on the
+zero-diagonal Golub-Kahan tridiagonal of B, whose eigenvalues are exactly
++-sigma_i, between bounds on sigma_max read off that tridiagonal; the full
+spectrum is read only when an eigenvalue sits too close to the rank
+threshold to decide (see _kernel_count).  Unlike S^H S the tridiagonal
 does not square the singular values, so a rank tolerance of 1e-8 stays
-1e-8.
+1e-8.  scipy.linalg.lapack has no zgbbrd wrapper, so the function that
+scipy.linalg.cython_lapack exports is called through ctypes: no compiled
+code of this package, and ctypes releases the GIL during the call.
 
 The essential-norm proxy used by the assembly convergence table is the
 operator norm compressed to the upper half of the frequency grid; it is a
@@ -36,6 +37,7 @@ reported as such.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -44,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import eigvals_banded
-from scipy.linalg.lapack import zhbevx
+from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, svds
 
@@ -453,48 +455,80 @@ def build_paired_operator(a_op: DiscreteOperator, domain: CanonicalDomain,
 # --------------------------------------------------------------------------
 # Toeplitz sections and numerical index
 
-def _golub_kahan_band(coeffs: LaurentPolynomial, n: int):
-    """The Hermitian augmented matrix [[0, S], [S^H, 0]] of the restricted
-    N x (N - _EDGE_PAD) section S, entry S[i, j] = a_{i-j}, as (lower band
-    offsets, column positions, values), with row i of S placed next to
-    column i - s, s = floor((min_deg + max_deg) / 2).
-
-    Row i gets the key 2i and column j the key 2(j + s) + 1; an entry
-    a_d, d = i - j, then joins keys 2(s - d) + 1 apart, at most
-    max_deg - min_deg + 1, and ranking the distinct keys only brings
-    neighbours closer."""
-    m = n - _EDGE_PAD
-    s = (coeffs.min_deg + coeffs.max_deg) // 2
-    keys = np.concatenate([2 * np.arange(n), 2 * (np.arange(m) + s) + 1])
-    pos = np.empty(n + m, dtype=np.intp)
-    pos[np.argsort(keys)] = np.arange(n + m)
-    offsets, cols, vals = [], [], []
-    for d in range(coeffs.min_deg, coeffs.max_deg + 1):
-        c = coeffs.coeff(d)
-        i = np.arange(max(d, 0), min(n, m + d))
-        p_row, p_col = pos[i], pos[n + i - d]
-        # S[i, j] sits at (p_row, p_col) and its conjugate at (p_col, p_row);
-        # lower storage keeps whichever is below the diagonal
-        below = p_row > p_col
-        offsets.append(np.abs(p_row - p_col))
-        cols.append(np.minimum(p_row, p_col))
-        vals.append(np.where(below, c, np.conj(c)))
-    return (np.concatenate(offsets), np.concatenate(cols),
-            np.concatenate(vals))
+def _exported_lapack(name: str, n_args: int):
+    """The C function that scipy.linalg.cython_lapack exports as ``name``,
+    typed to take each of its ``n_args`` arguments by address.  ctypes
+    releases the GIL while it runs."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    signature = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    if signature.count(b"*") != n_args:
+        raise ImportError(f"cython_lapack exports {name} as {signature!r}, "
+                          f"not as a function of {n_args} pointers")
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, signature)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
 
 
-def _band_norm_bounds(band: np.ndarray) -> tuple:
-    """(l, u) with l <= ||H||_2 <= u for the Hermitian matrix H held in
-    lower band storage: its largest column 2-norm and its largest absolute
-    row sum.  Row k of ``band`` holds H[j + k, j] at column j, whose
-    conjugate H[j, j + k] belongs to column j + k."""
-    mag = np.abs(band)
-    col_sq = (mag ** 2).sum(axis=0)
-    row_sum = mag.sum(axis=0)
-    for k in range(1, band.shape[0]):
-        col_sq[k:] += mag[k, :-k] ** 2
-        row_sum[k:] += mag[k, :-k]
-    return math.sqrt(col_sq.max()), float(row_sum.max())
+# scipy.linalg.lapack has no zgbbrd wrapper
+_ZGBBRD = _exported_lapack("zgbbrd", 19)
+
+
+def _bidiagonal(coeffs: LaurentPolynomial, n: int) -> tuple:
+    """(d, e), the diagonal and superdiagonal of a real upper bidiagonal B
+    with the singular values of the restricted N x (N - _EDGE_PAD) section
+    S, entry S[i, j] = a_{i-j}.  S is written into LAPACK band storage and
+    reduced there by zgbbrd with vect='N' (no Q or P^H is formed)."""
+    rows, cols = n, n - _EDGE_PAD
+    kl, ku = max(coeffs.max_deg, 0), max(-coeffs.min_deg, 0)
+    # column j of the Fortran (kl + ku + 1) x cols array holds S[i, j] at
+    # row ku + i - j; in C order that column is row j
+    band = np.zeros((cols, kl + ku + 1), dtype=complex)
+    for deg in range(coeffs.min_deg, coeffs.max_deg + 1):
+        band[max(0, -deg):min(cols, rows - deg), ku + deg] = coeffs.coeff(deg)
+    d, e = np.empty(cols), np.empty(cols)
+    work, rwork = np.empty(rows, dtype=complex), np.empty(rows)
+    unused = np.zeros(1, dtype=complex)        # Q, P^H and C are not formed
+    # each call owns its arrays, so calls from several threads may overlap
+    ints = np.array([rows, cols, 0, kl, ku, kl + ku + 1, 1, 0],
+                    dtype=np.intc)
+    p_rows, p_cols, p_ncc, p_kl, p_ku, p_ldab, p_ld, p_info = (
+        ints.ctypes.data + k * ints.itemsize for k in range(ints.size))
+    # ldq = ldpt = ldc = 1
+    _ZGBBRD(b"N", p_rows, p_cols, p_ncc, p_kl, p_ku, band.ctypes.data, p_ldab,
+            d.ctypes.data, e.ctypes.data, unused.ctypes.data, p_ld,
+            unused.ctypes.data, p_ld, unused.ctypes.data, p_ld,
+            work.ctypes.data, rwork.ctypes.data, p_info)
+    if ints[7] != 0:
+        raise LinAlgError(f"zgbbrd: illegal value in argument {-ints[7]} "
+                          f"(info={ints[7]})")
+    return d, e[:cols - 1]
+
+
+def _golub_kahan_offdiagonal(symbols, n: int) -> np.ndarray:
+    """Off-diagonal of the zero-diagonal tridiagonal whose eigenvalues are
+    +-sigma_i over the restricted sections of the direct sum of
+    ``symbols``: d_1, e_1, d_2, ..., d_m of each block's bidiagonal (the
+    perfect shuffle of [[0, B], [B^T, 0]]), the blocks joined by zeros."""
+    cols = n - _EDGE_PAD
+    off = np.zeros(2 * cols * len(symbols) - 1)
+    for k, a in enumerate(symbols):
+        d, e = _bidiagonal(a, n)
+        off[2 * cols * k:2 * cols * (k + 1):2] = d
+        off[2 * cols * k + 1:2 * cols * (k + 1) - 1:2] = e
+    return off
+
+
+def _norm_bounds(off: np.ndarray) -> tuple:
+    """(l, u) with l <= sigma_max <= u for the zero-diagonal tridiagonal
+    with off-diagonal ``off``: its largest column 2-norm and its largest
+    absolute row sum.  Since l >= max |off| and u <= 2 max |off|,
+    u <= 2 l."""
+    mag = np.abs(np.concatenate([[0.0], off, [0.0]]))
+    return (math.sqrt(np.max(mag[:-1] ** 2 + mag[1:] ** 2)),
+            float(np.max(mag[:-1] + mag[1:])))
 
 
 def _kernel_count(symbols, n: int, rank_tol: float) -> int:
@@ -510,52 +544,54 @@ def _kernel_count(symbols, n: int, rank_tol: float) -> int:
     near-null directions (their edge entries are exponentially small),
     while edge artifacts and growing recurrence solutions do not.
 
-    The singular values come from the eigenvalues of the banded
-    Golub-Kahan matrix H of the blocks (see _golub_kahan_band), stacked
-    along the diagonal: they are +-sigma_i plus _EDGE_PAD structural
-    zeros per block, so nothing is squared and sigma_max = max |lambda|.
-    The count is #{|lambda| <= rank_tol * sigma_max}.
+    Each restricted block is bidiagonalized in place (see _bidiagonal),
+    and the singular values are the eigenvalues +-sigma_i of the stacked
+    zero-diagonal Golub-Kahan tridiagonal T (see _golub_kahan_offdiagonal),
+    so nothing is squared and sigma_max = max |lambda|.  The count is
+    #{sigma_i <= rank_tol * sigma_max}, half the number of eigenvalues
+    with |lambda| <= rank_tol * sigma_max.
 
     Only the few eigenvalues near zero are computed.  With the bounds
-    l <= sigma_max <= u of _band_norm_bounds, zhbevx bisects by Sturm
-    counts for the eigenvalues in (-2 rank_tol u, 2 rank_tol u]; their
-    number m is exact whatever the bisection tolerance abstol.  m is the
-    count when the threshold is above roundoff (dim * eps * u <
-    rank_tol * l, dim the order of H) and every returned |lambda| + abstol <= rank_tol * l:
-    then each lambda inside meets the rule and each outside fails it.
-    Otherwise (an eigenvalue near the threshold, a rank_tol below
-    roundoff, a zero matrix) the whole spectrum is read."""
-    parts = [_golub_kahan_band(a, n) for a in symbols]
-    size = 2 * n - _EDGE_PAD
-    width = max(int(off.max()) for off, _, _ in parts)
-    band = np.zeros((width + 1, size * len(parts)), dtype=complex)
-    for k, (off, col, val) in enumerate(parts):
-        band[off, col + k * size] = val
-    # zhbevx does not check its input as eigvals_banded does
-    if not np.isfinite(band).all():
+    l <= sigma_max <= u of _norm_bounds, dstebz bisects by Sturm counts for
+    the eigenvalues in (-2 rank_tol u, 2 rank_tol u]; their number m is
+    exact whatever the bisection tolerance abstol.  m / 2 is the count when
+    every returned |lambda| + abstol <= rank_tol * l: then each lambda
+    inside meets the rule and each outside fails it.  Otherwise (an
+    eigenvalue near the threshold) the whole spectrum is read.  A rank_tol
+    at or below the roundoff floor, dim * eps * u >= rank_tol * l for T of
+    order dim, cannot tell a zero singular value from a small one and
+    raises UnstableRank, unless every section is zero, when every
+    singular value counts."""
+    if not all(np.isfinite(a.coeffs).all() for a in symbols):
         raise ValueError("array must not contain infs or NaNs")
-    low, high = _band_norm_bounds(band)
-    dim = band.shape[1]
+    off = _golub_kahan_offdiagonal(symbols, n)
+    low, high = _norm_bounds(off)
+    dim = off.size + 1
+    floor = dim * np.finfo(float).eps * high
     small = None
-    if dim * np.finfo(float).eps * high < rank_tol * low:
+    if floor < rank_tol * low:
         abstol = 1e-3 * rank_tol * low
         # range=1 asks for the eigenvalues in (vl, vu], so il and iu go
-        # unused; overwrite_ab=0 keeps band intact for the fallback
-        lam, _, m, _, info = zhbevx(
-            band, -2 * rank_tol * high, 2 * rank_tol * high, 1, dim,
-            compute_v=0, range=1, lower=1, abstol=abstol, overwrite_ab=0)
+        # unused
+        m, lam, _, _, info = dstebz(
+            np.zeros(dim), off, 1, -2 * rank_tol * high, 2 * rank_tol * high,
+            1, dim, abstol, "E")
         if info == 0 and np.all(np.abs(lam[:m]) + abstol <= rank_tol * low):
             small = int(m)
-    if small is None:
-        lam = np.abs(eigvals_banded(band, lower=True))
-        small = int(np.sum(lam <= rank_tol * lam.max()))
-    pad = _EDGE_PAD * len(parts)
-    if small < pad or (small - pad) % 2:
+    elif high > 0:
         raise UnstableRank(
-            f"{small} eigenvalues of the Golub-Kahan matrix at N={n} are "
-            f"at most rank_tol={rank_tol:g} times sigma_max, which is not "
-            f"{pad} structural zeros plus pairs +-sigma")
-    return (small - pad) // 2
+            f"rank_tol={rank_tol:g} at N={n} is not above the roundoff floor "
+            f"{floor / low:.3g} (order {dim} times eps times u / l) of the "
+            f"Golub-Kahan tridiagonal")
+    if small is None:
+        lam = np.abs(eigvalsh_tridiagonal(np.zeros(dim), off))
+        small = int(np.sum(lam <= rank_tol * lam.max()))
+    if small % 2:
+        raise UnstableRank(
+            f"{small} eigenvalues of the Golub-Kahan tridiagonal at N={n} "
+            f"are at most rank_tol={rank_tol:g} times sigma_max, which is "
+            f"not pairs +-sigma")
+    return small // 2
 
 
 def _stable_counts(symbols, n: int) -> tuple:

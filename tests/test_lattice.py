@@ -1,6 +1,7 @@
 """Lattice grids, multipliers, paired operators, Toeplitz index detection,
 locality defects and partition-of-unity assembly."""
 
+import ctypes
 import json
 import sys
 import threading
@@ -407,6 +408,62 @@ def _dense_kernel_count(symbols, n, rank_tol):
     return int(np.sum(sig <= rank_tol * sig[0]))
 
 
+def _golub_kahan_band(coeffs: LaurentPolynomial, n: int):
+    """Reference: the Hermitian augmented matrix [[0, S], [S^H, 0]] of the
+    restricted N x (N - _EDGE_PAD) section S, entry S[i, j] = a_{i-j}, as
+    (lower band offsets, column positions, values), with row i of S placed
+    next to column i - s, s = floor((min_deg + max_deg) / 2).
+
+    Row i gets the key 2i and column j the key 2(j + s) + 1; an entry
+    a_d, d = i - j, then joins keys 2(s - d) + 1 apart, at most
+    max_deg - min_deg + 1, and ranking the distinct keys only brings
+    neighbours closer.  Its eigenvalues are +-sigma_i of S plus _EDGE_PAD
+    structural zeros, an independent route to the singular values that
+    lattice._kernel_count reads off its bidiagonal."""
+    m = n - lattice._EDGE_PAD
+    s = (coeffs.min_deg + coeffs.max_deg) // 2
+    keys = np.concatenate([2 * np.arange(n), 2 * (np.arange(m) + s) + 1])
+    pos = np.empty(n + m, dtype=np.intp)
+    pos[np.argsort(keys)] = np.arange(n + m)
+    offsets, cols, vals = [], [], []
+    for d in range(coeffs.min_deg, coeffs.max_deg + 1):
+        c = coeffs.coeff(d)
+        i = np.arange(max(d, 0), min(n, m + d))
+        p_row, p_col = pos[i], pos[n + i - d]
+        # S[i, j] sits at (p_row, p_col) and its conjugate at (p_col, p_row);
+        # lower storage keeps whichever is below the diagonal
+        below = p_row > p_col
+        offsets.append(np.abs(p_row - p_col))
+        cols.append(np.minimum(p_row, p_col))
+        vals.append(np.where(below, c, np.conj(c)))
+    return (np.concatenate(offsets), np.concatenate(cols),
+            np.concatenate(vals))
+
+
+def _stacked_band(symbols, n):
+    """Lower band storage of the block-diagonal Golub-Kahan matrix of the
+    restricted sections of ``symbols``, one block after another."""
+    parts = [_golub_kahan_band(a, n) for a in symbols]
+    size = 2 * n - lattice._EDGE_PAD
+    width = max(int(off.max()) for off, _, _ in parts)
+    band = np.zeros((width + 1, size * len(parts)), dtype=complex)
+    for k, (off, col, val) in enumerate(parts):
+        band[off, col + k * size] = val
+    return band
+
+
+def _reference_kernel_count(symbols, n, rank_tol):
+    """Reference: #{|lambda| <= rank_tol * max |lambda|} over every
+    eigenvalue of the stacked Golub-Kahan band, less the _EDGE_PAD
+    structural zeros per block, halved."""
+    lam = np.abs(scipy.linalg.eigvals_banded(_stacked_band(symbols, n),
+                                             lower=True))
+    small = int(np.sum(lam <= rank_tol * lam.max()))
+    pad = lattice._EDGE_PAD * len(symbols)
+    assert small >= pad and (small - pad) % 2 == 0
+    return (small - pad) // 2
+
+
 def _kernel_count_oracle_cases():
     rng = np.random.default_rng(17)
     for k in range(8):
@@ -430,51 +487,53 @@ def test_kernel_count_matches_dense_svd_oracle():
         count = lattice._kernel_count(symbols, n, lattice.RANK_TOL)
         assert count == _dense_kernel_count(symbols, n,
                                             lattice.RANK_TOL), label
+        assert count == _reference_kernel_count(symbols, n,
+                                                lattice.RANK_TOL), label
         counts.append(count)
         for a in symbols:            # interleaving keeps the matrix banded
-            offsets = lattice._golub_kahan_band(a, n)[0]
+            offsets = _golub_kahan_band(a, n)[0]
             assert offsets.max() <= a.max_deg - a.min_deg + 1, label
     assert max(counts) >= 2          # the oracle cases do have kernels
 
 
-def test_kernel_count_parity_guard_below_noise_floor():
-    # the structural zeros of the Golub-Kahan matrix are roundoff-sized,
-    # so a rank_tol of 1e-20 counts some of them and not others
+@pytest.mark.parametrize("n", [64, 128])
+def test_bidiagonal_keeps_the_singular_values_of_the_section(n):
+    rng = np.random.default_rng(37)
+    polys = [random_elliptic_laurent(rng) for _ in range(6)]
+    polys += [LaurentPolynomial.make([0, 1], 0),
+              LaurentPolynomial.make([1], -2),
+              LaurentPolynomial.make([2, -1j, 0.5], -1)]
+    for poly in polys:
+        d, e = lattice._bidiagonal(poly, n)
+        assert d.shape == (n - lattice._EDGE_PAD,) and e.shape == (d.size - 1,)
+        sig = np.linalg.svd(rect_section_matrix(poly, n,
+                                                n - lattice._EDGE_PAD),
+                            compute_uv=False)
+        got = np.linalg.svd(np.diag(d) + np.diag(e, 1), compute_uv=False)
+        np.testing.assert_allclose(got, sig, rtol=0, atol=1e-12 * sig[0])
+
+
+def _rank_tol_floor(symbols, n):
+    """dim * eps * u / l of the stacked tridiagonal: the rank tolerance at
+    or below which _kernel_count refuses a nonzero section."""
+    off = lattice._golub_kahan_offdiagonal(symbols, n)
+    low, high = lattice._norm_bounds(off)
+    return (off.size + 1) * np.finfo(float).eps * high / low
+
+
+def test_kernel_count_refuses_rank_tol_below_noise_floor():
+    # a rank_tol of 1e-20 is below what a double-precision reduction can
+    # resolve: it is refused by name, never read as a count
     poly = LaurentPolynomial.make([-0.5, 1], 0)
     assert lattice._kernel_count([poly], 64, lattice.RANK_TOL) == 0
+    floor = _rank_tol_floor([poly], 64)
+    assert 1e-20 < floor < lattice.RANK_TOL
     with pytest.raises(UnstableRank) as info:
         lattice._kernel_count([poly], 64, 1e-20)
     message = str(info.value)
-    assert message.startswith("3 eigenvalues")
-    assert "rank_tol=1e-20" in message and "N=64" in message
-
-
-def _stacked_band(symbols, n):
-    """Lower band storage of the block-diagonal Golub-Kahan matrix of the
-    restricted sections of ``symbols``, stacked as in _kernel_count."""
-    parts = [lattice._golub_kahan_band(a, n) for a in symbols]
-    size = 2 * n - lattice._EDGE_PAD
-    width = max(int(off.max()) for off, _, _ in parts)
-    band = np.zeros((width + 1, size * len(parts)), dtype=complex)
-    for k, (off, col, val) in enumerate(parts):
-        band[off, col + k * size] = val
-    return band
-
-
-def _full_spectrum_small(symbols, n, rank_tol):
-    """Reference: #{|lambda| <= rank_tol * max |lambda|} over every
-    eigenvalue of the stacked Golub-Kahan matrix, the count that
-    _kernel_count's interval bisection must reproduce."""
-    lam = np.abs(scipy.linalg.eigvals_banded(_stacked_band(symbols, n),
-                                             lower=True))
-    return int(np.sum(lam <= rank_tol * lam.max()))
-
-
-def _reference_kernel_count(symbols, n, rank_tol):
-    small = _full_spectrum_small(symbols, n, rank_tol)
-    pad = lattice._EDGE_PAD * len(symbols)
-    assert small >= pad and (small - pad) % 2 == 0
-    return (small - pad) // 2
+    assert message.startswith("rank_tol=1e-20 at N=64 is not above the "
+                              "roundoff floor")
+    assert f"{floor:.3g}" in message
 
 
 @pytest.fixture
@@ -482,12 +541,46 @@ def full_spectrum_calls(monkeypatch):
     """Counts the full-spectrum reads of lattice._kernel_count."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape)
-        return scipy.linalg.eigvals_banded(*args, **kwargs)
+    def counted(d, e, *args, **kwargs):
+        calls.append(d.shape)
+        return scipy.linalg.eigvalsh_tridiagonal(d, e, *args, **kwargs)
 
-    monkeypatch.setattr(lattice, "eigvals_banded", counted)
+    monkeypatch.setattr(lattice, "eigvalsh_tridiagonal", counted)
     return calls
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts the zgbbrd and dstebz calls of lattice._kernel_count."""
+    calls = []
+
+    def counted(name, routine):
+        def call(*args):
+            calls.append(name)
+            return routine(*args)
+        return call
+
+    monkeypatch.setattr(lattice, "_ZGBBRD",
+                        counted("zgbbrd", lattice._ZGBBRD))
+    monkeypatch.setattr(lattice, "dstebz", counted("dstebz", lattice.dstebz))
+    return calls
+
+
+def test_kernel_count_refuses_at_the_roundoff_floor(full_spectrum_calls,
+                                                    lapack_calls):
+    # a rank_tol at or below the floor is refused before any bisection or
+    # fallback; one just above it is counted
+    blocks = [LaurentPolynomial.make([-0.5, 1], 0),
+              LaurentPolynomial.make([1], -1)]
+    floor = _rank_tol_floor(blocks, 64)
+    lapack_calls.clear()
+    for rank_tol in (floor * (1 - 1e-9), 0.0):
+        with pytest.raises(UnstableRank, match="roundoff floor"):
+            lattice._kernel_count(blocks, 64, rank_tol)
+    assert lapack_calls == ["zgbbrd"] * 4
+    assert full_spectrum_calls == []
+    assert lattice._kernel_count(blocks, 64, floor * 1.01) == \
+        _reference_kernel_count(blocks, 64, floor * 1.01) == 1
 
 
 def _interval_count_cases():
@@ -520,19 +613,16 @@ def test_kernel_count_interval_matches_full_spectrum(full_spectrum_calls):
 def test_band_norm_bounds_bracket_sigma_max():
     rng = np.random.default_rng(29)
     for n in (64, 128):
-        band = _stacked_band([random_elliptic_laurent(rng)
-                              for _ in range(3)], n)
-        low, high = lattice._band_norm_bounds(band)
-        sigma_max = np.abs(scipy.linalg.eigvals_banded(band,
-                                                       lower=True)).max()
+        symbols = [random_elliptic_laurent(rng) for _ in range(3)]
+        off = lattice._golub_kahan_offdiagonal(symbols, n)
+        low, high = lattice._norm_bounds(off)
+        sigma_max = np.abs(scipy.linalg.eigvals_banded(
+            _stacked_band(symbols, n), lower=True)).max()
         assert low <= sigma_max * (1 + 1e-12)
         assert sigma_max <= high * (1 + 1e-12)
-        # the dense Hermitian matrix gives the same two norms
-        dense = np.zeros((band.shape[1],) * 2, dtype=complex)
-        for k in range(band.shape[0]):
-            j = np.arange(band.shape[1] - k)
-            dense[j + k, j] = band[k, j]
-            dense[j, j + k] = np.conj(band[k, j])
+        assert high <= 2 * low
+        # the dense tridiagonal gives the same two norms
+        dense = np.diag(off, 1) + np.diag(off, -1)
         assert low == pytest.approx(np.linalg.norm(dense, axis=0).max())
         assert high == pytest.approx(np.abs(dense).sum(axis=1).max())
 
@@ -540,45 +630,87 @@ def test_band_norm_bounds_bracket_sigma_max():
 def test_kernel_count_falls_back_near_threshold(full_spectrum_calls):
     # z^{-1}(z - 1.2) has a slowly decaying kernel vector, so its restricted
     # section at N=64 has a small singular value well above roundoff; a
-    # rank_tol that puts it between rank_tol * l and 2 rank_tol * u leaves
-    # the bisected interval undecided
+    # rank_tol that puts it between rank_tol * l and 2 rank_tol * u, or
+    # less than the bisection tolerance 1e-3 rank_tol * l below
+    # rank_tol * l, leaves the bisected interval undecided
     symbols, n = [LaurentPolynomial.make([-1.2, 1], -1)], 64
     sig = np.linalg.svd(rect_section_matrix(symbols[0], n,
                                             n - lattice._EDGE_PAD),
                         compute_uv=False)[-1]
-    low, high = lattice._band_norm_bounds(_stacked_band(symbols, n))
-    rank_tol = sig / np.sqrt(2 * low * high)
-    assert rank_tol * low < sig < 2 * rank_tol * high
-    assert (2 * n - lattice._EDGE_PAD) * np.finfo(float).eps * high \
-        < rank_tol * low
-    count = lattice._kernel_count(symbols, n, rank_tol)
-    assert count == _reference_kernel_count(symbols, n, rank_tol)
-    assert len(full_spectrum_calls) == 1
-
-
-def test_kernel_count_falls_back_below_roundoff(full_spectrum_calls):
-    poly = LaurentPolynomial.make([-0.5, 1], 0)
-    small = _full_spectrum_small([poly], 64, 1e-20)
-    with pytest.raises(UnstableRank, match=f"^{small} eigenvalues"):
-        lattice._kernel_count([poly], 64, 1e-20)
-    assert len(full_spectrum_calls) == 1
+    low, high = lattice._norm_bounds(
+        lattice._golub_kahan_offdiagonal(symbols, n))
+    between = sig / np.sqrt(2 * low * high)
+    assert between * low < sig < 2 * between * high
+    within_abstol = sig / (low * (1 - 1e-4))
+    assert within_abstol * low * (1 - 1e-3) < sig < within_abstol * low
+    for k, rank_tol in enumerate((between, within_abstol)):
+        assert _rank_tol_floor(symbols, n) < rank_tol
+        count = lattice._kernel_count(symbols, n, rank_tol)
+        assert count == _reference_kernel_count(symbols, n, rank_tol)
+        assert len(full_spectrum_calls) == k + 1
 
 
 def test_kernel_count_zero_band_counts_every_eigenvalue(full_spectrum_calls):
     # make() refuses a zero polynomial; built directly, every entry of the
-    # band is zero, so l = u = 0 and every eigenvalue is counted
+    # section is zero, so l = u = 0 and every singular value is counted
     zero = LaurentPolynomial((0j,), 0)
-    assert lattice._band_norm_bounds(_stacked_band([zero], 64)) == (0.0, 0.0)
+    off = lattice._golub_kahan_offdiagonal([zero], 64)
+    assert lattice._norm_bounds(off) == (0.0, 0.0)
     assert lattice._kernel_count([zero], 64, lattice.RANK_TOL) == \
         _reference_kernel_count([zero], 64, lattice.RANK_TOL) == 60
     assert len(full_spectrum_calls) == 1
 
 
-def test_kernel_count_refuses_non_finite_band(full_spectrum_calls):
+def test_kernel_count_refuses_non_finite_band(full_spectrum_calls,
+                                              lapack_calls):
     poly = LaurentPolynomial((complex("nan"), 1j), 0)   # bypasses make()
-    with pytest.raises(ValueError, match="infs or NaNs"):
-        lattice._kernel_count([poly], 64, lattice.RANK_TOL)
-    assert full_spectrum_calls == []
+    for symbols in ([poly], [LaurentPolynomial.make([1], 0), poly]):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lattice._kernel_count(symbols, 64, lattice.RANK_TOL)
+    assert lapack_calls == [] and full_spectrum_calls == []
+
+
+def test_kernel_count_refuses_an_odd_count(monkeypatch):
+    # eigenvalues of the Golub-Kahan tridiagonal come in pairs +-sigma, so
+    # an odd number inside the bisected interval is refused, not halved
+    def one_small_eigenvalue(d, *args):
+        return 1, np.zeros(d.size), None, None, 0
+
+    monkeypatch.setattr(lattice, "dstebz", one_small_eigenvalue)
+    with pytest.raises(UnstableRank, match="^1 eigenvalues .* N=64 .* "
+                                           "not pairs"):
+        lattice._kernel_count([LaurentPolynomial.make([1, 0.5], 0)], 64,
+                              lattice.RANK_TOL)
+
+
+def test_bidiagonal_raises_when_zgbbrd_reports_an_error(monkeypatch):
+    def illegal_ldab(*args):
+        ctypes.c_int.from_address(args[-1]).value = -8
+
+    monkeypatch.setattr(lattice, "_ZGBBRD", illegal_ldab)
+    with pytest.raises(LinAlgError, match="zgbbrd") as info:
+        lattice._kernel_count([LaurentPolynomial.make([1, 0.5], 0)], 64,
+                              lattice.RANK_TOL)
+    assert "argument 8" in str(info.value)
+
+
+def test_kernel_count_is_reentrant():
+    # each call owns its LAPACK arrays, so calls overlapping on two
+    # threads (ctypes releases the GIL in zgbbrd) count what one thread does
+    rng = np.random.default_rng(41)
+    cases = []
+    for k in range(16):
+        blocks = [random_elliptic_laurent(rng) for _ in range(1 + k % 3)]
+        cases.append((blocks if k % 2 else
+                      [a.conj_reflected() for a in blocks], (64, 128)[k % 2]))
+    expected = [lattice._kernel_count(s, n, lattice.RANK_TOL)
+                for s, n in cases]
+    with ThreadPoolExecutor(2) as pool:
+        got = list(pool.map(
+            lambda case: lattice._kernel_count(case[0], case[1],
+                                               lattice.RANK_TOL), cases))
+    assert got == expected
+    assert max(expected) >= 2
 
 
 def test_aggregate_index_sums():

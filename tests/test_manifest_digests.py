@@ -17,6 +17,14 @@ and two BLAS threads.  Moved proxies are handled as moved digests.
 ``winding_index`` of the lifted symbols of the toeplitz suite of seed 0,
 drawn as the suite draws them; moved values are handled as moved
 digests.
+
+``data/index_suite_digests.json`` holds the sha256 of
+``dump_json(run_verify_suite(name, seed))`` for the two index suites,
+``toeplitz`` and ``additivity``, at seeds 0 and 1; neither depends on the
+BLAS thread count.  Their kernel and cokernel counts are the integers
+that ``lattice._kernel_count`` produces, so a change to that count's
+numerics must leave these reports byte for byte the same.  Moved reports
+are handled as moved digests.
 """
 
 import hashlib
@@ -30,12 +38,13 @@ from symstrat.factorization import winding_index
 from symstrat.geometry import stratify_model
 from symstrat.lattice import LatticeGrid, assembly_convergence
 from symstrat.laurent import random_elliptic_laurent
-from symstrat.suites import TOEPLITZ_CASES
+from symstrat.suites import TOEPLITZ_CASES, run_verify_suite
 from symstrat.symbols import Symbol
 
 PINNED = Path(__file__).parent / "data" / "manifest_digests.json"
 LADDERS = Path(__file__).parent / "data" / "ladder_proxies.json"
 WINDINGS = Path(__file__).parent / "data" / "toeplitz_windings.json"
+INDEX_SUITES = Path(__file__).parent / "data" / "index_suite_digests.json"
 
 
 def test_pinned_manifests_are_byte_identical():
@@ -78,3 +87,16 @@ def test_pinned_toeplitz_windings_are_bit_identical():
         for _ in range(TOEPLITZ_CASES)]
     assert len(pinned["windings"]) == TOEPLITZ_CASES == 20
     assert windings == pinned["windings"]
+
+
+def test_pinned_index_suite_reports_are_byte_identical():
+    rows = json.loads(INDEX_SUITES.read_text(encoding="utf-8"))
+    assert {(row["suite"], row["seed"]) for row in rows} == {
+        (name, seed) for name in ("toeplitz", "additivity") for seed in (0, 1)}
+    moved = []
+    for row in rows:
+        text = dump_json(run_verify_suite(row["suite"], row["seed"]))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        if digest != row["sha256"]:
+            moved.append(f"{row['suite']} seed {row['seed']}: now {digest}")
+    assert not moved, "index suite reports moved:\n" + "\n".join(moved)
