@@ -99,10 +99,6 @@ class OrderMismatch(SymstratError):
     """Target space order does not equal source order minus symbol order."""
 
 
-class EmptyDomainError(SymstratError):
-    """Domain (or its complement) contains no lattice point."""
-
-
 class SupportOverlapError(SymstratError):
     """Cutoff functions overlap or are closer than the required separation."""
 

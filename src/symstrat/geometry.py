@@ -272,17 +272,6 @@ class CanonicalDomain:
             raise DegenerateConeError("wedge factor cone must be pointed")
         return CanonicalDomain(WEDGE, dim, k, cone)
 
-    def membership_mask(self, points: np.ndarray) -> np.ndarray:
-        """Membership of an array of points, shape (P, m): every point of
-        the full space, the open half-space {x_m > 0}, and the closed wedge
-        as Cone.contains decides it on the last m-k coordinates."""
-        points = np.asarray(points, dtype=float)
-        if self.kind == FULL_SPACE:
-            return np.ones(points.shape[0], dtype=bool)
-        if self.kind == HALF_SPACE:
-            return points[:, -1] > 0
-        return self.cone.contains(points[:, self.k:])
-
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "dim": self.dim}
         if self.kind == WEDGE:

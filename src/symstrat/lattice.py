@@ -19,13 +19,13 @@ No section is ever dense.  The restricted N x (N - _EDGE_PAD) section S
 of each block is written straight into LAPACK band storage, and zgbbrd
 reduces it in place, in O(N^2 b) for b = max_deg - min_deg, to a real upper
 bidiagonal B with the singular values of S, not the O(N^3) of a dense SVD.
-The singular values near zero are then bisected by Sturm counts on the
-zero-diagonal Golub-Kahan tridiagonal of B, whose eigenvalues are exactly
-+-sigma_i, between bounds on sigma_max read off that tridiagonal; the full
-spectrum is read only when an eigenvalue sits too close to the rank
-threshold to decide (see _kernel_count).  Unlike S^H S the tridiagonal
-does not square the singular values, so a rank tolerance of 1e-8 stays
-1e-8.  scipy.linalg.lapack has no zgbbrd wrapper, so the function that
+The singular values are the eigenvalues +-sigma_i of the zero-diagonal
+Golub-Kahan tridiagonal of B, and the rank threshold is set against
+||T(a)|| = max |a(z)| on the unit circle, which is known before any
+reduction, so one Sturm count (dstebz) on an interval around zero reads
+the kernel count (see _kernel_count).  Unlike S^H S the tridiagonal does
+not square the singular values, so a rank tolerance of 1e-8 stays 1e-8.
+scipy.linalg.lapack has no zgbbrd wrapper, so the function that
 scipy.linalg.cython_lapack exports is called through ctypes: no compiled
 code of this package, and ctypes releases the GIL during the call.
 
@@ -46,30 +46,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cython_lapack, eigvalsh_tridiagonal
+from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dstebz
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .dsl import eval_on_grid
-from .errors import (ConfigError, DuplicateComponentError, EmptyDomainError,
-                     MissingPatchError, NormNotConverged, OrderMismatch,
-                     SupportOverlapError, UnstableRank, ZeroOnCircle)
-from .geometry import (CanonicalDomain, PartitionOfUnity, build_covering,
-                       partition_of_unity)
+from .errors import (ConfigError, DuplicateComponentError, MissingPatchError,
+                     NormNotConverged, OrderMismatch, SupportOverlapError,
+                     UnstableRank, ZeroOnCircle)
+from .geometry import PartitionOfUnity, build_covering, partition_of_unity
 from . import symbols
 from .laurent import TOL_CIRCLE, LaurentPolynomial, laurent_winding
 from .symbols import Symbol, eval_blocks
 
 __all__ = [
     "LatticeGrid", "DiscreteSobolevSpace", "DiscreteOperator",
-    "lattice_projector", "discretize_symbol_op", "build_paired_operator",
-    "numerical_index",
-    "numerical_index_direct_sum", "IndexEntry", "IndexReport",
-    "aggregate_index", "locality_defect", "assemble_operator",
-    "assemble_frozen_family", "assembly_convergence", "quantize_full_symbol",
-    "operator_norm", "high_frequency_mask", "check_dense_size",
-    "export_operator",
+    "discretize_symbol_op", "numerical_index", "numerical_index_direct_sum",
+    "IndexEntry", "IndexReport", "aggregate_index", "locality_defect",
+    "assemble_operator", "assemble_frozen_family", "assembly_convergence",
+    "quantize_full_symbol", "operator_norm", "high_frequency_mask",
+    "check_dense_size", "export_operator",
 ]
 
 DENSE_LIMIT = 2048          # max side of a materialized matrix
@@ -295,14 +292,6 @@ class DiscreteOperator:
         return out
 
 
-def lattice_projector(mask, space=None) -> DiscreteOperator:
-    """Diagonal 0/1 projector onto the index set given by a boolean mask."""
-    mask = np.asarray(mask, dtype=bool)
-    return DiscreteOperator.diagonal(mask.astype(complex), space, space,
-                                     provenance={"construction": "projector",
-                                                 "n_active": int(mask.sum())})
-
-
 # --------------------------------------------------------------------------
 # Norms
 
@@ -435,23 +424,6 @@ def _frozen_values(s: Symbol, centers: np.ndarray,
     return values
 
 
-def build_paired_operator(a_op: DiscreteOperator, domain: CanonicalDomain,
-                          grid: LatticeGrid) -> DiscreteOperator:
-    """The paired operator A*P_plus + P_minus with complementary lattice
-    projectors onto the domain and its complement."""
-    mask = domain.membership_mask(grid.points())
-    if not mask.any() or mask.all():
-        raise EmptyDomainError(
-            f"domain {domain.kind} splits the lattice trivially "
-            f"({int(mask.sum())} of {mask.size} points inside)")
-    p_plus = lattice_projector(mask, a_op.src)
-    p_minus = lattice_projector(~mask, a_op.src)
-    out = (a_op @ p_plus) + p_minus
-    out.provenance = {"construction": "paired", "domain": domain.to_dict(),
-                      "n_plus": int(mask.sum())}
-    return out
-
-
 # --------------------------------------------------------------------------
 # Toeplitz sections and numerical index
 
@@ -521,17 +493,7 @@ def _golub_kahan_offdiagonal(symbols, n: int) -> np.ndarray:
     return off
 
 
-def _norm_bounds(off: np.ndarray) -> tuple:
-    """(l, u) with l <= sigma_max <= u for the zero-diagonal tridiagonal
-    with off-diagonal ``off``: its largest column 2-norm and its largest
-    absolute row sum.  Since l >= max |off| and u <= 2 max |off|,
-    u <= 2 l."""
-    mag = np.abs(np.concatenate([[0.0], off, [0.0]]))
-    return (math.sqrt(np.max(mag[:-1] ** 2 + mag[1:] ** 2)),
-            float(np.max(mag[:-1] + mag[1:])))
-
-
-def _kernel_count(symbols, n: int, rank_tol: float) -> int:
+def _kernel_count(symbols, n: int, rank_tol: float, scale: float) -> int:
     """Number of decaying null vectors of the block-diagonal direct sum of
     the N x (N + b) sections of ``symbols``, not counting those localized
     at each block's last b + _EDGE_PAD columns (the truncation artifacts).
@@ -544,69 +506,67 @@ def _kernel_count(symbols, n: int, rank_tol: float) -> int:
     near-null directions (their edge entries are exponentially small),
     while edge artifacts and growing recurrence solutions do not.
 
-    Each restricted block is bidiagonalized in place (see _bidiagonal),
-    and the singular values are the eigenvalues +-sigma_i of the stacked
+    Each restricted block is bidiagonalized in place (see _bidiagonal);
+    the singular values are the eigenvalues +-sigma_i of the stacked
     zero-diagonal Golub-Kahan tridiagonal T (see _golub_kahan_offdiagonal),
-    so nothing is squared and sigma_max = max |lambda|.  The count is
-    #{sigma_i <= rank_tol * sigma_max}, half the number of eigenvalues
-    with |lambda| <= rank_tol * sigma_max.
-
-    Only the few eigenvalues near zero are computed.  With the bounds
-    l <= sigma_max <= u of _norm_bounds, dstebz bisects by Sturm counts for
-    the eigenvalues in (-2 rank_tol u, 2 rank_tol u]; their number m is
-    exact whatever the bisection tolerance abstol.  m / 2 is the count when
-    every returned |lambda| + abstol <= rank_tol * l: then each lambda
-    inside meets the rule and each outside fails it.  Otherwise (an
-    eigenvalue near the threshold) the whole spectrum is read.  A rank_tol
-    at or below the roundoff floor, dim * eps * u >= rank_tol * l for T of
-    order dim, cannot tell a zero singular value from a small one and
-    raises UnstableRank, unless every section is zero, when every
-    singular value counts."""
+    unsquared.  The count is #{sigma_i <= rank_tol * scale}, with
+    ``scale`` = ||T(a)|| = max |a(z)| on the circle over the blocks: unlike
+    sigma_max of each finite section (at most ||T(a)||), it does not
+    depend on N and is known in advance.  So one Sturm count (dstebz) of
+    the eigenvalues of T / scale in (-rank_tol, rank_tol] is twice the
+    count; an abstol wider than that interval skips the bisection.  An odd
+    count, or a rank_tol at or below the roundoff floor dim * eps of T of
+    order dim, raises UnstableRank, the latter before any LAPACK call."""
     if not all(np.isfinite(a.coeffs).all() for a in symbols):
         raise ValueError("array must not contain infs or NaNs")
-    off = _golub_kahan_offdiagonal(symbols, n)
-    low, high = _norm_bounds(off)
-    dim = off.size + 1
-    floor = dim * np.finfo(float).eps * high
-    small = None
-    if floor < rank_tol * low:
-        abstol = 1e-3 * rank_tol * low
-        # range=1 asks for the eigenvalues in (vl, vu], so il and iu go
-        # unused
-        m, lam, _, _, info = dstebz(
-            np.zeros(dim), off, 1, -2 * rank_tol * high, 2 * rank_tol * high,
-            1, dim, abstol, "E")
-        if info == 0 and np.all(np.abs(lam[:m]) + abstol <= rank_tol * low):
-            small = int(m)
-    elif high > 0:
+    dim = 2 * (n - _EDGE_PAD) * len(symbols)
+    floor = dim * np.finfo(float).eps
+    if rank_tol <= floor:
         raise UnstableRank(
             f"rank_tol={rank_tol:g} at N={n} is not above the roundoff floor "
-            f"{floor / low:.3g} (order {dim} times eps times u / l) of the "
-            f"Golub-Kahan tridiagonal")
-    if small is None:
-        lam = np.abs(eigvalsh_tridiagonal(np.zeros(dim), off))
-        small = int(np.sum(lam <= rank_tol * lam.max()))
-    if small % 2:
+            f"{floor:.3g} (order {dim} times eps) of the Golub-Kahan "
+            f"tridiagonal")
+    off = _golub_kahan_offdiagonal(symbols, n) / scale
+    # range=1 asks for the eigenvalues in (vl, vu], so il and iu go unused
+    m, _, _, _, info = dstebz(np.zeros(dim), off, 1, -rank_tol, rank_tol,
+                              1, dim, 4 * rank_tol, "E")
+    if info != 0:
+        raise LinAlgError(f"dstebz: bisection failed (info={info})")
+    if m % 2:
         raise UnstableRank(
-            f"{small} eigenvalues of the Golub-Kahan tridiagonal at N={n} "
-            f"are at most rank_tol={rank_tol:g} times sigma_max, which is "
-            f"not pairs +-sigma")
-    return small // 2
+            f"{m} eigenvalues of the Golub-Kahan tridiagonal at N={n} are "
+            f"at most rank_tol={rank_tol:g} times max |a(z)|, which is not "
+            f"pairs +-sigma")
+    return int(m) // 2
 
 
 def _stable_counts(symbols, n: int) -> tuple:
     """(kernel, cokernel) counts of the direct sum of ``symbols``, which
-    must agree between the sections at N and 2N.  A block that vanishes on
-    the unit circle has no Fredholm index and raises ZeroOnCircle."""
-    for j, a in enumerate(symbols):
-        low = a.min_modulus_on_circle()
+    must agree between the sections at N and 2N.  An N below _EDGE_PAD +
+    max(_EDGE_PAD, b + 1), b the largest degree span, leaves too few
+    section columns and raises ValueError.  A block that vanishes on the
+    unit circle raises ZeroOnCircle; the same |a(z)| samples give the
+    scale max |a(z)| of all four counts (the adjoint keeps |a|), and one
+    that overflows raises ValueError."""
+    least = _EDGE_PAD + max(_EDGE_PAD, max(
+        a.max_deg - a.min_deg for a in symbols) + 1)
+    if n < least:
+        raise ValueError(f"N={n} is below the least section size {least}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        moduli = [a.modulus_on_circle() for a in symbols]
+    for j, modulus in enumerate(moduli):
+        low = modulus.min()
         if low <= TOL_CIRCLE:
             raise ZeroOnCircle(
                 f"block {j} of {len(symbols)} vanishes on the unit circle: "
                 f"min |a(z)| = {low:.3e} <= {TOL_CIRCLE:g}")
+    scale = float(np.max([modulus.max() for modulus in moduli]))
+    if not np.isfinite(scale):
+        raise ValueError(f"max |a(z)| on the unit circle is not finite "
+                         f"({scale}), so the counts have no scale")
     adj = [a.conj_reflected() for a in symbols]
-    kers = [_kernel_count(symbols, m, RANK_TOL) for m in (n, 2 * n)]
-    coks = [_kernel_count(adj, m, RANK_TOL) for m in (n, 2 * n)]
+    kers = [_kernel_count(symbols, m, RANK_TOL, scale) for m in (n, 2 * n)]
+    coks = [_kernel_count(adj, m, RANK_TOL, scale) for m in (n, 2 * n)]
     if kers[0] != kers[1] or coks[0] != coks[1]:
         raise UnstableRank(
             f"kernel counts did not stabilize between N={n} and 2N: "

@@ -77,9 +77,13 @@ class LaurentPolynomial:
         return LaurentPolynomial.make(
             np.conj(np.asarray(self.coeffs))[::-1], -self.max_deg)
 
-    def min_modulus_on_circle(self) -> float:
+    def modulus_on_circle(self) -> np.ndarray:
+        """|a(z)| at CIRCLE_SAMPLES equally spaced nodes of the circle."""
         theta = np.linspace(0.0, 2 * np.pi, CIRCLE_SAMPLES, endpoint=False)
-        return float(np.min(np.abs(self(np.exp(1j * theta)))))
+        return np.abs(self(np.exp(1j * theta)))
+
+    def min_modulus_on_circle(self) -> float:
+        return float(np.min(self.modulus_on_circle()))
 
     def lifted_text(self) -> str:
         """Symbol text in k1 for a(z) with z = (k1 - i)/(k1 + i), usable by

@@ -1,4 +1,4 @@
-"""Lattice grids, multipliers, paired operators, Toeplitz index detection,
+"""Lattice grids, multipliers, paired matrices, Toeplitz index detection,
 locality defects and partition-of-unity assembly."""
 
 import ctypes
@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,19 +19,17 @@ from scipy.sparse.linalg import LinearOperator
 from symstrat.dsl import BinOp, SymbolExpr
 
 from symstrat import lattice
-from symstrat.errors import (DuplicateComponentError, EmptyDomainError,
-                             MissingPatchError, NormNotConverged,
-                             OrderMismatch, SupportOverlapError,
-                             UnstableRank, ZeroOnCircle)
-from symstrat.geometry import (Ball, CanonicalDomain, Covering,
-                               PartitionOfUnity, orthant, partition_of_unity,
-                               stratify_model, build_covering)
+from symstrat.errors import (DuplicateComponentError, MissingPatchError,
+                             NormNotConverged, OrderMismatch,
+                             SupportOverlapError, UnstableRank, ZeroOnCircle)
+from symstrat.geometry import (Ball, Covering, PartitionOfUnity,
+                               partition_of_unity, stratify_model,
+                               build_covering)
 from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
                               IndexEntry, LatticeGrid, aggregate_index,
                               assemble_frozen_family, assemble_operator,
-                              assembly_convergence, build_paired_operator,
-                              discretize_symbol_op, export_operator,
-                              high_frequency_mask, lattice_projector,
+                              assembly_convergence, discretize_symbol_op,
+                              export_operator, high_frequency_mask,
                               locality_defect, numerical_index,
                               numerical_index_direct_sum, operator_norm,
                               quantize_full_symbol)
@@ -191,20 +190,12 @@ def test_full_quantization_checks_its_spaces_like_the_frozen_one():
 
 
 # --------------------------------------------------------------------------
-# projectors and paired operators
-
-def test_projector_idempotent_and_complementary():
-    mask = np.array([True, False, True, False])
-    p = lattice_projector(mask)
-    q = lattice_projector(~mask)
-    np.testing.assert_array_equal((p @ p).to_dense(), p.to_dense())
-    np.testing.assert_array_equal(p.to_dense() + q.to_dense(), np.eye(4))
-
+# paired matrices
 
 def test_paired_two_point_toy():
     a = DiscreteOperator.from_matrix(np.array([[0, 1], [1, 0]], complex))
-    p_plus = lattice_projector(np.array([True, False]))
-    p_minus = lattice_projector(np.array([False, True]))
+    p_plus = DiscreteOperator.diagonal(np.array([1, 0], complex))
+    p_minus = DiscreteOperator.diagonal(np.array([0, 1], complex))
     paired = (a @ p_plus) + p_minus
     np.testing.assert_array_equal(paired.to_dense().real,
                                   np.array([[0, 0], [1, 1]]))
@@ -212,37 +203,6 @@ def test_paired_two_point_toy():
     assert np.linalg.matrix_rank(paired.to_dense()) == 1
     compression = a.to_dense()[:1, :1]
     assert np.linalg.matrix_rank(compression) == 0
-
-
-def test_paired_shift_symbol_identity_on_complement_rows():
-    grid = LatticeGrid(1, 16, 1.0, (-8.0,))
-    sp = DiscreteSobolevSpace(grid, 0.0)
-    shift = discretize_symbol_op(Symbol.parse("exp(i*k1)", 0.0, 1), [0.0],
-                                 grid, sp, sp)
-    paired = build_paired_operator(shift, CanonicalDomain.half_space(1), grid)
-    mask = grid.points()[:, 0] > 0
-    dense = paired.to_dense()
-    np.testing.assert_allclose(dense[:, ~mask], np.eye(16)[:, ~mask],
-                               atol=1e-12)
-    # the shift rows act only on the selected half
-    assert np.abs(dense[:, mask]).max() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_paired_empty_domain_rejected():
-    grid = LatticeGrid(1, 8, 1.0)   # origin 0: no point has x < 0
-    sp = DiscreteSobolevSpace(grid, 0.0)
-    op = DiscreteOperator.identity(sp)
-    with pytest.raises(EmptyDomainError):
-        build_paired_operator(op, CanonicalDomain.full_space(1), grid)
-
-
-def test_paired_wedge_quadrant():
-    grid = LatticeGrid(2, 8, 1.0, (-4.0, -4.0))
-    sp = DiscreteSobolevSpace(grid, 0.0)
-    ident = DiscreteOperator.identity(sp)
-    dom = CanonicalDomain.wedge(2, 0, orthant(2))
-    paired = build_paired_operator(ident, dom, grid)
-    np.testing.assert_allclose(paired.to_dense(), np.eye(64), atol=1e-14)
 
 
 def test_paired_compression_equivalence_random():
@@ -399,13 +359,63 @@ def test_direct_sum_block_detection():
     assert direct.dim_coker == sum(p.dim_coker for p in parts)
 
 
+def test_numerical_index_refuses_a_section_below_the_least_n():
+    # the restricted N x (N - 4) section needs at least 4 columns and more
+    # than the degree span b: N >= 4 + max(4, b + 1), 8 for b <= 3
+    two = LaurentPolynomial.make([2, 1], 0)
+    for n in (3, 4, 5):
+        with pytest.raises(ValueError, match=f"^N={n} is below the least "
+                                             f"section size 8"):
+            numerical_index(two, n)
+        with pytest.raises(ValueError, match=f"^N={n} .* size 8"):
+            numerical_index_direct_sum([two, LaurentPolynomial.make([1], -1)],
+                                       n)
+    span3 = LaurentPolynomial.make([1], 3)                 # z^3
+    entry = numerical_index(span3, 8)
+    assert (entry.dim_ker, entry.dim_coker) == (0, 3)
+    entry = numerical_index_direct_sum([two, span3], 8)
+    assert (entry.dim_ker, entry.dim_coker) == (0, 3)
+    span4 = LaurentPolynomial.make([2, 0, 0, 0, 1], 0)     # 2 + z^4
+    with pytest.raises(ValueError, match="^N=8 .* size 9"):
+        numerical_index(span4, 8)
+    entry = numerical_index(span4, 9)
+    assert (entry.dim_ker, entry.dim_coker) == (0, 0)
+
+
+def test_numerical_index_scales_huge_coefficients_without_overflow():
+    # |a| is about 1e300: the counts read the section divided by max |a|,
+    # and nothing is squared on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entry = numerical_index(LaurentPolynomial.make([1e300, 3e300], 0),
+                                64)
+    assert (entry.dim_ker, entry.dim_coker) == (0, 1)
+    # max |a(z)| = 2.5e308 is not a double: refused by name, before any
+    # LAPACK call
+    with pytest.raises(ValueError, match=r"max \|a\(z\)\| on the unit circle "
+                                         r"is not finite"):
+        numerical_index(LaurentPolynomial.make([1.5e308, 1e308], 0), 64)
+
+
+def _circle_norm(symbols):
+    """max |a(z)| over the blocks, the scale of lattice._kernel_count."""
+    return max(a.modulus_on_circle().max() for a in symbols)
+
+
+def _count(symbols, n, rank_tol=lattice.RANK_TOL):
+    return lattice._kernel_count(symbols, n, rank_tol, _circle_norm(symbols))
+
+
 def _dense_kernel_count(symbols, n, rank_tol):
-    """Oracle: singular values of the block-diagonal restricted sections,
-    from a dense SVD."""
+    """Oracle: #{sigma_i <= rank_tol * max |a(z)|} over the singular values
+    of the block-diagonal restricted sections, from a dense SVD.  The rule
+    relative to sigma_max of the section must give the same count."""
     sub = scipy.linalg.block_diag(*[
         rect_section_matrix(a, n, n - lattice._EDGE_PAD) for a in symbols])
     sig = np.linalg.svd(sub, compute_uv=False)
-    return int(np.sum(sig <= rank_tol * sig[0]))
+    count = int(np.sum(sig <= rank_tol * _circle_norm(symbols)))
+    assert count == int(np.sum(sig <= rank_tol * sig[0]))
+    return count
 
 
 def _golub_kahan_band(coeffs: LaurentPolynomial, n: int):
@@ -453,12 +463,14 @@ def _stacked_band(symbols, n):
 
 
 def _reference_kernel_count(symbols, n, rank_tol):
-    """Reference: #{|lambda| <= rank_tol * max |lambda|} over every
+    """Reference: #{|lambda| <= rank_tol * max |a(z)|} over every
     eigenvalue of the stacked Golub-Kahan band, less the _EDGE_PAD
-    structural zeros per block, halved."""
+    structural zeros per block, halved.  The rule relative to
+    max |lambda| = sigma_max must give the same count."""
     lam = np.abs(scipy.linalg.eigvals_banded(_stacked_band(symbols, n),
                                              lower=True))
-    small = int(np.sum(lam <= rank_tol * lam.max()))
+    small = int(np.sum(lam <= rank_tol * _circle_norm(symbols)))
+    assert small == int(np.sum(lam <= rank_tol * lam.max()))
     pad = lattice._EDGE_PAD * len(symbols)
     assert small >= pad and (small - pad) % 2 == 0
     return (small - pad) // 2
@@ -484,7 +496,7 @@ def _kernel_count_oracle_cases():
 def test_kernel_count_matches_dense_svd_oracle():
     counts = []
     for label, symbols, n in _kernel_count_oracle_cases():
-        count = lattice._kernel_count(symbols, n, lattice.RANK_TOL)
+        count = _count(symbols, n)
         assert count == _dense_kernel_count(symbols, n,
                                             lattice.RANK_TOL), label
         assert count == _reference_kernel_count(symbols, n,
@@ -514,39 +526,24 @@ def test_bidiagonal_keeps_the_singular_values_of_the_section(n):
 
 
 def _rank_tol_floor(symbols, n):
-    """dim * eps * u / l of the stacked tridiagonal: the rank tolerance at
-    or below which _kernel_count refuses a nonzero section."""
-    off = lattice._golub_kahan_offdiagonal(symbols, n)
-    low, high = lattice._norm_bounds(off)
-    return (off.size + 1) * np.finfo(float).eps * high / low
+    """dim * eps for the stacked tridiagonal of order dim: the rank
+    tolerance at or below which _kernel_count refuses to count."""
+    return 2 * (n - lattice._EDGE_PAD) * len(symbols) * np.finfo(float).eps
 
 
 def test_kernel_count_refuses_rank_tol_below_noise_floor():
     # a rank_tol of 1e-20 is below what a double-precision reduction can
     # resolve: it is refused by name, never read as a count
     poly = LaurentPolynomial.make([-0.5, 1], 0)
-    assert lattice._kernel_count([poly], 64, lattice.RANK_TOL) == 0
+    assert _count([poly], 64) == 0
     floor = _rank_tol_floor([poly], 64)
     assert 1e-20 < floor < lattice.RANK_TOL
     with pytest.raises(UnstableRank) as info:
-        lattice._kernel_count([poly], 64, 1e-20)
+        _count([poly], 64, 1e-20)
     message = str(info.value)
     assert message.startswith("rank_tol=1e-20 at N=64 is not above the "
                               "roundoff floor")
     assert f"{floor:.3g}" in message
-
-
-@pytest.fixture
-def full_spectrum_calls(monkeypatch):
-    """Counts the full-spectrum reads of lattice._kernel_count."""
-    calls = []
-
-    def counted(d, e, *args, **kwargs):
-        calls.append(d.shape)
-        return scipy.linalg.eigvalsh_tridiagonal(d, e, *args, **kwargs)
-
-    monkeypatch.setattr(lattice, "eigvalsh_tridiagonal", counted)
-    return calls
 
 
 @pytest.fixture
@@ -566,21 +563,19 @@ def lapack_calls(monkeypatch):
     return calls
 
 
-def test_kernel_count_refuses_at_the_roundoff_floor(full_spectrum_calls,
-                                                    lapack_calls):
-    # a rank_tol at or below the floor is refused before any bisection or
-    # fallback; one just above it is counted
+def test_kernel_count_refuses_at_the_roundoff_floor(lapack_calls):
+    # a rank_tol at or below the floor is refused before any LAPACK call;
+    # one just above it is counted with one dstebz call
     blocks = [LaurentPolynomial.make([-0.5, 1], 0),
               LaurentPolynomial.make([1], -1)]
     floor = _rank_tol_floor(blocks, 64)
-    lapack_calls.clear()
-    for rank_tol in (floor * (1 - 1e-9), 0.0):
+    for rank_tol in (floor, floor * (1 - 1e-9), 0.0):
         with pytest.raises(UnstableRank, match="roundoff floor"):
-            lattice._kernel_count(blocks, 64, rank_tol)
-    assert lapack_calls == ["zgbbrd"] * 4
-    assert full_spectrum_calls == []
-    assert lattice._kernel_count(blocks, 64, floor * 1.01) == \
+            _count(blocks, 64, rank_tol)
+    assert lapack_calls == []
+    assert _count(blocks, 64, floor * 1.01) == \
         _reference_kernel_count(blocks, 64, floor * 1.01) == 1
+    assert lapack_calls == ["zgbbrd", "zgbbrd", "dstebz"]
 
 
 def _interval_count_cases():
@@ -599,88 +594,62 @@ def _interval_count_cases():
                [a.conj_reflected() for a in blocks], n)
 
 
-def test_kernel_count_interval_matches_full_spectrum(full_spectrum_calls):
+def test_kernel_count_interval_matches_full_spectrum(lapack_calls):
     counts = []
     for label, symbols, n in _interval_count_cases():
-        count = lattice._kernel_count(symbols, n, lattice.RANK_TOL)
+        lapack_calls.clear()
+        count = _count(symbols, n)
+        # one zgbbrd per block, then one Sturm count
+        assert lapack_calls == ["zgbbrd"] * len(symbols) + ["dstebz"], label
         assert count == _reference_kernel_count(symbols, n,
                                                 lattice.RANK_TOL), label
         counts.append(count)
-    assert full_spectrum_calls == []     # every case bisected an interval
     assert max(counts) >= 2
 
 
-def test_band_norm_bounds_bracket_sigma_max():
-    rng = np.random.default_rng(29)
-    for n in (64, 128):
-        symbols = [random_elliptic_laurent(rng) for _ in range(3)]
-        off = lattice._golub_kahan_offdiagonal(symbols, n)
-        low, high = lattice._norm_bounds(off)
-        sigma_max = np.abs(scipy.linalg.eigvals_banded(
-            _stacked_band(symbols, n), lower=True)).max()
-        assert low <= sigma_max * (1 + 1e-12)
-        assert sigma_max <= high * (1 + 1e-12)
-        assert high <= 2 * low
-        # the dense tridiagonal gives the same two norms
-        dense = np.diag(off, 1) + np.diag(off, -1)
-        assert low == pytest.approx(np.linalg.norm(dense, axis=0).max())
-        assert high == pytest.approx(np.abs(dense).sum(axis=1).max())
-
-
-def test_kernel_count_falls_back_near_threshold(full_spectrum_calls):
+def test_kernel_count_threshold_is_exact():
     # z^{-1}(z - 1.2) has a slowly decaying kernel vector, so its restricted
-    # section at N=64 has a small singular value well above roundoff; a
-    # rank_tol that puts it between rank_tol * l and 2 rank_tol * u, or
-    # less than the bisection tolerance 1e-3 rank_tol * l below
-    # rank_tol * l, leaves the bisected interval undecided
+    # section at N=64 has a small singular value well above roundoff; the
+    # rule sigma <= rank_tol * max |a(z)| decides it however close
+    # rank_tol puts the threshold
     symbols, n = [LaurentPolynomial.make([-1.2, 1], -1)], 64
     sig = np.linalg.svd(rect_section_matrix(symbols[0], n,
                                             n - lattice._EDGE_PAD),
                         compute_uv=False)[-1]
-    low, high = lattice._norm_bounds(
-        lattice._golub_kahan_offdiagonal(symbols, n))
-    between = sig / np.sqrt(2 * low * high)
-    assert between * low < sig < 2 * between * high
-    within_abstol = sig / (low * (1 - 1e-4))
-    assert within_abstol * low * (1 - 1e-3) < sig < within_abstol * low
-    for k, rank_tol in enumerate((between, within_abstol)):
-        assert _rank_tol_floor(symbols, n) < rank_tol
-        count = lattice._kernel_count(symbols, n, rank_tol)
-        assert count == _reference_kernel_count(symbols, n, rank_tol)
-        assert len(full_spectrum_calls) == k + 1
+    norm = _circle_norm(symbols)
+    assert norm == pytest.approx(2.2, rel=1e-15)
+    assert 1e-6 < sig / norm < 1e-4
+    assert _count(symbols, n, sig / norm * (1 + 1e-6)) == 1
+    assert _count(symbols, n, sig / norm * (1 - 1e-6)) == 0
 
 
-def test_kernel_count_zero_band_counts_every_eigenvalue(full_spectrum_calls):
-    # make() refuses a zero polynomial; built directly, every entry of the
-    # section is zero, so l = u = 0 and every singular value is counted
-    zero = LaurentPolynomial((0j,), 0)
-    off = lattice._golub_kahan_offdiagonal([zero], 64)
-    assert lattice._norm_bounds(off) == (0.0, 0.0)
-    assert lattice._kernel_count([zero], 64, lattice.RANK_TOL) == \
-        _reference_kernel_count([zero], 64, lattice.RANK_TOL) == 60
-    assert len(full_spectrum_calls) == 1
-
-
-def test_kernel_count_refuses_non_finite_band(full_spectrum_calls,
-                                              lapack_calls):
+def test_kernel_count_refuses_non_finite_band(lapack_calls):
     poly = LaurentPolynomial((complex("nan"), 1j), 0)   # bypasses make()
     for symbols in ([poly], [LaurentPolynomial.make([1], 0), poly]):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            lattice._kernel_count(symbols, 64, lattice.RANK_TOL)
-    assert lapack_calls == [] and full_spectrum_calls == []
+            lattice._kernel_count(symbols, 64, lattice.RANK_TOL, 1.0)
+    assert lapack_calls == []
 
 
 def test_kernel_count_refuses_an_odd_count(monkeypatch):
     # eigenvalues of the Golub-Kahan tridiagonal come in pairs +-sigma, so
-    # an odd number inside the bisected interval is refused, not halved
+    # an odd number inside the counted interval is refused, not halved
     def one_small_eigenvalue(d, *args):
         return 1, np.zeros(d.size), None, None, 0
 
     monkeypatch.setattr(lattice, "dstebz", one_small_eigenvalue)
     with pytest.raises(UnstableRank, match="^1 eigenvalues .* N=64 .* "
                                            "not pairs"):
-        lattice._kernel_count([LaurentPolynomial.make([1, 0.5], 0)], 64,
-                              lattice.RANK_TOL)
+        _count([LaurentPolynomial.make([1, 0.5], 0)], 64)
+
+
+def test_kernel_count_raises_when_dstebz_reports_an_error(monkeypatch):
+    def failed_bisection(d, *args):
+        return 2, np.zeros(d.size), None, None, 1
+
+    monkeypatch.setattr(lattice, "dstebz", failed_bisection)
+    with pytest.raises(LinAlgError, match=r"dstebz.*info=1"):
+        _count([LaurentPolynomial.make([1, 0.5], 0)], 64)
 
 
 def test_bidiagonal_raises_when_zgbbrd_reports_an_error(monkeypatch):
@@ -689,8 +658,7 @@ def test_bidiagonal_raises_when_zgbbrd_reports_an_error(monkeypatch):
 
     monkeypatch.setattr(lattice, "_ZGBBRD", illegal_ldab)
     with pytest.raises(LinAlgError, match="zgbbrd") as info:
-        lattice._kernel_count([LaurentPolynomial.make([1, 0.5], 0)], 64,
-                              lattice.RANK_TOL)
+        _count([LaurentPolynomial.make([1, 0.5], 0)], 64)
     assert "argument 8" in str(info.value)
 
 
@@ -703,12 +671,9 @@ def test_kernel_count_is_reentrant():
         blocks = [random_elliptic_laurent(rng) for _ in range(1 + k % 3)]
         cases.append((blocks if k % 2 else
                       [a.conj_reflected() for a in blocks], (64, 128)[k % 2]))
-    expected = [lattice._kernel_count(s, n, lattice.RANK_TOL)
-                for s, n in cases]
+    expected = [_count(s, n) for s, n in cases]
     with ThreadPoolExecutor(2) as pool:
-        got = list(pool.map(
-            lambda case: lattice._kernel_count(case[0], case[1],
-                                               lattice.RANK_TOL), cases))
+        got = list(pool.map(lambda case: _count(*case), cases))
     assert got == expected
     assert max(expected) >= 2
 
