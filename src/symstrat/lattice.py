@@ -552,8 +552,7 @@ def _stable_counts(symbols, n: int) -> tuple:
         a.max_deg - a.min_deg for a in symbols) + 1)
     if n < least:
         raise ValueError(f"N={n} is below the least section size {least}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        moduli = [a.modulus_on_circle() for a in symbols]
+    moduli = [a.modulus_on_circle() for a in symbols]
     for j, modulus in enumerate(moduli):
         low = modulus.min()
         if low <= TOL_CIRCLE:
@@ -606,7 +605,10 @@ def numerical_index(coeffs: LaurentPolynomial, n: int,
 
 def numerical_index_direct_sum(symbol_list, n: int) -> IndexEntry:
     """Kernel/cokernel detection run on the block-diagonal direct sum of the
-    rectangular sections (not on the per-block results)."""
+    rectangular sections (not on the per-block results).  An empty
+    ``symbol_list`` raises ValueError."""
+    if len(symbol_list) == 0:
+        raise ValueError("numerical_index_direct_sum: the block list is empty")
     ker, coker = _stable_counts(symbol_list, n)
     return IndexEntry(
         label="direct-sum", dim_ker=ker, dim_coker=coker, index=ker - coker,

@@ -78,12 +78,11 @@ class LaurentPolynomial:
             np.conj(np.asarray(self.coeffs))[::-1], -self.max_deg)
 
     def modulus_on_circle(self) -> np.ndarray:
-        """|a(z)| at CIRCLE_SAMPLES equally spaced nodes of the circle."""
+        """|a(z)| at CIRCLE_SAMPLES equally spaced nodes of the circle; inf
+        or nan, without a warning, where the sum overflows."""
         theta = np.linspace(0.0, 2 * np.pi, CIRCLE_SAMPLES, endpoint=False)
-        return np.abs(self(np.exp(1j * theta)))
-
-    def min_modulus_on_circle(self) -> float:
-        return float(np.min(self.modulus_on_circle()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.abs(self(np.exp(1j * theta)))
 
     def lifted_text(self) -> str:
         """Symbol text in k1 for a(z) with z = (k1 - i)/(k1 + i), usable by
@@ -104,9 +103,15 @@ def laurent_winding(a: LaurentPolynomial) -> int:
     counterclockwise, via root counting.
 
     Equals (number of roots of z^p a(z) strictly inside the disk) - p,
-    roots from companion-matrix eigenvalues.
+    roots from companion-matrix eigenvalues.  A symbol whose |a(z)|
+    overflows on the circle raises ValueError, one that vanishes there
+    ZeroOnCircle.
     """
-    if a.min_modulus_on_circle() <= TOL_CIRCLE:
+    modulus = a.modulus_on_circle()
+    if not np.all(np.isfinite(modulus)):
+        raise ValueError("|a(z)| on the unit circle is not finite, so "
+                         "whether a(z) vanishes there is unknown")
+    if modulus.min() <= TOL_CIRCLE:
         raise ZeroOnCircle("Laurent symbol vanishes on the unit circle")
     p = a.pole_order
     # z^p * a(z): polynomial with coefficients of degrees min_deg+p .. max_deg+p

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import EvalPoint, SymbolExpr, eval_on_grid, parse_symbol
+from .dsl import (EvalPoint, SymbolExpr, eval_on_grid, frequency_support,
+                  parse_symbol, product_factors)
 from .errors import DegenerateFit, EvalError, GridError
 
 __all__ = [
@@ -92,6 +93,29 @@ class FrequencyGridSpec:
                 pts.append(dirs * radii[:, None])
         return np.concatenate(pts, axis=0)
 
+    def projection(self, dim: int, axes, n_points: int) -> tuple:
+        """Index arrays (rep, inv) into the ``n_points`` of ``points(dim)``
+        for a function of the 1-based frequency ``axes`` alone.
+
+        ``points(dim)[rep]`` holds one frequency per node tuple of those
+        axes on the tensor part, then every far-field point, and
+        ``rep[inv[p]]`` agrees with point p on ``axes``: the function's
+        values at rep, taken at inv, are its values at every point.
+        """
+        n = self.points_per_axis
+        rep = np.zeros(1, dtype=int)
+        inv = np.zeros((1,) * dim, dtype=int)
+        for a in sorted(axes):
+            # axis a (1-based) of the ij-ordered tensor part has stride
+            # n^(dim-a) in rep and its own dimension in inv
+            rep = (rep[:, None] + np.arange(n) * n ** (dim - a)).ravel()
+            inv = inv * n + np.arange(n).reshape(
+                [n if b == a - 1 else 1 for b in range(dim)])
+        inv = np.broadcast_to(inv, (n,) * dim).ravel()
+        far = np.arange(n ** dim, n_points)
+        return (np.concatenate([rep, far]),
+                np.concatenate([inv, far - n ** dim + rep.size]))
+
     def describe(self) -> dict:
         return {
             "points_per_axis": self.points_per_axis,
@@ -133,10 +157,21 @@ def check_ellipticity(s: Symbol, x_samples,
     overflows or their product does, raises GridError naming the first
     such (x, xi) of the sweep.
 
-    The sweep evaluates the (x, xi) product grid in the blocks of
+    The general path sweeps the (x, xi) product grid in the blocks of
     :func:`eval_blocks`, which bounds its memory.  The sampled set and
     every reported number are those of one evaluation per x sample; an
     evaluation error is the one the first failing x sample raises.
+
+    A symbol whose top-level product (:func:`~symstrat.dsl.product_factors`)
+    has no mixed factor takes the factor split of :func:`_split_extremes`
+    instead: each factor is evaluated once on its own samples, and the
+    full symbol only at the few samples that can attain c1 or c2.  It
+    reports the same bits as the sweep, and leaves to the sweep every
+    symbol where it could not prove that: an evaluation error, a zero or
+    an overflow in a factor or the weight, a product that could leave the
+    float range, a lower bound not clearly above TOL_ELL, or more than
+    ``ELL_BLOCK_POINTS`` candidate samples.  So every error, every
+    witness and every non-elliptic report is the sweep's.
     """
     if xi_grid is None:
         xi_grid = FrequencyGridSpec()
@@ -150,6 +185,25 @@ def check_ellipticity(s: Symbol, x_samples,
     with np.errstate(over="ignore"):
         scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
     xi_c = xi_pts.astype(complex)
+    found = _split_extremes(s.expr, x_arr, xi_c, scale, xi_grid)
+    if found is None:
+        found = _sweep_extremes(s, x_arr, xi_pts, xi_c, scale)
+    c1, c2, first, arg = found
+    witness = EvalPoint.make(x_arr[first], xi_pts[arg])
+
+    elliptic = c1 > TOL_ELL
+    return EllipticityReport(
+        elliptic=elliptic,
+        c1=c1 if elliptic else None,
+        c2=c2 if elliptic else None,
+        witness=None if elliptic else witness,
+        sample_spec={**xi_grid.describe(), "x_samples": x_arr.shape[0],
+                     "c1_raw": c1, "c2_raw": c2, "tol_ell": TOL_ELL},
+    )
+
+
+def _sweep_extremes(s: Symbol, x_arr, xi_pts, xi_c, scale):
+    """(c1, c2, i, j) over the whole (x, xi) grid, (i, j) the argmin."""
     n_x = x_arr.shape[0]
     # per x sample: the least ratio and its first frequency index, and the
     # greatest ratio
@@ -178,19 +232,100 @@ def check_ellipticity(s: Symbol, x_samples,
         hi = np.maximum(hi, top)
 
     first = int(np.argmin(lo))          # a tie keeps the earliest x sample
-    c1 = float(lo[first])
-    c2 = float(np.max(hi))
-    witness = EvalPoint.make(x_arr[first], xi_pts[arg[first]])
+    return float(lo[first]), float(np.max(hi)), first, int(arg[first])
 
-    elliptic = c1 > TOL_ELL
-    return EllipticityReport(
-        elliptic=elliptic,
-        c1=c1 if elliptic else None,
-        c2=c2 if elliptic else None,
-        witness=None if elliptic else witness,
-        sample_spec={**xi_grid.describe(), "x_samples": n_x,
-                     "c1_raw": c1, "c2_raw": c2, "tol_ell": TOL_ELL},
-    )
+
+# Relative margin of the factor split's candidates.  The ratio at a sample
+# differs from the product X_i*K_j of its factor moduli by the rounding
+# of a few ulps per factor, so 2^-30 covers about a million factors, far
+# more than the evaluator's recursion depth admits.
+_SPLIT_MARGIN = 2.0 ** -30
+# Every product of factors stays within [1/_SPLIT_LIMIT, _SPLIT_LIMIT],
+# far inside the normal floats, so no rounding there is relatively large
+# and no complex product or quotient overflows on the way.
+_SPLIT_LIMIT = 2.0 ** 1000
+
+
+def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale,
+                    xi_grid: FrequencyGridSpec):
+    """(c1, c2, i, j) of :func:`_sweep_extremes` from the factors of a
+    symbol with no mixed factor, or None where that is not certain.
+
+    X_i, the product of the moduli of the constant and x-only factors,
+    is evaluated on the x samples against one frequency; K_j, that of
+    the xi-only factors times the weight, on the frequencies against one
+    x sample, a factor of fewer than all frequency axes once per node
+    tuple of its axes (:meth:`FrequencyGridSpec.projection`).  X_i * K_j
+    is the ratio at (i, j) to within rounding, so the argmin and its ties
+    lie among the x samples within ``_SPLIT_MARGIN`` of min X times the
+    frequencies within it of min K, and the argmax likewise.  The symbol
+    is evaluated on those two rectangles as the sweep evaluates a block,
+    and the row-major argmin is the sweep's (earliest x, then xi).
+
+    None where a factor is mixed, a factor evaluation raises, a factor's
+    modulus is zero, the moduli of the factors and the weight bound a
+    product of some subset of them outside [1/_SPLIT_LIMIT, _SPLIT_LIMIT]
+    (the sweep could overflow, underflow or divide by zero there; an
+    infinite modulus or weight always does), min X * min K is not clearly
+    above TOL_ELL, or the rectangles hold more than ``ELL_BLOCK_POINTS``
+    samples.
+    """
+    factors = product_factors(expr)
+    if any(kind == "mixed" for _, _, kind in factors):
+        return None
+    x_mod = np.ones(x_arr.shape[0])
+    k_mod = scale
+    # bounds on a product of any subset of the factors and the weight
+    top = max(1.0, float(np.max(scale)))
+    bottom = min(1.0, float(np.min(scale)))
+    for factor, exponent, kind in factors:
+        x, xi, at = x_arr, xi_c[:1], slice(None)
+        if kind == "k":
+            x, xi = x_arr[:1], xi_c
+            axes = frequency_support(factor)
+            if len(axes) < factor.dim:  # once per node tuple of its axes
+                rep, at = xi_grid.projection(factor.dim, axes, len(xi_c))
+                xi = xi_c[rep]
+        try:
+            vals = eval_on_grid(factor, x, xi)
+        except EvalError:
+            return None
+        with np.errstate(over="ignore"):    # an inf fails a bound below
+            mod = np.abs(vals)[at]
+            least, most = float(np.min(mod)), float(np.max(mod))
+            if least == 0:
+                return None
+            if exponent < 0:
+                mod, least, most = 1.0 / mod, 1.0 / most, 1.0 / least
+            top *= max(1.0, most)
+            bottom *= min(1.0, least)
+            if kind == "k":
+                k_mod = k_mod * mod
+            else:
+                x_mod = x_mod * mod
+    if not (top < _SPLIT_LIMIT and bottom > 1.0 / _SPLIT_LIMIT):
+        return None
+    if not np.min(x_mod) * np.min(k_mod) * (1 - _SPLIT_MARGIN) > TOL_ELL:
+        return None
+    rows_lo = np.flatnonzero(x_mod <= np.min(x_mod) * (1 + _SPLIT_MARGIN))
+    cols_lo = np.flatnonzero(k_mod <= np.min(k_mod) * (1 + _SPLIT_MARGIN))
+    rows_hi = np.flatnonzero(x_mod >= np.max(x_mod) * (1 - _SPLIT_MARGIN))
+    cols_hi = np.flatnonzero(k_mod >= np.max(k_mod) * (1 - _SPLIT_MARGIN))
+    if (rows_lo.size * cols_lo.size + rows_hi.size * cols_hi.size
+            > ELL_BLOCK_POINTS):
+        return None
+
+    def ratios(rows, cols):
+        vals = eval_on_grid(expr, x_arr[rows, None, :], xi_c[None, cols, :])
+        ratio = np.abs(vals)
+        ratio *= scale[cols]
+        return ratio
+
+    low = ratios(rows_lo, cols_lo)
+    # row-major: the earliest x sample, then the earliest frequency
+    i, j = np.unravel_index(np.argmin(low), low.shape)
+    c2 = float(np.max(ratios(rows_hi, cols_hi)))
+    return float(low[i, j]), c2, int(rows_lo[i]), int(cols_lo[j])
 
 
 def eval_blocks(expr: SymbolExpr, x_arr: np.ndarray, xi_c: np.ndarray):
@@ -206,6 +341,12 @@ def eval_blocks(expr: SymbolExpr, x_arr: np.ndarray, xi_c: np.ndarray):
     The values are those of one evaluation per x sample, and an
     evaluation error is that of the first failing x sample (see
     :func:`_eval_block`).
+
+    Its callers are the ellipticity sweep, which :func:`check_ellipticity`
+    runs only for a symbol its factor split leaves to it, and the frozen
+    families of :mod:`symstrat.lattice`.  The split's candidate rectangles
+    are evaluated with the same broadcast layout as one block here, so
+    they read the same bits.
     """
     cols = max(1, ELL_BLOCK_POINTS // x_arr.shape[0])
     for start in range(0, xi_c.shape[0], cols):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from symstrat.dsl import (BinOp, Call, Coord, EvalPoint, Neg, Num, Pow,
                           SymbolExpr, VecRef, depends_on_x, eval_on_grid,
                           eval_symbol, frequency_support, parse_symbol,
-                          print_symbol)
+                          print_symbol, product_factors)
 from symstrat.errors import DimensionError, EvalError, SymbolSyntaxError
 
 
@@ -165,6 +165,41 @@ def test_structural_queries():
     assert not depends_on_x(parse_symbol("(k1+i)*(k2+i)", 2))
     assert frequency_support(parse_symbol("(k1+i)", 3)) == frozenset({1})
     assert frequency_support(parse_symbol("abs2(k)", 3)) == frozenset({1, 2, 3})
+
+
+def test_product_factors_flatten_products_and_quotients():
+    expr = parse_symbol("-3*(1+x1)/(k1*(x2+k2))*exp(k2)^2", 2)
+    got = [(print_symbol(f), e, kind) for f, e, kind in product_factors(expr)]
+    assert got == [("-3", 1, "const"), ("1+x1", 1, "x"), ("k1", -1, "k"),
+                   ("x2+k2", -1, "mixed"), ("exp(k2)^2", 1, "k")]
+    # a sum, a negation and a power are single factors
+    for text, kind in [("x1+k1", "mixed"), ("-(x1*x2)", "x"),
+                       ("(k1/k2)^2", "k"), ("2", "const")]:
+        expr = parse_symbol(text, 2)
+        assert product_factors(expr) == [(expr, 1, kind)]
+
+
+@pytest.mark.parametrize("shape", [(37, 1), (37, 2), (37, 3), (5, 1, 1),
+                                   (5, 1, 2), (5, 1, 3)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_abs2_of_a_vector_is_bit_identical_to_a_sum_of_squares(shape, kind):
+    # the running sum reproduces np.sum's order for m <= 3, signed zeros
+    # included (a negative real squares to an imaginary part of -0.0)
+    rng = np.random.default_rng(len(shape) * 10 + shape[-1])
+    src = rng.standard_normal(shape)
+    src[::3] = 0.0
+    src[1::3] *= -1.0
+    if kind == "complex":
+        src = src + 1j * rng.standard_normal(shape)
+    m = shape[-1]
+    old = np.sum(np.asarray(src, dtype=complex) ** 2, axis=-1)
+    xi = src if kind == "complex" else src.astype(complex)
+    other = np.zeros(shape[:-1] + (m,))
+    got_k = eval_on_grid(parse_symbol("abs2(k)", m), other, xi)
+    assert got_k.view(np.int64).tolist() == old.view(np.int64).tolist()
+    if kind == "real":
+        got_x = eval_on_grid(parse_symbol("normx2(x)", m), src, other)
+        assert got_x.view(np.int64).tolist() == old.view(np.int64).tolist()
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Winding indices, Laurent symbols, wave factor validation, Fredholm."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,17 @@ def test_laurent_winding_mixed_roots():
 def test_laurent_winding_zero_on_circle():
     with pytest.raises(ZeroOnCircle):
         laurent_winding(LaurentPolynomial.make([-1, 1], 0))   # z - 1
+
+
+def test_laurent_winding_refuses_an_overflowing_modulus():
+    # |a(z)| = |1.5e308 + 1e308 z| is not a double near z = 1: refused by
+    # name, and no overflow warning escapes on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"\|a\(z\)\| on the unit "
+                                             r"circle is not finite"):
+            laurent_winding(LaurentPolynomial.make([1.5e308, 1e308], 0))
+        assert laurent_winding(LaurentPolynomial.make([1e300, 3e300], 0)) == 1
 
 
 def test_laurent_winding_matches_quadrature_oracle_random():

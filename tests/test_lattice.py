@@ -382,6 +382,14 @@ def test_numerical_index_refuses_a_section_below_the_least_n():
     assert (entry.dim_ker, entry.dim_coker) == (0, 0)
 
 
+def test_direct_sum_refuses_an_empty_block_list():
+    # refused by name, before the least-N check (which reads the spans)
+    for n in (3, 64):
+        with pytest.raises(ValueError, match="^numerical_index_direct_sum: "
+                                             "the block list is empty$"):
+            numerical_index_direct_sum([], n)
+
+
 def test_numerical_index_scales_huge_coefficients_without_overflow():
     # |a| is about 1e300: the counts read the section divided by max |a|,
     # and nothing is squared on the way

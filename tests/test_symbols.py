@@ -173,6 +173,8 @@ def test_block_sweep_raises_the_first_failing_samples_error(text, x_samples):
 
 
 def test_cube_ellipticity_evaluates_in_few_blocks(monkeypatch):
+    # the factor split evaluates each factor once on its own samples and
+    # the symbol at a few candidates, never the 9 x n_xi product grid
     calls = []
 
     def counting(expr, x, xi):
@@ -186,9 +188,158 @@ def test_cube_ellipticity_evaluates_in_few_blocks(monkeypatch):
         model="cube"))
     n_xi = FrequencyGridSpec().points(3).shape[0]
     assert m.stages["ellipticity"]["grid"]["x_samples"] == 9
-    assert 1 <= len(calls) <= 3
+    assert m.stages["ellipticity"]["elliptic"]
+    # one pass per factor (2+x1, k3-i, k3+i, (1+abs2(k))^(1/2)) and one
+    # per candidate rectangle
+    assert len(calls) == 6
     assert max(calls) <= symbols.ELL_BLOCK_POINTS
-    assert sum(calls) == 9 * n_xi
+    assert sum(calls) < 2 * n_xi
+
+
+def _hex(value):
+    """``value`` with every float as float.hex, for bit-exact comparison."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {k: _hex(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_hex(v) for v in value]
+    return value
+
+
+def _forced_sweep(monkeypatch, *args):
+    with monkeypatch.context() as patch:
+        patch.setattr(symbols, "_split_extremes", lambda *a: None)
+        return check_ellipticity(*args)
+
+
+def _recorded(monkeypatch, name):
+    """A list with an entry per call of ``symbols.<name>``: its result, or
+    None while it runs or if it raised."""
+    calls = []
+    fn = getattr(symbols, name)
+
+    def recording(*args):
+        calls.append(None)
+        calls[-1] = fn(*args)
+        return calls[-1]
+
+    monkeypatch.setattr(symbols, name, recording)
+    return calls
+
+
+_SQUARE_9 = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0],
+             [0.5, 1.0], [0.0, 0.5], [1.0, 0.5], [0.5, 0.5]]
+_CUBE_9 = [[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0)
+           for c in (0.0, 1.0)] + [[0.5, 0.5, 0.5]]
+
+# (symbol, alpha, dim, x samples, grid): symbols with no mixed factor
+SPLIT_CASES = {
+    "square-product": ("(2+x1-x2)*(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_9,
+                       FrequencyGridSpec()),
+    "square-quotient-powers": ("(2+x1)/(3-x2)^2*(k1-2*i)^2/(1+abs2(k))",
+                               0.0, 2, _SQUARE_5, FrequencyGridSpec(seed=5)),
+    "square-negated-exp": ("-exp(x1*x2)*(k1+i)*(k2-i)", 1.0, 2, _SQUARE_9,
+                           _COARSE),
+    "square-xi-only-ties": ("(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_9,
+                            FrequencyGridSpec()),
+    "square-x-only": ("1+normx2(x)", 0.0, 2, _SQUARE_9, FrequencyGridSpec()),
+    "square-constant": ("5*(1+i)", 0.0, 2, _SQUARE_5, _COARSE),
+    "cube-face-factor": ("(2+x1)*((k3-i)/(k3+i))*(1+abs2(k))^(1/2)", 1.0, 3,
+                         _CUBE_9, FrequencyGridSpec()),
+    "cube-benchmark-form": (
+        "(1.5-0.2*x1+0.1*x3+0.3*normx2(x))*((k3-i)/(k3+i))^2*(1+abs2(k))",
+        2.0, 3, _CUBE_30, FrequencyGridSpec(seed=3)),
+    "cube-xi-only-ties": ("(1+abs2(k))^(1/2)", 1.0, 3, _CUBE_9, _COARSE),
+    "cube-two-axis-factor": ("(1+x2)^-1*(k1+3+i)*(k2-1-2*i)*(4+abs2(k))^-1",
+                             0.0, 3, _CUBE_9, _COARSE),
+    # X_i is 1 up to rounding, and the symbol exactly 1 times its k factor
+    "square-rounding-ties": ("(1+x1)*(3-x2)/((1+x1)*(3-x2))*(2+abs2(k))",
+                             2.0, 2, _CUBE_30[:, :2], FrequencyGridSpec()),
+}
+
+
+@pytest.mark.parametrize("dim, axes", [(1, (1,)), (2, (2,)), (3, (1, 3)),
+                                       (3, (2,)), (3, ())])
+def test_projection_shares_one_evaluation_per_node_tuple(dim, axes):
+    grid = FrequencyGridSpec(points_per_axis=5, random_per_decade=3)
+    pts = grid.points(dim)
+    rep, inv = grid.projection(dim, axes, len(pts))
+    cols = [a - 1 for a in axes]
+    np.testing.assert_array_equal(pts[rep][inv][:, cols], pts[:, cols])
+    # every node tuple once, then every far-field point
+    assert len(rep) == 5 ** len(axes) + len(pts) - 5 ** dim
+    assert len(np.unique(pts[rep[:5 ** len(axes)]][:, cols], axis=0)) \
+        == 5 ** len(axes)
+    assert sorted(set(inv.tolist())) == list(range(len(rep)))
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_factor_split_equals_the_sweep_bit_for_bit(case, monkeypatch):
+    text, alpha, dim, x_samples, grid = SPLIT_CASES[case]
+    s = Symbol.parse(text, alpha, dim)
+    sweeps = _recorded(monkeypatch, "_sweep_extremes")
+    splits = _recorded(monkeypatch, "_split_extremes")
+    got = check_ellipticity(s, x_samples, grid)
+    assert not sweeps and splits[0] is not None
+    want = _forced_sweep(monkeypatch, s, x_samples, grid)
+    assert got.elliptic
+    assert _hex(got.to_dict()) == _hex(want.to_dict())
+    # (c1, c2, argmin x sample, argmin frequency): the split's argmin
+    # follows the sweep's tie rule, though an elliptic report omits it
+    assert _hex(splits[0]) == _hex(sweeps[0])
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_forced_sweep_equals_per_x_evaluation(case, monkeypatch):
+    # the blocked sweep, the path of every symbol the split leaves to it
+    text, alpha, dim, x_samples, grid, block = BLOCK_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
+    s = Symbol.parse(text, alpha, dim)
+    c1, c2, witness = _per_x_reference(s, x_samples, grid)
+    rep = _forced_sweep(monkeypatch, s, x_samples, grid)
+    assert (rep.sample_spec["c1_raw"], rep.sample_spec["c2_raw"]) == (c1, c2)
+    assert rep.witness == (None if rep.elliptic else witness)
+
+
+# (symbol, alpha, x samples on the square, ELL_BLOCK_POINTS or None):
+# each input trips one of the split's refusals, so the sweep reports it
+FALLBACK_CASES = {
+    "mixed-factor": ("(2+x1*k1)*(1+abs2(k))^(1/2)", 1.0, _SQUARE_5, None),
+    "factor-raises": ("(2+1/x1)*(1+abs2(k))", 2.0, _SQUARE_5, None),
+    "zero-factor": ("x2*(1+abs2(k))^(1/2)", 1.0, _SQUARE_5, None),
+    "non-finite-factor": ("(1.5e308*(1+i))*(2+x1)", 0.0, _SQUARE_5, None),
+    "weight-not-finite": ("2+x1", -400.0, _SQUARE_5, None),
+    "product-overflows": ("(1e200+x1)*(1e200+abs2(k))/(1e200+abs2(k))",
+                          0.0, _SQUARE_5, None),
+    "product-underflows": ("(2+x1)/(1e302+abs2(k))*1e300", 0.0, _SQUARE_5,
+                           None),
+    "lower-bound-near-tol": ("1e-11*(2+x1)*(1+abs2(k))^(1/2)", 1.0,
+                             _SQUARE_5, None),
+    "too-many-candidates": ("(1+abs2(k))^(1/2)", 1.0, _SQUARE_5, 9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_factor_split_falls_back_to_the_sweep(case, monkeypatch):
+    text, alpha, x_samples, block = FALLBACK_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
+    s = Symbol.parse(text, alpha, 2)
+    sweeps = _recorded(monkeypatch, "_sweep_extremes")
+    try:
+        rep = check_ellipticity(s, x_samples, _COARSE)
+    except (EvalError, GridError) as exc:
+        assert len(sweeps) == 1
+        # an error of the sweep's, as the sweep raises it
+        with pytest.raises(type(exc)) as ref:
+            _forced_sweep(monkeypatch, s, x_samples, _COARSE)
+        assert str(ref.value) == str(exc)
+    else:
+        assert len(sweeps) == 1
+        want = _forced_sweep(monkeypatch, s, x_samples, _COARSE)
+        assert _hex(rep.to_dict()) == _hex(want.to_dict())
 
 
 @given(st.floats(min_value=0.1, max_value=50).map(float))
