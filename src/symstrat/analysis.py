@@ -51,6 +51,12 @@ SKIP_REASONS = {"stratification": "stratification failed",
 POINTS_PER_STRATUM = 2
 
 
+def check_seed(seed) -> None:
+    """Refuse a seed that is not a non-negative int."""
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass
 class AnalysisConfig:
     symbol_text: str
@@ -70,9 +76,7 @@ class AnalysisConfig:
                               f"{sorted(MODEL_DIMS)}")
         if not math.isfinite(self.s_order):
             raise ConfigError(f"s_order must be finite, got {self.s_order}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got "
-                              f"{self.seed!r}")
+        check_seed(self.seed)
         if self.quad_samples < MIN_QUAD_SAMPLES:
             raise ConfigError(f"quad_samples must be at least "
                               f"{MIN_QUAD_SAMPLES}, got {self.quad_samples}")

@@ -213,8 +213,9 @@ def _cmd_wave_validate(args) -> int:
 def _cmd_assemble(args) -> int:
     from . import lattice  # imports scipy, which the other commands skip
     dim = MODEL_DIMS[args.model]
-    eps_seq = (_parse_floats(args.convergence_eps, "--convergence-eps")
-               if args.convergence_eps else None)
+    eps_seq = (lattice.check_eps_ladder(_parse_floats(args.convergence_eps,
+                                                      "--convergence-eps"))
+               if args.convergence_eps else None)   # before the export
     grid = lattice.LatticeGrid(dim, args.grid_n, 1.0 / args.grid_n)
     lattice.check_dense_size(grid.size)  # the export is dense: refuse first
     sym = Symbol(_parse_expr(args.symbol, dim), args.alpha, dim)

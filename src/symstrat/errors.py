@@ -116,8 +116,7 @@ class UnstableRank(SymstratError):
 
 
 class NormNotConverged(SymstratError):
-    """Neither PROPACK nor the power-iteration fallback converged to an
-    operator norm."""
+    """PROPACK found no operator norm with any Lanczos basis it tried."""
 
 
 # --- pipeline ---

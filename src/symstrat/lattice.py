@@ -66,14 +66,15 @@ __all__ = [
     "IndexEntry", "IndexReport", "aggregate_index", "locality_defect",
     "assemble_operator", "assemble_frozen_family", "assembly_convergence",
     "quantize_full_symbol", "operator_norm", "high_frequency_mask",
-    "check_dense_size", "export_operator",
+    "check_dense_size", "check_eps_ladder", "export_operator",
 ]
 
 DENSE_LIMIT = 2048          # max side of a materialized matrix
-POWER_STEPS = 500           # power-iteration fallback of operator_norm
-# Lanczos basis size (PROPACK's kmax) of operator_norm's svds; svds passes
-# its maxiter through as kmax, so an unbounded one spans the whole space
+# Lanczos basis size (PROPACK's kmax) of operator_norm's svds, doubled on
+# each failure up to the limit; svds passes its maxiter through as kmax,
+# so an unbounded one spans the whole space
 _PROPACK_KMAX = 48
+_PROPACK_KMAX_LIMIT = 768
 RANK_TOL = 1e-8
 # unit vectors per matvec in DiscreteOperator.to_dense: a sum of assembled
 # operators holds every patch window of the whole batch at once
@@ -87,6 +88,18 @@ def check_dense_size(n: int) -> None:
         raise ConfigError(
             f"a dense matrix over {n} points is above the dense limit of "
             f"{DENSE_LIMIT}; use matvec-based routines")
+
+
+def check_eps_ladder(eps_sequence) -> list:
+    """The covering radii of an assembly ladder as floats; a ValueError
+    unless there are at least 3, positive and strictly decreasing."""
+    eps = [float(e) for e in eps_sequence]
+    if len(eps) < 3:
+        raise ValueError("need at least 3 covering radii")
+    if not all(a > b > 0 for a, b in zip(eps, eps[1:])):
+        raise ValueError(f"covering radii must be positive and strictly "
+                         f"decreasing, got {eps}")
+    return eps
 
 
 # --------------------------------------------------------------------------
@@ -324,16 +337,12 @@ def _conjugated_linear_operator(op: DiscreteOperator,
 
 def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
     """Operator norm in the weighted source/target norms (plain l2 when the
-    operator has no attached spaces).  Multipliers have a closed form; any
-    other operator goes to PROPACK's Lanczos bidiagonalization of A itself
-    (svds, seeded so that the norm is deterministic), with power iteration
-    on A^H A as the fallback when PROPACK fails.
-
-    The fallback stops once two estimates of sigma^2 differ by less than
-    1e-10 * max(sigma^2, 1).  Below sigma^2 = 1 that test is absolute, so
-    a norm below about 1e-5 can be returned wrong, without a refusal;
-    NormNotConverged is raised only when POWER_STEPS steps never meet
-    the test."""
+    operator has no attached spaces).  Multipliers have a closed form and
+    operators under 3 points the norm of their matrix; any other goes to
+    PROPACK's Lanczos bidiagonalization of A itself (svds, seeded so that
+    the norm is deterministic).  A basis that fails to converge is doubled,
+    capped at min(shape) and _PROPACK_KMAX_LIMIT; NormNotConverged names
+    the last one."""
     if op.spectrum is not None and op.src is not None and op.dst is not None:
         ratio = np.abs(op.spectrum) * op.dst.weights() / op.src.weights()
         if freq_mask is not None:
@@ -351,34 +360,22 @@ def operator_norm(op: DiscreteOperator, freq_mask=None) -> float:
         return float(np.linalg.norm(lin.matmat(np.eye(n_src, dtype=complex)),
                                     2))
     u0 = np.ones(n_dst, dtype=complex) / math.sqrt(n_dst)
-    try:
-        sigma = svds(lin, k=1, solver="propack", v0=u0,
-                     maxiter=_PROPACK_KMAX, tol=1e-9,
-                     rng=np.random.default_rng(0),
-                     return_singular_vectors=False)
-        return float(sigma[0])
-    except LinAlgError as exc:
-        # no convergence within kmax, or an invariant subspace (as from a
-        # start that A^H annihilates); other errors propagate
-        propack_failure = exc
-    # power iteration on A*A as a deterministic fallback, from a generic
-    # start so that a null vector of A cannot pass for the answer
-    v = np.random.default_rng(0).standard_normal(n_src).astype(complex)
-    v /= np.linalg.norm(v)
-    sigma2 = 0.0
-    for _ in range(POWER_STEPS):
-        w = lin.rmatvec(lin.matvec(v))
-        nrm = np.linalg.norm(w)
-        if nrm == 0:
-            return 0.0
-        if abs(nrm - sigma2) < 1e-10 * max(nrm, 1.0):
-            return float(math.sqrt(nrm))
-        sigma2 = nrm
-        v = w / nrm
-    raise NormNotConverged(
-        f"{propack_failure}; power iteration on the {n_dst}x{n_src} operator "
-        f"had not converged after {POWER_STEPS} steps (last estimate "
-        f"{math.sqrt(sigma2):.6g})")
+    largest = min(n_dst, n_src, _PROPACK_KMAX_LIMIT)
+    kmax = _PROPACK_KMAX
+    while True:
+        try:
+            sigma = svds(lin, k=1, solver="propack", v0=u0, maxiter=kmax,
+                         tol=1e-9, rng=np.random.default_rng(0),
+                         return_singular_vectors=False)
+            return float(sigma[0])
+        except LinAlgError as exc:
+            # no convergence within kmax, or an invariant subspace (as from
+            # a start that A^H annihilates); other errors propagate
+            if kmax >= largest:
+                raise NormNotConverged(
+                    f"{exc}; PROPACK found no norm of the {n_dst}x{n_src} "
+                    f"operator with a basis of up to {kmax} vectors") from exc
+        kmax = min(2 * kmax, largest)
 
 
 # --------------------------------------------------------------------------
@@ -1056,11 +1053,7 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     thread count leaves CPUs idle (see _ladder_norm_threads): the helper's
     pairs are futures, read in ladder order (see _ladder_norms).
     """
-    eps_sequence = [float(e) for e in eps_sequence]
-    if len(eps_sequence) < 3:
-        raise ValueError("need at least 3 covering radii")
-    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("covering radii must be strictly decreasing")
+    eps_sequence = check_eps_ladder(eps_sequence)
 
     src = DiscreteSobolevSpace(grid, s_order)
     dst = DiscreteSobolevSpace(grid, s_order - s.order_alpha)

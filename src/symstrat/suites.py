@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .analysis import check_seed
 from .errors import ConfigError
 from .factorization import winding_index
 from .geometry import (Ball, Covering, _bump, build_covering,
@@ -267,4 +268,5 @@ def run_verify_suite(name: str, seed: int = 0) -> dict:
     if name not in VERIFY_SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose one of "
                           f"{sorted(VERIFY_SUITES)}")
+    check_seed(seed)
     return VERIFY_SUITES[name](seed)

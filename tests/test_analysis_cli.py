@@ -563,6 +563,22 @@ def test_cli_verify(tmp_path):
     assert data["passed"]
 
 
+@pytest.mark.parametrize("suite", ["toeplitz", "assembly"])
+def test_cli_verify_refuses_a_negative_seed_by_name(suite, monkeypatch,
+                                                    tmp_path, capsys):
+    # refused before the suite runs, as analyze refuses it
+    ran = []
+    monkeypatch.setitem(suites.VERIFY_SUITES, suite, ran.append)
+    out = tmp_path / "out"
+    assert main(["verify", "--suite", suite, "--seed", "-1",
+                 "--out", str(out)]) == 3
+    assert "seed must be a non-negative integer, got -1" in \
+        capsys.readouterr().err
+    with pytest.raises(ConfigError, match="seed must be a non-negative"):
+        run_verify_suite(suite, 1.5)
+    assert ran == [] and not out.exists()
+
+
 def test_cli_verify_unknown_suite_lists_the_suites(capsys):
     assert main(["verify", "--suite", "nonesuch"]) == 3
     err = capsys.readouterr().err
@@ -625,6 +641,20 @@ def test_cli_assemble_exports(tmp_path):
     table = (tmp_path / "convergence.csv").read_text().strip().splitlines()
     assert table[0] == "eps_coarse,eps_fine,proxy"
     assert len(table) == 3
+
+
+@pytest.mark.parametrize("ladder, reason", [
+    ("0.4,0.2", "need at least 3 covering radii"),
+    ("0.1,0.2,0.3", "covering radii must be positive and strictly"),
+    ("0.4,0.2,0", "covering radii must be positive and strictly"),
+])
+def test_cli_assemble_checks_the_ladder_before_the_export(ladder, reason,
+                                                          tmp_path, capsys):
+    out = tmp_path / "asm"
+    out.mkdir()
+    assert main(_ASM + ["--convergence-eps", ladder, "--out", str(out)]) == 3
+    assert reason in capsys.readouterr().err
+    assert list(out.iterdir()) == []    # no assembled.bin or .json
 
 
 def test_cli_assemble_refuses_grid_above_dense_limit(tmp_path, capsys):

@@ -979,13 +979,31 @@ def test_dense_and_arpack_norm_paths_agree():
         oracle, rel=1e-8)
 
 
-def test_operator_norm_falls_back_on_arpack_no_convergence(monkeypatch):
-    def no_convergence(*args, **kwargs):
+@pytest.mark.parametrize("shape, bases", [
+    ((32, 32), [48]),
+    ((80, 200), [48, 80]),
+    ((300, 300), [48, 96, 192, 300]),
+    ((4096, 4096), [48, 96, 192, 384, 768]),
+])
+def test_operator_norm_refuses_once_every_basis_fails(shape, bases,
+                                                      monkeypatch):
+    # each failure doubles PROPACK's basis, capped at min(shape) and at
+    # _PROPACK_KMAX_LIMIT; the refusal names the shape and the last basis
+    tried = []
+
+    def no_convergence(*args, maxiter, **kwargs):
+        tried.append(maxiter)
         raise LinAlgError("k=1 singular triplets did not converge")
 
     monkeypatch.setattr(lattice, "svds", no_convergence)
-    op = DiscreteOperator.from_matrix(np.diag(np.linspace(1.0, 3.0, 32)))
-    assert operator_norm(op) == pytest.approx(3.0, rel=1e-6)
+    zero = [lambda v, rows=rows: np.zeros((rows,) + v.shape[1:], complex)
+            for rows in shape]
+    op = DiscreteOperator(shape, *zero)
+    with pytest.raises(NormNotConverged,
+                       match=f"{shape[0]}x{shape[1]} operator with a basis "
+                             f"of up to {bases[-1]} vectors"):
+        operator_norm(op)
+    assert tried == bases
 
 
 def test_operator_norm_fallback_survives_a_start_in_the_null_space():
@@ -1012,9 +1030,8 @@ def test_operator_norm_fallback_raises_when_not_converged(monkeypatch):
         raise LinAlgError("k=1 singular triplets did not converge")
 
     monkeypatch.setattr(lattice, "svds", no_convergence)
-    # a dense top of the spectrum: power iteration creeps towards 1 with
-    # steps far above its tolerance after 500 iterations.  The product is
-    # a composite, so operator_norm has no closed form for it.
+    # the product is a composite, so operator_norm has no closed form for
+    # it and only PROPACK, failing at every basis here, can give the norm
     n = 4096
     op = DiscreteOperator.diagonal(np.linspace(0.99, 1.0, n)) \
         @ DiscreteOperator.diagonal(np.ones(n))
@@ -1022,14 +1039,25 @@ def test_operator_norm_fallback_raises_when_not_converged(monkeypatch):
         operator_norm(op)
 
 
-def test_operator_norm_fallback_runs_when_propack_misses_convergence():
-    # unmocked: the dense top of this spectrum keeps PROPACK from converging
-    # within its basis of 48 vectors, so the power iteration runs and fails
+def test_operator_norm_grows_the_basis_on_a_top_heavy_cluster():
+    # the dense top of this spectrum keeps PROPACK from converging within
+    # its first basis of 48 vectors; a larger basis finds the norm
     n = 4096
     op = DiscreteOperator.diagonal(np.linspace(0.99, 1.0, n)) \
         @ DiscreteOperator.diagonal(np.ones(n))
-    with pytest.raises(NormNotConverged, match="kmax=48.*power iteration"):
-        operator_norm(op)
+    assert operator_norm(op) == pytest.approx(1.0, rel=1e-8)
+
+
+def test_operator_norm_of_exact_zero_operators():
+    assert operator_norm(DiscreteOperator.from_matrix(
+        np.zeros((64, 64)))) == 0.0
+    grid = LatticeGrid(2, 16, 1.0 / 16)
+    ones = DiscreteOperator.diagonal(np.ones(grid.size))
+    composite = ones @ ones
+    composite.src = DiscreteSobolevSpace(grid, 1.0)
+    composite.dst = DiscreteSobolevSpace(grid, 0.0)
+    assert operator_norm(composite,
+                         freq_mask=np.zeros(grid.size, bool)) == 0.0
 
 
 def test_operator_norm_products_and_determinism(monkeypatch):
@@ -1227,6 +1255,22 @@ def test_concurrent_ladder_norms_match_the_sequential_loop(monkeypatch):
     assert concurrent == sequential
 
 
+def test_ladder_norms_take_one_svds_call_each(monkeypatch):
+    # the benchmark's ladder at N = 32: every norm converges in PROPACK's
+    # first basis, so basis growth stays off the item path
+    ladder = _ladder_on(32, [0.4, 0.2, 0.1])
+    svds = lattice.svds
+    bases = []
+
+    def recording_svds(*args, maxiter, **kwargs):
+        bases.append(maxiter)
+        return svds(*args, maxiter=maxiter, **kwargs)
+
+    monkeypatch.setattr(lattice, "svds", recording_svds)
+    ladder()
+    assert bases == [lattice._PROPACK_KMAX] * 2
+
+
 @pytest.mark.parametrize("radii, failing", [
     ([0.45, 0.3, 0.2], {1}),
     ([0.45, 0.3, 0.2], {0}),
@@ -1239,8 +1283,8 @@ def test_concurrent_ladder_norms_match_the_sequential_loop(monkeypatch):
 def test_concurrent_ladder_raises_the_first_failing_pairs_error(
         radii, failing, monkeypatch):
     # svds fails on the chosen pairs, told apart by the norm of their
-    # first product, and the power iteration gets no steps, so each
-    # failing pair raises its own NormNotConverged
+    # first product, at every basis size, so each failing pair raises its
+    # own NormNotConverged
     ladder = _ladder_on(16, radii)
     svds = lattice.svds
     seen = []
@@ -1265,7 +1309,6 @@ def test_concurrent_ladder_raises_the_first_failing_pairs_error(
         return svds(op, *args, **kwargs)
 
     monkeypatch.setattr(lattice, "svds", failing_svds)
-    monkeypatch.setattr(lattice, "POWER_STEPS", 0)
     errors = []
     for cpus in (1, 2):
         _norm_threads(monkeypatch, cpus)
