@@ -34,7 +34,7 @@ from .factorization import (CUTOFF, MIN_QUAD_SAMPLES, QUAD_SAMPLES,
                             FactorizationReport, check_fredholm_condition,
                             winding_index)
 from .geometry import _MODELS, stratify_model
-from .symbols import FrequencyGridSpec, Symbol, check_ellipticity
+from .symbols import Symbol, check_ellipticity
 
 __all__ = ["AnalysisConfig", "RunManifest", "run_analysis", "MODEL_DIMS"]
 
@@ -200,7 +200,7 @@ def run_analysis(config: AnalysisConfig) -> RunManifest:
         x_samples = [st.sample_points[0] for st in strat.strata][:8]
         x_samples.append(np.full(config.dim(), 0.5))
         ell = stage("ellipticity", lambda: check_ellipticity(
-            sym, np.asarray(x_samples), FrequencyGridSpec(seed=config.seed)),
+            sym, np.asarray(x_samples), config.seed),
             lambda out: out.to_dict())
         if not ell.elliptic:
             manifest.stages["ellipticity"].update(

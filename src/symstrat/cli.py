@@ -5,7 +5,8 @@ All outputs are UTF-8 JSON (CSV for convergence tables); there is no
 environment-variable configuration.  Exit codes: 0 = completed (a failed
 Fredholm verdict is still a completed analysis), 2 = a pipeline stage
 errored, 3 = invalid configuration or arguments, among them a float that
-is not finite.  A value may start with '-', as in ``--x0 -0.5,0.2``.
+is not finite and an ``--out`` that cannot be written.  A value may start
+with '-', as in ``--x0 -0.5,0.2``.
 
 The numerics no caller varies are fixed: ``winding`` winds over
 |t| <= factorization.CUTOFF = 1e4, ``wave-validate`` fits growth along
@@ -188,7 +189,7 @@ def _cmd_stratify(args) -> int:
 
 
 def _cmd_winding(args) -> int:
-    sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha, args.dim)
+    sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha)
     x0 = (_parse_floats(args.x0, "--x0", args.dim) if args.x0
           else [0.0] * args.dim)
     xip = (_parse_floats(args.xi_prime, "--xi-prime", args.dim - 1)
@@ -200,7 +201,7 @@ def _cmd_winding(args) -> int:
 
 
 def _cmd_wave_validate(args) -> int:
-    sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha, args.dim)
+    sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha)
     cone = Cone.make(json.loads(args.cone))
     cand = WaveFactorCandidate(
         _parse_expr(args.a_neq, args.dim), _parse_expr(args.a_eq, args.dim),
@@ -218,16 +219,16 @@ def _cmd_assemble(args) -> int:
                if args.convergence_eps else None)   # before the export
     grid = lattice.LatticeGrid(dim, args.grid_n, 1.0 / args.grid_n)
     lattice.check_dense_size(grid.size)  # the export is dense: refuse first
-    sym = Symbol(_parse_expr(args.symbol, dim), args.alpha, dim)
+    sym = Symbol(_parse_expr(args.symbol, dim), args.alpha)
     strat = stratify_model(args.model, dim)
     src = lattice.DiscreteSobolevSpace(grid, args.s_order)
     dst = lattice.DiscreteSobolevSpace(grid, args.s_order - args.alpha)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     cov = build_covering(strat, args.eps, cover_points=grid.points())
     pou = partition_of_unity(cov, grid.points())
     op = lattice.assemble_frozen_family(sym, pou, grid, src, dst)
+    out_dir = Path(args.out)    # made only for an operator to export
+    out_dir.mkdir(parents=True, exist_ok=True)
     lattice.export_operator(op, out_dir / "assembled")
     print(str(out_dir / "assembled.bin"))
 
@@ -272,6 +273,10 @@ def main(argv=None) -> int:
         return EXIT_STAGE_ERROR
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:      # only --out is ever written
+        print(f"configuration error: cannot write --out: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

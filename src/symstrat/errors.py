@@ -27,7 +27,8 @@ class EvalError(SymstratError):
 # --- symbol order / ellipticity ---
 
 class GridError(SymstratError):
-    """Frequency grid specification violates its preconditions."""
+    """A sample set of the ellipticity check or the order fit violates its
+    preconditions, or gives an ellipticity ratio that is not finite."""
 
 
 class DegenerateFit(SymstratError):
@@ -105,10 +106,6 @@ class SupportOverlapError(SymstratError):
 
 class MissingPatchError(SymstratError):
     """Partition bump without a matching operator in the patch family."""
-
-
-class DuplicateComponentError(SymstratError):
-    """Two index entries claim the same component label."""
 
 
 class UnstableRank(SymstratError):

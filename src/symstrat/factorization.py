@@ -244,6 +244,8 @@ class WaveFactorCandidate:
                 f"cone dimension {self.cone.dim} != m-k = {m - self.k}")
         if not self.cone.is_pointed():
             raise ValueError("factorization cone must be pointed")
+        if not self.cone.is_full_dimensional():
+            raise ValueError("factorization cone must be full-dimensional")
 
 
 @dataclass

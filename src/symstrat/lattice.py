@@ -42,7 +42,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -52,18 +52,18 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, svds
 
 from .dsl import eval_on_grid
-from .errors import (ConfigError, DuplicateComponentError, MissingPatchError,
-                     NormNotConverged, OrderMismatch, SupportOverlapError,
-                     UnstableRank, ZeroOnCircle)
+from .errors import (ConfigError, MissingPatchError, NormNotConverged,
+                     OrderMismatch, SupportOverlapError, UnstableRank,
+                     ZeroOnCircle)
 from .geometry import PartitionOfUnity, build_covering, partition_of_unity
 from . import symbols
-from .laurent import TOL_CIRCLE, LaurentPolynomial, laurent_winding
+from .laurent import TOL_CIRCLE, LaurentPolynomial
 from .symbols import Symbol, eval_blocks
 
 __all__ = [
     "LatticeGrid", "DiscreteSobolevSpace", "DiscreteOperator",
     "discretize_symbol_op", "numerical_index", "numerical_index_direct_sum",
-    "IndexEntry", "IndexReport", "aggregate_index", "locality_defect",
+    "IndexEntry", "locality_defect",
     "assemble_operator", "assemble_frozen_family", "assembly_convergence",
     "quantize_full_symbol", "operator_norm", "high_frequency_mask",
     "check_dense_size", "check_eps_ladder", "export_operator",
@@ -572,32 +572,19 @@ def _stable_counts(symbols, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class IndexEntry:
-    label: str
     dim_ker: int
     dim_coker: int
-    index: int
-    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def index(self) -> int:
+        return self.dim_ker - self.dim_coker
 
 
-@dataclass(frozen=True)
-class IndexReport:
-    components: tuple
-    total_ker: int
-    total_coker: int
-    total_index: int
-
-
-def numerical_index(coeffs: LaurentPolynomial, n: int,
-                    label: str = "half-space") -> IndexEntry:
+def numerical_index(coeffs: LaurentPolynomial, n: int) -> IndexEntry:
     """Kernel/cokernel dimensions of the semi-infinite truncated convolution
     operator, detected from rectangular sections and stabilized over N and
-    2N; the index is cross-checked against minus the symbol winding."""
-    ker, coker = _stable_counts([coeffs], n)
-    wind = laurent_winding(coeffs)
-    return IndexEntry(
-        label=label, dim_ker=ker, dim_coker=coker, index=ker - coker,
-        diagnostics={"n": n, "rank_tol": RANK_TOL, "winding": wind,
-                     "matches_minus_winding": ker - coker == -wind})
+    2N."""
+    return IndexEntry(*_stable_counts([coeffs], n))
 
 
 def numerical_index_direct_sum(symbol_list, n: int) -> IndexEntry:
@@ -606,24 +593,7 @@ def numerical_index_direct_sum(symbol_list, n: int) -> IndexEntry:
     ``symbol_list`` raises ValueError."""
     if len(symbol_list) == 0:
         raise ValueError("numerical_index_direct_sum: the block list is empty")
-    ker, coker = _stable_counts(symbol_list, n)
-    return IndexEntry(
-        label="direct-sum", dim_ker=ker, dim_coker=coker, index=ker - coker,
-        diagnostics={"n": n, "blocks": len(symbol_list)})
-
-
-def aggregate_index(entries) -> IndexReport:
-    """Exact integer aggregation of per-component index entries."""
-    seen = set()
-    for e in entries:
-        if e.label in seen:
-            raise DuplicateComponentError(f"duplicate component {e.label!r}")
-        seen.add(e.label)
-    return IndexReport(
-        components=tuple(entries),
-        total_ker=sum(e.dim_ker for e in entries),
-        total_coker=sum(e.dim_coker for e in entries),
-        total_index=sum(e.index for e in entries))
+    return IndexEntry(*_stable_counts(symbol_list, n))
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,8 @@ from .dsl import (EvalPoint, SymbolExpr, eval_on_grid, frequency_support,
 from .errors import DegenerateFit, EvalError, GridError
 
 __all__ = [
-    "Symbol", "FrequencyGridSpec", "EllipticityReport",
-    "check_ellipticity", "eval_blocks", "fit_order",
+    "Symbol", "EllipticityReport", "check_ellipticity", "frequency_grid",
+    "grid_projection", "eval_blocks", "fit_order",
 ]
 
 TOL_ELL = 1e-10
@@ -38,92 +38,71 @@ class Symbol:
 
     expr: SymbolExpr
     order_alpha: float
-    dim: int
 
     def __post_init__(self):
-        if self.dim != self.expr.dim:
-            raise ValueError(
-                f"symbol dimension {self.dim} != expression dimension {self.expr.dim}")
         if not math.isfinite(self.order_alpha):
             raise ValueError("order must be finite")
 
+    @property
+    def dim(self) -> int:
+        return self.expr.dim
+
     @staticmethod
     def parse(text: str, order_alpha: float, dim: int) -> "Symbol":
-        return Symbol(parse_symbol(text, dim), float(order_alpha), dim)
+        return Symbol(parse_symbol(text, dim), float(order_alpha))
 
 
-@dataclass(frozen=True)
-class FrequencyGridSpec:
-    """Sampling grid: a tensor box plus random far-field points.
+# The ellipticity sampling grid: a tensor box of GRID_POINTS_PER_AXIS
+# nodes on [-GRID_BOX_RADIUS, GRID_BOX_RADIUS] per axis, plus
+# GRID_RANDOM_PER_DECADE seeded random points in each radial decade out to
+# GRID_MAX_RADIUS, which catch large-frequency degeneration
+GRID_POINTS_PER_AXIS = 33
+GRID_BOX_RADIUS = 32.0
+GRID_RANDOM_PER_DECADE = 64
+GRID_MAX_RADIUS = 1.0e4
 
-    The tensor part has ``points_per_axis`` nodes on [-box_radius, box_radius]
-    per axis; the far field adds ``random_per_decade`` points in each radial
-    decade out to ``max_radius`` to catch large-frequency degeneration.
+
+def frequency_grid(dim: int, seed: int = 0) -> np.ndarray:
+    """All sample frequencies of the ellipticity grid, shape (P, dim): the
+    tensor box in ij order, then the far field drawn from ``seed``."""
+    axes = [np.linspace(-GRID_BOX_RADIUS, GRID_BOX_RADIUS,
+                        GRID_POINTS_PER_AXIS)] * dim
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = [np.stack([m.ravel() for m in mesh], axis=-1)]
+    rng = np.random.default_rng(seed)
+    for d in range(int(math.ceil(math.log10(GRID_MAX_RADIUS)))):
+        lo, hi = 10.0 ** d, min(10.0 ** (d + 1), GRID_MAX_RADIUS)
+        radii = np.exp(rng.uniform(np.log(lo), np.log(hi),
+                                   GRID_RANDOM_PER_DECADE))
+        dirs = rng.standard_normal((GRID_RANDOM_PER_DECADE, dim))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        pts.append(dirs * radii[:, None])
+    return np.concatenate(pts, axis=0)
+
+
+def grid_projection(dim: int, axes, n_points: int) -> tuple:
+    """Index arrays (rep, inv) into the ``n_points`` of
+    ``frequency_grid(dim)`` for a function of the 1-based frequency
+    ``axes`` alone.
+
+    ``frequency_grid(dim)[rep]`` holds one frequency per node tuple of
+    those axes on the tensor part, then every far-field point, and
+    ``rep[inv[p]]`` agrees with point p on ``axes``: the function's values
+    at rep, taken at inv, are its values at every point.
     """
-
-    points_per_axis: int = 33
-    box_radius: float = 32.0
-    random_per_decade: int = 64
-    max_radius: float = 1.0e4
-    seed: int = 0
-
-    def validate(self):
-        if self.points_per_axis < 2:
-            raise GridError(
-                f"need >= 2 points per axis, got {self.points_per_axis}")
-        if max(self.box_radius, self.max_radius) < 10.0:
-            raise GridError("grid max radius must be >= 10")
-
-    def points(self, dim: int) -> np.ndarray:
-        """All sample frequencies, shape (P, dim)."""
-        self.validate()
-        axes = [np.linspace(-self.box_radius, self.box_radius,
-                            self.points_per_axis)] * dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = [np.stack([m.ravel() for m in mesh], axis=-1)]
-        if self.max_radius > 1.0 and self.random_per_decade > 0:
-            rng = np.random.default_rng(self.seed)
-            n_dec = int(math.ceil(math.log10(self.max_radius)))
-            for d in range(n_dec):
-                lo, hi = 10.0 ** d, min(10.0 ** (d + 1), self.max_radius)
-                radii = np.exp(rng.uniform(np.log(lo), np.log(hi),
-                                           self.random_per_decade))
-                dirs = rng.standard_normal((self.random_per_decade, dim))
-                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-                pts.append(dirs * radii[:, None])
-        return np.concatenate(pts, axis=0)
-
-    def projection(self, dim: int, axes, n_points: int) -> tuple:
-        """Index arrays (rep, inv) into the ``n_points`` of ``points(dim)``
-        for a function of the 1-based frequency ``axes`` alone.
-
-        ``points(dim)[rep]`` holds one frequency per node tuple of those
-        axes on the tensor part, then every far-field point, and
-        ``rep[inv[p]]`` agrees with point p on ``axes``: the function's
-        values at rep, taken at inv, are its values at every point.
-        """
-        n = self.points_per_axis
-        rep = np.zeros(1, dtype=int)
-        inv = np.zeros((1,) * dim, dtype=int)
-        for a in sorted(axes):
-            # axis a (1-based) of the ij-ordered tensor part has stride
-            # n^(dim-a) in rep and its own dimension in inv
-            rep = (rep[:, None] + np.arange(n) * n ** (dim - a)).ravel()
-            inv = inv * n + np.arange(n).reshape(
-                [n if b == a - 1 else 1 for b in range(dim)])
-        inv = np.broadcast_to(inv, (n,) * dim).ravel()
-        far = np.arange(n ** dim, n_points)
-        return (np.concatenate([rep, far]),
-                np.concatenate([inv, far - n ** dim + rep.size]))
-
-    def describe(self) -> dict:
-        return {
-            "points_per_axis": self.points_per_axis,
-            "box_radius": self.box_radius,
-            "random_per_decade": self.random_per_decade,
-            "max_radius": self.max_radius,
-            "seed": self.seed,
-        }
+    n = GRID_POINTS_PER_AXIS
+    rep = np.zeros(1, dtype=int)
+    inv = np.zeros((1,) * dim, dtype=int)
+    for a in sorted(axes):
+        # axis a (1-based) of the ij-ordered tensor part has stride
+        # n^(dim-a) in rep and its own dimension in inv
+        rep = (rep[:, None] + np.arange(n) * n ** (dim - a)).ravel()
+        inv = inv * n + np.arange(n).reshape(
+            [n if b == a - 1 else 1 for b in range(dim)])
+    inv = np.broadcast_to(inv, (n,) * dim).ravel()
+    far = np.arange(n ** dim, n_points)
+    return (np.concatenate([rep, far]),
+            np.concatenate([inv, far - n ** dim + rep.size]))
 
 
 @dataclass
@@ -143,10 +122,10 @@ class EllipticityReport:
                 "witness": wit, "grid": self.sample_spec}
 
 
-def check_ellipticity(s: Symbol, x_samples,
-                      xi_grid: FrequencyGridSpec | None = None
+def check_ellipticity(s: Symbol, x_samples, seed: int = 0
                       ) -> EllipticityReport:
-    """Certify the two-sided order estimate on a finite sample set.
+    """Certify the two-sided order estimate on a finite sample set: the
+    x samples against the frequencies of ``frequency_grid(s.dim, seed)``.
 
     c1 is the minimum of |a(x, xi)| (1+|xi|)^(-alpha) over all samples, c2
     the maximum; the symbol is reported elliptic when c1 exceeds TOL_ELL
@@ -173,19 +152,17 @@ def check_ellipticity(s: Symbol, x_samples,
     ``ELL_BLOCK_POINTS`` candidate samples.  So every error, every
     witness and every non-elliptic report is the sweep's.
     """
-    if xi_grid is None:
-        xi_grid = FrequencyGridSpec()
-    xi_pts = xi_grid.points(s.dim)
+    xi_pts = frequency_grid(s.dim, seed)
     x_arr = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_arr.shape[1] != s.dim:
         raise GridError(f"x samples have dimension {x_arr.shape[1]}, want {s.dim}")
-    if x_arr.shape[0] == 0 or xi_pts.shape[0] == 0:
+    if x_arr.shape[0] == 0:
         raise GridError("empty sample grid")
 
     with np.errstate(over="ignore"):
         scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
     xi_c = xi_pts.astype(complex)
-    found = _split_extremes(s.expr, x_arr, xi_c, scale, xi_grid)
+    found = _split_extremes(s.expr, x_arr, xi_c, scale)
     if found is None:
         found = _sweep_extremes(s, x_arr, xi_pts, xi_c, scale)
     c1, c2, first, arg = found
@@ -197,7 +174,11 @@ def check_ellipticity(s: Symbol, x_samples,
         c1=c1 if elliptic else None,
         c2=c2 if elliptic else None,
         witness=None if elliptic else witness,
-        sample_spec={**xi_grid.describe(), "x_samples": x_arr.shape[0],
+        sample_spec={"points_per_axis": GRID_POINTS_PER_AXIS,
+                     "box_radius": GRID_BOX_RADIUS,
+                     "random_per_decade": GRID_RANDOM_PER_DECADE,
+                     "max_radius": GRID_MAX_RADIUS, "seed": seed,
+                     "x_samples": x_arr.shape[0],
                      "c1_raw": c1, "c2_raw": c2, "tol_ell": TOL_ELL},
     )
 
@@ -246,8 +227,7 @@ _SPLIT_MARGIN = 2.0 ** -30
 _SPLIT_LIMIT = 2.0 ** 1000
 
 
-def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale,
-                    xi_grid: FrequencyGridSpec):
+def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale):
     """(c1, c2, i, j) of :func:`_sweep_extremes` from the factors of a
     symbol with no mixed factor, or None where that is not certain.
 
@@ -255,7 +235,7 @@ def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale,
     is evaluated on the x samples against one frequency; K_j, that of
     the xi-only factors times the weight, on the frequencies against one
     x sample, a factor of fewer than all frequency axes once per node
-    tuple of its axes (:meth:`FrequencyGridSpec.projection`).  X_i * K_j
+    tuple of its axes (:func:`grid_projection`).  X_i * K_j
     is the ratio at (i, j) to within rounding, so the argmin and its ties
     lie among the x samples within ``_SPLIT_MARGIN`` of min X times the
     frequencies within it of min K, and the argmax likewise.  The symbol
@@ -284,7 +264,7 @@ def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale,
             x, xi = x_arr[:1], xi_c
             axes = frequency_support(factor)
             if len(axes) < factor.dim:  # once per node tuple of its axes
-                rep, at = xi_grid.projection(factor.dim, axes, len(xi_c))
+                rep, at = grid_projection(factor.dim, axes, len(xi_c))
                 xi = xi_c[rep]
         try:
             vals = eval_on_grid(factor, x, xi)

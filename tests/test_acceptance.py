@@ -15,8 +15,8 @@ from symstrat.factorization import WaveFactorCandidate, validate_wave_factors
 from symstrat.geometry import (Cone, build_covering, dual_cone, orthant,
                                partition_of_unity, stratify_model)
 from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
-                              LatticeGrid, aggregate_index,
-                              assemble_operator, assembly_convergence,
+                              LatticeGrid, assemble_operator,
+                              assembly_convergence,
                               discretize_symbol_op, locality_defect,
                               numerical_index, numerical_index_direct_sum,
                               operator_norm)
@@ -57,22 +57,18 @@ def test_acceptance_02_index_additivity():
              LaurentPolynomial.make([1], -2),
              LaurentPolynomial.make([-2.0, 1], 0)]
     assert [laurent_winding(a) for a in fixed] == [1, -2, 0]
-    entries = [numerical_index(a, 64, label=f"c{i}")
-               for i, a in enumerate(fixed)]
-    total = aggregate_index(entries)
+    entries = [numerical_index(a, 64) for a in fixed]
     direct = numerical_index_direct_sum(fixed, 64)
-    ok = total.total_index == 1 and direct.index == 1
+    ok = sum(e.index for e in entries) == 1 and direct.index == 1
     rng = np.random.default_rng(2024)
     for _ in range(10):
         symbols = [random_elliptic_laurent(rng) for _ in range(3)]
-        entries = [numerical_index(a, 64, label=f"r{i}")
-                   for i, a in enumerate(symbols)]
-        rep = aggregate_index(entries)
+        entries = [numerical_index(a, 64) for a in symbols]
         direct = numerical_index_direct_sum(symbols, 64)
-        ok = ok and rep.total_index == sum(e.index for e in entries)
-        ok = ok and direct.index == rep.total_index
-        ok = ok and direct.dim_ker == rep.total_ker
-        ok = ok and direct.dim_coker == rep.total_coker
+        ok = ok and direct.dim_ker == sum(e.dim_ker for e in entries)
+        ok = ok and direct.dim_coker == sum(e.dim_coker for e in entries)
+        ok = ok and all(e.index == -laurent_winding(a)
+                        for e, a in zip(entries, symbols))
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     _verdict(2, "index additivity", ok,

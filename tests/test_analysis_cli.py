@@ -20,7 +20,7 @@ from symstrat.cli import main
 from symstrat.errors import ConfigError, SymstratError
 from symstrat.factorization import winding_index
 from symstrat.suites import run_verify_suite
-from symstrat.symbols import FrequencyGridSpec, Symbol
+from symstrat.symbols import Symbol, frequency_grid
 
 
 def _analyze(symbol, alpha, model="square", s=0.0, **kw):
@@ -284,7 +284,7 @@ def test_cli_analyze_refuses_an_overflowing_ellipticity_weight(tmp_path,
     assert stages["stratification"]["status"] == "ok"
     ell = stages["ellipticity"]
     assert ell["status"] == "error" and ell["error_type"] == "GridError"
-    xi_max = np.linalg.norm(FrequencyGridSpec(seed=0).points(2), axis=1).max()
+    xi_max = np.linalg.norm(frequency_grid(2, 0), axis=1).max()
     for part in ("(1+|xi|)^(-alpha)", "alpha=-80", f"up to {xi_max:g}"):
         assert part in ell["error"]
     for st in ("factorization", "fredholm"):
@@ -306,7 +306,7 @@ def test_cli_analyze_refuses_an_overflowing_ellipticity_ratio(tmp_path,
     ell = json.loads((tmp_path / "manifest.json").read_text()
                      )["stages"]["ellipticity"]
     assert ell["status"] == "error" and ell["error_type"] == "GridError"
-    xi_max = np.linalg.norm(FrequencyGridSpec(seed=0).points(2), axis=1).max()
+    xi_max = np.linalg.norm(frequency_grid(2, 0), axis=1).max()
     for part in ("ratio |a|*(1+|xi|)^(-alpha) is not finite at x=",
                  "alpha=-10", f"up to {xi_max:g}"):
         assert part in ell["error"]
@@ -617,7 +617,8 @@ def test_cli_analysis_commands_do_not_import_scipy(tmp_path):
 
 @pytest.mark.parametrize("script, expected", [
     ("analyze_square.py", "s = 0.5: fredholm = True"),
-    ("quadrant_factorization_demo.py", "support a_eq   ok=False")])
+    ("quadrant_factorization_demo.py", "support a_eq   ok=False"),
+    ("verify_suites.py", "toeplitz     ok")])
 def test_script_runs(script, expected):
     root = os.path.join(os.path.dirname(__file__), os.pardir)
     env = dict(os.environ,
@@ -655,6 +656,52 @@ def test_cli_assemble_checks_the_ladder_before_the_export(ladder, reason,
     assert main(_ASM + ["--convergence-eps", ladder, "--out", str(out)]) == 3
     assert reason in capsys.readouterr().err
     assert list(out.iterdir()) == []    # no assembled.bin or .json
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--symbol", "1", "--alpha", "0", "--eps", "0.9"], 3),
+    (["--symbol", "1/x1", "--alpha", "0"], 2),
+])
+def test_cli_assemble_failure_leaves_no_out_directory(argv, code, tmp_path):
+    out = tmp_path / "asm"
+    assert main(["assemble", "--grid-n", "8", *argv, "--out", str(out)]) \
+        == code
+    assert not out.exists()
+
+
+_OUT_COMMANDS = {
+    "analyze": ["analyze", "--symbol", "1", "--alpha", "0"],
+    "verify": ["verify", "--suite", "locality"],
+    "stratify": ["stratify", "--model", "square"],
+    "winding": ["winding", "--symbol", "(k1-i)/(k1+i)", "--alpha", "0",
+                "--dim", "1"],
+    "wave-validate": _WAVE + ["--symbol", "(k1+i)*(k2+i)",
+                              "--a-neq", "(k1+i)*(k2+i)", "--a-eq", "1"],
+    "assemble": _ASM,
+}
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_cli_unwritable_out_is_a_config_error(command, below, tmp_path,
+                                              capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "x" if below else afile
+    assert main(_OUT_COMMANDS[command] + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write --out")
+    assert repr(str(out)) in err
+    assert afile.read_text() == ""
+
+
+def test_cli_wave_validate_refuses_a_flat_cone(capsys):
+    # refused with the candidate, before the growth check meets the cone
+    assert main(["wave-validate", "--symbol", "(k1+i)*(k2+i)", "--alpha",
+                 "2", "--dim", "2", "--a-neq", "(k1+i)*(k2+i)", "--a-eq",
+                 "1", "--cone", "[[1,0]]", "--declared-ae", "2"]) == 3
+    assert "factorization cone must be full-dimensional" in \
+        capsys.readouterr().err
 
 
 def test_cli_assemble_refuses_grid_above_dense_limit(tmp_path, capsys):

@@ -504,6 +504,9 @@ def test_candidate_validation_rules():
     with pytest.raises(ValueError):
         WaveFactorCandidate(parse_symbol("1", 2), parse_symbol("1", 3),
                             QUADRANT, 0, 0.0)
+    # a flat cone is refused here, before any check measures growth in it
+    with pytest.raises(ValueError, match="full-dimensional"):
+        _candidate("(k1+i)*(k2+i)", "1", 2.0, cone=Cone.make([[1, 0]]))
 
 
 # --------------------------------------------------------------------------

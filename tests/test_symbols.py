@@ -12,8 +12,8 @@ from symstrat import symbols
 from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
 from symstrat.dsl import BinOp, EvalPoint, Num, SymbolExpr, eval_on_grid
 from symstrat.errors import DegenerateFit, EvalError, GridError
-from symstrat.symbols import (EllipticityReport, FrequencyGridSpec, Symbol,
-                              check_ellipticity, fit_order)
+from symstrat.symbols import (EllipticityReport, Symbol, check_ellipticity,
+                              fit_order)
 
 X0 = [[0.0, 0.0]]
 
@@ -48,11 +48,6 @@ def test_degenerate_symbol_has_witness_on_axis():
 def test_grid_preconditions():
     s = Symbol.parse("1", 0.0, 2)
     with pytest.raises(GridError):
-        check_ellipticity(s, X0, FrequencyGridSpec(points_per_axis=1))
-    with pytest.raises(GridError):
-        check_ellipticity(s, X0, FrequencyGridSpec(box_radius=2.0,
-                                                   max_radius=5.0))
-    with pytest.raises(GridError):
         check_ellipticity(s, [[0.0, 0.0, 0.0]])
 
 
@@ -72,9 +67,9 @@ def test_report_with_nan_is_refused():
         check_ellipticity(Symbol.parse("k1", 1.0, 2), X0).to_dict()))
 
 
-def _per_x_reference(s, x_samples, xi_grid):
+def _per_x_reference(s, x_samples, seed):
     """(c1_raw, c2_raw, witness) by one evaluation per x sample."""
-    xi_pts = xi_grid.points(s.dim)
+    xi_pts = symbols.frequency_grid(s.dim, seed)
     x_arr = np.atleast_2d(np.asarray(x_samples, dtype=float))
     scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
     c1 = math.inf
@@ -96,26 +91,34 @@ _CUBE_30 = _RNG_X.uniform(0.0, 1.0, (30, 3))
 _CUBE_30_ZERO = _CUBE_30.copy()
 _CUBE_30_ZERO[17, 0] = 0.4      # a zero at the 18th x sample only
 _SQUARE_5 = [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [0.25, 1.0], [0.9, 0.1]]
-_COARSE = FrequencyGridSpec(points_per_axis=9, random_per_decade=8, seed=2)
+# a grid: the symbols.GRID_* constants it sets and its seed (default 0)
+_COARSE = {"GRID_POINTS_PER_AXIS": 9, "GRID_RANDOM_PER_DECADE": 8, "seed": 2}
+
+
+def _use_grid(monkeypatch, grid) -> int:
+    """Set the constants of ``grid`` in symbols; its seed."""
+    for name, value in grid.items():
+        if name != "seed":
+            monkeypatch.setattr(symbols, name, value)
+    return grid.get("seed", 0)
 
 
 # (symbol, alpha, dim, x samples, grid, ELL_BLOCK_POINTS or None)
 BLOCK_CASES = {
     "square-elliptic": ("(2+x1-x2)*(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_5,
-                        FrequencyGridSpec(), None),
+                        {}, None),
     "square-nonelliptic": ("(x1-0.5)*k1+x2*k2", 1.0, 2, _SQUARE_5,
-                           FrequencyGridSpec(seed=4), None),
+                           {"seed": 4}, None),
     "cube-elliptic-30x": (
         "(1.5-0.2*x1+0.1*x3+0.3*normx2(x))*((k3-i)/(k3+i))^2*(1+abs2(k))",
-        2.0, 3, _CUBE_30, FrequencyGridSpec(), None),
+        2.0, 3, _CUBE_30, {}, None),
     "cube-nonelliptic-30x": ("(x1-0.4)*(1+abs2(k))^(1/2)+k2", 1.0, 3,
-                             _CUBE_30_ZERO, FrequencyGridSpec(seed=1), None),
+                             _CUBE_30_ZERO, {"seed": 1}, None),
     "cube-one-frequency-blocks": ("(x1+x2*k3)*(1+abs2(k))^(1/2)", 1.0,
                                   3, _CUBE_30, _COARSE, 1),
     "cube-uneven-blocks": ("(1+x1*x2)*(2+abs2(k))^(3/2)", 3.0, 3,
                            _CUBE_30, _COARSE, 3000),
-    "tie-x-independent": ("k1", 1.0, 2, _SQUARE_5[1:4],
-                          FrequencyGridSpec(), None),
+    "tie-x-independent": ("k1", 1.0, 2, _SQUARE_5[1:4], {}, None),
     "tie-across-blocks": ("k1", 1.0, 2, _SQUARE_5[1:4], _COARSE, 1),
 }
 
@@ -126,8 +129,9 @@ def test_block_sweep_equals_per_x_evaluation(case, monkeypatch):
     if block is not None:
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
     s = Symbol.parse(text, alpha, dim)
-    c1, c2, witness = _per_x_reference(s, x_samples, grid)
-    rep = check_ellipticity(s, x_samples, grid)
+    seed = _use_grid(monkeypatch, grid)
+    c1, c2, witness = _per_x_reference(s, x_samples, seed)
+    rep = check_ellipticity(s, x_samples, seed)
     assert rep.sample_spec["c1_raw"] == c1
     assert rep.sample_spec["c2_raw"] == c2
     assert rep.elliptic is (c1 > symbols.TOL_ELL)
@@ -146,12 +150,13 @@ def test_block_sweep_refuses_a_nan_ratio(monkeypatch):
     # nan there; the sweep refuses the symbol rather than let that sample
     # count towards neither bound, and no numpy warning escapes
     monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", 90)
+    seed = _use_grid(monkeypatch, _COARSE)
     s = Symbol.parse("x1*(abs2(k)/(1+abs2(k)))*1.5e308*(1+i)", 100.0, 2)
     with pytest.raises(GridError, match=r"ratio .* is not finite at "
                        r"x=\[1\.0, 0\.0\].*alpha=100"):
-        check_ellipticity(s, [[0.5, 0.0], [1.0, 0.0]], _COARSE)
+        check_ellipticity(s, [[0.5, 0.0], [1.0, 0.0]], seed)
     # the x sample that stays finite is unaffected
-    rep = check_ellipticity(s, [[0.5, 0.0]], _COARSE)
+    rep = check_ellipticity(s, [[0.5, 0.0]], seed)
     assert rep.sample_spec["c1_raw"] == 0.0 and 0 < rep.sample_spec["c2_raw"]
 
 
@@ -163,11 +168,10 @@ def test_block_sweep_refuses_a_nan_ratio(monkeypatch):
 ])
 def test_block_sweep_raises_the_first_failing_samples_error(text, x_samples):
     s = Symbol.parse(text, 2.0, 2)
-    grid = FrequencyGridSpec()
     with pytest.raises(EvalError) as ref:
-        _per_x_reference(s, x_samples, grid)
+        _per_x_reference(s, x_samples, 0)
     with pytest.raises(EvalError) as got:
-        check_ellipticity(s, x_samples, grid)
+        check_ellipticity(s, x_samples)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
 
@@ -186,7 +190,7 @@ def test_cube_ellipticity_evaluates_in_few_blocks(monkeypatch):
     m = run_analysis(AnalysisConfig(
         symbol_text="(2+x1)*((k3-i)/(k3+i))*(1+abs2(k))^(1/2)", alpha=1.0,
         model="cube"))
-    n_xi = FrequencyGridSpec().points(3).shape[0]
+    n_xi = symbols.frequency_grid(3).shape[0]
     assert m.stages["ellipticity"]["grid"]["x_samples"] == 9
     assert m.stages["ellipticity"]["elliptic"]
     # one pass per factor (2+x1, k3-i, k3+i, (1+abs2(k))^(1/2)) and one
@@ -236,35 +240,36 @@ _CUBE_9 = [[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0)
 # (symbol, alpha, dim, x samples, grid): symbols with no mixed factor
 SPLIT_CASES = {
     "square-product": ("(2+x1-x2)*(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_9,
-                       FrequencyGridSpec()),
+                       {}),
     "square-quotient-powers": ("(2+x1)/(3-x2)^2*(k1-2*i)^2/(1+abs2(k))",
-                               0.0, 2, _SQUARE_5, FrequencyGridSpec(seed=5)),
+                               0.0, 2, _SQUARE_5, {"seed": 5}),
     "square-negated-exp": ("-exp(x1*x2)*(k1+i)*(k2-i)", 1.0, 2, _SQUARE_9,
                            _COARSE),
-    "square-xi-only-ties": ("(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_9,
-                            FrequencyGridSpec()),
-    "square-x-only": ("1+normx2(x)", 0.0, 2, _SQUARE_9, FrequencyGridSpec()),
+    "square-xi-only-ties": ("(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_9, {}),
+    "square-x-only": ("1+normx2(x)", 0.0, 2, _SQUARE_9, {}),
     "square-constant": ("5*(1+i)", 0.0, 2, _SQUARE_5, _COARSE),
     "cube-face-factor": ("(2+x1)*((k3-i)/(k3+i))*(1+abs2(k))^(1/2)", 1.0, 3,
-                         _CUBE_9, FrequencyGridSpec()),
+                         _CUBE_9, {}),
     "cube-benchmark-form": (
         "(1.5-0.2*x1+0.1*x3+0.3*normx2(x))*((k3-i)/(k3+i))^2*(1+abs2(k))",
-        2.0, 3, _CUBE_30, FrequencyGridSpec(seed=3)),
+        2.0, 3, _CUBE_30, {"seed": 3}),
     "cube-xi-only-ties": ("(1+abs2(k))^(1/2)", 1.0, 3, _CUBE_9, _COARSE),
     "cube-two-axis-factor": ("(1+x2)^-1*(k1+3+i)*(k2-1-2*i)*(4+abs2(k))^-1",
                              0.0, 3, _CUBE_9, _COARSE),
     # X_i is 1 up to rounding, and the symbol exactly 1 times its k factor
     "square-rounding-ties": ("(1+x1)*(3-x2)/((1+x1)*(3-x2))*(2+abs2(k))",
-                             2.0, 2, _CUBE_30[:, :2], FrequencyGridSpec()),
+                             2.0, 2, _CUBE_30[:, :2], {}),
 }
 
 
 @pytest.mark.parametrize("dim, axes", [(1, (1,)), (2, (2,)), (3, (1, 3)),
                                        (3, (2,)), (3, ())])
-def test_projection_shares_one_evaluation_per_node_tuple(dim, axes):
-    grid = FrequencyGridSpec(points_per_axis=5, random_per_decade=3)
-    pts = grid.points(dim)
-    rep, inv = grid.projection(dim, axes, len(pts))
+def test_projection_shares_one_evaluation_per_node_tuple(dim, axes,
+                                                         monkeypatch):
+    _use_grid(monkeypatch, {"GRID_POINTS_PER_AXIS": 5,
+                            "GRID_RANDOM_PER_DECADE": 3})
+    pts = symbols.frequency_grid(dim)
+    rep, inv = symbols.grid_projection(dim, axes, len(pts))
     cols = [a - 1 for a in axes]
     np.testing.assert_array_equal(pts[rep][inv][:, cols], pts[:, cols])
     # every node tuple once, then every far-field point
@@ -278,11 +283,12 @@ def test_projection_shares_one_evaluation_per_node_tuple(dim, axes):
 def test_factor_split_equals_the_sweep_bit_for_bit(case, monkeypatch):
     text, alpha, dim, x_samples, grid = SPLIT_CASES[case]
     s = Symbol.parse(text, alpha, dim)
+    seed = _use_grid(monkeypatch, grid)
     sweeps = _recorded(monkeypatch, "_sweep_extremes")
     splits = _recorded(monkeypatch, "_split_extremes")
-    got = check_ellipticity(s, x_samples, grid)
+    got = check_ellipticity(s, x_samples, seed)
     assert not sweeps and splits[0] is not None
-    want = _forced_sweep(monkeypatch, s, x_samples, grid)
+    want = _forced_sweep(monkeypatch, s, x_samples, seed)
     assert got.elliptic
     assert _hex(got.to_dict()) == _hex(want.to_dict())
     # (c1, c2, argmin x sample, argmin frequency): the split's argmin
@@ -297,8 +303,9 @@ def test_forced_sweep_equals_per_x_evaluation(case, monkeypatch):
     if block is not None:
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
     s = Symbol.parse(text, alpha, dim)
-    c1, c2, witness = _per_x_reference(s, x_samples, grid)
-    rep = _forced_sweep(monkeypatch, s, x_samples, grid)
+    seed = _use_grid(monkeypatch, grid)
+    c1, c2, witness = _per_x_reference(s, x_samples, seed)
+    rep = _forced_sweep(monkeypatch, s, x_samples, seed)
     assert (rep.sample_spec["c1_raw"], rep.sample_spec["c2_raw"]) == (c1, c2)
     assert rep.witness == (None if rep.elliptic else witness)
 
@@ -327,18 +334,19 @@ def test_factor_split_falls_back_to_the_sweep(case, monkeypatch):
     if block is not None:
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
     s = Symbol.parse(text, alpha, 2)
+    seed = _use_grid(monkeypatch, _COARSE)
     sweeps = _recorded(monkeypatch, "_sweep_extremes")
     try:
-        rep = check_ellipticity(s, x_samples, _COARSE)
+        rep = check_ellipticity(s, x_samples, seed)
     except (EvalError, GridError) as exc:
         assert len(sweeps) == 1
         # an error of the sweep's, as the sweep raises it
         with pytest.raises(type(exc)) as ref:
-            _forced_sweep(monkeypatch, s, x_samples, _COARSE)
+            _forced_sweep(monkeypatch, s, x_samples, seed)
         assert str(ref.value) == str(exc)
     else:
         assert len(sweeps) == 1
-        want = _forced_sweep(monkeypatch, s, x_samples, _COARSE)
+        want = _forced_sweep(monkeypatch, s, x_samples, seed)
         assert _hex(rep.to_dict()) == _hex(want.to_dict())
 
 
@@ -347,25 +355,29 @@ def test_factor_split_falls_back_to_the_sweep(case, monkeypatch):
 def test_scale_covariance(c):
     s = Symbol.parse("(1+abs2(k))^(1/2)", 1.0, 2)
     scaled = Symbol(SymbolExpr(BinOp("*", Num(complex(c)), s.expr.ast), 2),
-                    1.0, 2)
+                    1.0)
     rep = check_ellipticity(s, X0)
     rep_scaled = check_ellipticity(scaled, X0)
     assert rep_scaled.c1 == pytest.approx(c * rep.c1, rel=1e-12)
     assert rep_scaled.c2 == pytest.approx(c * rep.c2, rel=1e-12)
 
 
-def test_monotone_refinement():
+def test_monotone_refinement(monkeypatch):
     # nested grids: every coarse tensor node appears in the fine grid
     s = Symbol.parse("(2+abs2(k))^(1/2)*(1+normx2(x))", 1.0, 2)
-    coarse = FrequencyGridSpec(points_per_axis=17, random_per_decade=16, seed=3)
-    fine = FrequencyGridSpec(points_per_axis=33, random_per_decade=16, seed=3)
-    pts_c = coarse.points(2)
-    pts_f = fine.points(2)
+    x_samples = [[0.0, 0.0], [0.7, 0.3]]
+
+    def grid_and_report(points_per_axis):
+        seed = _use_grid(monkeypatch, {
+            "GRID_POINTS_PER_AXIS": points_per_axis,
+            "GRID_RANDOM_PER_DECADE": 16, "seed": 3})
+        return (symbols.frequency_grid(2, seed),
+                check_ellipticity(s, x_samples, seed))
+
+    pts_c, rep_c = grid_and_report(17)
+    pts_f, rep_f = grid_and_report(33)
     as_set = {tuple(p) for p in np.round(pts_f, 12)}
     assert all(tuple(p) in as_set for p in np.round(pts_c[:17 * 17], 12))
-    x_samples = [[0.0, 0.0], [0.7, 0.3]]
-    rep_c = check_ellipticity(s, x_samples, coarse)
-    rep_f = check_ellipticity(s, x_samples, fine)
     assert rep_f.c1 <= rep_c.c1 + 1e-15
     assert rep_f.c2 >= rep_c.c2 - 1e-15
 
@@ -410,7 +422,7 @@ def test_fit_order_degenerate_ray():
 def test_fit_order_multiplicative():
     s1 = Symbol.parse("(1+abs2(k))^(1/2)", 1.0, 2)
     s2 = Symbol.parse("(2+abs2(k))", 2.0, 2)
-    prod = Symbol(SymbolExpr(BinOp("*", s1.expr.ast, s2.expr.ast), 2), 3.0, 2)
+    prod = Symbol(SymbolExpr(BinOp("*", s1.expr.ast, s2.expr.ast), 2), 3.0)
     f1 = fit_order(s1, [1, 0], RADII)
     f2 = fit_order(s2, [1, 0], RADII)
     fp = fit_order(prod, [1, 0], RADII)
