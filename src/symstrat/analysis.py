@@ -23,7 +23,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from pathlib import Path
 
 import numpy as np
 
@@ -64,7 +63,6 @@ class AnalysisConfig:
     model: str = "square"
     s_order: float = 0.0
     seed: int = 0
-    out_dir: str | None = None
     quad_samples: int = QUAD_SAMPLES
 
     def dim(self) -> int:
@@ -111,9 +109,6 @@ class RunManifest:
                 "version": self.version, "seed": self.seed,
                 "stages": self.stages, "wall_times": self.wall_times,
                 "ok": self.ok}
-
-    def to_json(self) -> str:
-        return dump_json(self.to_dict())
 
     def comparable_dict(self) -> dict:
         """Everything except wall-clock times (for determinism checks)."""
@@ -218,10 +213,4 @@ def run_analysis(config: AnalysisConfig) -> RunManifest:
         for name in STAGES:
             manifest.stages.setdefault(
                 name, {"status": "skipped", "reason": stop.args[0]})
-
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest.json").write_text(manifest.to_json(),
-                                           encoding="utf-8")
     return manifest

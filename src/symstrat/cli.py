@@ -5,8 +5,9 @@ All outputs are UTF-8 JSON (CSV for convergence tables); there is no
 environment-variable configuration.  Exit codes: 0 = completed (a failed
 Fredholm verdict is still a completed analysis), 2 = a pipeline stage
 errored, 3 = invalid configuration or arguments, among them a float that
-is not finite and an ``--out`` that cannot be written.  A value may start
-with '-', as in ``--x0 -0.5,0.2``.
+is not finite, a ``--cone`` that is not a generator list and an ``--out``
+that cannot be written.  Every ``--out`` file is written once the work
+has succeeded.  A value may start with '-', as in ``--x0 -0.5,0.2``.
 
 The numerics no caller varies are fixed: ``winding`` winds over
 |t| <= factorization.CUTOFF = 1e4, ``wave-validate`` fits growth along
@@ -164,14 +165,10 @@ def _parse_expr(text, dim):
 
 
 def _cmd_analyze(args) -> int:
-    cfg = AnalysisConfig(
+    manifest = run_analysis(AnalysisConfig(
         symbol_text=args.symbol, alpha=args.alpha, model=args.model,
-        s_order=args.s_order, seed=args.seed, out_dir=args.out)
-    manifest = run_analysis(cfg)
-    if args.out is None:
-        print(manifest.to_json())
-    else:
-        print(str(Path(args.out) / "manifest.json"))
+        s_order=args.s_order, seed=args.seed))
+    _emit(manifest.to_dict(), args.out, "manifest.json")
     return EXIT_OK if manifest.ok else EXIT_STAGE_ERROR
 
 
@@ -202,7 +199,10 @@ def _cmd_winding(args) -> int:
 
 def _cmd_wave_validate(args) -> int:
     sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha)
-    cone = Cone.make(json.loads(args.cone))
+    try:
+        cone = Cone.make(json.loads(args.cone))
+    except (ArithmeticError, TypeError, ValueError, SymstratError) as exc:
+        raise ConfigError(f"--cone: {exc}") from exc
     cand = WaveFactorCandidate(
         _parse_expr(args.a_neq, args.dim), _parse_expr(args.a_eq, args.dim),
         cone, args.k, args.declared_ae)
@@ -214,9 +214,8 @@ def _cmd_wave_validate(args) -> int:
 def _cmd_assemble(args) -> int:
     from . import lattice  # imports scipy, which the other commands skip
     dim = MODEL_DIMS[args.model]
-    eps_seq = (lattice.check_eps_ladder(_parse_floats(args.convergence_eps,
-                                                      "--convergence-eps"))
-               if args.convergence_eps else None)   # before the export
+    eps_seq = (_parse_floats(args.convergence_eps, "--convergence-eps")
+               if args.convergence_eps else None)
     grid = lattice.LatticeGrid(dim, args.grid_n, 1.0 / args.grid_n)
     lattice.check_dense_size(grid.size)  # the export is dense: refuse first
     sym = Symbol(_parse_expr(args.symbol, dim), args.alpha)
@@ -227,14 +226,16 @@ def _cmd_assemble(args) -> int:
     cov = build_covering(strat, args.eps, cover_points=grid.points())
     pou = partition_of_unity(cov, grid.points())
     op = lattice.assemble_frozen_family(sym, pou, grid, src, dst)
-    out_dir = Path(args.out)    # made only for an operator to export
+    table = (lattice.assembly_convergence(sym, strat, eps_seq, grid,
+                                          s_order=args.s_order)
+             if eps_seq is not None else None)
+    # every file is written once the work has succeeded, so a refused run
+    # (exit 3) or a stage error (exit 2) leaves no --out behind
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lattice.export_operator(op, out_dir / "assembled")
     print(str(out_dir / "assembled.bin"))
-
-    if eps_seq is not None:
-        table = lattice.assembly_convergence(sym, strat, eps_seq, grid,
-                                             s_order=args.s_order)
+    if table is not None:
         csv_path = out_dir / "convergence.csv"
         with open(csv_path, "w", encoding="utf-8") as fh:
             fh.write("eps_coarse,eps_fine,proxy\n")

@@ -50,7 +50,7 @@ from .errors import DimensionError, EvalError, SymbolSyntaxError
 __all__ = [
     "Num", "Coord", "VecRef", "Neg", "BinOp", "Pow", "Call",
     "SymbolExpr", "EvalPoint",
-    "parse_symbol", "print_symbol", "eval_symbol", "eval_on_grid",
+    "parse_symbol", "print_symbol", "eval_on_grid",
     "depends_on_x", "frequency_support", "product_factors",
 ]
 
@@ -460,12 +460,6 @@ def eval_on_grid(expr: SymbolExpr, x, xi) -> np.ndarray:
         raise EvalError("non-finite value on the grid")
     shape = np.broadcast_shapes(x.shape[:-1], xi.shape[:-1])
     return np.broadcast_to(out, shape).copy()
-
-
-def eval_symbol(expr: SymbolExpr, p: EvalPoint) -> complex:
-    """The expression at a single point: :func:`eval_on_grid` on the
-    one-point grid (p.x, p.xi), with its errors."""
-    return complex(eval_on_grid(expr, [p.x], [p.xi])[0])
 
 
 def _vec_pow(base, exponent):

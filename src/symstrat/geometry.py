@@ -1,7 +1,7 @@
 """Polyhedral cones, canonical domains, model stratifications, coverings.
 
-Cones are polyhedral with rational generators, so duals and membership are
-exact.  The dual here is the closed dual  {y : x.y >= 0 for all x in C};
+Cones are polyhedral with rational generators, so duals and pointedness
+are exact.  The dual here is the closed dual  {y : x.y >= 0 for all x in C};
 the strictly-positive variant is its interior and is recorded as metadata
 rather than computed separately.
 
@@ -42,10 +42,11 @@ __all__ = [
 # --------------------------------------------------------------------------
 # Cones
 
-TOL_CONE = 1e-12    # Cone.contains, relative to the point's and normals' scale
-
-
 def _to_fraction(v):
+    """A generator entry as an exact rational.  A float becomes the nearest
+    fraction with denominator at most 10**9, so 0.3333333333 is 1/3; one
+    that is not finite, or that this moves by more than 1e-9 of its
+    magnitude (1e-12 would become 0), is refused with ValueError."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, (int, np.integer)):
@@ -53,9 +54,16 @@ def _to_fraction(v):
     if isinstance(v, str):
         return Fraction(v)
     if isinstance(v, float):
-        if float(v).is_integer():
+        if not math.isfinite(v):
+            raise ValueError(f"cone generator entry {v!r} is not finite")
+        if v.is_integer():
             return Fraction(int(v))
-        return Fraction(v).limit_denominator(10 ** 9)
+        out = Fraction(v).limit_denominator(10 ** 9)
+        if abs(float(out) - v) > 1e-9 * abs(v):
+            raise ValueError(f"cone generator entry {v!r} has no rational "
+                             f"with denominator at most 10**9 within 1e-9 "
+                             f"of its magnitude")
+        return out
     raise TypeError(f"cannot convert {v!r} to a rational")
 
 
@@ -109,22 +117,6 @@ class Cone:
         for ray in _dual_rays(gens, self.dim, perp):
             y = [a + b for a, b in zip(y, ray)]
         return all(_dot(g, y) > 0 for g in gens)
-
-    def halfspaces(self) -> tuple:
-        """Facet normals: the generators of the dual cone (exact)."""
-        return dual_cone(self).generators
-
-    def contains(self, points):
-        """Closed-cone membership of one point (dim,), as a bool, or of each
-        row of an array (P, dim), as a boolean array: n.p >= -TOL_CONE
-        times the larger of 1 and the point's and the normal's max-norms,
-        for every facet normal n."""
-        p = np.asarray(points, dtype=float)
-        normals = np.array([[float(v) for v in n] for n in self.halfspaces()])
-        scale = np.maximum(1.0, np.max(np.abs(p), axis=-1))[..., None]
-        tol = TOL_CONE * scale * np.maximum(1.0, np.abs(normals).max(axis=1))
-        inside = np.all(p @ normals.T >= -tol, axis=-1)
-        return bool(inside) if p.ndim == 1 else inside
 
     def to_dict(self) -> dict:
         return {"dim": self.dim,
@@ -444,14 +436,6 @@ class Ball:
 class Covering:
     eps: float
     balls: list
-
-    @property
-    def stages(self) -> dict:
-        """Stage k -> its balls in covering order, for each k with a ball."""
-        out = {}
-        for b in self.balls:
-            out.setdefault(b.stage, []).append(b)
-        return dict(sorted(out.items()))
 
     def centers_array(self) -> np.ndarray:
         return np.array([b.center for b in self.balls])

@@ -66,7 +66,7 @@ __all__ = [
     "IndexEntry", "locality_defect",
     "assemble_operator", "assemble_frozen_family", "assembly_convergence",
     "quantize_full_symbol", "operator_norm", "high_frequency_mask",
-    "check_dense_size", "check_eps_ladder", "export_operator",
+    "check_dense_size", "export_operator",
 ]
 
 DENSE_LIMIT = 2048          # max side of a materialized matrix
@@ -90,18 +90,6 @@ def check_dense_size(n: int) -> None:
             f"{DENSE_LIMIT}; use matvec-based routines")
 
 
-def check_eps_ladder(eps_sequence) -> list:
-    """The covering radii of an assembly ladder as floats; a ValueError
-    unless there are at least 3, positive and strictly decreasing."""
-    eps = [float(e) for e in eps_sequence]
-    if len(eps) < 3:
-        raise ValueError("need at least 3 covering radii")
-    if not all(a > b > 0 for a, b in zip(eps, eps[1:])):
-        raise ValueError(f"covering radii must be positive and strictly "
-                         f"decreasing, got {eps}")
-    return eps
-
-
 # --------------------------------------------------------------------------
 # Grids and spaces
 
@@ -116,14 +104,19 @@ class LatticeGrid:
     origin: tuple = None
 
     def __post_init__(self):
+        if self.dim < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.dim}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 8, got {self.n}")
-        if self.h <= 0:
-            raise ValueError("spacing must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"spacing must be positive and finite, "
+                             f"got {self.h}")
         if self.origin is None:
             object.__setattr__(self, "origin", (0.0,) * self.dim)
         elif len(self.origin) != self.dim:
             raise ValueError("origin dimension mismatch")
+        elif not all(math.isfinite(v) for v in self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
 
     @property
     def size(self) -> int:
@@ -171,6 +164,11 @@ class DiscreteSobolevSpace:
 
     grid: LatticeGrid
     s_order: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.s_order):
+            raise ValueError(f"Sobolev order must be finite, "
+                             f"got {self.s_order}")
 
     def weights(self) -> np.ndarray:
         xi = self.grid.frequencies()
@@ -1010,7 +1008,8 @@ def _ladder_norms(diffs, mask) -> list:
 def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
                          s_order: float = 1.0):
     """Essential-norm proxy of consecutive assembly differences for a
-    decreasing ladder of covering radii.
+    ladder of covering radii: a ValueError before any assembly unless
+    there are at least 3, positive and strictly decreasing.
 
     Returns a list of rows {eps_coarse, eps_fine, proxy}.  The proxy is the
     weighted operator norm compressed to the upper frequency half; callers
@@ -1023,7 +1022,12 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     thread count leaves CPUs idle (see _ladder_norm_threads): the helper's
     pairs are futures, read in ladder order (see _ladder_norms).
     """
-    eps_sequence = check_eps_ladder(eps_sequence)
+    eps_sequence = [float(e) for e in eps_sequence]
+    if len(eps_sequence) < 3:
+        raise ValueError("need at least 3 covering radii")
+    if not all(a > b > 0 for a, b in zip(eps_sequence, eps_sequence[1:])):
+        raise ValueError(f"covering radii must be positive and strictly "
+                         f"decreasing, got {eps_sequence}")
 
     src = DiscreteSobolevSpace(grid, s_order)
     dst = DiscreteSobolevSpace(grid, s_order - s.order_alpha)

@@ -15,7 +15,7 @@ import pytest
 
 import symstrat
 from symstrat import analysis, suites
-from symstrat.analysis import AnalysisConfig, run_analysis
+from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
 from symstrat.cli import main
 from symstrat.errors import ConfigError, SymstratError
 from symstrat.factorization import winding_index
@@ -75,9 +75,8 @@ def test_every_stage_outcome(monkeypatch, tmp_path, symbol, target, failing,
                              reason):
     if target is not None:
         monkeypatch.setattr(analysis, target, _raise_injected)
-    cfg = AnalysisConfig(symbol_text=symbol, alpha=1.0 if symbol == "k1"
-                         else 0.0, out_dir=str(tmp_path))
-    manifest = run_analysis(cfg)
+    alpha = 1.0 if symbol == "k1" else 0.0
+    manifest = run_analysis(AnalysisConfig(symbol_text=symbol, alpha=alpha))
     at = _STAGES.index(failing)
     record = manifest.stages[failing]
     assert record["status"] == "error"
@@ -89,8 +88,12 @@ def test_every_stage_outcome(monkeypatch, tmp_path, symbol, target, failing,
                for st in _STAGES[at + 1:])
     assert set(manifest.wall_times) == set(_STAGES[:at + 1])
     assert manifest.ok is False
+    # the CLI still writes the manifest of a run that a stage stopped
+    assert main(["analyze", "--symbol", symbol, "--alpha", str(alpha),
+                 "--out", str(tmp_path)]) == 2
     written = json.loads((tmp_path / "manifest.json").read_text())
-    assert written == json.loads(manifest.to_json())
+    assert set(written.pop("wall_times")) == set(manifest.wall_times)
+    assert written == json.loads(dump_json(manifest.comparable_dict()))
 
 
 def test_overflowing_symbol_is_an_ellipticity_error():
@@ -138,11 +141,15 @@ def test_manifest_determinism():
                                                            sort_keys=True)
 
 
-def test_manifest_written_to_out_dir(tmp_path):
-    cfg = AnalysisConfig(symbol_text="5", alpha=0.0, model="square",
-                         out_dir=str(tmp_path / "run"))
-    run_analysis(cfg)
-    data = json.loads((tmp_path / "run" / "manifest.json").read_text())
+def test_manifest_written_to_out_dir(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["analyze", "--symbol", "5", "--alpha", "0", "--model",
+                 "square", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"{out / 'manifest.json'}\n"
+    text = (out / "manifest.json").read_text()
+    data = json.loads(text)
+    # the text of every --out report: dump_json and one trailing newline
+    assert text == dump_json(data) + "\n"
     assert data["ok"] is True
     assert data["config_hash"]
     assert set(data["stages"]) == {"stratification", "ellipticity",
@@ -648,6 +655,8 @@ def test_cli_assemble_exports(tmp_path):
     ("0.4,0.2", "need at least 3 covering radii"),
     ("0.1,0.2,0.3", "covering radii must be positive and strictly"),
     ("0.4,0.2,0", "covering radii must be positive and strictly"),
+    ("0.6,0.3,0.1",
+     "eps=0.6 must be < half the minimal stratum separation 1.0"),
 ])
 def test_cli_assemble_checks_the_ladder_before_the_export(ladder, reason,
                                                           tmp_path, capsys):
@@ -661,6 +670,8 @@ def test_cli_assemble_checks_the_ladder_before_the_export(ladder, reason,
 @pytest.mark.parametrize("argv, code", [
     (["--symbol", "1", "--alpha", "0", "--eps", "0.9"], 3),
     (["--symbol", "1/x1", "--alpha", "0"], 2),
+    (["--symbol", "1+abs2(k)", "--alpha", "2", "--convergence-eps",
+      "0.3,0.2,0.01"], 2),                  # CoverageError on the ladder
 ])
 def test_cli_assemble_failure_leaves_no_out_directory(argv, code, tmp_path):
     out = tmp_path / "asm"
@@ -702,6 +713,28 @@ def test_cli_wave_validate_refuses_a_flat_cone(capsys):
                  "1", "--cone", "[[1,0]]", "--declared-ae", "2"]) == 3
     assert "factorization cone must be full-dimensional" in \
         capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cone, reason", [
+    ("[1,0]", "not iterable"),
+    ("[[1e400,0],[0,1]]", "entry inf is not finite"),
+    ("[]", "at least one generator"),
+    ("[[1,0],[0,1,0]]", "mixed dimension"),
+    ("[[1,0],[0,1e-12]]", "entry 1e-12 has no rational"),
+    ("[[1,1e-12],[0,1]]", "entry 1e-12 has no rational"),
+], ids=["flat-list", "overflow", "empty", "mixed-dim", "tiny-entry",
+        "tiny-off-axis"])
+def test_cli_wave_validate_refuses_a_bad_cone_by_name(cone, reason,
+                                                      tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["wave-validate", "--symbol", "(k1+i)*(k2+i)", "--alpha",
+                 "2", "--dim", "2", "--a-neq", "(k1+i)*(k2+i)", "--a-eq",
+                 "1", "--cone", cone, "--declared-ae", "2",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --cone: ")
+    assert reason in err
+    assert not out.exists()
 
 
 def test_cli_assemble_refuses_grid_above_dense_limit(tmp_path, capsys):

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symstrat.dsl import (BinOp, Call, Coord, EvalPoint, Neg, Num, Pow,
-                          SymbolExpr, VecRef, depends_on_x, eval_on_grid,
-                          eval_symbol, frequency_support, parse_symbol,
-                          print_symbol, product_factors)
+from symstrat.dsl import (BinOp, Call, Coord, Neg, Num, Pow, SymbolExpr,
+                          VecRef, depends_on_x, eval_on_grid,
+                          frequency_support, parse_symbol, print_symbol,
+                          product_factors)
 from symstrat.errors import DimensionError, EvalError, SymbolSyntaxError
 
 
@@ -106,24 +106,20 @@ def test_exponent_grammar():
 # --------------------------------------------------------------------------
 # evaluation
 
-def _pt(x, xi):
-    return EvalPoint.make(x, xi)
-
-
 def test_eval_constant():
     expr = parse_symbol("1", 2)
-    assert eval_symbol(expr, _pt([3, 4], [5, 6])) == 1 + 0j
+    assert eval_on_grid(expr, [[3, 4]], [[5, 6]])[0] == 1 + 0j
 
 
 def test_eval_sqrt_at_zero():
     expr = parse_symbol("(1+abs2(k))^(1/2)", 2)
-    assert eval_symbol(expr, _pt([0, 0], [0, 0])) == pytest.approx(1.0)
+    assert eval_on_grid(expr, [[0, 0]], [[0, 0]])[0] == pytest.approx(1.0)
 
 
 def test_eval_product_complex():
     # (1+i)*(1+i) = 2i, plain complex arithmetic oracle
     expr = parse_symbol("(k1+i)*(k2+i)", 2)
-    val = eval_symbol(expr, _pt([0, 0], [1, 1]))
+    val = eval_on_grid(expr, [[0, 0]], [[1, 1]])[0]
     assert val == pytest.approx((1 + 1j) * (1 + 1j))
     assert val == pytest.approx(2j)
 
@@ -131,33 +127,33 @@ def test_eval_product_complex():
 def test_eval_division_by_zero():
     expr = parse_symbol("1/k1", 1)
     with pytest.raises(EvalError):
-        eval_symbol(expr, _pt([0], [0]))
+        eval_on_grid(expr, [[0]], [[0]])
 
 
 def test_eval_branch_cut_refused():
     expr = parse_symbol("sqrt(1 - abs2(k))", 1)
     with pytest.raises(EvalError):
-        eval_symbol(expr, _pt([0], [2]))
+        eval_on_grid(expr, [[0]], [[2]])
     # off the cut the principal branch is fine
-    val = eval_symbol(expr, _pt([0], [2 + 1j]))
+    val = eval_on_grid(expr, [[0]], [[2 + 1j]])[0]
     assert np.isfinite(val)
 
 
 def test_eval_zero_negative_power():
     expr = parse_symbol("k1^-1", 1)
     with pytest.raises(EvalError):
-        eval_symbol(expr, _pt([0], [0]))
+        eval_on_grid(expr, [[0]], [[0]])
 
 
 def test_abs2_of_scalar_is_square():
     expr = parse_symbol("abs2(k1+i)", 1)
-    assert eval_symbol(expr, _pt([0], [2])) == pytest.approx((2 + 1j) ** 2)
+    assert eval_on_grid(expr, [[0]], [[2]])[0] == pytest.approx((2 + 1j) ** 2)
 
 
 def test_eval_dimension_mismatch():
     expr = parse_symbol("k1", 2)
     with pytest.raises(DimensionError):
-        eval_symbol(expr, _pt([0], [0]))
+        eval_on_grid(expr, [[0]], [[0]])
 
 
 def test_structural_queries():
@@ -293,11 +289,11 @@ def test_eval_homomorphism(op, seed):
     b = _random_ast(rng, 2, 2)
     x = [rng.uniform(-3, 3) for _ in range(2)]
     xi = [complex(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(2)]
-    pt = EvalPoint.make(x, xi)
     try:
-        va = eval_symbol(SymbolExpr(a, 2), pt)
-        vb = eval_symbol(SymbolExpr(b, 2), pt)
-        combined = eval_symbol(SymbolExpr(BinOp(op, a, b), 2), pt)
+        va = complex(eval_on_grid(SymbolExpr(a, 2), [x], [xi])[0])
+        vb = complex(eval_on_grid(SymbolExpr(b, 2), [x], [xi])[0])
+        combined = complex(eval_on_grid(SymbolExpr(BinOp(op, a, b), 2),
+                                        [x], [xi])[0])
     except EvalError:
         return
     expected = {"+": va + vb, "-": va - vb, "*": va * vb,
@@ -317,7 +313,7 @@ def test_conjugate_symmetry_even_symbols():
         for _ in range(20):
             x = rng.uniform(-2, 2, 2)
             xi = rng.uniform(-50, 50, 2)
-            val = eval_symbol(expr, EvalPoint.make(x, xi))
+            val = eval_on_grid(expr, [x], [xi])[0]
             assert abs(val.imag) <= 1e-12 * max(abs(val), 1.0)
 
 
@@ -350,7 +346,7 @@ def test_vectorized_matches_scalar():
             eval_on_grid(expr, np.array([x]), np.array(xi)), expected,
             rtol=1e-12, atol=1e-15, err_msg=text)
         for row, want in zip(xi, expected):
-            got = eval_symbol(expr, EvalPoint.make(x, row))
+            got = eval_on_grid(expr, [x], [row])[0]
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15), text
 
 
@@ -358,12 +354,12 @@ def test_eval_overflow_is_an_eval_error():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvalError):
-            eval_symbol(parse_symbol("exp(k1)", 1), _pt([0], [1000]))
+            eval_on_grid(parse_symbol("exp(k1)", 1), [[0]], [[1000]])
         # also where a later step would bring the overflow back to 0
         with pytest.raises(EvalError):
-            eval_symbol(parse_symbol("1/exp(k1)", 1), _pt([0], [1000]))
-        assert eval_symbol(parse_symbol("exp(k1)", 1),
-                           _pt([0], [700])) == pytest.approx(cmath.exp(700))
+            eval_on_grid(parse_symbol("1/exp(k1)", 1), [[0]], [[1000]])
+        assert eval_on_grid(parse_symbol("exp(k1)", 1), [[0]], [[700]])[0] \
+            == pytest.approx(cmath.exp(700))
 
 
 def test_grid_overflow_is_an_eval_error():

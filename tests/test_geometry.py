@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -137,34 +138,19 @@ def test_stratification_does_not_import_scipy_optimize():
     assert out.strip() == "False"
 
 
-def test_cone_membership_via_halfspaces():
-    c = Cone.make([[1, 0], [1, 1]])
-    assert c.contains([2, 1])
-    assert c.contains([1, 1])
-    assert c.contains([1, 0])
-    assert not c.contains([0, 1])
-    assert not c.contains([-1, 0.5])
-    assert c.contains([0, 0])
-
-
-def test_wedge_membership_is_closed_on_boundary_rays():
-    # wedge membership is Cone.contains on the last m-k coordinates: points
-    # on a boundary ray are inside, and the R^k coordinates are free
-    quadrant = CanonicalDomain.wedge(2, 0, orthant(2))
-    pts = np.array([[1.0, 2.0], [0.0, 3.0], [3.0, 0.0], [0.0, 0.0],
-                    [-1e-3, 1.0], [1.0, -1e-3], [-1.0, -1.0]])
-    expected = [True, True, True, True, False, False, False]
-    assert quadrant.cone.contains(pts).tolist() == expected
-    assert [quadrant.cone.contains(p) for p in pts] == expected
-    # cube edge-1 (x free, y = 0, z = 1): the orthant {y >= 0, z <= 0}
-    edge = next(st.domain for st in stratify_model("cube", 3).strata
-                if st.label == "edge-1")
-    assert edge.k == 1
-    pts = np.array([[5.0, 1.0, -2.0], [-7.0, 0.0, -1.0], [0.5, 2.0, 0.0],
-                    [0.0, 0.0, 0.0], [0.0, -1e-3, -1.0], [0.0, 1.0, 1e-3]])
-    expected = [True, True, True, True, False, False]
-    assert edge.cone.contains(pts[:, edge.k:]).tolist() == expected
-    assert [edge.cone.contains(p[1:]) for p in pts] == expected
+def test_float_generators_are_refused_unless_a_near_rational_holds_them():
+    assert Cone.make([[0.3333333333, 1], [0, 1]]).generators[0] == \
+        (Fraction(1, 3), Fraction(1))
+    assert Cone.make([[0.5, 1e300]]).generators == \
+        ((Fraction(1, 2), Fraction(int(1e300))),)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="is not finite"):
+            Cone.make([[1, bad]])
+    # limit_denominator(10**9) would round 1e-12 to 0 and 7e-10 to 1e-9:
+    # each moves more than 1e-9 of its magnitude
+    for bad in (1e-12, 7e-10):
+        with pytest.raises(ValueError, match="has no rational"):
+            Cone.make([[1, bad]])
 
 
 def test_rational_generators_kept_exact():
@@ -275,7 +261,9 @@ def test_canonical_domains_per_stratum():
             moved = pts[None, :, :] + step[:, None, :]
             inside = np.all((moved >= 0) & (moved <= 1), axis=(1, 2))
             assert 0 < inside.sum() < 64, (model, st.label)
-            assert [st.domain.cone.contains(v) for v in w] == \
+            # the signed orthant {s_i w_i >= 0}, s the generators' sum
+            signs = st.domain.cone.generator_array().sum(axis=0)
+            assert np.all(signs * w >= 0, axis=1).tolist() == \
                 inside.tolist(), (model, st.label)
 
 
@@ -300,16 +288,18 @@ def test_stratification_serializes():
 def test_square_covering_stage_structure():
     s = stratify_model("square", 2)
     cov = build_covering(s, 0.3)
-    assert len(cov.stages[0]) == 4          # one ball per corner first
-    assert len(cov.stages[1]) > 0           # edges continue the cover
-    centers0 = {b.center for b in cov.stages[0]}
+    stages = [b.stage for b in cov.balls]
+    assert stages.count(0) == 4             # one ball per corner first
+    assert stages.count(1) > 0              # edges continue the cover
+    assert stages == sorted(stages)
+    centers0 = {b.center for b in cov.balls if b.stage == 0}
     assert centers0 == {(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)}
 
 
 def test_covering_stage_centers_outside_earlier_balls():
     s = stratify_model("cube", 3)
     cov = build_covering(s, 0.2)
-    assert sorted(cov.stages) == [0, 1, 2, 3]
+    assert sorted({b.stage for b in cov.balls}) == [0, 1, 2, 3]
     centers = [(np.array(b.center), b.stage) for b in cov.balls]
     for c, stage in centers:
         for c2, stage2 in centers:
@@ -378,7 +368,7 @@ def test_covering_pinned_centers_on_lattice_cover_points(n, eps):
     grid = np.stack(np.meshgrid(ax, ax, indexing="ij"), -1).reshape(-1, 2)
     cov = build_covering(stratify_model("square", 2), eps, cover_points=grid)
     counts, digest = _SQUARE_COVER_PINS[eps]
-    assert {k: len(bs) for k, bs in cov.stages.items()} == counts
+    assert Counter(b.stage for b in cov.balls) == counts
     assert _centers_digest(cov) == digest
 
 
@@ -390,7 +380,7 @@ def test_covering_pinned_centers_with_cover_pass_balls():
     s = stratify_model("wedge2d", 2)
     cov = build_covering(s, 0.3, cover_points=grid)
     assert len(build_covering(s, 0.3).balls) == 19
-    assert {k: len(bs) for k, bs in cov.stages.items()} == {0: 1, 1: 6, 2: 13}
+    assert Counter(b.stage for b in cov.balls) == {0: 1, 1: 6, 2: 13}
     assert cov.balls[-1].center == (0.975, 0.975)
     assert _centers_digest(cov) == "19e761c24772c935"
 

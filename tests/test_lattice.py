@@ -61,6 +61,24 @@ def test_grid_validation():
     assert grid.period == 4.0
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda: LatticeGrid(2, 8, float("nan")), "spacing must be positive "
+     "and finite, got nan"),
+    (lambda: LatticeGrid(2, 8, float("inf")), "spacing must be positive "
+     "and finite, got inf"),
+    (lambda: LatticeGrid(2, 8, 0.1, origin=(0.0, float("nan"))),
+     "origin must be finite"),
+    (lambda: LatticeGrid(0, 8, 0.1), "dimension must be at least 1, got 0"),
+    (lambda: DiscreteSobolevSpace(LatticeGrid(2, 8, 0.1), float("nan")),
+     "Sobolev order must be finite, got nan"),
+], ids=["nan-spacing", "inf-spacing", "nan-origin", "zero-dim",
+        "nan-order"])
+def test_grid_and_space_refuse_unusable_numbers_by_name(make, reason):
+    # each would give NaN points or weights, or fail later inside numpy
+    with pytest.raises(ValueError, match=reason):
+        make()
+
+
 def test_dual_frequencies_match_fft_convention():
     grid = LatticeGrid(1, 8, 0.25)
     expected = 2 * np.pi * np.fft.fftfreq(8, d=0.25)
