@@ -6,7 +6,9 @@ locality and assembly verification suites at seed 0, and by the
 ``float.hex`` of the ``assembly_convergence`` proxies of the first two
 ``assemble_n32`` benchmark inputs of seed 1 on the 32 x 32 grid.  Two
 checkouts whose digests agree produce byte-identical manifests, suite
-reports and ladder proxies on this set.
+reports and ladder proxies on this set.  The three index suites count
+the banded sections of T(a), T(a)T(b) and a P + b Q of one engine
+(``lattice._kernel_count``), so a change to its numerics shows in each.
 
 Usage: python scripts/manifest_digest.py [--each]
 

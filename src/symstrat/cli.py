@@ -199,13 +199,15 @@ def _cmd_winding(args) -> int:
 
 def _cmd_wave_validate(args) -> int:
     sym = Symbol(_parse_expr(args.symbol, args.dim), args.alpha)
+    a_neq, a_eq = (_parse_expr(t, args.dim) for t in (args.a_neq, args.a_eq))
+    if not 0 <= args.k < args.dim:
+        raise ConfigError(f"--k: need 0 <= k <= {args.dim - 1}, got {args.k}")
     try:
-        cone = Cone.make(json.loads(args.cone))
+        # the candidate refuses a flat, non-pointed or wrong-dimension cone
+        cand = WaveFactorCandidate(a_neq, a_eq, Cone.make(json.loads(
+            args.cone)), args.k, args.declared_ae)
     except (ArithmeticError, TypeError, ValueError, SymstratError) as exc:
         raise ConfigError(f"--cone: {exc}") from exc
-    cand = WaveFactorCandidate(
-        _parse_expr(args.a_neq, args.dim), _parse_expr(args.a_eq, args.dim),
-        cone, args.k, args.declared_ae)
     report = validate_wave_factors(cand, sym, raise_on_fail=False)
     _emit(report.to_dict(), args.out, "wave-validation.json")
     return EXIT_OK if report.ok else EXIT_STAGE_ERROR

@@ -7,24 +7,25 @@ Sobolev norms are weighted l2 norms of DFT coefficients with weights
 (1+|xi|^2)^(s/2).
 
 The half-space boundary model is the truncated convolution (Toeplitz)
-operator of a Laurent symbol.  Square truncations always have index zero,
-so kernel detection uses rectangular sections (rows N, columns N plus the
-symbol bandwidth): genuinely decaying kernel vectors of the semi-infinite
-operator show up as left-localized null vectors, while truncation
-artifacts concentrate at the right edge and are filtered out by dropping
-the edge columns before the rank test.  Counts must agree between section
-sizes N and 2N or UnstableRank is raised.
+operator T(a) of a Laurent symbol; the same count reads the product
+T(a)T(b), of the index of T(ab) but not its counts, and the paired operator
+a P + b Q on l2(Z), of index wind b - wind a.  Square truncations always
+have index zero, so kernel detection uses rectangular sections: decaying
+kernel vectors show up as null vectors away from the edge, while truncation
+artifacts concentrate at the edge and are filtered out by dropping the edge
+columns before the rank test.  Counts must agree between section sizes N
+and 2N or UnstableRank is raised.
 
-No section is ever dense.  The restricted N x (N - _EDGE_PAD) section S
-of each block is written straight into LAPACK band storage, and zgbbrd
-reduces it in place, in O(N^2 b) for b = max_deg - min_deg, to a real upper
-bidiagonal B with the singular values of S, not the O(N^3) of a dense SVD.
-The singular values are the eigenvalues +-sigma_i of the zero-diagonal
-Golub-Kahan tridiagonal of B, and the rank threshold is set against
-||T(a)|| = max |a(z)| on the unit circle, which is known before any
-reduction, so one Sturm count (dstebz) on an interval around zero reads
-the kernel count (see _kernel_count).  Unlike S^H S the tridiagonal does
-not square the singular values, so a rank tolerance of 1e-8 stays 1e-8.
+No section is ever dense.  A band writer (_product_band, which gives T(a)
+as T(a)T(1), or _paired_band) puts the restricted section S straight into
+LAPACK band storage, and zgbbrd reduces it in place, in O(N^2 b) for b
+diagonals, to a real upper bidiagonal B with the singular values of S.
+They are the eigenvalues +-sigma_i of the zero-diagonal Golub-Kahan
+tridiagonal of B, and the rank threshold is set against a bound on the
+operator's norm known before any reduction, such as ||T(a)|| = max |a(z)|
+on the unit circle, so one Sturm count (dstebz) on an interval around zero
+reads the kernel count (see _kernel_count).  Unlike S^H S the tridiagonal
+does not square the singular values, so a rank tolerance of 1e-8 stays 1e-8.
 scipy.linalg.lapack has no zgbbrd wrapper, so the function that
 scipy.linalg.cython_lapack exports is called through ctypes: no compiled
 code of this package, and ctypes releases the GIL during the call.
@@ -38,7 +39,6 @@ reported as such.
 from __future__ import annotations
 
 import ctypes
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -51,19 +51,19 @@ from scipy.linalg.lapack import dstebz
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, svds
 
+from .analysis import dump_json
 from .dsl import eval_on_grid
 from .errors import (ConfigError, MissingPatchError, NormNotConverged,
-                     OrderMismatch, SupportOverlapError, UnstableRank,
-                     ZeroOnCircle)
+                     OrderMismatch, SupportOverlapError, UnstableRank)
 from .geometry import PartitionOfUnity, build_covering, partition_of_unity
 from . import symbols
-from .laurent import TOL_CIRCLE, LaurentPolynomial
+from .laurent import LaurentPolynomial
 from .symbols import Symbol, eval_blocks
 
 __all__ = [
     "LatticeGrid", "DiscreteSobolevSpace", "DiscreteOperator",
-    "discretize_symbol_op", "numerical_index", "numerical_index_direct_sum",
-    "IndexEntry", "locality_defect",
+    "discretize_symbol_op", "numerical_index", "numerical_index_product",
+    "numerical_index_paired", "IndexEntry", "locality_defect",
     "assemble_operator", "assemble_frozen_family", "assembly_convergence",
     "quantize_full_symbol", "operator_norm", "high_frequency_mask",
     "check_dense_size", "export_operator",
@@ -106,8 +106,10 @@ class LatticeGrid:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dimension must be at least 1, got {self.dim}")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ValueError(f"N must be a power of two >= 8, got {self.n}")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 8 or (
+                self.n & (self.n - 1)) != 0:
+            raise ValueError(f"N must be an integer power of two >= 8, got "
+                             f"{self.n!r}")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"spacing must be positive and finite, "
                              f"got {self.h}")
@@ -443,18 +445,14 @@ def _exported_lapack(name: str, n_args: int):
 _ZGBBRD = _exported_lapack("zgbbrd", 19)
 
 
-def _bidiagonal(coeffs: LaurentPolynomial, n: int) -> tuple:
+def _bidiagonal(section) -> tuple:
     """(d, e), the diagonal and superdiagonal of a real upper bidiagonal B
-    with the singular values of the restricted N x (N - _EDGE_PAD) section
-    S, entry S[i, j] = a_{i-j}.  S is written into LAPACK band storage and
-    reduced there by zgbbrd with vect='N' (no Q or P^H is formed)."""
-    rows, cols = n, n - _EDGE_PAD
-    kl, ku = max(coeffs.max_deg, 0), max(-coeffs.min_deg, 0)
-    # column j of the Fortran (kl + ku + 1) x cols array holds S[i, j] at
-    # row ku + i - j; in C order that column is row j
-    band = np.zeros((cols, kl + ku + 1), dtype=complex)
-    for deg in range(coeffs.min_deg, coeffs.max_deg + 1):
-        band[max(0, -deg):min(cols, rows - deg), ku + deg] = coeffs.coeff(deg)
+    with the singular values of a rows x cols section S, rows >= cols, as
+    (band, rows, kl, ku): S[i, j] at band[j, ku + i - j], zero off the
+    diagonals -ku <= i - j <= kl (LAPACK band storage, in Fortran order).
+    zgbbrd reduces it in place with vect='N' (no Q or P^H is formed)."""
+    band, rows, kl, ku = section
+    cols = band.shape[0]
     d, e = np.empty(cols), np.empty(cols)
     work, rwork = np.empty(rows, dtype=complex), np.empty(rows)
     unused = np.zeros(1, dtype=complex)        # Q, P^H and C are not formed
@@ -474,98 +472,84 @@ def _bidiagonal(coeffs: LaurentPolynomial, n: int) -> tuple:
     return d, e[:cols - 1]
 
 
-def _golub_kahan_offdiagonal(symbols, n: int) -> np.ndarray:
-    """Off-diagonal of the zero-diagonal tridiagonal whose eigenvalues are
-    +-sigma_i over the restricted sections of the direct sum of
-    ``symbols``: d_1, e_1, d_2, ..., d_m of each block's bidiagonal (the
-    perfect shuffle of [[0, B], [B^T, 0]]), the blocks joined by zeros."""
-    cols = n - _EDGE_PAD
-    off = np.zeros(2 * cols * len(symbols) - 1)
-    for k, a in enumerate(symbols):
-        d, e = _bidiagonal(a, n)
-        off[2 * cols * k:2 * cols * (k + 1):2] = d
-        off[2 * cols * k + 1:2 * cols * (k + 1) - 1:2] = e
-    return off
+def _product_band(a, b, n: int, adjoint: bool = False) -> tuple:
+    """The restricted N x (N - _EDGE_PAD) section of T(a)T(b), or of its
+    adjoint T(b~)T(a~), for _bidiagonal: by Widom's formula T(a)T(b) =
+    T(ab) - H(a)H(b~) (Boettcher & Silbermann, Analysis of Toeplitz
+    Operators, Prop. 2.14), the band of T(ab) less the corner
+    (H(a)H(b~))[i, j] = sum_k a_{i+k+1} b_{-j-k-1}, i < max_deg(a) and
+    j < -min_deg(b), which lies inside that band.  T(a)T(1) is T(a)."""
+    if adjoint:
+        a, b = b.conj_reflected(), a.conj_reflected()
+    rows, cols = n, n - _EDGE_PAD
+    lo, hi = a.min_deg + b.min_deg, a.max_deg + b.max_deg
+    kl, ku = max(hi, 0), max(-lo, 0)
+    band = np.zeros((cols, kl + ku + 1), dtype=complex)
+    for deg, c in enumerate(np.convolve(a.coeffs, b.coeffs), lo):
+        band[max(0, -deg):min(cols, rows - deg), ku + deg] = c
+    for i, j in np.ndindex(min(rows, max(a.max_deg, 0)),
+                           min(cols, max(-b.min_deg, 0))):
+        if lo <= i - j <= hi:           # the corner vanishes off the band
+            band[j, ku + i - j] -= sum(a.coeff(i + k + 1) * b.coeff(
+                -j - k - 1) for k in range(a.max_deg - i))
+    return band, rows, kl, ku
 
 
-def _kernel_count(symbols, n: int, rank_tol: float, scale: float) -> int:
-    """Number of decaying null vectors of the block-diagonal direct sum of
-    the N x (N + b) sections of ``symbols``, not counting those localized
-    at each block's last b + _EDGE_PAD columns (the truncation artifacts).
+def _paired_band(a, b, n: int, adjoint: bool = False) -> tuple:
+    """The section of a P + b Q on l2(Z) with rows [-N, N) and columns
+    [-N + _EDGE_PAD, N - _EDGE_PAD), for _bidiagonal: a_{i-j} in the
+    columns j >= 0 and b_{i-j} in the others (P projects onto the indices
+    >= 0, Q = I - P).  Its adjoint P a~ + Q b~ takes a~ in the rows i >= 0."""
+    if adjoint:
+        a, b = a.conj_reflected(), b.conj_reflected()
+    rows, cols = 2 * n, 2 * (n - _EDGE_PAD)
+    lo = min(a.min_deg, b.min_deg) + _EDGE_PAD
+    hi = max(a.max_deg, b.max_deg) + _EDGE_PAD
+    kl, ku = max(hi, 0), max(-lo, 0)
+    band = np.zeros((cols, kl + ku + 1), dtype=complex)
+    for diag in range(lo, hi + 1):
+        # a starts at operator column 0, or in the adjoint at operator row 0
+        split = n - diag if adjoint else n - _EDGE_PAD
+        first, last = max(0, -diag), min(cols, rows - diag)
+        band[first:last, ku + diag] = b.coeff(diag - _EDGE_PAD)
+        band[max(first, split):last, ku + diag] = a.coeff(diag - _EDGE_PAD)
+    return band, rows, kl, ku
 
-    The subspace of null vectors vanishing on the edge columns is exactly
-    the null space of the sections with those columns removed, so the count
-    needs only singular values of the restricted blocks, which are the
-    first N - _EDGE_PAD columns of each section whatever its b: decaying
-    kernel vectors of the semi-infinite operator reappear there as
-    near-null directions (their edge entries are exponentially small),
-    while edge artifacts and growing recurrence solutions do not.
 
-    Each restricted block is bidiagonalized in place (see _bidiagonal);
-    the singular values are the eigenvalues +-sigma_i of the stacked
-    zero-diagonal Golub-Kahan tridiagonal T (see _golub_kahan_offdiagonal),
-    unsquared.  The count is #{sigma_i <= rank_tol * scale}, with
-    ``scale`` = ||T(a)|| = max |a(z)| on the circle over the blocks: unlike
-    sigma_max of each finite section (at most ||T(a)||), it does not
-    depend on N and is known in advance.  So one Sturm count (dstebz) of
-    the eigenvalues of T / scale in (-rank_tol, rank_tol] is twice the
-    count; an abstol wider than that interval skips the bisection.  An odd
-    count, or a rank_tol at or below the roundoff floor dim * eps of T of
-    order dim, raises UnstableRank, the latter before any LAPACK call."""
-    if not all(np.isfinite(a.coeffs).all() for a in symbols):
+def _kernel_count(section, rank_tol: float, scale: float) -> int:
+    """#{sigma_i <= rank_tol * scale} over the singular values of a
+    restricted section (see _bidiagonal), ``scale`` a bound on the
+    operator's norm: its decaying null vectors reappear there as near-null
+    directions, edge artifacts and growing recurrence solutions do not.
+    The sigma_i are the eigenvalues of the zero-diagonal Golub-Kahan
+    tridiagonal T, off-diagonal d_1, e_1, ..., d_m, so one Sturm count
+    (dstebz) of those of T / scale in (-rank_tol, rank_tol], with an abstol
+    that skips the bisection, is twice the count.  An odd count, or a
+    rank_tol at or below the roundoff floor dim * eps of T of order dim,
+    raises UnstableRank, the latter before any LAPACK call."""
+    band, rows = section[:2]
+    if not np.isfinite(band).all():
         raise ValueError("array must not contain infs or NaNs")
-    dim = 2 * (n - _EDGE_PAD) * len(symbols)
+    dim = 2 * band.shape[0]
     floor = dim * np.finfo(float).eps
     if rank_tol <= floor:
         raise UnstableRank(
-            f"rank_tol={rank_tol:g} at N={n} is not above the roundoff floor "
-            f"{floor:.3g} (order {dim} times eps) of the Golub-Kahan "
-            f"tridiagonal")
-    off = _golub_kahan_offdiagonal(symbols, n) / scale
+            f"rank_tol={rank_tol:g} for the {rows} x {dim // 2} section is not "
+            f"above the roundoff floor {floor:.3g} (order {dim} times eps) of "
+            f"the Golub-Kahan tridiagonal")
+    off = np.empty(dim - 1)
+    off[::2], off[1::2] = _bidiagonal(section)
     # range=1 asks for the eigenvalues in (vl, vu], so il and iu go unused
-    m, _, _, _, info = dstebz(np.zeros(dim), off, 1, -rank_tol, rank_tol,
-                              1, dim, 4 * rank_tol, "E")
+    m, _, _, _, info = dstebz(np.zeros(dim), off / scale, 1, -rank_tol,
+                              rank_tol, 1, dim, 4 * rank_tol, "E")
     if info != 0:
         raise LinAlgError(f"dstebz: bisection failed (info={info})")
     if m % 2:
         raise UnstableRank(
-            f"{m} eigenvalues of the Golub-Kahan tridiagonal at N={n} are "
-            f"at most rank_tol={rank_tol:g} times max |a(z)|, which is not "
-            f"pairs +-sigma")
+            f"{m} eigenvalues of the Golub-Kahan tridiagonal of the {rows} x "
+            f"{dim // 2} section are at most rank_tol={rank_tol:g} times the "
+            f"scale {scale:.6g}, which is not pairs +-sigma")
     return int(m) // 2
-
-
-def _stable_counts(symbols, n: int) -> tuple:
-    """(kernel, cokernel) counts of the direct sum of ``symbols``, which
-    must agree between the sections at N and 2N.  An N below _EDGE_PAD +
-    max(_EDGE_PAD, b + 1), b the largest degree span, leaves too few
-    section columns and raises ValueError.  A block that vanishes on the
-    unit circle raises ZeroOnCircle; the same |a(z)| samples give the
-    scale max |a(z)| of all four counts (the adjoint keeps |a|), and one
-    that overflows raises ValueError."""
-    least = _EDGE_PAD + max(_EDGE_PAD, max(
-        a.max_deg - a.min_deg for a in symbols) + 1)
-    if n < least:
-        raise ValueError(f"N={n} is below the least section size {least}")
-    moduli = [a.modulus_on_circle() for a in symbols]
-    for j, modulus in enumerate(moduli):
-        low = modulus.min()
-        if low <= TOL_CIRCLE:
-            raise ZeroOnCircle(
-                f"block {j} of {len(symbols)} vanishes on the unit circle: "
-                f"min |a(z)| = {low:.3e} <= {TOL_CIRCLE:g}")
-    scale = float(np.max([modulus.max() for modulus in moduli]))
-    if not np.isfinite(scale):
-        raise ValueError(f"max |a(z)| on the unit circle is not finite "
-                         f"({scale}), so the counts have no scale")
-    adj = [a.conj_reflected() for a in symbols]
-    kers = [_kernel_count(symbols, m, RANK_TOL, scale) for m in (n, 2 * n)]
-    coks = [_kernel_count(adj, m, RANK_TOL, scale) for m in (n, 2 * n)]
-    if kers[0] != kers[1] or coks[0] != coks[1]:
-        raise UnstableRank(
-            f"kernel counts did not stabilize between N={n} and 2N: "
-            f"ker {kers}, coker {coks}")
-    return kers[0], coks[0]
 
 
 @dataclass(frozen=True)
@@ -578,20 +562,51 @@ class IndexEntry:
         return self.dim_ker - self.dim_coker
 
 
+def _stable_counts(write, a, b, n: int, span: int,
+                   scale: float) -> IndexEntry:
+    """Kernel counts of ``write(a, b, m)`` and of its adjoint (the cokernel)
+    against ``scale``, which must agree at m = N and 2N.  An N below
+    _EDGE_PAD + max(_EDGE_PAD, span + 1) raises ValueError."""
+    least = _EDGE_PAD + max(_EDGE_PAD, span + 1)
+    if n < least:
+        raise ValueError(f"N={n} is below the least section size {least}")
+    if not np.isfinite(scale):
+        raise ValueError(f"the scale {scale} of the counts is not finite")
+    kers = [_kernel_count(write(a, b, m), RANK_TOL, scale) for m in (n, 2 * n)]
+    coks = [_kernel_count(write(a, b, m, adjoint=True), RANK_TOL, scale)
+            for m in (n, 2 * n)]
+    if kers[0] != kers[1] or coks[0] != coks[1]:
+        raise UnstableRank(
+            f"kernel counts did not stabilize between N={n} and 2N: "
+            f"ker {kers}, coker {coks}")
+    return IndexEntry(kers[0], coks[0])
+
+
+_ONE = LaurentPolynomial.make([1], 0)
+
+
 def numerical_index(coeffs: LaurentPolynomial, n: int) -> IndexEntry:
-    """Kernel/cokernel dimensions of the semi-infinite truncated convolution
-    operator, detected from rectangular sections and stabilized over N and
-    2N."""
-    return IndexEntry(*_stable_counts([coeffs], n))
+    """Kernel/cokernel dimensions of the semi-infinite Toeplitz operator
+    T(a), counted as T(a)T(1) on sections N and 2N."""
+    return numerical_index_product(coeffs, _ONE, n)
 
 
-def numerical_index_direct_sum(symbol_list, n: int) -> IndexEntry:
-    """Kernel/cokernel detection run on the block-diagonal direct sum of the
-    rectangular sections (not on the per-block results).  An empty
-    ``symbol_list`` raises ValueError."""
-    if len(symbol_list) == 0:
-        raise ValueError("numerical_index_direct_sum: the block list is empty")
-    return IndexEntry(*_stable_counts(symbol_list, n))
+def numerical_index_product(a: LaurentPolynomial, b: LaurentPolynomial,
+                            n: int) -> IndexEntry:
+    """Kernel/cokernel dimensions of T(a)T(b), against max |a| max |b|
+    (max |1| = 1 needs no samples)."""
+    return _stable_counts(_product_band, a, b, n, a.max_deg - a.min_deg
+                          + b.max_deg - b.min_deg, a.circle_max("a") * (
+                              1.0 if b is _ONE else b.circle_max("b")))
+
+
+def numerical_index_paired(a: LaurentPolynomial, b: LaurentPolynomial,
+                           n: int) -> IndexEntry:
+    """Kernel/cokernel dimensions of the paired operator a P + b Q (see
+    _paired_band), against max(max |a|, max |b|)."""
+    return _stable_counts(_paired_band, a, b, n, max(a.max_deg, b.max_deg)
+                          - min(a.min_deg, b.min_deg),
+                          max(a.circle_max("a"), b.circle_max("b")))
 
 
 # --------------------------------------------------------------------------
@@ -1048,12 +1063,9 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
 
 def export_operator(op: DiscreteOperator, base_path) -> None:
     """Write the dense matrix as little-endian complex128 row-major bytes
-    with a JSON sidecar describing dims, orders and provenance."""
+    with a JSON sidecar of dims, orders and provenance (see dump_json)."""
     mat = np.ascontiguousarray(op.to_dense().astype("<c16"))
-    base = str(base_path)
-    with open(base + ".bin", "wb") as fh:
-        fh.write(mat.tobytes())
-    sidecar = {
+    sidecar = dump_json({
         "format": "complex128-le-row-major",
         "rows": mat.shape[0],
         "cols": mat.shape[1],
@@ -1063,7 +1075,9 @@ def export_operator(op: DiscreteOperator, base_path) -> None:
             "dim": op.src.grid.dim, "n": op.src.grid.n, "h": op.src.grid.h,
             "origin": list(op.src.grid.origin)},
         "provenance": op.provenance,
-    }
+    })
+    base = str(base_path)
+    with open(base + ".bin", "wb") as fh:
+        fh.write(mat.tobytes())
     with open(base + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-
+        fh.write(sidecar + "\n")

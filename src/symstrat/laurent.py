@@ -77,12 +77,20 @@ class LaurentPolynomial:
         return LaurentPolynomial.make(
             np.conj(np.asarray(self.coeffs))[::-1], -self.max_deg)
 
-    def modulus_on_circle(self) -> np.ndarray:
-        """|a(z)| at CIRCLE_SAMPLES equally spaced nodes of the circle; inf
-        or nan, without a warning, where the sum overflows."""
+    def circle_max(self, name: str = "a") -> float:
+        """max |a(z)| over CIRCLE_SAMPLES nodes of the unit circle; ValueError
+        if it overflows, ZeroOnCircle if min |a(z)| <= TOL_CIRCLE."""
         theta = np.linspace(0.0, 2 * np.pi, CIRCLE_SAMPLES, endpoint=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.abs(self(np.exp(1j * theta)))
+            modulus = np.abs(self(np.exp(1j * theta)))
+        if not np.all(np.isfinite(modulus)):
+            raise ValueError(f"|{name}(z)| on the unit circle is not finite, "
+                             f"so whether {name}(z) vanishes there is unknown")
+        if modulus.min() <= TOL_CIRCLE:
+            raise ZeroOnCircle(
+                f"{name}(z) vanishes on the unit circle: min |{name}(z)| = "
+                f"{modulus.min():.3e} <= {TOL_CIRCLE:g}")
+        return float(modulus.max())
 
     def lifted_text(self) -> str:
         """Symbol text in k1 for a(z) with z = (k1 - i)/(k1 + i), usable by
@@ -105,14 +113,9 @@ def laurent_winding(a: LaurentPolynomial) -> int:
     Equals (number of roots of z^p a(z) strictly inside the disk) - p,
     roots from companion-matrix eigenvalues.  A symbol whose |a(z)|
     overflows on the circle raises ValueError, one that vanishes there
-    ZeroOnCircle.
+    ZeroOnCircle (see LaurentPolynomial.circle_max).
     """
-    modulus = a.modulus_on_circle()
-    if not np.all(np.isfinite(modulus)):
-        raise ValueError("|a(z)| on the unit circle is not finite, so "
-                         "whether a(z) vanishes there is unknown")
-    if modulus.min() <= TOL_CIRCLE:
-        raise ZeroOnCircle("Laurent symbol vanishes on the unit circle")
+    a.circle_max()
     p = a.pole_order
     # z^p * a(z): polynomial with coefficients of degrees min_deg+p .. max_deg+p
     poly = np.zeros(a.max_deg + p + 1, dtype=complex)

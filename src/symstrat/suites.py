@@ -5,10 +5,10 @@ its JSON-ready report, whose ``passed`` is the suite's verdict:
 
 - toeplitz: Fredholm indices of Toeplitz sections of random Laurent
   symbols against root-counting and quadrature windings;
-- additivity: the kernel and cokernel counts of a direct sum against
-  the sums of its blocks' counts;
-- paired: singularity of paired operators against their compressions,
-  with a negative control that must be flagged;
+- additivity: ind T(a)T(b) = -(wind a + wind b) = ind T(a) + ind T(b)
+  and the counts that the windings fix, against T(ab) and a zero of b;
+- paired: ind(a P + b Q) = wind b - wind a = ind T(a) - ind T(b) and the
+  counts of T(a/b), against b P + a Q and a zero of b;
 - assembly: partition-of-unity assembly of an identity family and of
   frozen-coefficient patches against the direct quantization;
 - locality: decay of ``f A g`` as the cutoffs f, g move apart, and an
@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .analysis import check_seed
-from .errors import ConfigError
+from .errors import ConfigError, ZeroOnCircle
 from .factorization import winding_index
 from .geometry import (Ball, Covering, _bump, build_covering,
                        partition_of_unity, stratify_model)
@@ -31,34 +31,25 @@ from .lattice import (DiscreteOperator, DiscreteSobolevSpace, LatticeGrid,
                       assemble_frozen_family, assemble_operator,
                       discretize_symbol_op, high_frequency_mask,
                       locality_defect, numerical_index,
-                      numerical_index_direct_sum, operator_norm,
-                      quantize_full_symbol)
+                      numerical_index_paired, numerical_index_product,
+                      operator_norm, quantize_full_symbol)
 from .laurent import (LaurentPolynomial, laurent_winding,
                       random_elliptic_laurent)
 from .symbols import Symbol
 
 __all__ = ["VERIFY_SUITES", "run_verify_suite"]
 
-# The toeplitz suite's cases and section size, and the additivity suite's
-# section size.
+# The toeplitz suite's cases and section size.
 TOEPLITZ_CASES = 20
 TOEPLITZ_N = 256
-ADDITIVITY_N = 64
 
-# The additivity suite's fixed triple as (coefficients, lowest degree),
-# with windings 1, -2 and 0, and the total index it must report.
-ADDITIVITY_FIXED = (([0, 1], 0), ([1], -2), ([-2.0, 1], 0))
-ADDITIVITY_FIXED_INDEX = 1
-
-# The paired suite's draws and their size, and its thresholds on the
-# reciprocal condition number 1/cond: a matrix is invertible at or above
-# the first, singular at or below the second, and too close to call in
-# between.  Gaussian 50x50 draws stay above 1e-5, and those made singular
-# by construction below 1e-15.
-PAIRED_CASES = 100
-PAIRED_SIZE = 50
-PAIRED_RCOND_REGULAR = 1e-8
-PAIRED_RCOND_SINGULAR = 1e-12
+# The additivity and paired suites' random pairs and section size, their
+# fixed pair a = z, b = z^-2, and the b = 1 - z of their zero-on-circle
+# control, which vanishes at z = 1.
+PAIR_CASES = 20
+PAIR_N = 64
+FIXED_PAIR = (([0, 1], 0), ([1], -2))
+ZERO_ON_CIRCLE = ([1, -1], 0)
 
 
 def _suite_toeplitz(seed: int) -> dict:
@@ -81,99 +72,74 @@ def _suite_toeplitz(seed: int) -> dict:
             "passed": all(c["ok"] for c in cases)}
 
 
-def _suite_additivity(seed: int) -> dict:
+def _product_counts(wind_a: int, wind_b: int):
+    """(ker, coker) of T(a)T(b) where the windings fix them, else None:
+    T(a) is one to one when wind a >= 0, so ker T(a)T(b) = ker T(b), and
+    T(b) is onto when wind b <= 0, so coker T(a)T(b) = coker T(a)."""
+    if wind_a < 0 < wind_b:
+        return None
+    ker = max(-wind_b, 0) if wind_a >= 0 else -wind_a - wind_b
+    return [ker, ker + wind_a + wind_b]
+
+
+# The pair each suite's operator control counts in place of (a, b):
+# T(ab) = T(ab)T(1) for T(a)T(b), and b P + a Q for a P + b Q.
+CONTROLS = {
+    "additivity": lambda a, b: (a * b, LaurentPolynomial.make([1], 0)),
+    "paired": lambda a, b: (b, a)}
+
+
+def _pair_suite(name, seed, count, rule, sign) -> dict:
+    """The fixed and PAIR_CASES random pairs, counted by ``count``.  A case
+    passes when its index is -(wind a + sign wind b) = ind T(a) + sign
+    ind T(b) and its counts are ``rule`` of the windings, where known.  The
+    operator control is flagged when its pair fails that count check on
+    every case where the rule's counts differ (the fixed pair is one); the
+    other when ``count`` refuses b = 1 - z as ZeroOnCircle."""
     rng = np.random.default_rng(seed)
-    cases = []
-
-    def run_triple(symbols, label, expected_index=None):
-        entries = [numerical_index(a, ADDITIVITY_N) for a in symbols]
-        ker = sum(e.dim_ker for e in entries)
-        coker = sum(e.dim_coker for e in entries)
-        direct = numerical_index_direct_sum(symbols, ADDITIVITY_N)
-        ok = ((direct.dim_ker, direct.dim_coker) == (ker, coker)
-              and expected_index in (None, ker - coker))
-        cases.append({"label": label,
-                      "windings": [laurent_winding(a) for a in symbols],
-                      "total_index": ker - coker,
-                      "expected_index": expected_index,
-                      "direct_sum_index": direct.index, "ok": ok})
-
-    run_triple([LaurentPolynomial.make(c, d) for c, d in ADDITIVITY_FIXED],
-               "fixed", ADDITIVITY_FIXED_INDEX)
-    for t in range(10):
-        symbols = [random_elliptic_laurent(rng) for _ in range(3)]
-        run_triple(symbols, f"random-{t}")
-    return {"suite": "additivity", "seed": seed, "cases": cases,
-            "passed": all(c["ok"] for c in cases)}
-
-
-def _paired_draw(rng, size: int, singular: bool):
-    """A complex Gaussian matrix a and a random mask with 1 to size - 1
-    points.  With ``singular`` the compression a[mask, mask] is singular
-    by construction: its first column is a random combination of the
-    others (zero when it is the only one)."""
-    a = rng.standard_normal((size, size)) + 1j * rng.standard_normal(
-        (size, size))
-    k = int(rng.integers(1, size))
-    sel = rng.permutation(size)[:k]
-    mask = np.zeros(size, dtype=bool)
-    mask[sel] = True
-    if singular:
-        c = rng.standard_normal(k - 1) + 1j * rng.standard_normal(k - 1)
-        a[sel, sel[0]] = a[np.ix_(sel, sel[1:])] @ c
-    return a, mask
+    pairs = [("fixed", *[LaurentPolynomial.make(c, d) for c, d in FIXED_PAIR])]
+    pairs += [(f"random-{t}", random_elliptic_laurent(rng),
+               random_elliptic_laurent(rng)) for t in range(PAIR_CASES)]
+    cases, flags = [], []
+    for label, a, b in pairs:
+        winds = [laurent_winding(a), laurent_winding(b)]
+        ind_a, ind_b = (numerical_index(p, PAIR_N).index for p in (a, b))
+        entry = count(a, b, PAIR_N)
+        counts, expected = [entry.dim_ker, entry.dim_coker], rule(*winds)
+        cases.append({"label": label, "windings": winds, "counts": counts,
+                      "expected_counts": expected, "index": entry.index,
+                      "ok": (entry.index == -(winds[0] + sign * winds[1])
+                             == ind_a + sign * ind_b
+                             and expected in (None, counts))})
+        wrong = CONTROLS[name](a, b)
+        if expected not in (None, rule(*map(laurent_winding, wrong))):
+            got = count(*wrong, PAIR_N)
+            cases[-1]["control_counts"] = [got.dim_ker, got.dim_coker]
+            flags.append(cases[-1]["control_counts"] != expected)
+    try:
+        count(pairs[0][1], LaurentPolynomial.make(*ZERO_ON_CIRCLE), PAIR_N)
+        refused = None
+    except ZeroOnCircle as err:
+        refused = str(err)
+    controls = [{"control": "operator", "cases": len(flags),
+                 "flagged": bool(flags) and all(flags)},
+                {"control": "zero_on_circle", "refused": refused,
+                 "flagged": refused is not None}]
+    return {"suite": name, "seed": seed, "cases": cases,
+            "negative_controls": controls,
+            "passed": (all(c["ok"] for c in cases)
+                       and all(c["flagged"] for c in controls))}
 
 
-def _singular(mat):
-    """(verdict, 1/cond(mat)): singular at or below PAIRED_RCOND_SINGULAR,
-    invertible at or above PAIRED_RCOND_REGULAR, None (ambiguous) in
-    between."""
-    rcond = 1.0 / float(np.linalg.cond(mat))
-    if rcond <= PAIRED_RCOND_SINGULAR:
-        return True, rcond
-    return (False if rcond >= PAIRED_RCOND_REGULAR else None), rcond
-
-
-def _paired_verdicts(a, paired_mask, compression_mask):
-    """(borderline, agree, record): singularity of the paired operator
-    a P_+ + P_-, P_+ the projector onto ``paired_mask``, and of the
-    compression a[mask, mask] of ``compression_mask``, each decided by
-    _singular.  With one mask for both they must agree: the paired
-    operator is block triangular with the compression and an identity on
-    its diagonal."""
-    paired = a * paired_mask + np.diag((~paired_mask).astype(complex))
-    sing_p, rcond_p = _singular(paired)
-    sing_c, rcond_c = _singular(a[np.ix_(compression_mask, compression_mask)])
-    record = {"n_plus": int(compression_mask.sum()), "singular": sing_c,
-              "rcond_paired": rcond_p, "rcond_compression": rcond_c}
-    return sing_p is None or sing_c is None, sing_p == sing_c, record
+def _suite_additivity(seed: int) -> dict:
+    return _pair_suite("additivity", seed, numerical_index_product,
+                       _product_counts, 1)
 
 
 def _suite_paired(seed: int) -> dict:
-    """Paired operators against their compressions, singular by
-    construction in every other case, with a negative control that pairs
-    a singular compression with the operator of a shifted mask, whose
-    verdicts must disagree."""
-    rng = np.random.default_rng(seed)
-    cases = []
-    n_border = 0
-    for t in range(PAIRED_CASES):
-        singular = t % 2 == 1
-        a, mask = _paired_draw(rng, PAIRED_SIZE, singular)
-        borderline, agree, case = _paired_verdicts(a, mask, mask)
-        if borderline:
-            n_border += 1
-            continue
-        case["ok"] = agree and case["singular"] == singular
-        cases.append(case)
-    a, mask = _paired_draw(rng, PAIRED_SIZE, True)
-    borderline, agree, control = _paired_verdicts(a, np.roll(mask, 1), mask)
-    control["flagged"] = not (borderline or agree)
-    return {"suite": "paired", "seed": seed, "cases": cases,
-            "n_borderline": n_border,
-            "n_singular": sum(c["singular"] for c in cases),
-            "negative_control": control,
-            "passed": all(c["ok"] for c in cases) and control["flagged"]}
+    # a P + b Q has the counts of T(a/b), one of them zero
+    return _pair_suite("paired", seed, numerical_index_paired,
+                       lambda wa, wb: [max(wb - wa, 0), max(wa - wb, 0)], -1)
 
 
 def _suite_assembly(seed: int) -> dict:

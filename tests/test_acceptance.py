@@ -18,7 +18,7 @@ from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
                               LatticeGrid, assemble_operator,
                               assembly_convergence,
                               discretize_symbol_op, locality_defect,
-                              numerical_index, numerical_index_direct_sum,
+                              numerical_index, numerical_index_product,
                               operator_norm)
 from symstrat.laurent import (LaurentPolynomial, laurent_winding,
                               random_elliptic_laurent)
@@ -53,39 +53,56 @@ def test_acceptance_01_toeplitz_index_theorem():
 
 def test_acceptance_02_index_additivity():
     t0 = time.perf_counter()
-    fixed = [LaurentPolynomial.make([0, 1], 0),
-             LaurentPolynomial.make([1], -2),
-             LaurentPolynomial.make([-2.0, 1], 0)]
-    assert [laurent_winding(a) for a in fixed] == [1, -2, 0]
-    entries = [numerical_index(a, 64) for a in fixed]
-    direct = numerical_index_direct_sum(fixed, 64)
-    ok = sum(e.index for e in entries) == 1 and direct.index == 1
+    # T(z)T(z^-2) keeps the kernel e_0, e_1 of T(z^-2) and the cokernel of
+    # T(z): counts (2, 1), index 1, where T(z^-1) reads (1, 0); and
+    # T(z^2)T(z^-2) = I - P_2 reads (2, 2), where T(1) reads (0, 0)
+    z = LaurentPolynomial.make([0, 1], 0)
+    fixed = [(z, LaurentPolynomial.make([1], -2), (2, 1), (1, 0)),
+             (z * z, LaurentPolynomial.make([1], -2), (2, 2), (0, 0))]
+    ok = True
+    for a, b, counts, ab_counts in fixed:
+        product = numerical_index_product(a, b, 64)
+        ab = numerical_index(a * b, 64)
+        ok = ok and (product.dim_ker, product.dim_coker) == counts
+        ok = ok and (ab.dim_ker, ab.dim_coker) == ab_counts
     rng = np.random.default_rng(2024)
     for _ in range(10):
-        symbols = [random_elliptic_laurent(rng) for _ in range(3)]
-        entries = [numerical_index(a, 64) for a in symbols]
-        direct = numerical_index_direct_sum(symbols, 64)
-        ok = ok and direct.dim_ker == sum(e.dim_ker for e in entries)
-        ok = ok and direct.dim_coker == sum(e.dim_coker for e in entries)
-        ok = ok and all(e.index == -laurent_winding(a)
-                        for e, a in zip(entries, symbols))
+        a, b = random_elliptic_laurent(rng), random_elliptic_laurent(rng)
+        wind_a, wind_b = laurent_winding(a), laurent_winding(b)
+        product = numerical_index_product(a, b, 64)
+        ok = ok and product.index == -(wind_a + wind_b) == (
+            numerical_index(a, 64).index + numerical_index(b, 64).index)
+        # T(a) is one to one for wind a >= 0, T(b) onto for wind b <= 0
+        if wind_a >= 0:
+            ok = ok and product.dim_ker == max(-wind_b, 0)
+        if wind_b <= 0:
+            ok = ok and product.dim_coker == max(wind_a, 0)
+    report = run_verify_suite("additivity", seed=7)
+    ok = ok and report["passed"] and len(report["cases"]) == 21 and all(
+        c["flagged"] for c in report["negative_controls"])
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 5.0
     _verdict(2, "index additivity", ok,
-             f"fixed triple gives +1, 10 random triples exact, "
-             f"{elapsed:.1f}s")
+             f"T(z)T(z^-2) reads (2, 1) and index 1, 10 random products "
+             f"exact, suite controls flagged, {elapsed:.1f}s")
 
 
 def test_acceptance_03_paired_equation_equivalence():
     t0 = time.perf_counter()
     report = run_verify_suite("paired", seed=7)
     elapsed = time.perf_counter() - t0
-    ok = (report["passed"]
-          and len(report["cases"]) + report["n_borderline"] == 100
+    # ker and coker of a P + b Q are those of T(a/b), by Coburn one of
+    # them zero: max(wind b - wind a, 0) and max(wind a - wind b, 0)
+    closed_form = all(
+        c["counts"] == [max(wb - wa, 0), max(wa - wb, 0)]
+        and c["index"] == wb - wa for c in report["cases"]
+        for wa, wb in [c["windings"]])
+    ok = (report["passed"] and closed_form and len(report["cases"]) == 21
+          and all(c["flagged"] for c in report["negative_controls"])
           and elapsed < 5.0)
     _verdict(3, "paired equation equivalence", ok,
-             f"{len(report['cases'])} non-borderline cases agree, "
-             f"{elapsed:.1f}s")
+             f"{len(report['cases'])} pairs read ind = wind b - wind a, "
+             f"swapped pairing and zero on circle flagged, {elapsed:.1f}s")
 
 
 def test_acceptance_04_wave_factor_validation():

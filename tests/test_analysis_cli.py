@@ -190,40 +190,72 @@ def test_verify_toeplitz_suite():
 
 
 def test_verify_additivity_suite():
-    report = run_verify_suite("additivity", 1)
-    assert report["passed"]
+    for seed in (0, 1, 2, 3, 7):
+        report = run_verify_suite("additivity", seed)
+        assert report["passed"], seed
+        assert all(c["flagged"] for c in report["negative_controls"])
     fixed = report["cases"][0]
-    assert fixed["windings"] == [1, -2, 0]
-    assert fixed["total_index"] == 1
+    assert fixed["windings"] == [1, -2] and fixed["index"] == 1
+    # T(z)T(z^-2) against T(z^-1)
+    assert fixed["counts"] == fixed["expected_counts"] == [2, 1]
+    assert fixed["control_counts"] == [1, 0]
 
 
-def test_verify_additivity_fixed_triple_is_a_case(monkeypatch):
-    # a wrong total on the fixed triple fails the suite instead of
-    # tripping an assert that python -O would strip
-    monkeypatch.setattr(suites, "ADDITIVITY_FIXED_INDEX", 2)
+def test_verify_additivity_fails_t_ab_in_place_of_the_product(monkeypatch):
+    # a product writer that dropped the corner H(a)H(b~) would count T(ab):
+    # its index holds, but the counts of the fixed pair do not
+    monkeypatch.setattr(suites, "numerical_index_product",
+                        lambda a, b, n: suites.numerical_index(a * b, n))
     report = run_verify_suite("additivity", 1)
     assert not report["passed"]
     fixed = report["cases"][0]
-    assert fixed["expected_index"] == 2 and fixed["total_index"] == 1
+    assert fixed["index"] == 1 and fixed["counts"] == [1, 0]
     assert not fixed["ok"]
 
 
 def test_verify_paired_suite():
-    report = run_verify_suite("paired", 3)
-    assert report["passed"]
+    for seed in (0, 1, 2, 3, 7):
+        report = run_verify_suite("paired", seed)
+        assert report["passed"], seed
+        assert all(c["flagged"] for c in report["negative_controls"])
 
 
 def test_verify_paired_suite_decides_singular_cases_and_flags_its_control():
     report = run_verify_suite("paired", 3)
-    # every other draw is singular by construction, and its conditioning
-    # is far from the borderline band on both sides
-    assert report["n_borderline"] == 0
-    assert report["n_singular"] == 50
-    assert [c["singular"] for c in report["cases"]] == [False, True] * 50
+    swapped = 0
+    for case in report["cases"]:
+        # a P + b Q reads the counts of T(a/b), so it is singular exactly
+        # where wind a != wind b
+        wind_a, wind_b = case["windings"]
+        assert case["counts"] == [max(wind_b - wind_a, 0),
+                                  max(wind_a - wind_b, 0)]
+        # b P + a Q reads the counts of T(b/a): they trade places
+        if wind_a != wind_b:
+            assert case["control_counts"] == case["counts"][::-1]
+            swapped += 1
+    operator, zero = report["negative_controls"]
+    assert operator["cases"] == swapped >= 10
+    assert zero["refused"].startswith("b(z) vanishes on the unit circle")
+
+
+@pytest.mark.parametrize("name", ["additivity", "paired"])
+def test_verify_pair_suite_fails_when_its_control_is_the_checked_operator(
+        name, monkeypatch):
+    monkeypatch.setitem(suites.CONTROLS, name, lambda a, b: (a, b))
+    report = run_verify_suite(name, 0)
     assert all(c["ok"] for c in report["cases"])
-    control = report["negative_control"]
-    assert control["singular"] and control["flagged"]
-    assert control["rcond_compression"] <= 1e-12 <= control["rcond_paired"]
+    assert report["negative_controls"][0] == {
+        "control": "operator", "cases": 0, "flagged": False}
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("name", ["additivity", "paired"])
+def test_verify_pair_suite_fails_when_b_does_not_vanish(name, monkeypatch):
+    monkeypatch.setattr(suites, "ZERO_ON_CIRCLE", ([2, -1], 0))
+    report = run_verify_suite(name, 0)
+    assert report["negative_controls"][1] == {
+        "control": "zero_on_circle", "refused": None, "flagged": False}
+    assert not report["passed"]
 
 
 def test_verify_assembly_suite():
@@ -711,8 +743,18 @@ def test_cli_wave_validate_refuses_a_flat_cone(capsys):
     assert main(["wave-validate", "--symbol", "(k1+i)*(k2+i)", "--alpha",
                  "2", "--dim", "2", "--a-neq", "(k1+i)*(k2+i)", "--a-eq",
                  "1", "--cone", "[[1,0]]", "--declared-ae", "2"]) == 3
-    assert "factorization cone must be full-dimensional" in \
-        capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        "configuration error: --cone: factorization cone must be "
+        "full-dimensional")
+
+
+def test_cli_wave_validate_refuses_a_bad_k_by_name(capsys):
+    assert main(["wave-validate", "--symbol", "(k1+i)*(k2+i)", "--alpha",
+                 "2", "--dim", "2", "--a-neq", "(k1+i)*(k2+i)", "--a-eq",
+                 "1", "--cone", "[[1]]", "--k", "2",
+                 "--declared-ae", "2"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "configuration error: --k: need 0 <= k <= 1, got 2")
 
 
 @pytest.mark.parametrize("cone, reason", [
@@ -722,8 +764,10 @@ def test_cli_wave_validate_refuses_a_flat_cone(capsys):
     ("[[1,0],[0,1,0]]", "mixed dimension"),
     ("[[1,0],[0,1e-12]]", "entry 1e-12 has no rational"),
     ("[[1,1e-12],[0,1]]", "entry 1e-12 has no rational"),
+    ("[[1,0],[-1,0],[0,1]]", "factorization cone must be pointed"),
+    ("[[1,0,0],[0,1,0],[0,0,1]]", "cone dimension 3 != m-k = 2"),
 ], ids=["flat-list", "overflow", "empty", "mixed-dim", "tiny-entry",
-        "tiny-off-axis"])
+        "tiny-off-axis", "not-pointed", "wrong-dim"])
 def test_cli_wave_validate_refuses_a_bad_cone_by_name(cone, reason,
                                                       tmp_path, capsys):
     out = tmp_path / "out"

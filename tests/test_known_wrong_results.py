@@ -1,0 +1,68 @@
+"""Known wrong results, one strict xfail test each, asserting the right value.
+
+Each test fails today on its assertion alone: ``raises=AssertionError``
+keeps a crash from counting as the expected failure.  When a fix lands,
+the test passes, strict mode turns that pass into a failure, and the fix
+removes the marker; the test is then the fix's regression gate.  The
+numbers refer to the items of ``ROADMAP.md``.
+"""
+
+import pytest
+
+from symstrat.analysis import AnalysisConfig, run_analysis
+from symstrat.errors import SymstratError
+from symstrat.factorization import winding_index
+from symstrat.symbols import Symbol
+
+known_wrong = pytest.mark.xfail(strict=True, raises=AssertionError)
+
+
+def _stages(symbol, alpha, model, s_order=0.0):
+    return run_analysis(AnalysisConfig(symbol, alpha, model,
+                                       s_order)).comparable_dict()["stages"]
+
+
+@known_wrong
+def test_item_4_each_edge_winds_along_its_own_normal():
+    # on x1 = 0 the inward normal is +e1, so the factor (k1-i)/(k1+i)
+    # adds to alpha/2 = 1; on x1 = 1 it is -e1, and it subtracts
+    reports = _stages("(1+normx2(x))*((k1-i)/(k1+i))*(1+abs2(k))", 2.0,
+                      "square")["factorization"]["reports"]
+    ae = {r["stratum"]: r["ae_values"] for r in reports}
+    assert ae["edge-3"] == pytest.approx([2.0, 2.0])
+    assert ae["edge-1"] == pytest.approx([0.0, 0.0])
+
+
+@known_wrong
+@pytest.mark.parametrize("text", ["(k1-50+0.01*i)/(k1-50-0.01*i)",
+                                  "(k1-3000+0.1*i)/(k1-3000-0.1*i)"])
+def test_item_9_winding_sees_a_narrow_zero_far_out(text):
+    # the zero at t = 50 + 0.01i (t = 3000 + 0.1i) lies above the line:
+    # the winding is -1, or the quadrature refuses by name
+    try:
+        value = winding_index(Symbol.parse(text, 0.0, 1), [0.0], [])
+    except SymstratError:
+        return
+    assert round(value) == -1
+
+
+@known_wrong
+def test_item_18_a_declared_order_below_the_growth_is_not_fredholm():
+    # 1 + |xi|^2 has order 2: declared with alpha 1, its indices alpha/2
+    # are wrong, and the run must not report the operator Fredholm
+    stages = _stages("1+abs2(k)", 1.0, "square", 0.5)
+    assert stages["fredholm"].get("fredholm") is not True
+
+
+@known_wrong
+def test_item_2_a_zero_at_a_face_point_fails_the_ellipticity_stage():
+    # the symbol vanishes at the face point (0.025, 0.025, 0) with xi = 0
+    stages = _stages("(x1-0.025)^2+(x2-0.025)^2+x3^2+abs2(k)", 2.0, "cube")
+    assert stages["ellipticity"]["status"] == "error"
+
+
+@known_wrong
+def test_item_8_a_zero_line_between_samples_is_not_elliptic():
+    # (x1-0.3)^2 + |xi|^2 vanishes on the line x1 = 0.3 at xi = 0
+    stages = _stages("(x1-0.3)^2+abs2(k)", 2.0, "square")
+    assert stages["ellipticity"]["status"] == "error"

@@ -16,6 +16,7 @@ import scipy.linalg
 from numpy.linalg import LinAlgError
 from scipy.sparse.linalg import LinearOperator
 
+from symstrat.analysis import dump_json
 from symstrat.dsl import BinOp, SymbolExpr
 
 from symstrat import lattice
@@ -31,11 +32,14 @@ from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
                               assembly_convergence, discretize_symbol_op,
                               export_operator, high_frequency_mask,
                               locality_defect, numerical_index,
-                              numerical_index_direct_sum, operator_norm,
-                              quantize_full_symbol)
+                              numerical_index_paired, numerical_index_product,
+                              operator_norm, quantize_full_symbol)
 from symstrat.laurent import (LaurentPolynomial, laurent_winding,
                               random_elliptic_laurent)
 from symstrat.symbols import Symbol
+
+
+ONE = LaurentPolynomial.make([1], 0)
 
 
 def rect_section_matrix(coeffs: LaurentPolynomial, rows: int,
@@ -52,6 +56,12 @@ def rect_section_matrix(coeffs: LaurentPolynomial, rows: int,
 def test_grid_validation():
     with pytest.raises(ValueError):
         LatticeGrid(1, 7, 1.0)
+    # a float N is refused by name, not by the power-of-two bit test
+    for n in (8.0, 16.5):
+        with pytest.raises(ValueError, match=f"^N must be an integer power "
+                                             f"of two >= 8, got {n}$"):
+            LatticeGrid(2, n, 0.1)
+    assert LatticeGrid(1, np.int64(8), 1.0).size == 8
     with pytest.raises(ValueError):
         LatticeGrid(1, 12, 1.0)
     with pytest.raises(ValueError):
@@ -223,46 +233,6 @@ def test_paired_two_point_toy():
     assert np.linalg.matrix_rank(compression) == 0
 
 
-def test_paired_compression_equivalence_random():
-    rng = np.random.default_rng(17)
-    agreements = 0
-    for _ in range(100):
-        n = 50
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        k = int(rng.integers(1, n))
-        mask = np.zeros(n, dtype=bool)
-        mask[rng.permutation(n)[:k]] = True
-        paired = a @ np.diag(mask.astype(complex)) + np.diag(
-            (~mask).astype(complex))
-        compression = a[np.ix_(mask, mask)]
-        cond_p = np.linalg.cond(paired)
-        cond_c = np.linalg.cond(compression)
-        if max(cond_p, cond_c) >= 1e8:
-            continue
-        assert (cond_p < 1e8) == (cond_c < 1e8)
-        # determinants agree up to sign from the basis permutation
-        sign_p, logdet_p = np.linalg.slogdet(paired)
-        sign_c, logdet_c = np.linalg.slogdet(compression)
-        assert logdet_p == pytest.approx(logdet_c, rel=1e-8, abs=1e-8)
-        agreements += 1
-    assert agreements >= 95
-
-
-def test_paired_compression_equivalence_singular_case():
-    # engineered singular compression: the paired operator is singular too
-    rng = np.random.default_rng(5)
-    n = 20
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    mask = np.zeros(n, dtype=bool)
-    mask[:6] = True
-    a[np.ix_(mask, mask)] = np.outer(rng.standard_normal(6),
-                                     rng.standard_normal(6))
-    paired = a @ np.diag(mask.astype(complex)) + np.diag(
-        (~mask).astype(complex))
-    assert np.linalg.matrix_rank(a[np.ix_(mask, mask)]) == 1
-    assert np.linalg.matrix_rank(paired) == n - 5
-
-
 # --------------------------------------------------------------------------
 # Toeplitz sections and index detection
 
@@ -330,11 +300,25 @@ def test_numerical_index_backshift_kernel_vector():
 def test_numerical_index_zero_on_circle():
     with pytest.raises(ZeroOnCircle):
         numerical_index(LaurentPolynomial.make([-1, 1], 0), 32)
-    # 1 + z vanishes at z = -1: the direct sum refuses and names the block
-    blocks = [LaurentPolynomial.make([1, 1], 0),
-              LaurentPolynomial.make([2, 1], 0)]
-    with pytest.raises(ZeroOnCircle, match="block 0 of 2"):
-        numerical_index_direct_sum(blocks, 64)
+    # 1 + z vanishes at z = -1: the product refuses and names the factor
+    one_plus_z, two_plus_z = (LaurentPolynomial.make([c, 1], 0)
+                              for c in (1, 2))
+    with pytest.raises(ZeroOnCircle, match=r"^a\(z\) vanishes"):
+        numerical_index_product(one_plus_z, two_plus_z, 64)
+    with pytest.raises(ZeroOnCircle, match=r"^b\(z\) vanishes"):
+        numerical_index_product(two_plus_z, one_plus_z, 64)
+
+
+def test_paired_refuses_a_zero_on_circle_that_the_count_misses():
+    # b = 1 - z vanishes at z = 1, yet the sections of 2 P + ... read a
+    # stable (0, 0): only the refusal by name keeps it from a count
+    a = LaurentPolynomial.make([2, 1], 0)
+    b = LaurentPolynomial.make([1, -1], 0)
+    for n in (64, 128):
+        assert lattice._stable_counts(lattice._paired_band, a, b, n, 1,
+                                      3.0) == IndexEntry(0, 0)
+    with pytest.raises(ZeroOnCircle, match=r"^b\(z\) vanishes"):
+        numerical_index_paired(a, b, 64)
 
 
 def test_numerical_index_unstable_rank_near_circle():
@@ -348,10 +332,10 @@ def test_numerical_index_unstable_rank_near_circle():
     assert (entry.dim_ker, entry.dim_coker) == (1, 0)
 
 
-def test_direct_sum_unstable_rank_names_sizes_and_counts():
+def test_product_unstable_rank_names_sizes_and_counts():
     poly = LaurentPolynomial.make([-1.2, 1], -1)
     with pytest.raises(UnstableRank) as info:
-        numerical_index_direct_sum([LaurentPolynomial.make([1], 0), poly], 64)
+        numerical_index_product(ONE, poly, 64)
     message = str(info.value)
     assert "N=64" in message and "ker [0, 1]" in message
 
@@ -364,47 +348,51 @@ def test_numerical_index_matches_minus_winding_random():
         assert entry.index == -laurent_winding(poly)
 
 
-def test_direct_sum_block_detection():
-    symbols = [LaurentPolynomial.make([0, 1], 0),
-               LaurentPolynomial.make([1], -2),
-               LaurentPolynomial.make([-2.0, 1], 0)]
-    assert [laurent_winding(a) for a in symbols] == [1, -2, 0]
-    direct = numerical_index_direct_sum(symbols, 64)
-    parts = [numerical_index(a, 64) for a in symbols]
-    assert direct.index == sum(p.index for p in parts) == 1
-    assert direct.dim_ker == sum(p.dim_ker for p in parts)
-    assert direct.dim_coker == sum(p.dim_coker for p in parts)
+def test_product_counts_on_fixed_pairs():
+    # T(z)T(z^-2) has the kernel of T(z^-2), e_0 and e_1, and the cokernel
+    # of T(z); T(z^-1) has no cokernel (Coburn).  T(z^2)T(z^-2) = I - P_2
+    z, z_inv2 = LaurentPolynomial.make([0, 1], 0), LaurentPolynomial.make(
+        [1], -2)
+    z2 = LaurentPolynomial.make([1], 2)
+    for a, b, counts, ab_counts in ((z, z_inv2, (2, 1), (1, 0)),
+                                    (z2, z_inv2, (2, 2), (0, 0))):
+        entry = numerical_index_product(a, b, 64)
+        assert (entry.dim_ker, entry.dim_coker) == counts
+        ab = numerical_index(a * b, 64)
+        assert (ab.dim_ker, ab.dim_coker) == ab_counts
+        assert entry.index == ab.index == -(laurent_winding(a)
+                                            + laurent_winding(b))
 
 
 def test_numerical_index_refuses_a_section_below_the_least_n():
     # the restricted N x (N - 4) section needs at least 4 columns and more
-    # than the degree span b: N >= 4 + max(4, b + 1), 8 for b <= 3
+    # than the degree span b: N >= 4 + max(4, b + 1), 8 for b <= 3; the
+    # span of T(a)T(b) is that of ab, and of a P + b Q that of a and b
     two = LaurentPolynomial.make([2, 1], 0)
+    back = LaurentPolynomial.make([1], -1)
     for n in (3, 4, 5):
         with pytest.raises(ValueError, match=f"^N={n} is below the least "
                                              f"section size 8"):
             numerical_index(two, n)
-        with pytest.raises(ValueError, match=f"^N={n} .* size 8"):
-            numerical_index_direct_sum([two, LaurentPolynomial.make([1], -1)],
-                                       n)
+        for count in (numerical_index_product, numerical_index_paired):
+            with pytest.raises(ValueError, match=f"^N={n} .* size 8"):
+                count(two, back, n)
     span3 = LaurentPolynomial.make([1], 3)                 # z^3
     entry = numerical_index(span3, 8)
     assert (entry.dim_ker, entry.dim_coker) == (0, 3)
-    entry = numerical_index_direct_sum([two, span3], 8)
+    entry = numerical_index_product(two, span3, 8)
     assert (entry.dim_ker, entry.dim_coker) == (0, 3)
+    entry = numerical_index_paired(ONE, span3, 8)   # x+ = -z^3 x-
+    assert (entry.dim_ker, entry.dim_coker) == (3, 0)
     span4 = LaurentPolynomial.make([2, 0, 0, 0, 1], 0)     # 2 + z^4
     with pytest.raises(ValueError, match="^N=8 .* size 9"):
         numerical_index(span4, 8)
     entry = numerical_index(span4, 9)
     assert (entry.dim_ker, entry.dim_coker) == (0, 0)
-
-
-def test_direct_sum_refuses_an_empty_block_list():
-    # refused by name, before the least-N check (which reads the spans)
-    for n in (3, 64):
-        with pytest.raises(ValueError, match="^numerical_index_direct_sum: "
-                                             "the block list is empty$"):
-            numerical_index_direct_sum([], n)
+    with pytest.raises(ValueError, match="^N=9 .* size 10"):
+        numerical_index_product(two, span4, 9)       # span 1 + 4
+    with pytest.raises(ValueError, match="^N=9 .* size 10"):
+        numerical_index_paired(back, span4, 9)       # span 4 - (-1)
 
 
 def test_numerical_index_scales_huge_coefficients_without_overflow():
@@ -417,86 +405,104 @@ def test_numerical_index_scales_huge_coefficients_without_overflow():
     assert (entry.dim_ker, entry.dim_coker) == (0, 1)
     # max |a(z)| = 2.5e308 is not a double: refused by name, before any
     # LAPACK call
-    with pytest.raises(ValueError, match=r"max \|a\(z\)\| on the unit circle "
+    with pytest.raises(ValueError, match=r"^\|a\(z\)\| on the unit circle "
                                          r"is not finite"):
         numerical_index(LaurentPolynomial.make([1.5e308, 1e308], 0), 64)
+    # so is a product scale max |a| max |b| above the largest double
+    huge = LaurentPolynomial.make([1e200, 3e200], 0)
+    with pytest.raises(ValueError, match="^the scale inf of the counts is "
+                                         "not finite"):
+        numerical_index_product(huge, huge, 64)
 
 
-def _circle_norm(symbols):
-    """max |a(z)| over the blocks, the scale of lattice._kernel_count."""
-    return max(a.modulus_on_circle().max() for a in symbols)
+def _scale(write, a, b):
+    """The scale of lattice._kernel_count: max |a| max |b| for T(a)T(b),
+    max(max |a|, max |b|) for a P + b Q."""
+    high_a, high_b = a.circle_max(), b.circle_max()
+    if write is lattice._product_band:
+        return high_a * high_b
+    return max(high_a, high_b)
 
 
-def _count(symbols, n, rank_tol=lattice.RANK_TOL):
-    return lattice._kernel_count(symbols, n, rank_tol, _circle_norm(symbols))
+def _count(write, a, b, n, rank_tol=lattice.RANK_TOL, adjoint=False):
+    return lattice._kernel_count(write(a, b, n, adjoint), rank_tol,
+                                 _scale(write, a, b))
 
 
-def _dense_kernel_count(symbols, n, rank_tol):
-    """Oracle: #{sigma_i <= rank_tol * max |a(z)|} over the singular values
-    of the block-diagonal restricted sections, from a dense SVD.  The rule
-    relative to sigma_max of the section must give the same count."""
-    sub = scipy.linalg.block_diag(*[
-        rect_section_matrix(a, n, n - lattice._EDGE_PAD) for a in symbols])
-    sig = np.linalg.svd(sub, compute_uv=False)
-    count = int(np.sum(sig <= rank_tol * _circle_norm(symbols)))
+def _dense_section(write, a, b, n, adjoint=False):
+    """Oracle: the section that ``write`` puts in band storage, built as a
+    dense matrix product.  T(a)T(b) is T_M(a) T_M(b) with M = N + 64, exact
+    on rows [0, N) while no degree is below -64; its adjoint T(b~)T(a~).
+    a P + b Q is L(a) P + L(b) Q on indices [-N - 16, N + 16), L(c)[i, j]
+    = c_{i-j}, exact on every entry, and its adjoint the conjugate
+    transpose; the section keeps rows [-N, N), columns [-N + 4, N - 4)."""
+    if write is lattice._product_band:
+        if adjoint:
+            a, b = b.conj_reflected(), a.conj_reflected()
+        m = n + 64
+        full = (rect_section_matrix(a, m, m) @ rect_section_matrix(b, m, m))
+        return full[:n, :n - lattice._EDGE_PAD]
+    m = n + 16
+    index = np.arange(-m, m)
+    plus = np.diag((index >= 0).astype(complex))
+    full = np.array([[a.coeff(i - j) for j in index] for i in index]) @ plus \
+        + np.array([[b.coeff(i - j) for j in index] for i in index]) @ (
+            np.eye(2 * m) - plus)
+    if adjoint:
+        full = full.conj().T
+    pad = lattice._EDGE_PAD
+    return full[m - n:m + n, m - n + pad:m + n - pad]
+
+
+def _dense_kernel_count(section, rank_tol, scale):
+    """Oracle: #{sigma_i <= rank_tol * scale} over the singular values of
+    a dense section, from a dense SVD.  The rule relative to sigma_max of
+    the section must give the same count."""
+    sig = np.linalg.svd(section, compute_uv=False)
+    count = int(np.sum(sig <= rank_tol * scale))
     assert count == int(np.sum(sig <= rank_tol * sig[0]))
     return count
 
 
-def _golub_kahan_band(coeffs: LaurentPolynomial, n: int):
-    """Reference: the Hermitian augmented matrix [[0, S], [S^H, 0]] of the
-    restricted N x (N - _EDGE_PAD) section S, entry S[i, j] = a_{i-j}, as
-    (lower band offsets, column positions, values), with row i of S placed
-    next to column i - s, s = floor((min_deg + max_deg) / 2).
+def _golub_kahan_band(section):
+    """Reference: the Hermitian augmented matrix [[0, S], [S^H, 0]] of a
+    dense section S whose nonzeros lie on the diagonals lo <= i - j <= hi,
+    as (lower band offsets, column positions, values), with row i of S
+    placed next to column i - s, s = floor((lo + hi) / 2).
 
-    Row i gets the key 2i and column j the key 2(j + s) + 1; an entry
-    a_d, d = i - j, then joins keys 2(s - d) + 1 apart, at most
-    max_deg - min_deg + 1, and ranking the distinct keys only brings
-    neighbours closer.  Its eigenvalues are +-sigma_i of S plus _EDGE_PAD
-    structural zeros, an independent route to the singular values that
+    Row i gets the key 2i and column j the key 2(j + s) + 1; an entry on
+    diagonal d = i - j then joins keys 2(s - d) + 1 apart, at most
+    hi - lo + 1, and ranking the distinct keys only brings neighbours
+    closer.  Its eigenvalues are +-sigma_i of S plus rows - cols structural
+    zeros, an independent route to the singular values that
     lattice._kernel_count reads off its bidiagonal."""
-    m = n - lattice._EDGE_PAD
-    s = (coeffs.min_deg + coeffs.max_deg) // 2
-    keys = np.concatenate([2 * np.arange(n), 2 * (np.arange(m) + s) + 1])
-    pos = np.empty(n + m, dtype=np.intp)
-    pos[np.argsort(keys)] = np.arange(n + m)
-    offsets, cols, vals = [], [], []
-    for d in range(coeffs.min_deg, coeffs.max_deg + 1):
-        c = coeffs.coeff(d)
-        i = np.arange(max(d, 0), min(n, m + d))
-        p_row, p_col = pos[i], pos[n + i - d]
-        # S[i, j] sits at (p_row, p_col) and its conjugate at (p_col, p_row);
-        # lower storage keeps whichever is below the diagonal
-        below = p_row > p_col
-        offsets.append(np.abs(p_row - p_col))
-        cols.append(np.minimum(p_row, p_col))
-        vals.append(np.where(below, c, np.conj(c)))
-    return (np.concatenate(offsets), np.concatenate(cols),
-            np.concatenate(vals))
+    rows, cols = section.shape
+    i, j = np.nonzero(section)
+    s = (int((i - j).min()) + int((i - j).max())) // 2
+    keys = np.concatenate([2 * np.arange(rows), 2 * (np.arange(cols) + s) + 1])
+    pos = np.empty(rows + cols, dtype=np.intp)
+    pos[np.argsort(keys)] = np.arange(rows + cols)
+    p_row, p_col = pos[i], pos[rows + j]
+    # S[i, j] sits at (p_row, p_col) and its conjugate at (p_col, p_row);
+    # lower storage keeps whichever is below the diagonal
+    vals = section[i, j]
+    return (np.abs(p_row - p_col), np.minimum(p_row, p_col),
+            np.where(p_row > p_col, vals, np.conj(vals)))
 
 
-def _stacked_band(symbols, n):
-    """Lower band storage of the block-diagonal Golub-Kahan matrix of the
-    restricted sections of ``symbols``, one block after another."""
-    parts = [_golub_kahan_band(a, n) for a in symbols]
-    size = 2 * n - lattice._EDGE_PAD
-    width = max(int(off.max()) for off, _, _ in parts)
-    band = np.zeros((width + 1, size * len(parts)), dtype=complex)
-    for k, (off, col, val) in enumerate(parts):
-        band[off, col + k * size] = val
-    return band
-
-
-def _reference_kernel_count(symbols, n, rank_tol):
-    """Reference: #{|lambda| <= rank_tol * max |a(z)|} over every
-    eigenvalue of the stacked Golub-Kahan band, less the _EDGE_PAD
-    structural zeros per block, halved.  The rule relative to
-    max |lambda| = sigma_max must give the same count."""
-    lam = np.abs(scipy.linalg.eigvals_banded(_stacked_band(symbols, n),
-                                             lower=True))
-    small = int(np.sum(lam <= rank_tol * _circle_norm(symbols)))
+def _reference_kernel_count(section, rank_tol, scale):
+    """Reference: #{|lambda| <= rank_tol * scale} over every eigenvalue of
+    the Golub-Kahan band of a dense section, less its rows - cols
+    structural zeros, halved.  The rule relative to max |lambda| =
+    sigma_max must give the same count."""
+    offsets, cols, vals = _golub_kahan_band(section)
+    band = np.zeros((int(offsets.max()) + 1, sum(section.shape)),
+                    dtype=complex)
+    band[offsets, cols] = vals
+    lam = np.abs(scipy.linalg.eigvals_banded(band, lower=True))
+    small = int(np.sum(lam <= rank_tol * scale))
     assert small == int(np.sum(lam <= rank_tol * lam.max()))
-    pad = lattice._EDGE_PAD * len(symbols)
+    pad = section.shape[0] - section.shape[1]
     assert small >= pad and (small - pad) % 2 == 0
     return (small - pad) // 2
 
@@ -506,31 +512,63 @@ def _kernel_count_oracle_cases():
     for k in range(8):
         poly = random_elliptic_laurent(rng)
         for n in (64, 128):
-            yield f"random {k} N={n}", [poly], n
-            yield f"random {k} adjoint N={n}", [poly.conj_reflected()], n
+            yield f"random {k} N={n}", poly, ONE, n
+            yield f"random {k} adjoint N={n}", poly.conj_reflected(), ONE, n
     for n in (64, 128):
-        yield f"shift N={n}", [LaurentPolynomial.make([0, 1], 0)], n
-        yield f"back-shift N={n}", [LaurentPolynomial.make([1], -1)], n
-    yield "direct sum", [LaurentPolynomial.make([0, 1], 0),
-                         LaurentPolynomial.make([1], -2),
-                         LaurentPolynomial.make([-2.0, 1], 0)], 64
-    yield "random direct sum", [random_elliptic_laurent(rng)
-                                for _ in range(3)], 128
+        yield f"shift N={n}", LaurentPolynomial.make([0, 1], 0), ONE, n
+        yield f"back-shift N={n}", LaurentPolynomial.make([1], -1), ONE, n
+    yield ("product", LaurentPolynomial.make([0, 1], 0),
+           LaurentPolynomial.make([1], -2), 64)
+    yield ("random product", random_elliptic_laurent(rng),
+           random_elliptic_laurent(rng), 128)
 
 
 def test_kernel_count_matches_dense_svd_oracle():
     counts = []
-    for label, symbols, n in _kernel_count_oracle_cases():
-        count = _count(symbols, n)
-        assert count == _dense_kernel_count(symbols, n,
-                                            lattice.RANK_TOL), label
-        assert count == _reference_kernel_count(symbols, n,
-                                                lattice.RANK_TOL), label
+    for label, a, b, n in _kernel_count_oracle_cases():
+        count = _count(lattice._product_band, a, b, n)
+        section = _dense_section(lattice._product_band, a, b, n)
+        scale = _scale(lattice._product_band, a, b)
+        assert count == _dense_kernel_count(section, lattice.RANK_TOL,
+                                            scale), label
+        assert count == _reference_kernel_count(section, lattice.RANK_TOL,
+                                                scale), label
         counts.append(count)
-        for a in symbols:            # interleaving keeps the matrix banded
-            offsets = _golub_kahan_band(a, n)[0]
-            assert offsets.max() <= a.max_deg - a.min_deg + 1, label
+        # interleaving keeps the matrix banded
+        span = a.max_deg - a.min_deg + b.max_deg - b.min_deg
+        assert _golub_kahan_band(section)[0].max() <= span + 1, label
     assert max(counts) >= 2          # the oracle cases do have kernels
+
+
+def _seeded_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    return [(random_elliptic_laurent(rng), random_elliptic_laurent(rng))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("write", [lattice._product_band,
+                                   lattice._paired_band])
+def test_section_writers_match_dense_svd_oracle(write):
+    # kernel and cokernel counts of T(a)T(b) and of a P + b Q on 24 seeded
+    # pairs against dense SVDs of the dense sections, rank tolerance
+    # 1e-8 * scale; the paired counts are those of T(a/b)
+    counts = []
+    for k, (a, b) in enumerate(_seeded_pairs(53, 24)):
+        scale = _scale(write, a, b)
+        for adjoint in (False, True):
+            section = _dense_section(write, a, b, 64, adjoint)
+            band, rows, kl, ku = write(a, b, 64, adjoint)
+            assert (rows, band.shape[0]) == section.shape
+            counts.append(_count(write, a, b, 64, adjoint=adjoint))
+            assert counts[-1] == _dense_kernel_count(
+                section, lattice.RANK_TOL, scale), (k, adjoint)
+        wind_a, wind_b = laurent_winding(a), laurent_winding(b)
+        if write is lattice._paired_band:
+            assert counts[-2:] == [max(wind_b - wind_a, 0),
+                                   max(wind_a - wind_b, 0)], k
+        else:
+            assert counts[-2] - counts[-1] == -(wind_a + wind_b), k
+    assert max(counts) >= 2
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -540,34 +578,37 @@ def test_bidiagonal_keeps_the_singular_values_of_the_section(n):
     polys += [LaurentPolynomial.make([0, 1], 0),
               LaurentPolynomial.make([1], -2),
               LaurentPolynomial.make([2, -1j, 0.5], -1)]
-    for poly in polys:
-        d, e = lattice._bidiagonal(poly, n)
-        assert d.shape == (n - lattice._EDGE_PAD,) and e.shape == (d.size - 1,)
-        sig = np.linalg.svd(rect_section_matrix(poly, n,
-                                                n - lattice._EDGE_PAD),
-                            compute_uv=False)
+    sections = [(lattice._product_band, poly, ONE) for poly in polys]
+    sections += [(write, polys[0], polys[7]) for write in (
+        lattice._product_band, lattice._paired_band)]
+    for write, a, b in sections:
+        band, rows = write(a, b, n)[:2]
+        d, e = lattice._bidiagonal(write(a, b, n))
+        assert d.shape == (band.shape[0],) and e.shape == (d.size - 1,)
+        sig = np.linalg.svd(_dense_section(write, a, b, n), compute_uv=False)
         got = np.linalg.svd(np.diag(d) + np.diag(e, 1), compute_uv=False)
         np.testing.assert_allclose(got, sig, rtol=0, atol=1e-12 * sig[0])
 
 
-def _rank_tol_floor(symbols, n):
-    """dim * eps for the stacked tridiagonal of order dim: the rank
-    tolerance at or below which _kernel_count refuses to count."""
-    return 2 * (n - lattice._EDGE_PAD) * len(symbols) * np.finfo(float).eps
+def _rank_tol_floor(n):
+    """dim * eps for the tridiagonal of order dim = 2 (N - _EDGE_PAD) of a
+    product section: the rank tolerance at or below which _kernel_count
+    refuses to count."""
+    return 2 * (n - lattice._EDGE_PAD) * np.finfo(float).eps
 
 
 def test_kernel_count_refuses_rank_tol_below_noise_floor():
     # a rank_tol of 1e-20 is below what a double-precision reduction can
     # resolve: it is refused by name, never read as a count
     poly = LaurentPolynomial.make([-0.5, 1], 0)
-    assert _count([poly], 64) == 0
-    floor = _rank_tol_floor([poly], 64)
+    assert _count(lattice._product_band, poly, ONE, 64) == 0
+    floor = _rank_tol_floor(64)
     assert 1e-20 < floor < lattice.RANK_TOL
     with pytest.raises(UnstableRank) as info:
-        _count([poly], 64, 1e-20)
+        _count(lattice._product_band, poly, ONE, 64, 1e-20)
     message = str(info.value)
-    assert message.startswith("rank_tol=1e-20 at N=64 is not above the "
-                              "roundoff floor")
+    assert message.startswith("rank_tol=1e-20 for the 64 x 60 section is not "
+                              "above the roundoff floor")
     assert f"{floor:.3g}" in message
 
 
@@ -591,16 +632,18 @@ def lapack_calls(monkeypatch):
 def test_kernel_count_refuses_at_the_roundoff_floor(lapack_calls):
     # a rank_tol at or below the floor is refused before any LAPACK call;
     # one just above it is counted with one dstebz call
-    blocks = [LaurentPolynomial.make([-0.5, 1], 0),
-              LaurentPolynomial.make([1], -1)]
-    floor = _rank_tol_floor(blocks, 64)
+    a = LaurentPolynomial.make([-0.5, 1], 0)
+    b = LaurentPolynomial.make([1], -1)
+    floor = _rank_tol_floor(64)
     for rank_tol in (floor, floor * (1 - 1e-9), 0.0):
         with pytest.raises(UnstableRank, match="roundoff floor"):
-            _count(blocks, 64, rank_tol)
+            _count(lattice._product_band, a, b, 64, rank_tol)
     assert lapack_calls == []
-    assert _count(blocks, 64, floor * 1.01) == \
-        _reference_kernel_count(blocks, 64, floor * 1.01) == 1
-    assert lapack_calls == ["zgbbrd", "zgbbrd", "dstebz"]
+    section = _dense_section(lattice._product_band, a, b, 64)
+    assert _count(lattice._product_band, a, b, 64, floor * 1.01) == \
+        _reference_kernel_count(section, floor * 1.01,
+                                _scale(lattice._product_band, a, b)) == 1
+    assert lapack_calls == ["zgbbrd", "dstebz"]
 
 
 def _interval_count_cases():
@@ -611,23 +654,24 @@ def _interval_count_cases():
         by_span.setdefault(poly.max_deg - poly.min_deg, poly)
     for n in (64, 128, 256, 512):
         for span, poly in sorted(by_span.items()):
-            yield f"span {span} N={n}", [poly], n
-            yield f"span {span} adjoint N={n}", [poly.conj_reflected()], n
-        blocks = [random_elliptic_laurent(rng) for _ in range(3)]
-        yield f"direct sum N={n}", blocks, n
-        yield (f"direct sum adjoint N={n}",
-               [a.conj_reflected() for a in blocks], n)
+            yield f"span {span} N={n}", poly, ONE, n
+            yield f"span {span} adjoint N={n}", poly.conj_reflected(), ONE, n
+        a, b = random_elliptic_laurent(rng), random_elliptic_laurent(rng)
+        yield f"product N={n}", a, b, n
+        yield (f"product adjoint N={n}", b.conj_reflected(),
+               a.conj_reflected(), n)
 
 
 def test_kernel_count_interval_matches_full_spectrum(lapack_calls):
     counts = []
-    for label, symbols, n in _interval_count_cases():
+    for label, a, b, n in _interval_count_cases():
         lapack_calls.clear()
-        count = _count(symbols, n)
-        # one zgbbrd per block, then one Sturm count
-        assert lapack_calls == ["zgbbrd"] * len(symbols) + ["dstebz"], label
-        assert count == _reference_kernel_count(symbols, n,
-                                                lattice.RANK_TOL), label
+        count = _count(lattice._product_band, a, b, n)
+        # one zgbbrd for the section, then one Sturm count
+        assert lapack_calls == ["zgbbrd", "dstebz"], label
+        assert count == _reference_kernel_count(
+            _dense_section(lattice._product_band, a, b, n), lattice.RANK_TOL,
+            _scale(lattice._product_band, a, b)), label
         counts.append(count)
     assert max(counts) >= 2
 
@@ -637,22 +681,25 @@ def test_kernel_count_threshold_is_exact():
     # section at N=64 has a small singular value well above roundoff; the
     # rule sigma <= rank_tol * max |a(z)| decides it however close
     # rank_tol puts the threshold
-    symbols, n = [LaurentPolynomial.make([-1.2, 1], -1)], 64
-    sig = np.linalg.svd(rect_section_matrix(symbols[0], n,
-                                            n - lattice._EDGE_PAD),
+    poly, n = LaurentPolynomial.make([-1.2, 1], -1), 64
+    sig = np.linalg.svd(rect_section_matrix(poly, n, n - lattice._EDGE_PAD),
                         compute_uv=False)[-1]
-    norm = _circle_norm(symbols)
+    norm = _scale(lattice._product_band, poly, ONE)
     assert norm == pytest.approx(2.2, rel=1e-15)
     assert 1e-6 < sig / norm < 1e-4
-    assert _count(symbols, n, sig / norm * (1 + 1e-6)) == 1
-    assert _count(symbols, n, sig / norm * (1 - 1e-6)) == 0
+    assert _count(lattice._product_band, poly, ONE, n,
+                  sig / norm * (1 + 1e-6)) == 1
+    assert _count(lattice._product_band, poly, ONE, n,
+                  sig / norm * (1 - 1e-6)) == 0
 
 
 def test_kernel_count_refuses_non_finite_band(lapack_calls):
     poly = LaurentPolynomial((complex("nan"), 1j), 0)   # bypasses make()
-    for symbols in ([poly], [LaurentPolynomial.make([1], 0), poly]):
+    for write, a, b in ((lattice._product_band, poly, ONE),
+                        (lattice._product_band, ONE, poly),
+                        (lattice._paired_band, ONE, poly)):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            lattice._kernel_count(symbols, 64, lattice.RANK_TOL, 1.0)
+            lattice._kernel_count(write(a, b, 64), lattice.RANK_TOL, 1.0)
     assert lapack_calls == []
 
 
@@ -663,9 +710,10 @@ def test_kernel_count_refuses_an_odd_count(monkeypatch):
         return 1, np.zeros(d.size), None, None, 0
 
     monkeypatch.setattr(lattice, "dstebz", one_small_eigenvalue)
-    with pytest.raises(UnstableRank, match="^1 eigenvalues .* N=64 .* "
-                                           "not pairs"):
-        _count([LaurentPolynomial.make([1, 0.5], 0)], 64)
+    with pytest.raises(UnstableRank, match="^1 eigenvalues .* 64 x 60 "
+                                           "section .* not pairs"):
+        _count(lattice._product_band, LaurentPolynomial.make([1, 0.5], 0),
+               ONE, 64)
 
 
 def test_kernel_count_raises_when_dstebz_reports_an_error(monkeypatch):
@@ -674,7 +722,8 @@ def test_kernel_count_raises_when_dstebz_reports_an_error(monkeypatch):
 
     monkeypatch.setattr(lattice, "dstebz", failed_bisection)
     with pytest.raises(LinAlgError, match=r"dstebz.*info=1"):
-        _count([LaurentPolynomial.make([1, 0.5], 0)], 64)
+        _count(lattice._product_band, LaurentPolynomial.make([1, 0.5], 0),
+               ONE, 64)
 
 
 def test_bidiagonal_raises_when_zgbbrd_reports_an_error(monkeypatch):
@@ -683,37 +732,33 @@ def test_bidiagonal_raises_when_zgbbrd_reports_an_error(monkeypatch):
 
     monkeypatch.setattr(lattice, "_ZGBBRD", illegal_ldab)
     with pytest.raises(LinAlgError, match="zgbbrd") as info:
-        _count([LaurentPolynomial.make([1, 0.5], 0)], 64)
+        _count(lattice._product_band, LaurentPolynomial.make([1, 0.5], 0),
+               ONE, 64)
     assert "argument 8" in str(info.value)
 
 
 def test_kernel_count_is_reentrant():
     # each call owns its LAPACK arrays, so calls overlapping on two
     # threads (ctypes releases the GIL in zgbbrd) count what one thread does
-    rng = np.random.default_rng(41)
-    cases = []
-    for k in range(16):
-        blocks = [random_elliptic_laurent(rng) for _ in range(1 + k % 3)]
-        cases.append((blocks if k % 2 else
-                      [a.conj_reflected() for a in blocks], (64, 128)[k % 2]))
-    expected = [_count(s, n) for s, n in cases]
+    cases = [(write, a, b, (64, 128)[k % 2], k % 3 == 0)
+             for k, (a, b) in enumerate(_seeded_pairs(41, 16))
+             for write in (lattice._product_band, lattice._paired_band)]
+    expected = [_count(w, a, b, n, adjoint=adj) for w, a, b, n, adj in cases]
     with ThreadPoolExecutor(2) as pool:
-        got = list(pool.map(lambda case: _count(*case), cases))
+        got = list(pool.map(
+            lambda case: _count(*case[:4], adjoint=case[4]), cases))
     assert got == expected
     assert max(expected) >= 2
 
 
-def test_summed_counts_equal_the_direct_sum():
+def test_product_index_is_the_sum_of_the_indices():
     assert [IndexEntry(k, c).index for k, c in ((0, 1), (2, 0), (0, 0))] \
         == [-1, 2, 0]
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        symbols = [random_elliptic_laurent(rng) for _ in range(3)]
-        parts = [numerical_index(a, 64) for a in symbols]
-        direct = numerical_index_direct_sum(symbols, 64)
-        assert (direct.dim_ker, direct.dim_coker) == (
-            sum(p.dim_ker for p in parts), sum(p.dim_coker for p in parts))
-        assert direct.index == -sum(laurent_winding(a) for a in symbols)
+    for a, b in _seeded_pairs(5, 5):
+        parts = [numerical_index(p, 64) for p in (a, b)]
+        product = numerical_index_product(a, b, 64)
+        assert product.index == sum(p.index for p in parts) == -(
+            laurent_winding(a) + laurent_winding(b))
 
 
 # --------------------------------------------------------------------------
@@ -1476,3 +1521,17 @@ def test_export_import_round_trip(tmp_path):
     assert sidecar["src_order"] == 0.5
     assert sidecar["grid"]["n"] == 8
     assert sidecar["provenance"]["construction"] == "frozen-multiplier"
+
+
+def test_export_writes_the_sidecar_as_every_report(tmp_path):
+    # sorted keys, two-space indent and a trailing newline, as every --out
+    # file; a NaN is refused before either file is written
+    op = DiscreteOperator.from_matrix(np.eye(2), provenance={"eps": 0.5})
+    export_operator(op, tmp_path / "op")
+    text = (tmp_path / "op.json").read_text(encoding="utf-8")
+    assert text == dump_json(json.loads(text)) + "\n"
+    bad = DiscreteOperator.from_matrix(np.eye(2),
+                                       provenance={"eps": float("nan")})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        export_operator(bad, tmp_path / "bad")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["op.bin", "op.json"]

@@ -19,12 +19,13 @@ drawn as the suite draws them; moved values are handled as moved
 digests.
 
 ``data/index_suite_digests.json`` holds the sha256 of
-``dump_json(run_verify_suite(name, seed))`` for the two index suites,
-``toeplitz`` and ``additivity``, at seeds 0 and 1; neither depends on the
-BLAS thread count.  Their kernel and cokernel counts are the integers
-that ``lattice._kernel_count`` produces, so a change to that count's
-numerics must leave these reports byte for byte the same.  Moved reports
-are handled as moved digests.
+``dump_json(run_verify_suite(name, seed))`` for the three index suites,
+``toeplitz``, ``additivity`` and ``paired``, at seeds 0 and 1; none
+depends on the BLAS thread count.  Their kernel and cokernel counts are
+the integers that ``lattice._kernel_count`` produces on the sections of
+T(a), T(a)T(b) and a P + b Q, so a change to that count's numerics must
+leave these reports byte for byte the same.  Moved reports are handled
+as moved digests.
 """
 
 import hashlib
@@ -92,7 +93,8 @@ def test_pinned_toeplitz_windings_are_bit_identical():
 def test_pinned_index_suite_reports_are_byte_identical():
     rows = json.loads(INDEX_SUITES.read_text(encoding="utf-8"))
     assert {(row["suite"], row["seed"]) for row in rows} == {
-        (name, seed) for name in ("toeplitz", "additivity") for seed in (0, 1)}
+        (name, seed) for name in ("toeplitz", "additivity", "paired")
+        for seed in (0, 1)}
     moved = []
     for row in rows:
         text = dump_json(run_verify_suite(row["suite"], row["seed"]))
