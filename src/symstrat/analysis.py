@@ -1,11 +1,11 @@
 """End-to-end analysis pipeline, its run manifest and the JSON writer.
 
-``run_analysis`` drives: model stratification -> ellipticity certificate ->
-per-stratum factorization indices -> Fredholm verdict, collecting every
-stage into a reproducible manifest.  A failed Fredholm condition is a
-successful analysis (the tool classifies, it does not chase green); a
-stage that cannot run (e.g. a non-elliptic symbol) is an error and the
-remaining stages are recorded as skipped.
+``run_analysis`` drives: model stratification -> ellipticity certificate
+and order fit -> per-stratum factorization indices -> Fredholm verdict,
+collecting every stage into a reproducible manifest.  A failed Fredholm
+condition is a successful analysis (the tool classifies, it does not
+chase green); a stage that cannot run (e.g. a non-elliptic symbol) is an
+error and the remaining stages are recorded as skipped.
 
 Boundary strata of half-space type get their index from the line winding.
 Wedge strata without a user-supplied factorization candidate fall back to
@@ -20,8 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -33,7 +34,7 @@ from .factorization import (CUTOFF, MIN_QUAD_SAMPLES, QUAD_SAMPLES,
                             FactorizationReport, check_fredholm_condition,
                             winding_index)
 from .geometry import _MODELS, stratify_model
-from .symbols import Symbol, check_ellipticity
+from .symbols import Symbol, check_ellipticity, check_order
 
 __all__ = ["AnalysisConfig", "RunManifest", "run_analysis", "MODEL_DIMS"]
 
@@ -50,19 +51,12 @@ SKIP_REASONS = {"stratification": "stratification failed",
 POINTS_PER_STRATUM = 2
 
 
-def check_seed(seed) -> None:
-    """Refuse a seed that is not a non-negative int."""
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-
-
 @dataclass
 class AnalysisConfig:
     symbol_text: str
     alpha: float
     model: str = "square"
     s_order: float = 0.0
-    seed: int = 0
     quad_samples: int = QUAD_SAMPLES
 
     def dim(self) -> int:
@@ -72,23 +66,22 @@ class AnalysisConfig:
         if self.model not in MODEL_DIMS:
             raise ConfigError(f"unknown model {self.model!r}; choose one of "
                               f"{sorted(MODEL_DIMS)}")
-        if not math.isfinite(self.s_order):
-            raise ConfigError(f"s_order must be finite, got {self.s_order}")
-        check_seed(self.seed)
-        if self.quad_samples < MIN_QUAD_SAMPLES:
-            raise ConfigError(f"quad_samples must be at least "
-                              f"{MIN_QUAD_SAMPLES}, got {self.quad_samples}")
+        for name, value in (("alpha", self.alpha), ("s_order", self.s_order)):
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        if (not isinstance(self.quad_samples, numbers.Integral)
+                or self.quad_samples < MIN_QUAD_SAMPLES):
+            raise ConfigError(f"quad_samples must be an integer of at least "
+                              f"{MIN_QUAD_SAMPLES}, got {self.quad_samples!r}")
         try:
-            sym = Symbol.parse(self.symbol_text, self.alpha, self.dim())
+            return Symbol.parse(self.symbol_text, self.alpha, self.dim())
         except SymstratError as exc:
             raise ConfigError(f"bad symbol: {exc}") from exc
-        return sym
 
     def to_dict(self) -> dict:
         return {
             "symbol": self.symbol_text, "alpha": self.alpha,
             "model": self.model, "s_order": self.s_order,
-            "seed": self.seed,
             "points_per_stratum": POINTS_PER_STRATUM,
             "cutoff": CUTOFF, "quad_samples": self.quad_samples,
         }
@@ -99,22 +92,16 @@ class RunManifest:
     config: dict
     config_hash: str
     version: str
-    seed: int
     stages: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
     ok: bool = True
 
     def to_dict(self) -> dict:
-        return {"config": self.config, "config_hash": self.config_hash,
-                "version": self.version, "seed": self.seed,
-                "stages": self.stages, "wall_times": self.wall_times,
-                "ok": self.ok}
+        return asdict(self)
 
     def comparable_dict(self) -> dict:
         """Everything except wall-clock times (for determinism checks)."""
-        out = self.to_dict()
-        out.pop("wall_times")
-        return out
+        return {k: v for k, v in self.to_dict().items() if k != "wall_times"}
 
 
 def dump_json(payload) -> str:
@@ -170,9 +157,7 @@ class _Stop(Exception):
 
 def run_analysis(config: AnalysisConfig) -> RunManifest:
     sym = config.validate()
-    manifest = RunManifest(config=config.to_dict(),
-                           config_hash=_config_hash(config),
-                           version=_VERSION, seed=config.seed)
+    manifest = RunManifest(config.to_dict(), _config_hash(config), _VERSION)
 
     def stage(name, fn, payload):
         """Run fn() timed; record payload of its result, or its error."""
@@ -193,10 +178,14 @@ def run_analysis(config: AnalysisConfig) -> RunManifest:
         strat = stage("stratification", lambda: stratify_model(
             config.model, config.dim()), lambda out: out.to_dict())
         x_samples = [st.sample_points[0] for st in strat.strata][:8]
-        x_samples.append(np.full(config.dim(), 0.5))
-        ell = stage("ellipticity", lambda: check_ellipticity(
-            sym, np.asarray(x_samples), config.seed),
-            lambda out: out.to_dict())
+        x_samples = np.asarray(x_samples + [np.full(config.dim(), 0.5)])
+
+        def ellipticity():
+            rep = check_ellipticity(sym, x_samples)
+            if rep.elliptic:        # the fit needs |a| > 0 on its rays
+                rep.order_fit = check_order(sym, x_samples)
+            return rep
+        ell = stage("ellipticity", ellipticity, lambda out: out.to_dict())
         if not ell.elliptic:
             manifest.stages["ellipticity"].update(
                 status="error",

@@ -64,7 +64,6 @@ def _build_parser():
     pa.add_argument("--alpha", type=_finite_float, required=True)
     pa.add_argument("--model", default="square", choices=sorted(MODEL_DIMS))
     pa.add_argument("--s-order", type=_finite_float, default=0.0)
-    pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out", default=None, help="output directory")
 
     pv = sub.add_parser("verify", help="run a seeded property suite")
@@ -167,7 +166,7 @@ def _parse_expr(text, dim):
 def _cmd_analyze(args) -> int:
     manifest = run_analysis(AnalysisConfig(
         symbol_text=args.symbol, alpha=args.alpha, model=args.model,
-        s_order=args.s_order, seed=args.seed))
+        s_order=args.s_order))
     _emit(manifest.to_dict(), args.out, "manifest.json")
     return EXIT_OK if manifest.ok else EXIT_STAGE_ERROR
 
@@ -208,7 +207,7 @@ def _cmd_wave_validate(args) -> int:
             args.cone)), args.k, args.declared_ae)
     except (ArithmeticError, TypeError, ValueError, SymstratError) as exc:
         raise ConfigError(f"--cone: {exc}") from exc
-    report = validate_wave_factors(cand, sym, raise_on_fail=False)
+    report = validate_wave_factors(cand, sym)
     _emit(report.to_dict(), args.out, "wave-validation.json")
     return EXIT_OK if report.ok else EXIT_STAGE_ERROR
 

@@ -35,6 +35,11 @@ class DegenerateFit(SymstratError):
     """Order fit impossible: the symbol vanishes along the requested ray."""
 
 
+class OrderMismatch(SymstratError):
+    """A declared order disagrees: with the growth symbols.check_order
+    fits, or a target space order with source minus symbol order."""
+
+
 # --- geometry ---
 
 class DegenerateConeError(SymstratError):
@@ -72,17 +77,9 @@ class ZeroOnCircle(SymstratError):
     """Laurent symbol vanishes (numerically) on the unit circle."""
 
 
-class ProductMismatch(SymstratError):
-    """Candidate factors do not multiply back to the symbol."""
-
-
 class GrowthViolation(SymstratError):
-    """A factor's growth exponent along a dual-cone ray disagrees with the
-    declared index."""
-
-
-class SupportLeak(SymstratError):
-    """Inverse-factor transform mass escapes the required cone."""
+    """A factor vanishes on a ray into its analyticity tube, so its growth
+    exponent there has no fit."""
 
 
 class SlopeDisagreement(SymstratError):
@@ -95,10 +92,6 @@ class MissingStratumReport(SymstratError):
 
 
 # --- lattice lab ---
-
-class OrderMismatch(SymstratError):
-    """Target space order does not equal source order minus symbol order."""
-
 
 class SupportOverlapError(SymstratError):
     """Cutoff functions overlap or are closer than the required separation."""

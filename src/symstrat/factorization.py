@@ -31,9 +31,8 @@ import numpy as np
 
 from .dsl import SymbolExpr, eval_on_grid, frequency_support
 from .errors import (BranchJumpError, EvalError, GrowthViolation,
-                     MissingStratumReport, NonEllipticOnLine, ProductMismatch,
-                     SlopeDisagreement, SupportLeak, SymstratError,
-                     TailJumpError)
+                     MissingStratumReport, NonEllipticOnLine,
+                     SlopeDisagreement, SymstratError, TailJumpError)
 from .geometry import Cone, Stratification, dual_cone
 from .symbols import ELL_BLOCK_POINTS, TOL_ELL, Symbol
 
@@ -366,8 +365,8 @@ def _pw_mass_outside(expr: SymbolExpr, m: int, k: int, cone: Cone,
     return {"mass_outside": float(mass[bad].sum()) / total, **grid}
 
 
-def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
-                          raise_on_fail: bool = True) -> WaveValidationReport:
+def validate_wave_factors(cand: WaveFactorCandidate,
+                          s: Symbol) -> WaveValidationReport:
     """Validate a factorization candidate by three independent checks.
 
     (i)  product identity |a_neq * a_eq - a| < TOL_PROD * |a| on a real
@@ -379,13 +378,11 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
          with alpha minus the declared index, each within TOL_SLOPE;
     (iii) Fourier support of the inverse factors (see _pw_mass_outside).
 
-    All three checks always run so the report carries per-factor verdicts;
-    an EvalError in a check fails that check (a null product error with
-    the error text as grid["reason"], a nan slope, null in ``to_dict``,
-    with the text as reason, a mass_outside of 1.0 with the text as
-    reason).  With raise_on_fail the most structural failure is raised
-    afterwards (ProductMismatch, then SupportLeak, then GrowthViolation),
-    each carrying the full report as ``exc.report``.
+    All three checks always run and the report carries per-factor
+    verdicts, whether they pass or fail; an EvalError in a check fails
+    that check (a null product error with the error text as
+    grid["reason"], a nan slope, null in ``to_dict``, with the text as
+    reason, a mass_outside of 1.0 with the text as reason).
     """
     m = s.dim
     if cand.a_neq.dim != m:
@@ -411,17 +408,13 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
         rel = float(np.max(np.abs(prod - a_vals) / denom))
     except EvalError as exc:
         rel, grid["reason"] = None, str(exc)
-    product_ok = rel is not None and rel < TOL_PROD
 
     # (ii) growth estimates along interior dual-cone rays
     rays = _interior_rays(cand.cone)
     growth = []
-    growth_ok = True
-    alpha = s.order_alpha
-    ae = cand.declared_ae
     for which, expr, sign, expected in (
-            ("a_neq", cand.a_neq, +1.0, ae),
-            ("a_eq", cand.a_eq, -1.0, alpha - ae)):
+            ("a_neq", cand.a_neq, +1.0, cand.declared_ae),
+            ("a_eq", cand.a_eq, -1.0, s.order_alpha - cand.declared_ae)):
         for ray in rays:
             rec = {"factor": which, "ray": [float(v) for v in ray],
                    "expected": expected}
@@ -431,42 +424,21 @@ def validate_wave_factors(cand: WaveFactorCandidate, s: Symbol,
             except (EvalError, GrowthViolation) as exc:
                 rec.update(slope=math.nan, ok=False, reason=str(exc))
             growth.append(rec)
-            growth_ok = growth_ok and rec["ok"]
 
     # (iii) Fourier support of the inverse factors
     support = []
-    support_ok = True
     for which, expr, sign in (("a_neq", cand.a_neq, +1.0),
                               ("a_eq", cand.a_eq, -1.0)):
         rec = _pw_mass_outside(expr, m, k, cand.cone, sign)
         rec["factor"] = which
         rec["ok"] = rec["mass_outside"] < TOL_PW
         support.append(rec)
-        support_ok = support_ok and rec["ok"]
 
-    report = WaveValidationReport(
-        product_max_rel_err=rel, product_ok=product_ok,
-        growth=growth, growth_ok=growth_ok,
-        support=support, support_ok=support_ok, grid=grid)
-    if not raise_on_fail or report.ok:
-        return report
-    if not product_ok:
-        detail = (f"{rel:.3e} >= {TOL_PROD:.1e}" if rel is not None
-                  else f"null: {grid['reason']}")
-        exc = ProductMismatch(f"max relative product error {detail}")
-    elif not support_ok:
-        leaks = [r for r in support if not r["ok"]]
-        exc = SupportLeak(
-            "inverse-factor mass outside the cone: " + ", ".join(
-                f"{r['factor']}: {r['mass_outside']:.3e}" for r in leaks))
-    else:
-        bad = next(r for r in growth if not r["ok"])
-        exc = GrowthViolation(
-            f"{bad['factor']} slope {bad['slope']:.3f} along ray "
-            f"{bad['ray']} differs from expected {bad['expected']:.3f} "
-            f"by more than {TOL_SLOPE}")
-    exc.report = report
-    raise exc
+    return WaveValidationReport(
+        product_max_rel_err=rel, product_ok=rel is not None and rel < TOL_PROD,
+        growth=growth, growth_ok=all(r["ok"] for r in growth),
+        support=support, support_ok=all(r["ok"] for r in support),
+        grid=grid)
 
 
 def estimate_wave_index(cand: WaveFactorCandidate) -> float:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import check_seed
 from .errors import ConfigError, ZeroOnCircle
 from .factorization import winding_index
 from .geometry import (Ball, Covering, _bump, build_covering,
@@ -232,5 +231,6 @@ def run_verify_suite(name: str, seed: int = 0) -> dict:
     if name not in VERIFY_SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose one of "
                           f"{sorted(VERIFY_SUITES)}")
-    check_seed(seed)
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
     return VERIFY_SUITES[name](seed)

@@ -4,9 +4,9 @@ A symbol of order ``alpha`` is expected to satisfy
 
     c1 * (1+|xi|)^alpha <= |a(x, xi)| <= c2 * (1+|xi|)^alpha
 
-with positive constants.  The check here certifies the estimate on a finite
-sample grid only and reports the grid together with the constants; it is a
-sampling certificate, not a proof.
+with positive constants.  The check here certifies the estimate on one
+fixed frequency grid per dimension, and a log-log fit of the growth checks
+alpha itself; both are sampling certificates, not proofs.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import numpy as np
 
 from .dsl import (EvalPoint, SymbolExpr, eval_on_grid, frequency_support,
                   parse_symbol, product_factors)
-from .errors import DegenerateFit, EvalError, GridError
+from .errors import DegenerateFit, EvalError, GridError, OrderMismatch
 
 __all__ = [
     "Symbol", "EllipticityReport", "check_ellipticity", "frequency_grid",
-    "grid_projection", "eval_blocks", "fit_order",
+    "grid_projection", "eval_blocks", "fit_order", "check_order",
 ]
 
 TOL_ELL = 1e-10
@@ -54,22 +54,36 @@ class Symbol:
 
 # The ellipticity sampling grid: a tensor box of GRID_POINTS_PER_AXIS
 # nodes on [-GRID_BOX_RADIUS, GRID_BOX_RADIUS] per axis, plus
-# GRID_RANDOM_PER_DECADE seeded random points in each radial decade out to
-# GRID_MAX_RADIUS, which catch large-frequency degeneration
+# GRID_RANDOM_PER_DECADE random points drawn from GRID_SEED in each radial
+# decade out to GRID_MAX_RADIUS, which catch large-frequency degeneration
 GRID_POINTS_PER_AXIS = 33
 GRID_BOX_RADIUS = 32.0
 GRID_RANDOM_PER_DECADE = 64
 GRID_MAX_RADIUS = 1.0e4
+GRID_SEED = 0
 
 
-def frequency_grid(dim: int, seed: int = 0) -> np.ndarray:
+def frequency_grid(dim: int) -> np.ndarray:
     """All sample frequencies of the ellipticity grid, shape (P, dim): the
-    tensor box in ij order, then the far field drawn from ``seed``."""
+    tensor box in ij order, then the far field; read-only."""
+    return _grid_arrays(dim)[0]
+
+
+_GRIDS = {}
+
+
+def _grid_arrays(dim: int) -> tuple:
+    """(frequency_grid(dim), its norms |xi|, its complex copy), read-only,
+    built once per dimension and values of the GRID_* constants."""
+    key = (dim, GRID_POINTS_PER_AXIS, GRID_BOX_RADIUS,
+           GRID_RANDOM_PER_DECADE, GRID_MAX_RADIUS, GRID_SEED)
+    if key in _GRIDS:
+        return _GRIDS[key]
     axes = [np.linspace(-GRID_BOX_RADIUS, GRID_BOX_RADIUS,
                         GRID_POINTS_PER_AXIS)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = [np.stack([m.ravel() for m in mesh], axis=-1)]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(GRID_SEED)
     for d in range(int(math.ceil(math.log10(GRID_MAX_RADIUS)))):
         lo, hi = 10.0 ** d, min(10.0 ** (d + 1), GRID_MAX_RADIUS)
         radii = np.exp(rng.uniform(np.log(lo), np.log(hi),
@@ -77,13 +91,17 @@ def frequency_grid(dim: int, seed: int = 0) -> np.ndarray:
         dirs = rng.standard_normal((GRID_RANDOM_PER_DECADE, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts.append(dirs * radii[:, None])
-    return np.concatenate(pts, axis=0)
+    xi_pts = np.concatenate(pts, axis=0)
+    _GRIDS[key] = (xi_pts, np.linalg.norm(xi_pts, axis=1),
+                   xi_pts.astype(complex))
+    for arr in _GRIDS[key]:
+        arr.flags.writeable = False
+    return _GRIDS[key]
 
 
-def grid_projection(dim: int, axes, n_points: int) -> tuple:
-    """Index arrays (rep, inv) into the ``n_points`` of
-    ``frequency_grid(dim)`` for a function of the 1-based frequency
-    ``axes`` alone.
+def grid_projection(dim: int, axes) -> tuple:
+    """Index arrays (rep, inv) into ``frequency_grid(dim)`` for a function
+    of the 1-based frequency ``axes`` alone.
 
     ``frequency_grid(dim)[rep]`` holds one frequency per node tuple of
     those axes on the tensor part, then every far-field point, and
@@ -100,7 +118,7 @@ def grid_projection(dim: int, axes, n_points: int) -> tuple:
         inv = inv * n + np.arange(n).reshape(
             [n if b == a - 1 else 1 for b in range(dim)])
     inv = np.broadcast_to(inv, (n,) * dim).ravel()
-    far = np.arange(n ** dim, n_points)
+    far = np.arange(n ** dim, frequency_grid(dim).shape[0])
     return (np.concatenate([rep, far]),
             np.concatenate([inv, far - n ** dim + rep.size]))
 
@@ -112,6 +130,7 @@ class EllipticityReport:
     c2: float | None
     witness: EvalPoint | None
     sample_spec: dict = field(default_factory=dict)
+    order_fit: dict | None = None       # check_order's record, if it ran
 
     def to_dict(self) -> dict:
         wit = None
@@ -119,13 +138,14 @@ class EllipticityReport:
             wit = {"x": list(self.witness.x),
                    "xi": [[z.real, z.imag] for z in self.witness.xi]}
         return {"elliptic": self.elliptic, "c1": self.c1, "c2": self.c2,
-                "witness": wit, "grid": self.sample_spec}
+                "witness": wit, "grid": self.sample_spec,
+                "order_fit": self.order_fit}
 
 
-def check_ellipticity(s: Symbol, x_samples, seed: int = 0
-                      ) -> EllipticityReport:
+def check_ellipticity(s: Symbol, x_samples) -> EllipticityReport:
     """Certify the two-sided order estimate on a finite sample set: the
-    x samples against the frequencies of ``frequency_grid(s.dim, seed)``.
+    x samples against the frequencies of ``frequency_grid(s.dim)``, where
+    any alpha has constants: :func:`check_order` tests alpha itself.
 
     c1 is the minimum of |a(x, xi)| (1+|xi|)^(-alpha) over all samples, c2
     the maximum; the symbol is reported elliptic when c1 exceeds TOL_ELL
@@ -152,7 +172,7 @@ def check_ellipticity(s: Symbol, x_samples, seed: int = 0
     ``ELL_BLOCK_POINTS`` candidate samples.  So every error, every
     witness and every non-elliptic report is the sweep's.
     """
-    xi_pts = frequency_grid(s.dim, seed)
+    xi_pts, xi_norms, xi_c = _grid_arrays(s.dim)
     x_arr = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_arr.shape[1] != s.dim:
         raise GridError(f"x samples have dimension {x_arr.shape[1]}, want {s.dim}")
@@ -160,11 +180,10 @@ def check_ellipticity(s: Symbol, x_samples, seed: int = 0
         raise GridError("empty sample grid")
 
     with np.errstate(over="ignore"):
-        scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
-    xi_c = xi_pts.astype(complex)
+        scale = (1.0 + xi_norms) ** (-s.order_alpha)
     found = _split_extremes(s.expr, x_arr, xi_c, scale)
     if found is None:
-        found = _sweep_extremes(s, x_arr, xi_pts, xi_c, scale)
+        found = _sweep_extremes(s, x_arr, xi_pts, xi_norms, xi_c, scale)
     c1, c2, first, arg = found
     witness = EvalPoint.make(x_arr[first], xi_pts[arg])
 
@@ -177,13 +196,13 @@ def check_ellipticity(s: Symbol, x_samples, seed: int = 0
         sample_spec={"points_per_axis": GRID_POINTS_PER_AXIS,
                      "box_radius": GRID_BOX_RADIUS,
                      "random_per_decade": GRID_RANDOM_PER_DECADE,
-                     "max_radius": GRID_MAX_RADIUS, "seed": seed,
+                     "max_radius": GRID_MAX_RADIUS, "seed": GRID_SEED,
                      "x_samples": x_arr.shape[0],
                      "c1_raw": c1, "c2_raw": c2, "tol_ell": TOL_ELL},
     )
 
 
-def _sweep_extremes(s: Symbol, x_arr, xi_pts, xi_c, scale):
+def _sweep_extremes(s: Symbol, x_arr, xi_pts, xi_norms, xi_c, scale):
     """(c1, c2, i, j) over the whole (x, xi) grid, (i, j) the argmin."""
     n_x = x_arr.shape[0]
     # per x sample: the least ratio and its first frequency index, and the
@@ -204,7 +223,7 @@ def _sweep_extremes(s: Symbol, x_arr, xi_pts, xi_c, scale):
                 "ellipticity ratio |a|*(1+|xi|)^(-alpha) is not finite at "
                 f"x={x_arr[i].tolist()}, xi={xi_pts[start + j].tolist()} "
                 f"(alpha={s.order_alpha:g}, |xi| up to "
-                f"{np.linalg.norm(xi_pts, axis=1).max():g})")
+                f"{xi_norms.max():g})")
         j = np.argmin(ratio, axis=1)
         m = ratio[np.arange(n_x), j]
         take = m < lo                   # strict: a tie keeps the earlier
@@ -264,7 +283,7 @@ def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale):
             x, xi = x_arr[:1], xi_c
             axes = frequency_support(factor)
             if len(axes) < factor.dim:  # once per node tuple of its axes
-                rep, at = grid_projection(factor.dim, axes, len(xi_c))
+                rep, at = grid_projection(factor.dim, axes)
                 xi = xi_c[rep]
         try:
             vals = eval_on_grid(factor, x, xi)
@@ -351,28 +370,56 @@ def _eval_block(expr: SymbolExpr, x_arr: np.ndarray, xi_c: np.ndarray,
         raise
 
 
-def fit_order(s: Symbol, ray, radii, x0=None) -> float:
-    """Least-squares slope of log|a(x0, r*ray)| against log(1+r).
-
-    Sanity check for the declared order: at least 8 radii spanning three
-    decades are required.
-    """
+def fit_order(s: Symbol, ray, radii, x0=None):
+    """Least-squares slopes of log|a(x0, r*ray)| against log(1+r), for
+    one ray (m,) or several (R, m) at one x0 (m,), the origin by default,
+    or several (J, m): shape (J, R) less a single point's or ray's axis,
+    a float for one of each, from one evaluation.  At least 8 radii
+    spanning three decades are required."""
     radii = np.asarray(radii, dtype=float)
     if radii.size < 8:
         raise GridError(f"need >= 8 radii, got {radii.size}")
     if np.min(radii) <= 0 or np.max(radii) / np.min(radii) < 1.0e3:
         raise GridError("radii must be positive and span >= 3 decades")
-    ray = np.asarray(ray, dtype=float)
-    nrm = np.linalg.norm(ray)
-    if nrm == 0:
+    rays = np.asarray(ray, dtype=float)
+    nrm = np.linalg.norm(rays, axis=-1, keepdims=True)
+    if np.any(nrm == 0):
         raise GridError("ray must be a nonzero direction")
-    ray = ray / nrm
-    if x0 is None:
-        x0 = np.zeros(s.dim)
-    xi = radii[:, None] * ray[None, :]
-    vals = np.abs(eval_on_grid(s.expr, np.asarray(x0, float)[None, :],
-                               xi.astype(complex)))
+    rays = rays / nrm
+    x0 = np.zeros(s.dim) if x0 is None else np.asarray(x0, dtype=float)
+    # points (..x0, ..ray, radius): x0 (..x0, 1.., 1, m), xi (..ray, radius, m)
+    x = x0.reshape(x0.shape[:-1] + (1,) * rays.ndim + (s.dim,))
+    xi = rays[..., None, :] * radii[:, None]
+    vals = np.abs(eval_on_grid(s.expr, x, xi.astype(complex)))
     if np.any(vals < 1e-300):
         raise DegenerateFit("symbol vanishes along the ray")
-    slope = np.polyfit(np.log1p(radii), np.log(vals), 1)[0]
-    return float(slope)
+    logs = np.log(vals).reshape(-1, radii.size).T
+    slopes = np.polyfit(np.log1p(radii), logs, 1)[0].reshape(vals.shape[:-1])
+    return float(slopes) if slopes.ndim == 0 else slopes
+
+
+ORDER_RADII = np.logspace(1, 4, 12)
+TOL_ORDER = 0.1
+
+
+def check_order(s: Symbol, x_samples) -> dict:
+    """{"rays", "orders", "tol_order"}: the :func:`fit_order` orders
+    along each frequency axis and the diagonal, a row per fitted x sample;
+    OrderMismatch where one is more than TOL_ORDER from alpha, which the
+    bounded ellipticity grid cannot see.  With no mixed factor
+    (``product_factors``) the x factors shift log|a| by a constant, which
+    no slope sees, so the first x sample stands for all."""
+    x_arr = np.atleast_2d(np.asarray(x_samples, dtype=float))
+    if all(kind != "mixed" for _, _, kind in product_factors(s.expr)):
+        x_arr = x_arr[:1]
+    rays = np.vstack([np.eye(s.dim), np.ones(s.dim) / math.sqrt(s.dim)])
+    orders = fit_order(s, rays, ORDER_RADII, x_arr)
+    bad = np.argwhere(np.abs(orders - s.order_alpha) > TOL_ORDER)
+    if bad.size:
+        j, r = bad[0]
+        raise OrderMismatch(
+            f"fitted order {orders[j, r]:.3f} along the ray "
+            f"{rays[r].tolist()} at x={x_arr[j].tolist()} differs from the "
+            f"declared order alpha={s.order_alpha:g} by more than {TOL_ORDER}")
+    return {"rays": rays.tolist(), "orders": orders.tolist(),
+            "tol_order": TOL_ORDER}

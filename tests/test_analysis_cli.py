@@ -134,7 +134,7 @@ def test_cube_pipeline_covers_all_strata():
 
 def test_manifest_determinism():
     cfg = AnalysisConfig(symbol_text="(1+abs2(k))^(1/2)", alpha=1.0,
-                         model="square", s_order=0.5, seed=11)
+                         model="square", s_order=0.5)
     first = run_analysis(cfg).comparable_dict()
     second = run_analysis(cfg).comparable_dict()
     assert json.dumps(first, sort_keys=True) == json.dumps(second,
@@ -164,11 +164,25 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="s_order must be finite"):
         AnalysisConfig(symbol_text="1", alpha=0.0,
                        s_order=float("nan")).validate()
-    for field, value in (("seed", -1), ("seed", 1.5), ("quad_samples", 0),
-                         ("quad_samples", 4)):
-        with pytest.raises(ConfigError, match=field):
+    for value in (0, 4):
+        with pytest.raises(ConfigError, match="quad_samples"):
             AnalysisConfig(symbol_text="1", alpha=0.0,
-                           **{field: value}).validate()
+                           quad_samples=value).validate()
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), -float("inf"), "1"])
+def test_config_refuses_a_non_finite_alpha_by_name(alpha):
+    # before any Symbol is built, which raised a bare ValueError on nan
+    with pytest.raises(ConfigError, match="alpha must be finite, got "
+                       + re.escape(repr(alpha))):
+        AnalysisConfig(symbol_text="1", alpha=alpha).validate()
+
+
+def test_config_refuses_a_non_integer_quad_samples_by_name():
+    with pytest.raises(ConfigError, match=r"quad_samples must be an integer "
+                       r"of at least 5, got 5\.5"):
+        AnalysisConfig(symbol_text="1", alpha=0.0,
+                       quad_samples=5.5).validate()
 
 
 def test_x_dependent_symbol_samples_multiple_points():
@@ -323,7 +337,7 @@ def test_cli_analyze_refuses_an_overflowing_ellipticity_weight(tmp_path,
     assert stages["stratification"]["status"] == "ok"
     ell = stages["ellipticity"]
     assert ell["status"] == "error" and ell["error_type"] == "GridError"
-    xi_max = np.linalg.norm(frequency_grid(2, 0), axis=1).max()
+    xi_max = np.linalg.norm(frequency_grid(2), axis=1).max()
     for part in ("(1+|xi|)^(-alpha)", "alpha=-80", f"up to {xi_max:g}"):
         assert part in ell["error"]
     for st in ("factorization", "fredholm"):
@@ -345,7 +359,7 @@ def test_cli_analyze_refuses_an_overflowing_ellipticity_ratio(tmp_path,
     ell = json.loads((tmp_path / "manifest.json").read_text()
                      )["stages"]["ellipticity"]
     assert ell["status"] == "error" and ell["error_type"] == "GridError"
-    xi_max = np.linalg.norm(frequency_grid(2, 0), axis=1).max()
+    xi_max = np.linalg.norm(frequency_grid(2), axis=1).max()
     for part in ("ratio |a|*(1+|xi|)^(-alpha) is not finite at x=",
                  "alpha=-10", f"up to {xi_max:g}"):
         assert part in ell["error"]
@@ -457,8 +471,8 @@ def test_least_quad_samples_cap(capsys):
         winding_index(sym, [0.0], [], quad_samples=4)
     assert _analyze("1", 0.0, quad_samples=5).ok
     assert main(["analyze", "--symbol", "1", "--alpha", "0",
-                 "--seed", "-1"]) == 3
-    assert "seed must be a non-negative integer" in capsys.readouterr().err
+                 "--seed", "1"]) == 3
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
     assert main(["winding", "--symbol", "1", "--alpha", "0", "--dim", "1",
                  "--quad-samples", "0"]) == 3
     assert "quad_samples must be at least 5" in capsys.readouterr().err
@@ -510,11 +524,11 @@ def test_cli_winding_and_analyze_near_the_float_limit(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert payload["index"] == pytest.approx(1.0, abs=1e-9)
         assert main(["analyze", "--symbol", "1e300*(1+abs2(k))", "--alpha",
-                     "0", "--model", "square", "--out", str(tmp_path)]) == 0
+                     "2", "--model", "square", "--out", str(tmp_path)]) == 0
     stages = json.loads((tmp_path / "manifest.json").read_text())["stages"]
     assert stages["factorization"]["status"] == "ok"
     for report in stages["factorization"]["reports"]:
-        assert report["ae_values"] == pytest.approx([0.0], abs=1e-9)
+        assert report["ae_values"] == pytest.approx([1.0], abs=1e-9)
 
 
 def test_cli_wave_validate(capsys):

@@ -46,7 +46,6 @@ def test_item_9_winding_sees_a_narrow_zero_far_out(text):
     assert round(value) == -1
 
 
-@known_wrong
 def test_item_18_a_declared_order_below_the_growth_is_not_fredholm():
     # 1 + |xi|^2 has order 2: declared with alpha 1, its indices alpha/2
     # are wrong, and the run must not report the operator Fredholm

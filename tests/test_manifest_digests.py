@@ -4,9 +4,11 @@
 ``dump_json(run_analysis(cfg).comparable_dict())`` for the subset of the
 configurations of ``scripts/manifest_digest.py`` whose manifests do not
 depend on the BLAS thread count: ten cube inputs and every square and
-wedge2d configuration.  A change that moves an entry on purpose copies the
-new digest that this test reports into the file, and names the moved
-entries and the reason in ``CHANGES.md``.
+wedge2d configuration.  A manifest holds no seed: the ellipticity grid is
+fixed (``symbols.GRID_SEED``), and an elliptic symbol's stage records its
+``order_fit``.  A change that moves an entry on purpose copies the new
+digest that this test reports into the file, and names the moved entries
+and the reason in ``CHANGES.md``.
 
 ``data/ladder_proxies.json`` holds the ``float.hex`` of the
 ``assembly_convergence`` proxies on the 16 x 16 grid for the first two

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from symstrat import symbols
 from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
 from symstrat.dsl import BinOp, EvalPoint, Num, SymbolExpr, eval_on_grid
-from symstrat.errors import DegenerateFit, EvalError, GridError
+from symstrat.errors import (DegenerateFit, EvalError, GridError,
+                             OrderMismatch)
 from symstrat.symbols import (EllipticityReport, Symbol, check_ellipticity,
                               fit_order)
 
@@ -67,9 +68,9 @@ def test_report_with_nan_is_refused():
         check_ellipticity(Symbol.parse("k1", 1.0, 2), X0).to_dict()))
 
 
-def _per_x_reference(s, x_samples, seed):
+def _per_x_reference(s, x_samples):
     """(c1_raw, c2_raw, witness) by one evaluation per x sample."""
-    xi_pts = symbols.frequency_grid(s.dim, seed)
+    xi_pts = symbols.frequency_grid(s.dim)
     x_arr = np.atleast_2d(np.asarray(x_samples, dtype=float))
     scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
     c1 = math.inf
@@ -91,16 +92,15 @@ _CUBE_30 = _RNG_X.uniform(0.0, 1.0, (30, 3))
 _CUBE_30_ZERO = _CUBE_30.copy()
 _CUBE_30_ZERO[17, 0] = 0.4      # a zero at the 18th x sample only
 _SQUARE_5 = [[0.0, 0.0], [0.5, 0.5], [1.0, 0.0], [0.25, 1.0], [0.9, 0.1]]
-# a grid: the symbols.GRID_* constants it sets and its seed (default 0)
-_COARSE = {"GRID_POINTS_PER_AXIS": 9, "GRID_RANDOM_PER_DECADE": 8, "seed": 2}
+# a grid: the symbols.GRID_* constants it sets
+_COARSE = {"GRID_POINTS_PER_AXIS": 9, "GRID_RANDOM_PER_DECADE": 8,
+           "GRID_SEED": 2}
 
 
-def _use_grid(monkeypatch, grid) -> int:
-    """Set the constants of ``grid`` in symbols; its seed."""
+def _use_grid(monkeypatch, grid):
+    """Set the constants of ``grid`` in symbols."""
     for name, value in grid.items():
-        if name != "seed":
-            monkeypatch.setattr(symbols, name, value)
-    return grid.get("seed", 0)
+        monkeypatch.setattr(symbols, name, value)
 
 
 # (symbol, alpha, dim, x samples, grid, ELL_BLOCK_POINTS or None)
@@ -108,12 +108,12 @@ BLOCK_CASES = {
     "square-elliptic": ("(2+x1-x2)*(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_5,
                         {}, None),
     "square-nonelliptic": ("(x1-0.5)*k1+x2*k2", 1.0, 2, _SQUARE_5,
-                           {"seed": 4}, None),
+                           {"GRID_SEED": 4}, None),
     "cube-elliptic-30x": (
         "(1.5-0.2*x1+0.1*x3+0.3*normx2(x))*((k3-i)/(k3+i))^2*(1+abs2(k))",
         2.0, 3, _CUBE_30, {}, None),
     "cube-nonelliptic-30x": ("(x1-0.4)*(1+abs2(k))^(1/2)+k2", 1.0, 3,
-                             _CUBE_30_ZERO, {"seed": 1}, None),
+                             _CUBE_30_ZERO, {"GRID_SEED": 1}, None),
     "cube-one-frequency-blocks": ("(x1+x2*k3)*(1+abs2(k))^(1/2)", 1.0,
                                   3, _CUBE_30, _COARSE, 1),
     "cube-uneven-blocks": ("(1+x1*x2)*(2+abs2(k))^(3/2)", 3.0, 3,
@@ -129,9 +129,9 @@ def test_block_sweep_equals_per_x_evaluation(case, monkeypatch):
     if block is not None:
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
     s = Symbol.parse(text, alpha, dim)
-    seed = _use_grid(monkeypatch, grid)
-    c1, c2, witness = _per_x_reference(s, x_samples, seed)
-    rep = check_ellipticity(s, x_samples, seed)
+    _use_grid(monkeypatch, grid)
+    c1, c2, witness = _per_x_reference(s, x_samples)
+    rep = check_ellipticity(s, x_samples)
     assert rep.sample_spec["c1_raw"] == c1
     assert rep.sample_spec["c2_raw"] == c2
     assert rep.elliptic is (c1 > symbols.TOL_ELL)
@@ -150,13 +150,13 @@ def test_block_sweep_refuses_a_nan_ratio(monkeypatch):
     # nan there; the sweep refuses the symbol rather than let that sample
     # count towards neither bound, and no numpy warning escapes
     monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", 90)
-    seed = _use_grid(monkeypatch, _COARSE)
+    _use_grid(monkeypatch, _COARSE)
     s = Symbol.parse("x1*(abs2(k)/(1+abs2(k)))*1.5e308*(1+i)", 100.0, 2)
     with pytest.raises(GridError, match=r"ratio .* is not finite at "
                        r"x=\[1\.0, 0\.0\].*alpha=100"):
-        check_ellipticity(s, [[0.5, 0.0], [1.0, 0.0]], seed)
+        check_ellipticity(s, [[0.5, 0.0], [1.0, 0.0]])
     # the x sample that stays finite is unaffected
-    rep = check_ellipticity(s, [[0.5, 0.0]], seed)
+    rep = check_ellipticity(s, [[0.5, 0.0]])
     assert rep.sample_spec["c1_raw"] == 0.0 and 0 < rep.sample_spec["c2_raw"]
 
 
@@ -169,7 +169,7 @@ def test_block_sweep_refuses_a_nan_ratio(monkeypatch):
 def test_block_sweep_raises_the_first_failing_samples_error(text, x_samples):
     s = Symbol.parse(text, 2.0, 2)
     with pytest.raises(EvalError) as ref:
-        _per_x_reference(s, x_samples, 0)
+        _per_x_reference(s, x_samples)
     with pytest.raises(EvalError) as got:
         check_ellipticity(s, x_samples)
     assert type(got.value) is type(ref.value)
@@ -193,9 +193,10 @@ def test_cube_ellipticity_evaluates_in_few_blocks(monkeypatch):
     n_xi = symbols.frequency_grid(3).shape[0]
     assert m.stages["ellipticity"]["grid"]["x_samples"] == 9
     assert m.stages["ellipticity"]["elliptic"]
-    # one pass per factor (2+x1, k3-i, k3+i, (1+abs2(k))^(1/2)) and one
-    # per candidate rectangle
-    assert len(calls) == 6
+    # one pass per factor (2+x1, k3-i, k3+i, (1+abs2(k))^(1/2)), one per
+    # candidate rectangle, and the order fit at one x sample: no factor is
+    # mixed, so 3 axes and the diagonal at 12 radii
+    assert len(calls) == 7 and calls[-1] == 4 * 12
     assert max(calls) <= symbols.ELL_BLOCK_POINTS
     assert sum(calls) < 2 * n_xi
 
@@ -242,7 +243,7 @@ SPLIT_CASES = {
     "square-product": ("(2+x1-x2)*(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_9,
                        {}),
     "square-quotient-powers": ("(2+x1)/(3-x2)^2*(k1-2*i)^2/(1+abs2(k))",
-                               0.0, 2, _SQUARE_5, {"seed": 5}),
+                               0.0, 2, _SQUARE_5, {"GRID_SEED": 5}),
     "square-negated-exp": ("-exp(x1*x2)*(k1+i)*(k2-i)", 1.0, 2, _SQUARE_9,
                            _COARSE),
     "square-xi-only-ties": ("(1+abs2(k))^(1/2)", 1.0, 2, _SQUARE_9, {}),
@@ -252,7 +253,7 @@ SPLIT_CASES = {
                          _CUBE_9, {}),
     "cube-benchmark-form": (
         "(1.5-0.2*x1+0.1*x3+0.3*normx2(x))*((k3-i)/(k3+i))^2*(1+abs2(k))",
-        2.0, 3, _CUBE_30, {"seed": 3}),
+        2.0, 3, _CUBE_30, {"GRID_SEED": 3}),
     "cube-xi-only-ties": ("(1+abs2(k))^(1/2)", 1.0, 3, _CUBE_9, _COARSE),
     "cube-two-axis-factor": ("(1+x2)^-1*(k1+3+i)*(k2-1-2*i)*(4+abs2(k))^-1",
                              0.0, 3, _CUBE_9, _COARSE),
@@ -269,7 +270,7 @@ def test_projection_shares_one_evaluation_per_node_tuple(dim, axes,
     _use_grid(monkeypatch, {"GRID_POINTS_PER_AXIS": 5,
                             "GRID_RANDOM_PER_DECADE": 3})
     pts = symbols.frequency_grid(dim)
-    rep, inv = symbols.grid_projection(dim, axes, len(pts))
+    rep, inv = symbols.grid_projection(dim, axes)
     cols = [a - 1 for a in axes]
     np.testing.assert_array_equal(pts[rep][inv][:, cols], pts[:, cols])
     # every node tuple once, then every far-field point
@@ -283,12 +284,12 @@ def test_projection_shares_one_evaluation_per_node_tuple(dim, axes,
 def test_factor_split_equals_the_sweep_bit_for_bit(case, monkeypatch):
     text, alpha, dim, x_samples, grid = SPLIT_CASES[case]
     s = Symbol.parse(text, alpha, dim)
-    seed = _use_grid(monkeypatch, grid)
+    _use_grid(monkeypatch, grid)
     sweeps = _recorded(monkeypatch, "_sweep_extremes")
     splits = _recorded(monkeypatch, "_split_extremes")
-    got = check_ellipticity(s, x_samples, seed)
+    got = check_ellipticity(s, x_samples)
     assert not sweeps and splits[0] is not None
-    want = _forced_sweep(monkeypatch, s, x_samples, seed)
+    want = _forced_sweep(monkeypatch, s, x_samples)
     assert got.elliptic
     assert _hex(got.to_dict()) == _hex(want.to_dict())
     # (c1, c2, argmin x sample, argmin frequency): the split's argmin
@@ -303,9 +304,9 @@ def test_forced_sweep_equals_per_x_evaluation(case, monkeypatch):
     if block is not None:
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
     s = Symbol.parse(text, alpha, dim)
-    seed = _use_grid(monkeypatch, grid)
-    c1, c2, witness = _per_x_reference(s, x_samples, seed)
-    rep = _forced_sweep(monkeypatch, s, x_samples, seed)
+    _use_grid(monkeypatch, grid)
+    c1, c2, witness = _per_x_reference(s, x_samples)
+    rep = _forced_sweep(monkeypatch, s, x_samples)
     assert (rep.sample_spec["c1_raw"], rep.sample_spec["c2_raw"]) == (c1, c2)
     assert rep.witness == (None if rep.elliptic else witness)
 
@@ -334,19 +335,19 @@ def test_factor_split_falls_back_to_the_sweep(case, monkeypatch):
     if block is not None:
         monkeypatch.setattr(symbols, "ELL_BLOCK_POINTS", block)
     s = Symbol.parse(text, alpha, 2)
-    seed = _use_grid(monkeypatch, _COARSE)
+    _use_grid(monkeypatch, _COARSE)
     sweeps = _recorded(monkeypatch, "_sweep_extremes")
     try:
-        rep = check_ellipticity(s, x_samples, seed)
+        rep = check_ellipticity(s, x_samples)
     except (EvalError, GridError) as exc:
         assert len(sweeps) == 1
         # an error of the sweep's, as the sweep raises it
         with pytest.raises(type(exc)) as ref:
-            _forced_sweep(monkeypatch, s, x_samples, seed)
+            _forced_sweep(monkeypatch, s, x_samples)
         assert str(ref.value) == str(exc)
     else:
         assert len(sweeps) == 1
-        want = _forced_sweep(monkeypatch, s, x_samples, seed)
+        want = _forced_sweep(monkeypatch, s, x_samples)
         assert _hex(rep.to_dict()) == _hex(want.to_dict())
 
 
@@ -368,11 +369,11 @@ def test_monotone_refinement(monkeypatch):
     x_samples = [[0.0, 0.0], [0.7, 0.3]]
 
     def grid_and_report(points_per_axis):
-        seed = _use_grid(monkeypatch, {
+        _use_grid(monkeypatch, {
             "GRID_POINTS_PER_AXIS": points_per_axis,
-            "GRID_RANDOM_PER_DECADE": 16, "seed": 3})
-        return (symbols.frequency_grid(2, seed),
-                check_ellipticity(s, x_samples, seed))
+            "GRID_RANDOM_PER_DECADE": 16, "GRID_SEED": 3})
+        return (symbols.frequency_grid(2),
+                check_ellipticity(s, x_samples))
 
     pts_c, rep_c = grid_and_report(17)
     pts_f, rep_f = grid_and_report(33)
@@ -380,6 +381,36 @@ def test_monotone_refinement(monkeypatch):
     assert all(tuple(p) in as_set for p in np.round(pts_c[:17 * 17], 12))
     assert rep_f.c1 <= rep_c.c1 + 1e-15
     assert rep_f.c2 >= rep_c.c2 - 1e-15
+
+
+def test_the_grid_is_built_once_per_dimension_and_constants(monkeypatch):
+    monkeypatch.setattr(symbols, "_GRIDS", {})
+    s = Symbol.parse("(2+x1)*((k3-i)/(k3+i))*(1+abs2(k))^(1/2)", 1.0, 3)
+    built = []
+    for x in np.random.default_rng(5).uniform(0.0, 1.0, (32, 2, 3)):
+        assert check_ellipticity(s, x).elliptic
+        built.append(symbols._grid_arrays(3))
+    # one build: the same three arrays after every call
+    assert len(symbols._GRIDS) == 1
+    assert all(b is built[0] for b in built)
+    base = symbols.frequency_grid(3)
+    assert base is built[0][0]
+    for arr in symbols._grid_arrays(3):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    # each constant, the seed included, keys a grid of its own
+    for name, value in (("GRID_POINTS_PER_AXIS", 9), ("GRID_BOX_RADIUS", 8.0),
+                        ("GRID_RANDOM_PER_DECADE", 4),
+                        ("GRID_MAX_RADIUS", 1.0e3), ("GRID_SEED", 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(symbols, name, value)
+            grid = symbols.frequency_grid(3)
+            assert grid.shape != base.shape or not np.array_equal(grid, base)
+            xi, norms, xi_c = symbols._grid_arrays(3)
+            assert np.array_equal(norms, np.linalg.norm(grid, axis=1))
+            assert np.array_equal(xi_c, grid.astype(complex))
+    assert symbols.frequency_grid(3) is base
 
 
 # --------------------------------------------------------------------------
@@ -427,3 +458,55 @@ def test_fit_order_multiplicative():
     f2 = fit_order(s2, [1, 0], RADII)
     fp = fit_order(prod, [1, 0], RADII)
     assert fp == pytest.approx(f1 + f2, abs=0.1)
+
+
+def test_fit_order_covers_many_rays_and_points_in_one_evaluation():
+    s = Symbol.parse("(1+x1)*(1+abs2(k))+x2*k1^3", 2.0, 2)
+    rays = [[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]]
+    x0 = [[0.0, 0.0], [0.5, 0.5]]
+    got = fit_order(s, rays, RADII, x0)
+    assert got.shape == (2, 3)
+    for j, x in enumerate(x0):
+        assert fit_order(s, rays, RADII, x).shape == (3,)
+        for r, ray in enumerate(rays):
+            assert got[j, r] == pytest.approx(fit_order(s, ray, RADII, x),
+                                              abs=1e-12)
+    assert got[0] == pytest.approx([2.0] * 3, abs=0.05)
+    assert got[1, 0] == pytest.approx(3.0, abs=0.05)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 3.0])
+def test_a_wrong_declared_order_stops_the_ellipticity_stage(alpha):
+    # 1+|xi|^2 has order 2 and is elliptic on the bounded grid whatever
+    # alpha says; the order fit refuses the other alphas
+    m = run_analysis(AnalysisConfig("1+abs2(k)", alpha, "square", 0.5))
+    ell = m.stages["ellipticity"]
+    assert not m.ok
+    assert ell["status"] == "error" and ell["error_type"] == "OrderMismatch"
+    for part in ("fitted order 2.019 along the ray [1.0, 0.0] at x=",
+                 f"declared order alpha={alpha:g}"):
+        assert part in ell["error"]
+    for name in ("factorization", "fredholm"):
+        assert m.stages[name] == {"status": "skipped",
+                                  "reason": "ellipticity stage failed"}
+
+
+def test_the_declared_order_is_fitted_and_recorded():
+    m = run_analysis(AnalysisConfig("1+abs2(k)", 2.0, "square", 0.5))
+    ell = m.stages["ellipticity"]
+    assert m.ok and ell["status"] == "ok"
+    fit = ell["order_fit"]
+    assert fit["rays"][:2] == [[1.0, 0.0], [0.0, 1.0]]
+    assert fit["rays"][2] == pytest.approx([0.5 ** 0.5] * 2)
+    # no mixed factor: one x sample stands for all
+    assert fit["orders"] == [pytest.approx([2.019] * 3, abs=1e-3)]
+
+
+def test_a_mixed_symbol_is_fitted_at_every_x_sample():
+    # order 2 at x1 = 0, order 4 elsewhere
+    s = Symbol.parse("1+abs2(k)+x1*abs2(k)^2", 2.0, 2)
+    assert len(symbols.check_order(s, [[0.0, 0.0], [0.0, 1.0]])["orders"]) \
+        == 2
+    with pytest.raises(OrderMismatch, match=r"fitted order 4\.0.* along "
+                       r"the ray \[1\.0, 0\.0\] at x=\[0\.5, 0\.0\]"):
+        symbols.check_order(s, [[0.0, 0.0], [0.5, 0.0]])
