@@ -145,7 +145,7 @@ def _factorize(sym: Symbol, strat, config: AnalysisConfig) -> list:
                              "a factorization candidate")
         reports.append(FactorizationReport(
             stratum_label=st.label, k=st.k,
-            points=[list(map(float, p)) for p in pts],
+            points=pts.tolist(),
             ae_values=list(islice(values, len(pts))),
             method="winding-quadrature", diagnostics=diag))
     return reports

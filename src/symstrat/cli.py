@@ -234,7 +234,8 @@ def _cmd_assemble(args) -> int:
     # (exit 3) or a stage error (exit 2) leaves no --out behind
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lattice.export_operator(op, out_dir / "assembled")
+    lattice.export_operator(op, out_dir / "assembled", {
+        "construction": "assembled", "n_patches": len(cov.balls)})
     print(str(out_dir / "assembled.bin"))
     if table is not None:
         csv_path = out_dir / "convergence.csv"

@@ -48,8 +48,7 @@ import numpy as np
 from .errors import DimensionError, EvalError, SymbolSyntaxError
 
 __all__ = [
-    "Num", "Coord", "VecRef", "Neg", "BinOp", "Pow", "Call",
-    "SymbolExpr", "EvalPoint",
+    "Num", "Coord", "VecRef", "Neg", "BinOp", "Pow", "Call", "SymbolExpr",
     "parse_symbol", "print_symbol", "eval_on_grid",
     "depends_on_x", "frequency_support", "product_factors",
 ]
@@ -113,22 +112,6 @@ class SymbolExpr:
 
     def __str__(self):
         return print_symbol(self)
-
-
-@dataclass(frozen=True)
-class EvalPoint:
-    """Evaluation point: real spatial vector and complex frequency vector.
-
-    Nonzero imaginary parts of ``xi`` realize continuation arguments
-    ``xi + i*tau``.
-    """
-
-    x: tuple
-    xi: tuple
-
-    @staticmethod
-    def make(x, xi):
-        return EvalPoint(tuple(float(v) for v in x), tuple(complex(v) for v in xi))
 
 
 # --------------------------------------------------------------------------

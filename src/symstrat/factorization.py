@@ -251,7 +251,7 @@ class WaveFactorCandidate:
 class WaveValidationReport:
     product_max_rel_err: float | None     # None when (i) could not evaluate
     product_ok: bool
-    growth: list            # per factor, per ray: slope records
+    growth: list            # per factor and ray; a failed ray's slope is None
     growth_ok: bool
     support: list           # per factor: mass records
     support_ok: bool
@@ -262,11 +262,8 @@ class WaveValidationReport:
         return self.product_ok and self.growth_ok and self.support_ok
 
     def to_dict(self) -> dict:
-        # a failed ray's nan slope is null in JSON; the record has a reason
-        growth = [{**r, "slope": None} if math.isnan(r["slope"]) else r
-                  for r in self.growth]
         return {"product_max_rel_err": self.product_max_rel_err,
-                "product_ok": self.product_ok, "growth": growth,
+                "product_ok": self.product_ok, "growth": self.growth,
                 "growth_ok": self.growth_ok, "support": self.support,
                 "support_ok": self.support_ok, "grid": self.grid}
 
@@ -380,9 +377,8 @@ def validate_wave_factors(cand: WaveFactorCandidate,
 
     All three checks always run and the report carries per-factor
     verdicts, whether they pass or fail; an EvalError in a check fails
-    that check (a null product error with the error text as
-    grid["reason"], a nan slope, null in ``to_dict``, with the text as
-    reason, a mass_outside of 1.0 with the text as reason).
+    that check: a null product error, a None slope or a mass_outside of
+    1.0, with the error text as grid["reason"] or the record's reason.
     """
     m = s.dim
     if cand.a_neq.dim != m:
@@ -422,7 +418,7 @@ def validate_wave_factors(cand: WaveFactorCandidate,
                 rec["slope"] = _growth_slope(expr, m, k, ray, sign)
                 rec["ok"] = abs(rec["slope"] - expected) <= TOL_SLOPE
             except (EvalError, GrowthViolation) as exc:
-                rec.update(slope=math.nan, ok=False, reason=str(exc))
+                rec.update(slope=None, ok=False, reason=str(exc))
             growth.append(rec)
 
     # (iii) Fourier support of the inverse factors
@@ -471,8 +467,7 @@ class FactorizationReport:
 
     def to_dict(self) -> dict:
         return {"stratum": self.stratum_label, "k": self.k,
-                "points": [list(map(float, p)) for p in self.points],
-                "ae_values": [float(v) for v in self.ae_values],
+                "points": self.points, "ae_values": self.ae_values,
                 "method": self.method, "diagnostics": self.diagnostics}
 
 
@@ -480,14 +475,14 @@ class FactorizationReport:
 class StratumVerdict:
     stratum_label: str
     k: int
-    ae_range: tuple
+    ae_range: list          # [min, max] of the stratum's index values
     s: float
     condition_met: bool
     margin: float
 
     def to_dict(self) -> dict:
         return {"stratum": self.stratum_label, "k": self.k,
-                "ae_range": [self.ae_range[0], self.ae_range[1]],
+                "ae_range": self.ae_range,
                 "s": self.s, "condition_met": self.condition_met,
                 "margin": self.margin}
 
@@ -528,7 +523,7 @@ def check_fredholm_condition(reports, s_order: float,
         margin = 0.5 - dev
         verdicts.append(StratumVerdict(
             stratum_label=rep.stratum_label, k=rep.k,
-            ae_range=(float(ae.min()), float(ae.max())),
+            ae_range=[float(ae.min()), float(ae.max())],
             s=s_order, condition_met=margin > 0, margin=margin))
     fredholm = interior_elliptic and all(v.condition_met for v in verdicts)
     return FredholmVerdict(s=s_order, per_stratum=verdicts,

@@ -198,33 +198,34 @@ class DiscreteOperator:
     return new operators.  ``spectrum`` holds a Fourier multiplier's values
     on the dual grid, from which operator_norm reads its norm in closed
     form; it is None for every other operator.  ``dense`` builds the dense
-    matrix of a matrix or an assembled frozen family (see to_dense).
+    matrix of a matrix or an assembled frozen family (see to_dense).  An
+    operator keeps no record of how it was built: a caller that exports
+    one passes that record to export_operator.
     """
 
     def __init__(self, shape, matvec, rmatvec, src=None, dst=None,
-                 spectrum=None, provenance=None, dense=None):
+                 spectrum=None, dense=None):
         self.shape = tuple(shape)
         self._matvec = matvec
         self._rmatvec = rmatvec
         self.src = src
         self.dst = dst
         self.spectrum = spectrum
-        self.provenance = dict(provenance or {})
         self._build_dense = dense
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
-    def from_matrix(mat, src=None, dst=None, provenance=None):
+    def from_matrix(mat, src=None, dst=None):
         mat = np.asarray(mat, dtype=complex)
         return DiscreteOperator(
             mat.shape,
             lambda v: mat @ v,
             lambda v: mat.conj().T @ v,
-            src, dst, provenance=provenance, dense=lambda: mat)
+            src, dst, dense=lambda: mat)
 
     @staticmethod
-    def multiplier(values, src, dst, provenance=None):
+    def multiplier(values, src, dst):
         values = np.asarray(values, dtype=complex)
         grid = src.grid
         if values.shape != (grid.size,):
@@ -235,21 +236,20 @@ class DiscreteOperator:
             lambda v: grid.ifft_flat(_scale_rows(values, grid.fft_flat(v))),
             lambda v: grid.ifft_flat(_scale_rows(values.conj(),
                                                  grid.fft_flat(v))),
-            src, dst, spectrum=values, provenance=provenance)
+            src, dst, spectrum=values)
 
     @staticmethod
-    def diagonal(values, src=None, dst=None, provenance=None):
+    def diagonal(values, src=None, dst=None):
         values = np.asarray(values, dtype=complex)
         return DiscreteOperator((values.size, values.size),
                                 lambda v: _scale_rows(values, v),
                                 lambda v: _scale_rows(values.conj(), v),
-                                src, dst, provenance=provenance)
+                                src, dst)
 
     @staticmethod
     def identity(space):
         vals = np.ones(space.grid.size)
-        return DiscreteOperator.diagonal(vals, space, space,
-                                         provenance={"construction": "identity"})
+        return DiscreteOperator.diagonal(vals, space, space)
 
     # -- algebra -----------------------------------------------------------
 
@@ -266,17 +266,7 @@ class DiscreteOperator:
             (self.shape[0], other.shape[1]),
             lambda v: self.matvec(other.matvec(v)),
             lambda v: other.rmatvec(self.rmatvec(v)),
-            other.src, self.dst, provenance={"construction": "compose"})
-
-    def __add__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("operator shapes do not add")
-        return DiscreteOperator(
-            self.shape,
-            lambda v: self.matvec(v) + other.matvec(v),
-            lambda v: self.rmatvec(v) + other.rmatvec(v),
-            self.src or other.src, self.dst or other.dst,
-            provenance={"construction": "sum"})
+            other.src, self.dst)
 
     def __sub__(self, other):
         if self.shape != other.shape:
@@ -285,8 +275,7 @@ class DiscreteOperator:
             self.shape,
             lambda v: self.matvec(v) - other.matvec(v),
             lambda v: self.rmatvec(v) - other.rmatvec(v),
-            self.src or other.src, self.dst or other.dst,
-            provenance={"construction": "difference"})
+            self.src or other.src, self.dst or other.dst)
 
     # -- materialization ---------------------------------------------------
 
@@ -390,10 +379,7 @@ def discretize_symbol_op(s: Symbol, x0, grid: LatticeGrid,
     _check_frozen_spaces(s, grid, src, dst)
     x0 = np.asarray(x0, dtype=float)
     values = _frozen_values(s, x0[None, :], grid.frequencies().astype(complex))
-    return DiscreteOperator.multiplier(
-        values[0], src, dst,
-        provenance={"construction": "frozen-multiplier", "symbol": str(s.expr),
-                    "alpha": s.order_alpha, "x0": [float(v) for v in x0]})
+    return DiscreteOperator.multiplier(values[0], src, dst)
 
 
 def _check_frozen_spaces(s: Symbol, grid: LatticeGrid,
@@ -887,9 +873,7 @@ def assemble_operator(family, pou: PartitionOfUnity) -> DiscreteOperator:
             out = out + _scale_rows(gj, op.rmatvec(_scale_rows(fj, v)))
         return out
 
-    return DiscreteOperator(shape, mv, rmv, src, dst,
-                            provenance={"construction": "assembled",
-                                        "n_patches": len(ops)})
+    return DiscreteOperator(shape, mv, rmv, src, dst)
 
 
 def quantize_full_symbol(s: Symbol, grid: LatticeGrid,
@@ -907,9 +891,7 @@ def quantize_full_symbol(s: Symbol, grid: LatticeGrid,
     finv = grid.ifft_flat(np.eye(p, dtype=complex))
     fwd = grid.fft_flat(np.eye(p, dtype=complex))
     mat = (vals * finv) @ fwd
-    return DiscreteOperator.from_matrix(
-        mat, src, dst, provenance={"construction": "full-quantization",
-                                   "symbol": str(s.expr)})
+    return DiscreteOperator.from_matrix(mat, src, dst)
 
 
 def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
@@ -938,9 +920,7 @@ def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
         pou.f_values, pou.g_values, grid)
     return DiscreteOperator((grid.size, grid.size), windows.apply,
                             lambda v: windows.apply(v, adjoint=True),
-                            src, dst, provenance={"construction": "assembled",
-                                        "n_patches": len(balls)},
-                            dense=windows.to_dense)
+                            src, dst, dense=windows.to_dense)
 
 
 # the variables that size the BLAS thread pool, in the order OpenBLAS
@@ -1061,9 +1041,10 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
 # --------------------------------------------------------------------------
 # Portable export
 
-def export_operator(op: DiscreteOperator, base_path) -> None:
+def export_operator(op: DiscreteOperator, base_path, provenance: dict) -> None:
     """Write the dense matrix as little-endian complex128 row-major bytes
-    with a JSON sidecar of dims, orders and provenance (see dump_json)."""
+    with a JSON sidecar (see dump_json) of its dims, orders and grid, and
+    of ``provenance``, the caller's record of how op was built."""
     mat = np.ascontiguousarray(op.to_dense().astype("<c16"))
     sidecar = dump_json({
         "format": "complex128-le-row-major",
@@ -1074,7 +1055,7 @@ def export_operator(op: DiscreteOperator, base_path) -> None:
         "grid": None if op.src is None else {
             "dim": op.src.grid.dim, "n": op.src.grid.n, "h": op.src.grid.h,
             "origin": list(op.src.grid.origin)},
-        "provenance": op.provenance,
+        "provenance": provenance,
     })
     base = str(base_path)
     with open(base + ".bin", "wb") as fh:

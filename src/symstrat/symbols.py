@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import (EvalPoint, SymbolExpr, eval_on_grid, frequency_support,
-                  parse_symbol, product_factors)
+from .dsl import (SymbolExpr, eval_on_grid, frequency_support, parse_symbol,
+                  product_factors)
 from .errors import DegenerateFit, EvalError, GridError, OrderMismatch
 
 __all__ = [
@@ -125,20 +125,19 @@ def grid_projection(dim: int, axes) -> tuple:
 
 @dataclass
 class EllipticityReport:
+    """check_ellipticity's verdict; ``witness`` is the argmin sample of a
+    non-elliptic symbol, {"x": [...], "xi": [[re, im], ...]}, else None."""
+
     elliptic: bool
     c1: float | None
     c2: float | None
-    witness: EvalPoint | None
+    witness: dict | None
     sample_spec: dict = field(default_factory=dict)
     order_fit: dict | None = None       # check_order's record, if it ran
 
     def to_dict(self) -> dict:
-        wit = None
-        if self.witness is not None:
-            wit = {"x": list(self.witness.x),
-                   "xi": [[z.real, z.imag] for z in self.witness.xi]}
         return {"elliptic": self.elliptic, "c1": self.c1, "c2": self.c2,
-                "witness": wit, "grid": self.sample_spec,
+                "witness": self.witness, "grid": self.sample_spec,
                 "order_fit": self.order_fit}
 
 
@@ -185,7 +184,8 @@ def check_ellipticity(s: Symbol, x_samples) -> EllipticityReport:
     if found is None:
         found = _sweep_extremes(s, x_arr, xi_pts, xi_norms, xi_c, scale)
     c1, c2, first, arg = found
-    witness = EvalPoint.make(x_arr[first], xi_pts[arg])
+    witness = {"x": x_arr[first].tolist(),
+               "xi": [[z.real, z.imag] for z in xi_c[arg].tolist()]}
 
     elliptic = c1 > TOL_ELL
     return EllipticityReport(
@@ -392,7 +392,12 @@ def fit_order(s: Symbol, ray, radii, x0=None):
     xi = rays[..., None, :] * radii[:, None]
     vals = np.abs(eval_on_grid(s.expr, x, xi.astype(complex)))
     if np.any(vals < 1e-300):
-        raise DegenerateFit("symbol vanishes along the ray")
+        at = tuple(np.argwhere(vals < 1e-300)[0])
+        ray_at, x_at = (np.broadcast_to(v, vals.shape + (s.dim,))[at].tolist()
+                        for v in (rays[..., None, :], x))
+        raise DegenerateFit(f"symbol vanishes along the ray {ray_at} at "
+                            f"radius {float(radii[at[-1]])}, x={x_at}: "
+                            "|a| < 1e-300")
     logs = np.log(vals).reshape(-1, radii.size).T
     slopes = np.polyfit(np.log1p(radii), logs, 1)[0].reshape(vals.shape[:-1])
     return float(slopes) if slopes.ndim == 0 else slopes

@@ -19,6 +19,8 @@ from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
 from symstrat.cli import main
 from symstrat.errors import ConfigError, SymstratError
 from symstrat.factorization import winding_index
+from symstrat.geometry import build_covering, stratify_model
+from symstrat.lattice import LatticeGrid
 from symstrat.suites import run_verify_suite
 from symstrat.symbols import Symbol, frequency_grid
 
@@ -692,6 +694,11 @@ def test_cli_assemble_exports(tmp_path):
     raw = np.fromfile(tmp_path / "assembled.bin", dtype="<c16")
     sidecar = json.loads((tmp_path / "assembled.json").read_text())
     assert raw.size == sidecar["rows"] * sidecar["cols"] == 256 * 256
+    # the record that the command hands to export_operator
+    cov = build_covering(stratify_model("square", 2), 0.3,
+                          cover_points=LatticeGrid(2, 16, 1 / 16).points())
+    assert sidecar["provenance"] == {"construction": "assembled",
+                                     "n_patches": len(cov.balls)}
     table = (tmp_path / "convergence.csv").read_text().strip().splitlines()
     assert table[0] == "eps_coarse,eps_fine,proxy"
     assert len(table) == 3

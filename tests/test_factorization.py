@@ -478,7 +478,7 @@ def test_growth_overflow_is_a_failed_ray():
     assert report.product_ok and not report.growth_ok
     for rec in report.growth:
         assert rec["ok"] == (rec["factor"] == "a_neq")
-        assert np.isnan(rec["slope"]) == (rec["factor"] == "a_eq")
+        assert (rec["slope"] is None) == (rec["factor"] == "a_eq")
 
 
 def test_estimate_wave_index_values():

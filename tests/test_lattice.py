@@ -223,8 +223,9 @@ def test_full_quantization_checks_its_spaces_like_the_frozen_one():
 def test_paired_two_point_toy():
     a = DiscreteOperator.from_matrix(np.array([[0, 1], [1, 0]], complex))
     p_plus = DiscreteOperator.diagonal(np.array([1, 0], complex))
-    p_minus = DiscreteOperator.diagonal(np.array([0, 1], complex))
-    paired = (a @ p_plus) + p_minus
+    # a P+ + P-, with the sum written as a P+ - (-P-)
+    minus_p_minus = DiscreteOperator.diagonal(np.array([0, -1], complex))
+    paired = (a @ p_plus) - minus_p_minus
     np.testing.assert_array_equal(paired.to_dense().real,
                                   np.array([[0, 0], [1, 1]]))
     # singular, and the compression onto the first coordinate is [0]
@@ -1180,7 +1181,7 @@ def test_operator_norm_of_tiny_composites(n):
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     summed = DiscreteOperator.from_matrix(a) \
-        + DiscreteOperator.from_matrix(np.eye(n))
+        - DiscreteOperator.from_matrix(-np.eye(n))
     assert operator_norm(summed) == pytest.approx(
         np.linalg.norm(a + np.eye(n), 2), rel=1e-12)
     wide = DiscreteOperator.from_matrix(rng.standard_normal((n, 5))) \
@@ -1512,7 +1513,7 @@ def test_export_import_round_trip(tmp_path):
     op = discretize_symbol_op(Symbol.parse("(1+abs2(k))^(1/2)", 1.0, 1),
                               [0.0], grid, sp, DiscreteSobolevSpace(grid, -0.5))
     base = tmp_path / "op"
-    export_operator(op, base)
+    export_operator(op, base, {"construction": "frozen-multiplier"})
     sidecar = json.loads((tmp_path / "op.json").read_text(encoding="utf-8"))
     mat = np.fromfile(str(base) + ".bin", "<c16").reshape(
         sidecar["rows"], sidecar["cols"])
@@ -1520,18 +1521,16 @@ def test_export_import_round_trip(tmp_path):
     assert sidecar["rows"] == 8 and sidecar["cols"] == 8
     assert sidecar["src_order"] == 0.5
     assert sidecar["grid"]["n"] == 8
-    assert sidecar["provenance"]["construction"] == "frozen-multiplier"
+    assert sidecar["provenance"] == {"construction": "frozen-multiplier"}
 
 
 def test_export_writes_the_sidecar_as_every_report(tmp_path):
     # sorted keys, two-space indent and a trailing newline, as every --out
     # file; a NaN is refused before either file is written
-    op = DiscreteOperator.from_matrix(np.eye(2), provenance={"eps": 0.5})
-    export_operator(op, tmp_path / "op")
+    op = DiscreteOperator.from_matrix(np.eye(2))
+    export_operator(op, tmp_path / "op", {"eps": 0.5})
     text = (tmp_path / "op.json").read_text(encoding="utf-8")
     assert text == dump_json(json.loads(text)) + "\n"
-    bad = DiscreteOperator.from_matrix(np.eye(2),
-                                       provenance={"eps": float("nan")})
     with pytest.raises(ValueError, match="not JSON compliant"):
-        export_operator(bad, tmp_path / "bad")
+        export_operator(op, tmp_path / "bad", {"eps": float("nan")})
     assert sorted(p.name for p in tmp_path.iterdir()) == ["op.bin", "op.json"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from symstrat import symbols
 from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
-from symstrat.dsl import BinOp, EvalPoint, Num, SymbolExpr, eval_on_grid
+from symstrat.dsl import BinOp, Num, SymbolExpr, eval_on_grid
 from symstrat.errors import (DegenerateFit, EvalError, GridError,
                              OrderMismatch)
 from symstrat.symbols import (EllipticityReport, Symbol, check_ellipticity,
@@ -43,7 +43,7 @@ def test_degenerate_symbol_has_witness_on_axis():
     assert not rep.elliptic
     assert rep.c1 is None and rep.c2 is None
     assert rep.witness is not None
-    assert abs(rep.witness.xi[0]) < 1e-12
+    assert abs(complex(*rep.witness["xi"][0])) < 1e-12
 
 
 def test_grid_preconditions():
@@ -82,7 +82,8 @@ def _per_x_reference(s, x_samples):
         j = int(np.argmin(ratio))
         if ratio[j] < c1:
             c1 = float(ratio[j])
-            witness = EvalPoint.make(x, xi_pts[j])
+            witness = {"x": x.tolist(),
+                       "xi": [[v, 0.0] for v in xi_pts[j].tolist()]}
         c2 = max(c2, float(np.max(ratio)))
     return c1, c2, witness
 
@@ -141,7 +142,7 @@ def test_block_sweep_equals_per_x_evaluation(case, monkeypatch):
         assert (rep.c1, rep.c2) == (None, None)
         assert rep.witness == witness
     if case.startswith("tie"):
-        assert rep.witness.x == tuple(x_samples[0])
+        assert rep.witness["x"] == list(x_samples[0])
 
 
 def test_block_sweep_refuses_a_nan_ratio(monkeypatch):
@@ -489,6 +490,33 @@ def test_a_wrong_declared_order_stops_the_ellipticity_stage(alpha):
     for name in ("factorization", "fredholm"):
         assert m.stages[name] == {"status": "skipped",
                                   "reason": "ellipticity stage failed"}
+
+
+def test_a_zero_between_grid_nodes_names_the_ray_radius_and_x():
+    # (k1-r)^2 + k2^2 with r = ORDER_RADII[1] vanishes on the k1 axis
+    # between the nodes of the ellipticity grid, which certifies it; the
+    # order fit then meets the zero and names where |a| fell below 1e-300
+    assert symbols.ORDER_RADII[1] == 18.73817422860384
+    m = run_analysis(AnalysisConfig("(k1-18.73817422860384)^2+k2^2", 2.0,
+                                    "square"))
+    ell = m.stages["ellipticity"]
+    assert ell["error_type"] == "DegenerateFit"
+    assert ell["error"] == ("symbol vanishes along the ray [1.0, 0.0] at "
+                            "radius 18.73817422860384, x=[0.0, 0.0]: "
+                            "|a| < 1e-300")
+
+
+def test_a_degenerate_fit_names_the_first_failing_ray_and_x():
+    # rays and x samples are both axes of the fit: the first zero in
+    # (x, ray, radius) order is named
+    k1 = Symbol.parse("k1", 1.0, 2)
+    with pytest.raises(DegenerateFit, match=r"the ray \[0\.0, 1\.0\] at "
+                       r"radius 10\.0, x=\[0\.0, 0\.0\]"):
+        fit_order(k1, [[1.0, 0.0], [0.0, 1.0]], RADII)
+    x_zero = Symbol.parse("(x1-0.5)*(1+abs2(k))", 2.0, 2)
+    with pytest.raises(DegenerateFit, match=r"the ray \[1\.0, 0\.0\] at "
+                       r"radius 10\.0, x=\[0\.5, 0\.25\]"):
+        fit_order(x_zero, np.eye(2), RADII, [[0.0, 0.0], [0.5, 0.25]])
 
 
 def test_the_declared_order_is_fitted_and_recorded():
