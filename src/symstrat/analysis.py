@@ -23,6 +23,7 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -126,17 +127,30 @@ def _stratum_points(stratum, x_dependent: bool) -> np.ndarray:
     return pts[idx]
 
 
-def _factorize(sym: Symbol, strat, config: AnalysisConfig) -> list:
+@lru_cache(maxsize=None)
+def _winding_points(model: str, x_dependent: bool):
+    """The model's boundary strata, each with its winding points, and the
+    concatenation of those points, as read-only arrays: built once per
+    model and x-dependence from the model's cached stratification."""
+    strata = stratify_model(model, MODEL_DIMS[model]).boundary_strata()
+    points = [_stratum_points(st, x_dependent) for st in strata]
+    stacked = np.concatenate(points)
+    for pts in points + [stacked]:
+        pts.flags.writeable = False
+    return tuple(zip(strata, points)), stacked
+
+
+def _factorize(sym: Symbol, config: AnalysisConfig) -> list:
     """One winding-quadrature report per boundary stratum, from one
-    winding_index call over the sample points of every stratum."""
+    winding_index call over the sample points of every stratum.  Those
+    points depend only on the model and on whether the symbol depends on
+    x, so they come from :func:`_winding_points`'s cache."""
     x_dep = depends_on_x(sym.expr)
-    strata = strat.boundary_strata()
-    points = [_stratum_points(st, x_dep) for st in strata]
-    values = iter(winding_index(sym, np.concatenate(points),
-                                np.zeros(config.dim() - 1),
+    strata_points, stacked = _winding_points(config.model, x_dep)
+    values = iter(winding_index(sym, stacked, np.zeros(config.dim() - 1),
                                 quad_samples=config.quad_samples))
     reports = []
-    for st, pts in zip(strata, points):
+    for st, pts in strata_points:
         diag = {"xi_prime": [0.0] * (config.dim() - 1),
                 "x_dependent": x_dep}
         if st.domain.kind == "wedge":
@@ -192,7 +206,7 @@ def run_analysis(config: AnalysisConfig) -> RunManifest:
                 error="symbol is not elliptic on the sample grid")
             raise _Stop("symbol not elliptic")
         reports = stage("factorization",
-                        lambda: _factorize(sym, strat, config),
+                        lambda: _factorize(sym, config),
                         lambda out: {"reports": [r.to_dict() for r in out]})
         stage("fredholm", lambda: check_fredholm_condition(
             reports, config.s_order, stratification=strat,

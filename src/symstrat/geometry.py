@@ -275,19 +275,23 @@ class CanonicalDomain:
 # --------------------------------------------------------------------------
 # Stratifications of the model domains
 
-@dataclass
+@dataclass(frozen=True)
 class Stratum:
     k: int                      # dimension of the stratum
     label: str
-    sample_points: np.ndarray   # (n, m)
+    sample_points: np.ndarray   # (n, m), read-only
     domain: CanonicalDomain
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stratification:
+    """The strata of a model domain.  :func:`stratify_model` shares one
+    per model and process, so it is frozen, ``strata`` is a tuple and each
+    ``sample_points`` array is read-only: a change raises, not corrupts."""
+
     model: str
     dim: int
-    strata: list
+    strata: tuple
     delta_strat: float
     min_separation: float       # min distance between disjoint closed strata
 
@@ -372,6 +376,7 @@ def _face_stratum(corner, free, m, n_interior, label):
         signs = tuple(1 - 2 * c for b, c in enumerate(corner)
                       if b not in free_axes)
         dom = CanonicalDomain.wedge(m, k, _signed_orthant(signs))
+    pts.flags.writeable = False
     return Stratum(k, label, pts, dom)
 
 
@@ -387,7 +392,17 @@ def stratify_model(domain: str, m: int) -> Stratification:
     and each boundary component gets about SAMPLES_PER_DIM * m of them;
     the interior is sampled on a grid dense enough to anchor covering
     balls at small radii.
+
+    Built once per (domain, m) and process: every call returns the same
+    read-only object, and a refused model raises on every call.  The
+    cache is ``_stratification``'s, so that a tracer still sees each call.
     """
+    return _stratification(domain, m)
+
+
+@lru_cache(maxsize=None)
+def _stratification(domain: str, m: int) -> Stratification:
+    """:func:`stratify_model`'s cache; ``__wrapped__`` builds afresh."""
     if domain not in _MODELS:
         raise UnsupportedModelError(f"unknown model domain {domain!r}")
     dim, n_interior, min_separation = _MODELS[domain]
@@ -413,7 +428,8 @@ def stratify_model(domain: str, m: int) -> Stratification:
             label = f"{('vertex', 'edge', 'face')[k]}-{counts[k]}"
             counts[k] += 1
         strata.append(_face_stratum(corner, free, m, n_interior, label))
-    return Stratification(domain, m, strata, DELTA_STRAT, min_separation)
+    return Stratification(domain, m, tuple(strata), DELTA_STRAT,
+                          min_separation)
 
 
 # --------------------------------------------------------------------------

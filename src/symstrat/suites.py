@@ -14,6 +14,10 @@ its JSON-ready report, whose ``passed`` is the suite's verdict:
 - locality: decay of ``f A g`` as the cutoffs f, g move apart, and an
   exact zero for a multiplication operator.
 
+Every suite but toeplitz also reports ``negative_controls``, each a wrong
+operator or a forbidden input run through the suite's own check, and
+passes only when each is ``flagged``.
+
 The suites run on ``lattice`` and so import scipy; the analysis pipeline
 never imports this module.
 """
@@ -81,11 +85,25 @@ def _product_counts(wind_a: int, wind_b: int):
     return [ker, ker + wind_a + wind_b]
 
 
-# The pair each suite's operator control counts in place of (a, b):
-# T(ab) = T(ab)T(1) for T(a)T(b), and b P + a Q for a P + b Q.
+def _half_period_shift(op):
+    """op followed by the shift by half the period (np.roll by half the
+    points): what op does near a point lands on the far side of the
+    torus, so the result is not local."""
+    n = op.shape[0]
+    shift = np.roll(np.eye(n), n // 2, axis=0)
+    return DiscreteOperator.from_matrix(shift, op.dst, op.dst) @ op
+
+
+# Each suite's operator control: the pair counted in place of (a, b),
+# T(ab) = T(ab)T(1) for T(a)T(b) and b P + a Q for a P + b Q; the
+# operator whose locality defect is laddered in place of A; and the
+# centre each assembled patch is frozen at in place of its ball's
+# centre c, the mirrored 1 - c.
 CONTROLS = {
     "additivity": lambda a, b: (a * b, LaurentPolynomial.make([1], 0)),
-    "paired": lambda a, b: (b, a)}
+    "paired": lambda a, b: (b, a),
+    "locality": _half_period_shift,
+    "assembly": lambda c: tuple(1.0 - v for v in c)}
 
 
 def _pair_suite(name, seed, count, rule, sign) -> dict:
@@ -173,19 +191,29 @@ def _suite_assembly(seed: int) -> dict:
     cut_src = DiscreteOperator.diagonal(chi, src, src)
     cut_dst = DiscreteOperator.diagonal(chi, dst, dst)
     mask = high_frequency_mask(grid_e)
-    errs = []
+    errs, control_errs = [], []
     for eps in (0.4, 0.2):
         centers = np.arange(0.0, 1.0 + 1e-9, 0.6 * eps)
         cov_e = Covering(eps=eps, balls=[Ball((float(c),), eps, 0)
                                          for c in centers])
         pou_e = partition_of_unity(cov_e, pts, outside="zero")
         assembled_e = assemble_frozen_family(sym, pou_e, grid_e, src, dst)
-        diff = cut_dst @ (assembled_e - full) @ cut_src
-        errs.append(operator_norm(diff, freq_mask=mask))
+        # the control: one discretize_symbol_op patch per ball, each
+        # frozen at CONTROLS["assembly"] of the ball's centre
+        wrong = assemble_operator(
+            {b.center: discretize_symbol_op(sym, CONTROLS["assembly"](
+                b.center), grid_e, src, dst) for b in cov_e.balls}, pou_e)
+        for out, op in ((errs, assembled_e), (control_errs, wrong)):
+            diff = cut_dst @ (op - full) @ cut_src
+            out.append(operator_norm(diff, freq_mask=mask))
     results["frozen_vs_full_proxy"] = errs
-    passed = dev <= 1e-12 and errs[1] < errs[0]
+    controls = [{"control": "mirrored_centres",
+                 "frozen_vs_full_proxy": control_errs,
+                 "flagged": not control_errs[1] < control_errs[0]}]
+    passed = (dev <= 1e-12 and errs[1] < errs[0]
+              and all(c["flagged"] for c in controls))
     return {"suite": "assembly", "seed": seed, "cases": [results],
-            "passed": bool(passed)}
+            "negative_controls": controls, "passed": bool(passed)}
 
 
 def _suite_locality(seed: int) -> dict:
@@ -201,21 +229,28 @@ def _suite_locality(seed: int) -> dict:
         return _bump((pts - c) / w)
 
     f = bump(4.0, 2.0)
-    defects = []
-    for sep in (3.0, 5.0, 7.0, 9.0, 11.0):
-        g = bump(4.0 + 2.0 + sep + 2.0, 2.0)
-        defects.append(locality_defect(op, f, g))
-    decreasing = all(a > b for a, b in zip(defects, defects[1:]))
 
+    def ladder(a_op):
+        return [locality_defect(a_op, f, bump(4.0 + 2.0 + sep + 2.0, 2.0))
+                for sep in (3.0, 5.0, 7.0, 9.0, 11.0)]
+
+    def decreasing(defects):
+        return all(a > b for a, b in zip(defects, defects[1:]))
+
+    defects = ladder(op)
     mult = DiscreteOperator.diagonal(
         np.asarray(1.0 + pts ** 2, dtype=complex), space0, space0)
     g0 = bump(4.0 + 2.0 + 3.0 + 2.0, 2.0)
     exact_zero = locality_defect(mult, f, g0)
-    passed = decreasing and exact_zero == 0.0
+    shifted = ladder(CONTROLS["locality"](op))
+    controls = [{"control": "half_period_shift", "defect_ladder": shifted,
+                 "flagged": not decreasing(shifted)}]
+    passed = (decreasing(defects) and exact_zero == 0.0
+              and all(c["flagged"] for c in controls))
     return {"suite": "locality", "seed": seed,
             "cases": [{"defect_ladder": defects,
                        "multiplication_defect": exact_zero}],
-            "passed": bool(passed)}
+            "negative_controls": controls, "passed": bool(passed)}
 
 
 VERIFY_SUITES = {

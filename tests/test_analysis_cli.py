@@ -290,6 +290,44 @@ def test_verify_locality_suite():
     assert all(a > b for a, b in zip(ladder, ladder[1:]))
 
 
+def test_verify_assembly_and_locality_controls_do_not_shrink():
+    # the mirrored centres stay about 0.93 off the full quantization, and
+    # the half-period shift's defect grows as f and g move apart: each
+    # brings the far side of the domain to the cutoffs
+    control, = run_verify_suite("assembly", 0)["negative_controls"]
+    assert control["control"] == "mirrored_centres" and control["flagged"]
+    assert min(control["frozen_vs_full_proxy"]) > 0.9
+    control, = run_verify_suite("locality", 0)["negative_controls"]
+    assert control["control"] == "half_period_shift" and control["flagged"]
+    ladder = control["defect_ladder"]
+    assert all(a < b for a, b in zip(ladder, ladder[1:]))
+    assert ladder[-1] > 0.1
+
+
+@pytest.mark.parametrize("name, same", [
+    ("assembly", lambda center: center), ("locality", lambda op: op)])
+def test_verify_suite_fails_when_its_control_is_the_checked_operator(
+        name, same, monkeypatch):
+    # the control then ladders the correct centres or operator A itself,
+    # which shrink and decay as the suite requires: nothing is flagged
+    monkeypatch.setitem(suites.CONTROLS, name, same)
+    report = run_verify_suite(name, 0)
+    control, = report["negative_controls"]
+    assert not control["flagged"]
+    assert not report["passed"]
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="toeplitz has no control yet: z*a moves its pinned digests"))
+    if name == "toeplitz" else name
+    for name in sorted(suites.VERIFY_SUITES)])
+def test_every_suite_flags_its_negative_controls(name):
+    controls = run_verify_suite(name, 0).get("negative_controls", [])
+    assert controls and all(c["flagged"] for c in controls)
+
+
 def test_verify_unknown_suite():
     with pytest.raises(ConfigError):
         run_verify_suite("nonesuch", 0)

@@ -13,7 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from symstrat.analysis import dump_json
+from symstrat import geometry
+from symstrat.analysis import (AnalysisConfig, _winding_points, dump_json,
+                               run_analysis)
 from symstrat.errors import (CoverageError, DegenerateConeError,
                              UnsupportedModelError)
 from symstrat.geometry import (Ball, CanonicalDomain, Cone, Covering,
@@ -221,6 +223,90 @@ def test_repeated_stratification_decides_pointedness_from_cache():
     assert Cone.is_pointed.cache_info().misses == misses
 
 
+# --------------------------------------------------------------------------
+# one stratification per model and process
+
+_MODELS = (("square", 2), ("cube", 3), ("wedge2d", 2))
+
+
+def test_stratify_model_returns_one_object_per_model():
+    for model, m in _MODELS:
+        s = stratify_model(model, m)
+        assert stratify_model(model, m) is s
+        assert stratify_model(domain=model, m=m) is s
+
+
+def test_the_shared_stratification_cannot_be_changed():
+    s = stratify_model("cube", 3)
+    assert isinstance(s.strata, tuple)
+    for st in s.strata:
+        assert not st.sample_points.flags.writeable
+        with pytest.raises(ValueError):
+            st.sample_points[0, 0] = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.strata[0].label = "vertex-x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.strata[0].sample_points = np.zeros((1, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.strata = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.delta_strat = 0.5
+
+
+@pytest.mark.parametrize("model, m", _MODELS)
+def test_the_cached_stratification_equals_a_fresh_build(model, m):
+    cached = stratify_model(model, m)
+    fresh = geometry._stratification.__wrapped__(model, m)
+    assert fresh is not cached
+    assert dump_json(fresh.to_dict()) == dump_json(cached.to_dict())
+    assert fresh.min_separation == cached.min_separation
+    assert len(fresh.strata) == len(cached.strata)
+    for a, b in zip(fresh.strata, cached.strata):
+        assert (a.k, a.label, a.domain) == (b.k, b.label, b.domain)
+        assert a.sample_points.dtype == b.sample_points.dtype
+        np.testing.assert_array_equal(a.sample_points, b.sample_points)
+
+
+def _fingerprint(s):
+    return dump_json(s.to_dict()), [st.sample_points.tobytes()
+                                    for st in s.strata]
+
+
+@pytest.mark.parametrize("model, m", _MODELS)
+def test_analysis_leaves_the_cached_stratification_as_it_was(model, m):
+    s = stratify_model(model, m)
+    before = _fingerprint(s)
+    for symbol in ("(1+abs2(k))^(1/2)", "(2+x1)*(1+abs2(k))^(1/2)"):
+        assert run_analysis(AnalysisConfig(symbol, 1.0, model)).ok
+    assert stratify_model(model, m) is s
+    assert _fingerprint(s) == before
+
+
+def test_a_warm_cube_analysis_builds_no_stratum(monkeypatch):
+    cfg = AnalysisConfig("(2+x1)*(1+abs2(k))^(1/2)", 1.0, "cube")
+    run_analysis(cfg)
+    calls = []
+    build = geometry._face_stratum
+    monkeypatch.setattr(geometry, "_face_stratum",
+                        lambda *args: calls.append(args) or build(*args))
+    assert run_analysis(cfg).ok
+    assert calls == []
+    # the guard sees a build: the uncached builder makes all 27 strata
+    geometry._stratification.__wrapped__("cube", 3)
+    assert len(calls) == 27
+
+
+def test_the_winding_points_are_cached_and_read_only():
+    strata_points, stacked = _winding_points("cube", True)
+    assert _winding_points("cube", True)[1] is stacked
+    assert [st.label for st, _ in strata_points] == [
+        st.label for st in stratify_model("cube", 3).boundary_strata()]
+    assert stacked.shape == (44, 3)
+    for pts in [stacked] + [pts for _, pts in strata_points]:
+        assert not pts.flags.writeable
+    assert _winding_points("cube", False)[1].shape == (26, 3)
+
+
 def test_stratification_report_with_nan_is_refused():
     s = stratify_model("square", 2)
     json.loads(dump_json(s.to_dict()))
@@ -229,12 +315,10 @@ def test_stratification_report_with_nan_is_refused():
 
 
 def test_unsupported_models():
-    with pytest.raises(UnsupportedModelError):
-        stratify_model("ball", 2)
-    with pytest.raises(UnsupportedModelError):
-        stratify_model("cube", 2)
-    with pytest.raises(UnsupportedModelError):
-        stratify_model("square", 3)
+    # twice each: a refusal is not cached in place of a stratification
+    for model, m in [("ball", 2), ("cube", 2), ("square", 3)] * 2:
+        with pytest.raises(UnsupportedModelError):
+            stratify_model(model, m)
 
 
 def test_canonical_domains_per_stratum():

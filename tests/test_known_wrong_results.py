@@ -7,12 +7,15 @@ removes the marker; the test is then the fix's regression gate.  The
 numbers refer to the items of ``ROADMAP.md``.
 """
 
+import numpy as np
 import pytest
 
 from symstrat.analysis import AnalysisConfig, run_analysis
 from symstrat.errors import SymstratError
 from symstrat.factorization import winding_index
-from symstrat.lattice import numerical_index, numerical_index_paired
+from symstrat.lattice import (DiscreteOperator, DiscreteSobolevSpace,
+                              LatticeGrid, numerical_index,
+                              numerical_index_paired, operator_norm)
 from symstrat.laurent import LaurentPolynomial
 from symstrat.symbols import Symbol
 
@@ -95,6 +98,22 @@ def test_stable_counts_resolve_a_decaying_kernel_at_small_n():
             assert "N=8" in str(exc)
             continue
         assert (entry.dim_ker, entry.dim_coker) == (3, 0)
+
+
+@known_wrong
+def test_operator_norm_of_a_multiplication_operator_is_its_sup():
+    # PROPACK starts from ones/sqrt(n), which in the weighted DFT
+    # coordinates is the delta at grid point 0; a multiplication operator
+    # maps it to a multiple of itself, the Lanczos basis breaks down, and
+    # the sigma returned reads 1.3499 and 1.1906, where the dense SVD
+    # reads 1.0.  At s = 0 the weights are 1
+    space = DiscreteSobolevSpace(LatticeGrid(1, 64, 1 / 64), 0.0)
+    for op in (DiscreteOperator.identity(space),
+               DiscreteOperator.diagonal(np.linspace(1, 0.5, 64), space,
+                                         space)):
+        dense = np.linalg.norm(op.to_dense(), 2)
+        assert dense == pytest.approx(1.0)
+        assert operator_norm(op) == pytest.approx(dense, rel=1e-9)
 
 
 def test_item_18_a_declared_order_below_the_growth_is_not_fredholm():
