@@ -50,7 +50,8 @@ from .errors import DimensionError, EvalError, SymbolSyntaxError
 __all__ = [
     "Num", "Coord", "VecRef", "Neg", "BinOp", "Pow", "Call", "SymbolExpr",
     "parse_symbol", "print_symbol", "eval_on_grid",
-    "depends_on_x", "frequency_support", "product_factors",
+    "depends_on_x", "frequency_support", "reads_k_radially",
+    "product_factors",
 ]
 
 
@@ -532,6 +533,16 @@ def frequency_support(expr: SymbolExpr) -> frozenset:
         if isinstance(leaf, Coord) and leaf.axis == "k":
             found.add(leaf.index)
     return frozenset(found)
+
+
+def reads_k_radially(expr: SymbolExpr) -> bool:
+    """Does the expression read the frequency, and only through
+    ``abs2(k)``/``normx2(k)``, with no ``k1..km`` leaf?  Then its values
+    depend on xi through the squared norm alone."""
+    k_leaves = [leaf for leaf in _leaves(expr.ast)
+                if isinstance(leaf, (Coord, VecRef)) and leaf.axis == "k"]
+    return bool(k_leaves) and all(isinstance(leaf, VecRef)
+                                  for leaf in k_leaves)
 
 
 def product_factors(expr: SymbolExpr) -> list:

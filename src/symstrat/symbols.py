@@ -17,12 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsl import (SymbolExpr, eval_on_grid, frequency_support, parse_symbol,
-                  product_factors)
+                  product_factors, reads_k_radially)
 from .errors import DegenerateFit, EvalError, GridError, OrderMismatch
 
 __all__ = [
     "Symbol", "EllipticityReport", "check_ellipticity", "frequency_grid",
-    "grid_projection", "eval_blocks", "fit_order", "check_order",
+    "grid_projection", "radial_projection", "eval_blocks", "fit_order",
+    "check_order",
 ]
 
 TOL_ELL = 1e-10
@@ -70,13 +71,20 @@ def frequency_grid(dim: int) -> np.ndarray:
 
 
 _GRIDS = {}
+_RADIAL = {}
+
+
+def _grid_key(dim: int) -> tuple:
+    """The dimension and the values of the GRID_* constants, which fix the
+    grid and everything built from it."""
+    return (dim, GRID_POINTS_PER_AXIS, GRID_BOX_RADIUS,
+            GRID_RANDOM_PER_DECADE, GRID_MAX_RADIUS, GRID_SEED)
 
 
 def _grid_arrays(dim: int) -> tuple:
     """(frequency_grid(dim), its norms |xi|, its complex copy), read-only,
     built once per dimension and values of the GRID_* constants."""
-    key = (dim, GRID_POINTS_PER_AXIS, GRID_BOX_RADIUS,
-           GRID_RANDOM_PER_DECADE, GRID_MAX_RADIUS, GRID_SEED)
+    key = _grid_key(dim)
     if key in _GRIDS:
         return _GRIDS[key]
     axes = [np.linspace(-GRID_BOX_RADIUS, GRID_BOX_RADIUS,
@@ -123,6 +131,45 @@ def grid_projection(dim: int, axes) -> tuple:
             np.concatenate([inv, far - n ** dim + rep.size]))
 
 
+def radial_projection(dim: int) -> tuple:
+    """Index arrays (rep, inv) into ``frequency_grid(dim)`` for a function
+    of ``abs2(k)`` alone, read-only and built once per grid.
+
+    ``rep`` holds the first point of each distinct value of ``abs2(k)``,
+    as :func:`~symstrat.dsl.eval_on_grid` computes it, and ``rep[inv[p]]``
+    has the same ``abs2(k)`` as point p, bit for bit: on a real grid its
+    running sum of squares has imaginary part exactly +0.0, so equal real
+    parts make equal values.  With the default constants the 33^3 tensor
+    part of the 3-D grid holds 464 distinct values.
+    """
+    key = _grid_key(dim)
+    if key not in _RADIAL:
+        xi_c = _grid_arrays(dim)[2]
+        norm2 = eval_on_grid(parse_symbol("abs2(k)", dim), np.zeros((1, dim)),
+                             xi_c)
+        _, rep, inv = np.unique(norm2.real, return_index=True,
+                                return_inverse=True)
+        for arr in (rep, inv):
+            arr.flags.writeable = False
+        _RADIAL[key] = (rep, inv)
+    return _RADIAL[key]
+
+
+def _factor_projection(factor: SymbolExpr) -> tuple:
+    """(rep, at) for a k-only factor: its values at
+    ``frequency_grid(factor.dim)[rep]``, taken at ``at``, are its values
+    at every frequency.  Once per distinct
+    ``abs2(k)`` for a factor that reads k only through it, once per node
+    tuple of its axes for one that reads fewer than all axes, else at
+    every frequency."""
+    if reads_k_radially(factor):
+        return radial_projection(factor.dim)
+    axes = frequency_support(factor)
+    if len(axes) < factor.dim:
+        return grid_projection(factor.dim, axes)
+    return slice(None), slice(None)
+
+
 @dataclass
 class EllipticityReport:
     """check_ellipticity's verdict; ``witness`` is the argmin sample of a
@@ -162,7 +209,9 @@ def check_ellipticity(s: Symbol, x_samples) -> EllipticityReport:
 
     A symbol whose top-level product (:func:`~symstrat.dsl.product_factors`)
     has no mixed factor takes the factor split of :func:`_split_extremes`
-    instead: each factor is evaluated once on its own samples, and the
+    instead: each factor is evaluated once on its own samples, a k-only
+    factor once per node tuple of the axes it reads, or once per distinct
+    |xi|^2 if it reads k only through ``abs2(k)``/``normx2(k)``, and the
     full symbol only at the few samples that can attain c1 or c2.  It
     reports the same bits as the sweep, and leaves to the sweep every
     symbol where it could not prove that: an evaluation error, a zero or
@@ -253,8 +302,11 @@ def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale):
     X_i, the product of the moduli of the constant and x-only factors,
     is evaluated on the x samples against one frequency; K_j, that of
     the xi-only factors times the weight, on the frequencies against one
-    x sample, a factor of fewer than all frequency axes once per node
-    tuple of its axes (:func:`grid_projection`).  X_i * K_j
+    x sample (:func:`_factor_projection`): a factor of fewer than all
+    frequency axes once per node tuple of its axes
+    (:func:`grid_projection`), a factor that reads k only through
+    ``abs2(k)``/``normx2(k)`` once per distinct |xi|^2
+    (:func:`radial_projection`).  X_i * K_j
     is the ratio at (i, j) to within rounding, so the argmin and its ties
     lie among the x samples within ``_SPLIT_MARGIN`` of min X times the
     frequencies within it of min K, and the argmax likewise.  The symbol
@@ -280,11 +332,8 @@ def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale):
     for factor, exponent, kind in factors:
         x, xi, at = x_arr, xi_c[:1], slice(None)
         if kind == "k":
-            x, xi = x_arr[:1], xi_c
-            axes = frequency_support(factor)
-            if len(axes) < factor.dim:  # once per node tuple of its axes
-                rep, at = grid_projection(factor.dim, axes)
-                xi = xi_c[rep]
+            rep, at = _factor_projection(factor)
+            x, xi = x_arr[:1], xi_c[rep]
         try:
             vals = eval_on_grid(factor, x, xi)
         except EvalError:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from symstrat.dsl import (BinOp, Call, Coord, Neg, Num, Pow, SymbolExpr,
                           VecRef, depends_on_x, eval_on_grid,
                           frequency_support, parse_symbol, print_symbol,
-                          product_factors)
+                          product_factors, reads_k_radially)
 from symstrat.errors import DimensionError, EvalError, SymbolSyntaxError
 
 
@@ -161,6 +161,13 @@ def test_structural_queries():
     assert not depends_on_x(parse_symbol("(k1+i)*(k2+i)", 2))
     assert frequency_support(parse_symbol("(k1+i)", 3)) == frozenset({1})
     assert frequency_support(parse_symbol("abs2(k)", 3)) == frozenset({1, 2, 3})
+    # through abs2(k)/normx2(k) alone, and reading k at all
+    for text, radial in [("(1+abs2(k))^(3/2)", True),
+                         ("exp(-normx2(k))/(2+abs2(k))", True),
+                         ("k1+i+abs2(k)", False), ("abs2(k1)", False),
+                         ("(k1+i)*(k2+i)", False), ("1+normx2(x)", False),
+                         ("5", False)]:
+        assert reads_k_radially(parse_symbol(text, 2)) is radial, text
 
 
 def test_product_factors_flatten_products_and_quotients():

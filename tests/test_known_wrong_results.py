@@ -135,3 +135,21 @@ def test_item_8_a_zero_line_between_samples_is_not_elliptic():
     # (x1-0.3)^2 + |xi|^2 vanishes on the line x1 = 0.3 at xi = 0
     stages = _stages("(x1-0.3)^2+abs2(k)", 2.0, "square")
     assert stages["ellipticity"]["status"] == "error"
+
+
+@known_wrong
+def test_item_26_a_zero_between_frequency_nodes_fails_the_ellipticity_stage():
+    # the symbol vanishes at xi = (3.3, 1.1), between the nodes of the
+    # frequency box (spacing 2), where the grid reads c1 = 0.0434; at
+    # s = 1 the run reports the operator Fredholm
+    stages = _stages("(k1-3.3)^2+(k2-1.1)^2", 2.0, "square", 1.0)
+    assert stages["ellipticity"]["status"] == "error"
+
+
+@known_wrong
+def test_item_26_a_zero_far_out_is_refused_as_a_zero():
+    # the zero at xi = (18.5, 0) bends the fitted growth along k1 to
+    # 2.562, so the run is refused, but for its order, not for the zero
+    stages = _stages("(k1-18.5)^2+k2^2", 2.0, "square", 1.0)
+    assert stages["ellipticity"]["status"] == "error"
+    assert stages["ellipticity"]["error_type"] != "OrderMismatch"

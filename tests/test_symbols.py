@@ -179,7 +179,10 @@ def test_block_sweep_raises_the_first_failing_samples_error(text, x_samples):
 
 def test_cube_ellipticity_evaluates_in_few_blocks(monkeypatch):
     # the factor split evaluates each factor once on its own samples and
-    # the symbol at a few candidates, never the 9 x n_xi product grid
+    # the symbol at a few candidates, never the 9 x n_xi product grid; the
+    # projections are built once per grid, before the count
+    n_axis = len(symbols.grid_projection(3, {3})[0])
+    n_radial = len(symbols.radial_projection(3)[0])
     calls = []
 
     def counting(expr, x, xi):
@@ -198,6 +201,9 @@ def test_cube_ellipticity_evaluates_in_few_blocks(monkeypatch):
     # candidate rectangle, and the order fit at one x sample: no factor is
     # mixed, so 3 axes and the diagonal at 12 radii
     assert len(calls) == 7 and calls[-1] == 4 * 12
+    # the x samples, the k3 nodes with the far field for k3-i and for
+    # k3+i, and one frequency per distinct |xi|^2
+    assert calls[:4] == [9, n_axis, n_axis, n_radial]
     assert max(calls) <= symbols.ELL_BLOCK_POINTS
     assert sum(calls) < 2 * n_xi
 
@@ -238,6 +244,7 @@ _SQUARE_9 = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0],
              [0.5, 1.0], [0.0, 0.5], [1.0, 0.5], [0.5, 0.5]]
 _CUBE_9 = [[a, b, c] for a in (0.0, 1.0) for b in (0.0, 1.0)
            for c in (0.0, 1.0)] + [[0.5, 0.5, 0.5]]
+_SEGMENT = [[0.0], [0.25], [0.5], [1.0]]
 
 # (symbol, alpha, dim, x samples, grid): symbols with no mixed factor
 SPLIT_CASES = {
@@ -261,6 +268,20 @@ SPLIT_CASES = {
     # X_i is 1 up to rounding, and the symbol exactly 1 times its k factor
     "square-rounding-ties": ("(1+x1)*(3-x2)/((1+x1)*(3-x2))*(2+abs2(k))",
                              2.0, 2, _CUBE_30[:, :2], {}),
+    # radial factors, evaluated once per distinct |xi|^2
+    "segment-radial-cubed": ("(2+x1)*(1+abs2(k))^(3/2)", 3.0, 1, _SEGMENT,
+                             {}),
+    "square-radial-cubed": ("(2+x1)*(1+abs2(k))^(3/2)", 3.0, 2, _SQUARE_9,
+                            {}),
+    "cube-radial-cubed": ("(2+x1)*(1+abs2(k))^(3/2)", 3.0, 3, _CUBE_9, {}),
+    "square-normx2-factor": ("(1+x2)*(k1-2*i)*(3+normx2(k))^(1/2)", 2.0, 2,
+                             _SQUARE_9, {"GRID_SEED": 6}),
+    "cube-radial-divisor": ("(2+x1*x2)*(k3+2*i)/(1+abs2(k))", -1.0, 3,
+                            _CUBE_9, {}),
+    # nodes -31.7 + j*1.98125 are not exact: mirrored or permuted nodes
+    # can have squared norms that differ in the last bits
+    "cube-radial-inexact-nodes": ("(2+x1)*(1+abs2(k))^(3/2)", 3.0, 3,
+                                  _CUBE_9, {"GRID_BOX_RADIUS": 31.7}),
 }
 
 
@@ -279,6 +300,46 @@ def test_projection_shares_one_evaluation_per_node_tuple(dim, axes,
     assert len(np.unique(pts[rep[:5 ** len(axes)]][:, cols], axis=0)) \
         == 5 ** len(axes)
     assert sorted(set(inv.tolist())) == list(range(len(rep)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", [32.0, 31.7])
+def test_radial_projection_shares_one_evaluation_per_squared_norm(
+        dim, radius, monkeypatch):
+    _use_grid(monkeypatch, {"GRID_POINTS_PER_AXIS": 9,
+                            "GRID_RANDOM_PER_DECADE": 3,
+                            "GRID_BOX_RADIUS": radius})
+    xi_c = symbols.frequency_grid(dim).astype(complex)
+    norm2 = eval_on_grid(Symbol.parse("abs2(k)", 2.0, dim).expr,
+                         np.zeros((1, dim)), xi_c)
+    rep, inv = symbols.radial_projection(dim)
+    # every point's abs2(k) is its representative's, bit for bit
+    assert norm2[rep][inv].tobytes() == norm2.tobytes()
+    # the representatives are the distinct values, each once
+    assert sorted(norm2[rep].real.tolist()) == sorted(set(norm2.real.tolist()))
+    assert len(rep) < len(norm2)
+    # built once per grid, read-only
+    assert symbols.radial_projection(dim) is symbols.radial_projection(dim)
+    for arr in (rep, inv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(symbols, "GRID_SEED", 1)
+        other, _ = symbols.radial_projection(dim)
+        assert other is not rep and len(other) == len(rep)
+
+
+def test_a_factor_reading_k_both_ways_is_not_projected_radially(monkeypatch):
+    # k1+i+abs2(k) reads k1 itself: its values are no function of |xi|^2,
+    # so only the factor 1+abs2(k) takes the radial projection
+    _use_grid(monkeypatch, _COARSE)
+    radial = _recorded(monkeypatch, "radial_projection")
+    sweeps = _recorded(monkeypatch, "_sweep_extremes")
+    s = Symbol.parse("(2+x1)*(k1+i+abs2(k))/(1+abs2(k))", 0.0, 2)
+    got = check_ellipticity(s, _SQUARE_9)
+    assert len(radial) == 1 and not sweeps
+    want = _forced_sweep(monkeypatch, s, _SQUARE_9)
+    assert _hex(got.to_dict()) == _hex(want.to_dict())
 
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
