@@ -29,7 +29,7 @@ from .dsl import parse_symbol
 from .errors import ConfigError, SymstratError
 from .factorization import (QUAD_SAMPLES, WaveFactorCandidate,
                             validate_wave_factors, winding_index)
-from .geometry import Cone, build_covering, partition_of_unity, stratify_model
+from .geometry import Cone, stratify_model
 from .symbols import Symbol
 
 EXIT_OK = 0
@@ -224,9 +224,9 @@ def _cmd_assemble(args) -> int:
     src = lattice.DiscreteSobolevSpace(grid, args.s_order)
     dst = lattice.DiscreteSobolevSpace(grid, args.s_order - args.alpha)
 
-    cov = build_covering(strat, args.eps, cover_points=grid.points())
-    pou = partition_of_unity(cov, grid.points())
-    op = lattice.assemble_frozen_family(sym, pou, grid, src, dst)
+    # the ladder reuses this rung if --eps is one of its radii
+    op, n_patches = lattice.assemble_rung(sym, strat, args.eps, grid, src,
+                                          dst)
     table = (lattice.assembly_convergence(sym, strat, eps_seq, grid,
                                           s_order=args.s_order)
              if eps_seq is not None else None)
@@ -235,7 +235,7 @@ def _cmd_assemble(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lattice.export_operator(op, out_dir / "assembled", {
-        "construction": "assembled", "n_patches": len(cov.balls)})
+        "construction": "assembled", "n_patches": n_patches})
     print(str(out_dir / "assembled.bin"))
     if table is not None:
         csv_path = out_dir / "convergence.csv"

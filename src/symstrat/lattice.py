@@ -43,6 +43,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -54,8 +55,10 @@ from scipy.sparse.linalg import LinearOperator, svds
 from .analysis import dump_json
 from .dsl import eval_on_grid
 from .errors import (ConfigError, MissingPatchError, NormNotConverged,
-                     OrderMismatch, SupportOverlapError, UnstableRank)
-from .geometry import PartitionOfUnity, build_covering, partition_of_unity
+                     OrderMismatch, SupportOverlapError, UnstableRank,
+                     UnsupportedModelError)
+from .geometry import (PartitionOfUnity, build_covering, partition_of_unity,
+                       stratify_model)
 from . import symbols
 from .laurent import LaurentPolynomial
 from .symbols import Symbol, eval_blocks
@@ -64,7 +67,8 @@ __all__ = [
     "LatticeGrid", "DiscreteSobolevSpace", "DiscreteOperator",
     "discretize_symbol_op", "numerical_index", "numerical_index_product",
     "numerical_index_paired", "IndexEntry", "locality_defect",
-    "assemble_operator", "assemble_frozen_family", "assembly_convergence",
+    "assemble_operator", "assemble_frozen_family", "assemble_rung",
+    "assembly_convergence",
     "quantize_full_symbol", "operator_norm", "high_frequency_mask",
     "check_dense_size", "export_operator",
 ]
@@ -113,9 +117,10 @@ class LatticeGrid:
         if not (math.isfinite(self.h) and self.h > 0):
             raise ValueError(f"spacing must be positive and finite, "
                              f"got {self.h}")
-        if self.origin is None:
-            object.__setattr__(self, "origin", (0.0,) * self.dim)
-        elif len(self.origin) != self.dim:
+        # a tuple, so that a grid can key the rung cache
+        object.__setattr__(self, "origin", (0.0,) * self.dim
+                           if self.origin is None else tuple(self.origin))
+        if len(self.origin) != self.dim:
             raise ValueError("origin dimension mismatch")
         elif not all(math.isfinite(v) for v in self.origin):
             raise ValueError(f"origin must be finite, got {self.origin}")
@@ -700,10 +705,9 @@ def _box_dft(y, mats):
     return y.reshape(shape)
 
 
-class _MultiplierWindows:
-    """Frozen-multiplier patches sum_j f_j A_j g_j, applied as exact linear
-    convolutions inside small boxes instead of circular ones over the
-    torus.
+class _WindowGeometry:
+    """The part of a windowed assembly that the symbol does not enter:
+    what :class:`_MultiplierWindows` reads besides the spectra.
 
     Per axis, the f box of patch j starts at the cyclic arc covering
     supp f_j, the g box at the arc covering supp g_j; their sizes B_f and
@@ -711,28 +715,20 @@ class _MultiplierWindows:
     reads its kernel at offsets a_f - a_g + m with -B_g < m < B_f, so a
     zero-padded DFT of size L = B_f + B_g - 1 applies it exactly.  Where L
     would reach N the axis takes L = N, on which the circular convolution
-    is A_j itself.  The DFTs are products with L x B DFT matrices, one per
-    axis and batched over all patches, so a matvec is 2d BLAS products;
-    batched small FFTs took twice as long and varied more from run to run.
-    Kept: f and g on their boxes (as sparse gather matrices that also
-    record the box starts), the spectra of the kernel windows over L^d,
-    and the DFT matrices.  Nothing is written after set-up, so ``apply``
-    may run in several threads at once.
-
-    The spectra are set up one batch of patches at a time, as many as fit
-    in ``ELL_BLOCK_POINTS`` torus points.  The one feeder is
-    :func:`assemble_frozen_family`: its ``values(batch)`` evaluates the
-    symbol at the batch's ball centers (:func:`_frozen_values`), shape
-    (len(batch), P), which one inverse DFT turns into kernels; their
-    windows are gathered in one pass and transformed into the batch's
-    slice of the spectra.  Only one batch of values, kernels and windows
-    is alive at a time.
+    is A_j itself.  Kept: f and g on their boxes (as sparse gather
+    matrices that also record the box starts) and their transposes, the
+    box and window sizes, the kernel offsets of each patch and the L x L
+    DFT and inverse DFT matrices; not the full-grid cutoffs.  Every array
+    is read-only, so one geometry serves every ladder that shares the
+    rung (see _shared_rung) and may be read from several threads.
     """
 
-    def __init__(self, values, f_rows, g_rows, grid):
+    def __init__(self, f_rows, g_rows, grid):
         n, d = grid.n, grid.dim
-        f_start, f_len = _support_arcs(f_rows, (n,) * d)
-        g_start, g_len = _support_arcs(g_rows, (n,) * d)
+        self.torus = (n,) * d
+        f_start, f_len = _support_arcs(f_rows, self.torus)
+        g_start, g_len = _support_arcs(g_rows, self.torus)
+        self.n_patch = len(f_start)
         self.b_f = tuple(int(b) for b in np.maximum(f_len.max(axis=0), 1))
         self.b_g = tuple(int(b) for b in np.maximum(g_len.max(axis=0), 1))
         self.size = tuple(min(bf + bg - 1, n)
@@ -740,54 +736,86 @@ class _MultiplierWindows:
         self.f = _box_cutoffs(f_rows, f_start, self.b_f, n)
         self.g = _box_cutoffs(g_rows, g_start, self.b_g, n)
         self.f_t, self.g_t = self.f.T, self.g.T
-        n_patch = len(f_start)
         # kernel offsets a_f - a_g + m per patch, each (J, L_a) set on
         # axis a of a batch (J, L_1, ..., L_d), with the window offsets
         # m: 0 .. L - B_g, then -(B_g - 1) .. -1 wrapped
         offsets = []
         for a, (size, bg) in enumerate(zip(self.size, self.b_g)):
-            shape = [n_patch] + [1] * d
+            shape = [self.n_patch] + [1] * d
             shape[a + 1] = size
             offsets.append((f_start[:, a, None] - g_start[:, a, None]
                             + np.r_[0:size - bg + 1, 1 - bg:0]).reshape(shape))
-        # spectra in the window layout (L_1, J, L_2, ..., L_d)
+        self.offsets = tuple(offsets)
+        # the window layout (L_1, J, L_2, ..., L_d) transforms these axes
         self.axes = (0,) + tuple(range(2, d + 1))
-        spectra = np.empty(self.size[:1] + (n_patch,) + self.size[1:],
+        self.dft = tuple(_dft_matrix(size) for size in self.size)
+        self.idft = tuple(w.conj() for w in self.dft)
+        for arr in (*self.offsets, *self.dft, *self.idft,
+                    *(getattr(m, name)
+                      for m in (self.f, self.g, self.f_t, self.g_t)
+                      for name in ("data", "indices", "indptr"))):
+            arr.flags.writeable = False
+
+
+class _MultiplierWindows:
+    """Frozen-multiplier patches sum_j f_j A_j g_j, applied as exact linear
+    convolutions inside small boxes instead of circular ones over the
+    torus: the boxes, offsets and DFT matrices of a :class:`_WindowGeometry`
+    and, per patch, the spectrum of A_j's kernel window over L^d.  The
+    DFTs are products with L x B DFT matrices, one per axis and batched
+    over all patches, so a matvec is 2d BLAS products; batched small FFTs
+    took twice as long and varied more from run to run.  Nothing is
+    written after set-up, so ``apply`` may run in several threads at once.
+
+    Only the spectra are set up here, one batch of patches at a time, as
+    many as fit in ``ELL_BLOCK_POINTS`` torus points.  The one feeder is
+    :func:`_windowed_family`: its ``values(batch)`` evaluates the symbol
+    at the batch's ball centers (:func:`_frozen_values`), shape
+    (len(batch), P), which one inverse DFT turns into kernels; their
+    windows are gathered in one pass and transformed into the batch's
+    slice of the spectra.  Only one batch of values, kernels and windows
+    is alive at a time.
+    """
+
+    def __init__(self, values, geometry):
+        self.geometry = geo = geometry
+        # spectra in the window layout (L_1, J, L_2, ..., L_d)
+        spectra = np.empty(geo.size[:1] + (geo.n_patch,) + geo.size[1:],
                            dtype=complex)
-        step = max(1, symbols.ELL_BLOCK_POINTS // n ** d)
-        for start in range(0, n_patch, step):
+        step = max(1, symbols.ELL_BLOCK_POINTS // math.prod(geo.torus))
+        for start in range(0, geo.n_patch, step):
             batch = slice(start, start + step)
             spectra[:, batch] = self._window_spectra(
-                values(batch), [o[batch] for o in offsets], n, d)
+                values(batch), [o[batch] for o in geo.offsets])
         # the 1/L^d of the inverse DFT folded in, and an axis for k
-        spectra /= math.prod(self.size)
+        spectra /= math.prod(geo.size)
         self.spectra = spectra[:, :, None]
-        self.dft = [_dft_matrix(size) for size in self.size]
-        self.idft = [w.conj() for w in self.dft]
 
-    def _window_spectra(self, values, offsets, n, d) -> np.ndarray:
+    def _window_spectra(self, values, offsets) -> np.ndarray:
         """The unscaled spectra of one batch's kernel windows, laid out
         (L_1, batch, L_2, ..., L_d)."""
-        kernels = np.fft.ifftn(np.reshape(values, (-1,) + (n,) * d),
-                               axes=tuple(range(1, d + 1)))
-        rows = np.arange(len(kernels)).reshape((-1,) + (1,) * d)
+        torus = self.geometry.torus
+        kernels = np.fft.ifftn(np.reshape(values, (-1,) + torus),
+                               axes=tuple(range(1, len(torus) + 1)))
+        rows = np.arange(len(kernels)).reshape((-1,) + (1,) * len(torus))
         windows = np.moveaxis(_at_offsets(kernels, (rows, *offsets)), 0, 1)
-        return np.fft.fftn(windows, axes=self.axes)
+        return np.fft.fftn(windows, axes=self.geometry.axes)
 
     def apply(self, v, adjoint=False) -> np.ndarray:
         """sum_j f_j A_j g_j v, or sum_j g_j A_j^H f_j v with ``adjoint``,
         for v of shape (P,) or (P, k)."""
+        geo = self.geometry
         block = v.reshape(v.shape[0], -1)
         k = block.shape[1]
         if adjoint:
             # A_j^H has the conjugate spectrum, so conj(A_j^H x) is A_j's
             # pipeline with conjugate DFT matrices, applied to conj(x)
-            src, dst_t, src_box, dst_box = self.f, self.g_t, self.b_f, self.b_g
-            dft, idft = self.idft, self.dft
+            src, dst_t, src_box, dst_box = geo.f, geo.g_t, geo.b_f, geo.b_g
+            dft, idft = geo.idft, geo.dft
             block = block.conj()
         else:
-            src, dst_t, src_box, dst_box = self.g, self.f_t, self.b_g, self.b_f
-            dft, idft = self.dft, self.idft
+            src, dst_t, src_box, dst_box = geo.g, geo.f_t, geo.b_g, geo.b_f
+            dft, idft = geo.dft, geo.idft
         y = (src @ block).reshape(src_box[:1] + (-1,) + src_box[1:] + (k,))
         y = _box_dft(np.moveaxis(y, -1, 2),
                      [w[:, :b] for w, b in zip(dft, src_box)])
@@ -800,13 +828,14 @@ class _MultiplierWindows:
         """The P x P matrix, built patch by patch: each patch's block on
         supp f_j x supp g_j is read off its kernel window at the box
         offsets (t - s) mod L."""
-        mat = np.zeros((self.f.shape[1],) * 2, dtype=complex)
+        geo = self.geometry
+        mat = np.zeros((geo.f.shape[1],) * 2, dtype=complex)
         windows = np.moveaxis(np.fft.ifftn(
-            self.spectra[:, :, 0] * math.prod(self.size), axes=self.axes),
+            self.spectra[:, :, 0] * math.prod(geo.size), axes=geo.axes),
             1, 0)
         for window, (t, rows, f), (s, cols, g) in zip(
-                windows, _patch_entries(self.f, len(windows), self.b_f),
-                _patch_entries(self.g, len(windows), self.b_g)):
+                windows, _patch_entries(geo.f, len(windows), geo.b_f),
+                _patch_entries(geo.g, len(windows), geo.b_g)):
             block = _at_offsets(window, tuple(
                 ta[:, None] - sa[None, :] for ta, sa in zip(t, s)))
             mat[np.ix_(rows, cols)] += f[:, None] * block * g[None, :]
@@ -903,7 +932,9 @@ def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
     ball j, applied in kernel windows (see _MultiplierWindows).
 
     The spaces and the partition are checked before anything is
-    evaluated.  The family is never held whole: the windows are set up
+    evaluated.  The window geometry is built afresh from the partition's
+    cutoffs, which it does not keep; :func:`assemble_rung` reads a cached
+    one instead.  The family is never held whole: the windows are set up
     one batch of ``ELL_BLOCK_POINTS // P`` ball centers at a time (see
     _MultiplierWindows), each batch evaluated by :func:`_frozen_values`
     and dropped once its window spectra are written.  The first failing
@@ -914,13 +945,79 @@ def assemble_frozen_family(s: Symbol, pou: PartitionOfUnity,
         raise MissingPatchError("empty covering")
     _check_partition(pou, grid)
     centers = np.array([b.center for b in balls], dtype=float)
+    return _windowed_family(
+        s, centers, _WindowGeometry(pou.f_values, pou.g_values, grid), grid,
+        src, dst)
+
+
+def _windowed_family(s: Symbol, centers, geometry: _WindowGeometry,
+                     grid: LatticeGrid, src: DiscreteSobolevSpace,
+                     dst: DiscreteSobolevSpace) -> DiscreteOperator:
+    """The frozen family at ``centers`` (J, m) on ``geometry``'s patches,
+    whose spaces the caller has checked: the one construction of
+    _MultiplierWindows."""
     freqs = grid.frequencies().astype(complex)
     windows = _MultiplierWindows(
-        lambda batch: _frozen_values(s, centers[batch], freqs),
-        pou.f_values, pou.g_values, grid)
+        lambda batch: _frozen_values(s, centers[batch], freqs), geometry)
     return DiscreteOperator((grid.size, grid.size), windows.apply,
                             lambda v: windows.apply(v, adjoint=True),
                             src, dst, dense=windows.to_dense)
+
+
+# rungs that _shared_rung keeps: a ladder takes one per radius, so this
+# holds the ladders of a few grids
+_RUNG_CACHE_SIZE = 8
+
+
+def _build_rung(strat, eps: float, grid: LatticeGrid) -> tuple:
+    """(ball centers, window geometry) of the covering of ``strat`` at
+    radius ``eps`` that covers ``grid.points()``, both read-only; the
+    covering and its partition of unity are dropped."""
+    pts = grid.points()
+    cov = build_covering(strat, eps, cover_points=pts)
+    pou = partition_of_unity(cov, pts)
+    centers = np.array([b.center for b in cov.balls], dtype=float)
+    centers.flags.writeable = False
+    return centers, _WindowGeometry(pou.f_values, pou.g_values, grid)
+
+
+@lru_cache(maxsize=_RUNG_CACHE_SIZE)
+def _shared_rung(model: str, dim: int, eps: float, grid: LatticeGrid):
+    """:func:`_build_rung` on the shared stratification of ``model``, kept
+    for the _RUNG_CACHE_SIZE most recent (model, dim, eps, grid); an error
+    is raised on every call and never kept.  ``__wrapped__`` builds
+    afresh."""
+    return _build_rung(stratify_model(model, dim), eps, grid)
+
+
+def _rung(strat, eps: float, grid: LatticeGrid) -> tuple:
+    """:func:`_build_rung`, from _shared_rung's cache when ``strat`` is
+    the one that :func:`stratify_model` shares; any other stratification
+    is built afresh."""
+    try:
+        shared = strat is stratify_model(strat.model, strat.dim)
+    except UnsupportedModelError:
+        shared = False
+    if shared:
+        return _shared_rung(strat.model, strat.dim, eps, grid)
+    return _build_rung(strat, eps, grid)
+
+
+def assemble_rung(s: Symbol, strat, eps: float, grid: LatticeGrid,
+                  src: DiscreteSobolevSpace,
+                  dst: DiscreteSobolevSpace) -> tuple:
+    """(operator, number of patches) of one assembly rung: the
+    :func:`assemble_frozen_family` of ``s`` on the partition of unity of
+    ``build_covering(strat, eps, cover_points=grid.points())``, bit for
+    bit.  Only the window spectra are computed here.  The ball centers
+    and the window geometry, which the symbol does not enter, come from
+    _shared_rung's cache for a stratification of :func:`stratify_model`,
+    so a process that assembles on one (model, eps, grid) again pays
+    for the covering, the partition and the geometry once; see _rung."""
+    _check_frozen_spaces(s, grid, src, dst)
+    centers, geometry = _rung(strat, eps, grid)
+    return (_windowed_family(s, centers, geometry, grid, src, dst),
+            len(centers))
 
 
 # the variables that size the BLAS thread pool, in the order OpenBLAS
@@ -1010,12 +1107,15 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     weighted operator norm compressed to the upper frequency half; callers
     check that the table decreases.
 
-    Each rung keeps only its assembled operator: its covering and
-    partition are dropped once it is set up, the last rung's too, before
-    the norms start.  The norms are those of :func:`operator_norm`, bit
-    for bit, and run on the caller and one helper thread where the BLAS
-    thread count leaves CPUs idle (see _ladder_norm_threads): the helper's
-    pairs are futures, read in ladder order (see _ladder_norms).
+    Each rung is an :func:`assemble_rung`: for a stratification of
+    :func:`stratify_model`, its ball centers and window geometry come from
+    the rung cache after the first ladder on that (model, eps, grid), so
+    a repeated ladder computes only the window spectra.  No rung keeps a
+    covering or a partition.  The norms are those of
+    :func:`operator_norm`, bit for bit, and run on the caller and one
+    helper thread where the BLAS thread count leaves CPUs idle (see
+    _ladder_norm_threads): the helper's pairs are futures, read in ladder
+    order (see _ladder_norms).
     """
     eps_sequence = [float(e) for e in eps_sequence]
     if len(eps_sequence) < 3:
@@ -1026,11 +1126,8 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
 
     src = DiscreteSobolevSpace(grid, s_order)
     dst = DiscreteSobolevSpace(grid, s_order - s.order_alpha)
-    pts = grid.points()
-    assembled = [assemble_frozen_family(
-        s, partition_of_unity(build_covering(strat, eps, cover_points=pts),
-                              pts), grid, src, dst)
-        for eps in eps_sequence]
+    assembled = [assemble_rung(s, strat, eps, grid, src, dst)[0]
+                 for eps in eps_sequence]
     proxies = _ladder_norms([a - b for a, b in zip(assembled, assembled[1:])],
                             high_frequency_mask(grid))
     return [{"eps_coarse": e_coarse, "eps_fine": e_fine, "proxy": proxy}

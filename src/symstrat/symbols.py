@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -105,6 +106,22 @@ def _grid_arrays(dim: int) -> tuple:
     for arr in _GRIDS[key]:
         arr.flags.writeable = False
     return _GRIDS[key]
+
+
+# (grid, alpha) pairs whose ellipticity weight _ellipticity_weight keeps
+_WEIGHT_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_WEIGHT_CACHE_SIZE)
+def _ellipticity_weight(key: tuple, alpha: float) -> np.ndarray:
+    """The weight (1+|xi|)^(-alpha) over the grid of ``key`` (see
+    _grid_key), read-only; an overflow is left to the ratios that read
+    it.  Built once for each of the _WEIGHT_CACHE_SIZE most recent
+    (grid, alpha)."""
+    with np.errstate(over="ignore"):
+        weight = (1.0 + _grid_arrays(key[0])[1]) ** (-alpha)
+    weight.flags.writeable = False
+    return weight
 
 
 def grid_projection(dim: int, axes) -> tuple:
@@ -227,8 +244,7 @@ def check_ellipticity(s: Symbol, x_samples) -> EllipticityReport:
     if x_arr.shape[0] == 0:
         raise GridError("empty sample grid")
 
-    with np.errstate(over="ignore"):
-        scale = (1.0 + xi_norms) ** (-s.order_alpha)
+    scale = _ellipticity_weight(_grid_key(s.dim), s.order_alpha)
     found = _split_extremes(s.expr, x_arr, xi_c, scale)
     if found is None:
         found = _sweep_extremes(s, x_arr, xi_pts, xi_norms, xi_c, scale)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import symstrat
-from symstrat import analysis, suites
+from symstrat import analysis, lattice, suites
 from symstrat.analysis import AnalysisConfig, dump_json, run_analysis
 from symstrat.cli import main
 from symstrat.errors import ConfigError, SymstratError
@@ -740,6 +740,35 @@ def test_cli_assemble_exports(tmp_path):
     table = (tmp_path / "convergence.csv").read_text().strip().splitlines()
     assert table[0] == "eps_coarse,eps_fine,proxy"
     assert len(table) == 3
+
+
+def test_cli_assemble_builds_an_eps_rung_of_the_ladder_once(tmp_path,
+                                                             monkeypatch):
+    lattice._shared_rung.cache_clear()
+    built = []
+    covering = lattice.build_covering
+
+    def counted(*args, **kwargs):
+        built.append(args[1])
+        return covering(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "build_covering", counted)
+    assert main(["assemble", "--symbol", "normx2(x)+abs2(k)", "--alpha", "2",
+                 "--model", "square", "--eps", "0.3", "--grid-n", "16",
+                 "--s-order", "1.0", "--out", str(tmp_path),
+                 "--convergence-eps", "0.45,0.3,0.2"]) == 0
+    assert built == [0.3, 0.45, 0.2]
+    # the export is the frozen family on a partition built afresh
+    grid = LatticeGrid(2, 16, 1 / 16)
+    pou = lattice.partition_of_unity(
+        covering(stratify_model("square", 2), 0.3, cover_points=grid.points()),
+        grid.points())
+    op = lattice.assemble_frozen_family(
+        Symbol.parse("normx2(x)+abs2(k)", 2.0, 2), pou, grid,
+        lattice.DiscreteSobolevSpace(grid, 1.0),
+        lattice.DiscreteSobolevSpace(grid, -1.0))
+    assert (tmp_path / "assembled.bin").read_bytes() == \
+        op.to_dense().astype("<c16").tobytes()
 
 
 @pytest.mark.parametrize("ladder, reason", [

@@ -13,7 +13,8 @@ import pytest
 
 from symstrat import geometry, lattice, symbols
 from symstrat.dsl import eval_on_grid
-from symstrat.errors import EvalError, MissingPatchError, OrderMismatch
+from symstrat.errors import (CoverageError, EvalError, MissingPatchError,
+                             OrderMismatch)
 from symstrat.geometry import (Ball, Covering, PartitionOfUnity,
                                build_covering, partition_of_unity,
                                stratify_model)
@@ -69,8 +70,9 @@ def test_frozen_family_matches_the_per_ball_loop(text, block, monkeypatch):
         one = discretize_symbol_op(s, c, grid, src, dst)
         assert np.array_equal(one.spectrum, ref), c
     # the windows of the per-ball values, applied bit for bit
-    windows = lattice._MultiplierWindows(lambda b: np.array(refs[b]),
-                                         pou.f_values, pou.g_values, grid)
+    windows = lattice._MultiplierWindows(
+        lambda b: np.array(refs[b]),
+        lattice._WindowGeometry(pou.f_values, pou.g_values, grid))
     v = np.random.default_rng(2).standard_normal((grid.size, 2)) + 0j
     assert np.array_equal(assemble_frozen_family(s, pou, grid, src, dst)
                           .matvec(v), windows.apply(v))
@@ -166,9 +168,11 @@ def test_streamed_setup_matches_the_one_batch_setup(dim, n, eps,
 
     streamed, reference = rung(3), rung(len(cov.balls))
     (got, ref) = made
-    assert (got.b_f, got.b_g, got.size) == (ref.b_f, ref.b_g, ref.size)
+    got_geo, ref_geo = got.geometry, ref.geometry
+    assert (got_geo.b_f, got_geo.b_g, got_geo.size) == (
+        ref_geo.b_f, ref_geo.b_g, ref_geo.size)
     assert np.array_equal(got.spectra, ref.spectra)
-    for a, b in ((got.f, ref.f), (got.g, ref.g)):
+    for a, b in ((got_geo.f, ref_geo.f), (got_geo.g, ref_geo.g)):
         assert np.array_equal(a.toarray(), b.toarray())
     assert np.array_equal(streamed.to_dense(), reference.to_dense())
 
@@ -245,19 +249,19 @@ def test_covering_and_partition_match_the_per_ball_formulas(
 # --------------------------------------------------------------------------
 # kernel windows
 
-def _reference_spectra(windows, values, f_rows, g_rows, n, d):
+def _reference_spectra(geometry, values, f_rows, g_rows, n, d):
     """The spectra of the patch windows, one full-torus inverse DFT per
     patch."""
     f_start, _ = lattice._support_arcs(f_rows, (n,) * d)
     g_start, _ = lattice._support_arcs(g_rows, (n,) * d)
     m = [np.r_[0:size - bg + 1, 1 - bg:0]
-         for size, bg in zip(windows.size, windows.b_g)]
+         for size, bg in zip(geometry.size, geometry.b_g)]
     stacked = np.stack([
         lattice._at_offsets(np.fft.ifftn(vals.reshape((n,) * d)),
                             np.ix_(*(fa - ga + ma for fa, ga, ma
                                      in zip(f_start[j], g_start[j], m))))
         for j, vals in enumerate(values)], axis=1)
-    return np.fft.fftn(stacked, axes=windows.axes) / math.prod(windows.size)
+    return np.fft.fftn(stacked, axes=geometry.axes) / math.prod(geometry.size)
 
 
 @pytest.mark.parametrize("dim, n, eps", [(1, 32, 0.1), (2, 16, 0.1),
@@ -273,11 +277,11 @@ def test_window_spectra_match_the_per_patch_transforms(dim, n, eps, block,
     values = lattice._frozen_values(sym, cov.centers_array(),
                                     grid.frequencies().astype(complex))
     f_rows, g_rows = list(pou.f_values), list(pou.g_values)
-    windows = lattice._MultiplierWindows(lambda b: values[b], f_rows, g_rows,
-                                         grid)
+    geometry = lattice._WindowGeometry(f_rows, g_rows, grid)
+    windows = lattice._MultiplierWindows(lambda b: values[b], geometry)
     assert np.array_equal(
         windows.spectra[:, :, 0],
-        _reference_spectra(windows, values, f_rows, g_rows, n, dim))
+        _reference_spectra(geometry, values, f_rows, g_rows, n, dim))
 
 
 # --------------------------------------------------------------------------
@@ -316,4 +320,126 @@ def test_rung_setup_stays_within_the_block_bound(monkeypatch):
     assert min(len(evaluated), len(transformed), len(spectra)) >= 2
     assert max(evaluated + transformed + spectra) <= symbols.ELL_BLOCK_POINTS
     assert sum(evaluated) == sum(transformed) == n_balls * grid.size
-    assert sum(spectra) == n_balls * math.prod(made[0].size)
+    assert sum(spectra) == n_balls * math.prod(made[0].geometry.size)
+
+
+# --------------------------------------------------------------------------
+# rung cache
+
+LADDER = (0.4, 0.2, 0.1)
+
+
+def _counted_setup(monkeypatch) -> dict:
+    """Count the build_covering and partition_of_unity calls of lattice."""
+    calls = {"build_covering": 0, "partition_of_unity": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(lattice, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(lattice, name, counted)
+    return calls
+
+
+def _proxies(sym, strat, grid):
+    table = lattice.assembly_convergence(sym, strat, LADDER, grid,
+                                         s_order=1.0)
+    return [float(row["proxy"]).hex() for row in table]
+
+
+def test_a_second_ladder_builds_no_covering_or_partition(monkeypatch):
+    lattice._shared_rung.cache_clear()
+    calls = _counted_setup(monkeypatch)
+    grid = LatticeGrid(2, 16, 1.0 / 16)
+    strat = stratify_model("square", 2)
+    sym = Symbol.parse(FAMILY_SYMBOLS[0], 1.0, 2)
+    first = _proxies(sym, strat, grid)
+    assert calls == {"build_covering": 3, "partition_of_unity": 3}
+    assert _proxies(sym, strat, grid) == first
+    assert calls == {"build_covering": 3, "partition_of_unity": 3}
+    # a stratification built afresh is not the shared one: no cache
+    fresh = geometry._stratification.__wrapped__("square", 2)
+    assert _proxies(sym, fresh, grid) == first
+    assert calls == {"build_covering": 6, "partition_of_unity": 6}
+    assert lattice._shared_rung.cache_info().hits == 3
+
+
+def _geometry_arrays(geo):
+    """Every array of a _WindowGeometry, the gather matrices' included."""
+    sparse = [getattr(m, name) for m in (geo.f, geo.g, geo.f_t, geo.g_t)
+              for name in ("data", "indices", "indptr")]
+    return [*geo.offsets, *geo.dft, *geo.idft, *sparse]
+
+
+def test_cached_rungs_equal_a_fresh_build_and_are_read_only():
+    grid = LatticeGrid(2, 16, 1.0 / 16)
+    strat = stratify_model("square", 2)
+    src, dst = _spaces(grid, 1.0)
+    sym = Symbol.parse(FAMILY_SYMBOLS[1], 1.0, 2)
+    v = np.random.default_rng(6).standard_normal((grid.size, 2)) + 0j
+    for eps in LADDER:
+        centers, geo = lattice._rung(strat, eps, grid)
+        assert lattice._rung(strat, eps, grid)[1] is geo
+        ref_centers, ref = lattice._shared_rung.__wrapped__("square", 2, eps,
+                                                            grid)
+        assert ref is not geo
+        assert centers.tobytes() == ref_centers.tobytes()
+        assert (geo.torus, geo.n_patch, geo.b_f, geo.b_g, geo.size,
+                geo.axes) == (ref.torus, ref.n_patch, ref.b_f, ref.b_g,
+                              ref.size, ref.axes)
+        for got, want in zip(_geometry_arrays(geo), _geometry_arrays(ref)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for arr in [centers, *_geometry_arrays(geo)]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0
+        # the cached rung assembles the operator of a fresh partition
+        _, _, pou = _rung(16, eps)
+        op, n_patches = lattice.assemble_rung(sym, strat, eps, grid, src,
+                                              dst)
+        assert n_patches == len(pou.covering.balls)
+        direct = assemble_frozen_family(sym, pou, grid, src, dst)
+        for apply in ("matvec", "rmatvec"):
+            assert np.array_equal(getattr(op, apply)(v),
+                                  getattr(direct, apply)(v))
+
+
+def test_each_rung_key_gets_its_own_entry_up_to_the_bound():
+    lattice._shared_rung.cache_clear()
+    strat = stratify_model("square", 2)
+    base = LatticeGrid(2, 8, 1.0 / 8)
+    keys = [(0.4, base), (0.3, base), (0.4, LatticeGrid(2, 16, 1.0 / 16)),
+            (0.4, LatticeGrid(2, 8, 1.0 / 10)),
+            (0.4, LatticeGrid(2, 8, 1.0 / 8, origin=(1.0 / 16, 0.0)))]
+    rungs = []
+    for k, (eps, grid) in enumerate(keys, start=1):
+        rungs.append(lattice._rung(strat, eps, grid)[1])
+        assert lattice._shared_rung.cache_info().misses == k
+    assert len({id(geo) for geo in rungs}) == len(keys)
+    # a list origin makes the same, hashable grid
+    assert lattice._rung(strat, 0.4, LatticeGrid(
+        2, 8, 1.0 / 8, origin=[1.0 / 16, 0.0]))[1] is rungs[-1]
+    size = lattice._RUNG_CACHE_SIZE
+    for eps in np.linspace(0.45, 0.2, 2 * size):
+        lattice._rung(strat, float(eps), base)
+        assert lattice._shared_rung.cache_info().currsize <= size
+    assert lattice._shared_rung.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("eps, grid, error", [
+    (0.6, LatticeGrid(2, 8, 1.0 / 8), ValueError),
+    (0.4, LatticeGrid(2, 8, 1.0 / 8, origin=(2.0, 2.0)),
+     CoverageError)])
+def test_rung_errors_are_raised_on_every_call_and_never_kept(eps, grid,
+                                                             error):
+    strat = stratify_model("square", 2)
+    sym = Symbol.parse(FAMILY_SYMBOLS[0], 1.0, 2)
+    src, dst = _spaces(grid, 1.0)
+    kept = lattice._shared_rung.cache_info().currsize
+    messages = []
+    for _ in range(2):
+        with pytest.raises(error) as got:
+            lattice.assemble_rung(sym, strat, eps, grid, src, dst)
+        messages.append(str(got.value))
+    assert messages[0] == messages[1]
+    assert lattice._shared_rung.cache_info().currsize == kept

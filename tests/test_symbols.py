@@ -475,6 +475,43 @@ def test_the_grid_is_built_once_per_dimension_and_constants(monkeypatch):
     assert symbols.frequency_grid(3) is base
 
 
+def test_the_ellipticity_weight_is_built_once_per_grid_and_alpha(
+        monkeypatch):
+    weight = symbols._ellipticity_weight
+    weight.cache_clear()
+    # an elliptic symbol, one with a witness, and one whose weight
+    # overflows: each reports the same bits from a cold and a warm cache
+    cases = [("(2+x1)*((k3-i)/(k3+i))*(1+abs2(k))^(1/2)", 1.0),
+             ("(x1-0.5)^2+abs2(k)", 2.0), ("1", -80.0)]
+    for text, alpha in cases:
+        s = Symbol.parse(text, alpha, 3)
+        reports = []
+        for _ in range(2):
+            try:
+                reports.append(_hex(check_ellipticity(s, _CUBE_9).to_dict()))
+            except GridError as exc:
+                reports.append(str(exc))
+        assert reports[0] == reports[1], text
+    assert reports[0].startswith("ellipticity ratio")
+    info = weight.cache_info()
+    assert (info.hits, info.misses) == (3, 3)
+    key = symbols._grid_key(3)
+    cached = weight(key, 1.0)
+    fresh = weight.__wrapped__(key, 1.0)
+    assert cached is not fresh and cached.tobytes() == fresh.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0] = 0
+    # each grid and each alpha keys a weight of its own, up to the bound
+    with monkeypatch.context() as patch:
+        patch.setattr(symbols, "GRID_SEED", 1)
+        other = weight(symbols._grid_key(3), 1.0)
+    assert not np.array_equal(other, cached)
+    for alpha in np.linspace(-2.0, 2.0, 2 * symbols._WEIGHT_CACHE_SIZE):
+        weight(key, float(alpha))
+        assert weight.cache_info().currsize <= symbols._WEIGHT_CACHE_SIZE
+    assert weight.cache_info().currsize == symbols._WEIGHT_CACHE_SIZE
+
+
 # --------------------------------------------------------------------------
 # order fitting
 
