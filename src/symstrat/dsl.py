@@ -50,7 +50,7 @@ from .errors import DimensionError, EvalError, SymbolSyntaxError
 __all__ = [
     "Num", "Coord", "VecRef", "Neg", "BinOp", "Pow", "Call", "SymbolExpr",
     "parse_symbol", "print_symbol", "eval_on_grid",
-    "depends_on_x", "frequency_support", "reads_k_radially",
+    "depends_on_x", "frequency_leaves", "frequency_support",
     "product_factors",
 ]
 
@@ -521,28 +521,24 @@ def depends_on_x(expr: SymbolExpr) -> bool:
                for leaf in _leaves(expr.ast))
 
 
+def frequency_leaves(expr: SymbolExpr) -> frozenset:
+    """The frequency leaves the expression reads: the 1-based index a of
+    each ``k_a`` leaf, and 0 for ``abs2(k)``/``normx2(k)``, which read
+    the frequency through the squared norm that the evaluator sums."""
+    return frozenset(0 if isinstance(leaf, VecRef) else leaf.index
+                     for leaf in _leaves(expr.ast)
+                     if isinstance(leaf, (Coord, VecRef)) and leaf.axis == "k")
+
+
 def frequency_support(expr: SymbolExpr) -> frozenset:
     """The set of 1-based frequency component indices the expression reads.
 
     ``abs2(k)``/``normx2(k)`` read every component.
     """
-    found = set()
-    for leaf in _leaves(expr.ast):
-        if isinstance(leaf, VecRef) and leaf.axis == "k":
-            return frozenset(range(1, expr.dim + 1))
-        if isinstance(leaf, Coord) and leaf.axis == "k":
-            found.add(leaf.index)
-    return frozenset(found)
-
-
-def reads_k_radially(expr: SymbolExpr) -> bool:
-    """Does the expression read the frequency, and only through
-    ``abs2(k)``/``normx2(k)``, with no ``k1..km`` leaf?  Then its values
-    depend on xi through the squared norm alone."""
-    k_leaves = [leaf for leaf in _leaves(expr.ast)
-                if isinstance(leaf, (Coord, VecRef)) and leaf.axis == "k"]
-    return bool(k_leaves) and all(isinstance(leaf, VecRef)
-                                  for leaf in k_leaves)
+    leaves = frequency_leaves(expr)
+    if 0 in leaves:
+        return frozenset(range(1, expr.dim + 1))
+    return leaves
 
 
 def product_factors(expr: SymbolExpr) -> list:
@@ -564,7 +560,7 @@ def product_factors(expr: SymbolExpr) -> list:
             walk(node.rhs, -exponent if node.op == "/" else exponent)
             return
         factor = SymbolExpr(node, expr.dim)
-        on_x, on_k = depends_on_x(factor), bool(frequency_support(factor))
+        on_x, on_k = depends_on_x(factor), bool(frequency_leaves(factor))
         kind = ("mixed" if on_x and on_k else "x" if on_x
                 else "k" if on_k else "const")
         factors.append((factor, exponent, kind))

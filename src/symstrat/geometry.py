@@ -283,11 +283,12 @@ class Stratum:
     domain: CanonicalDomain
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Stratification:
     """The strata of a model domain.  :func:`stratify_model` shares one
     per model and process, so it is frozen, ``strata`` is a tuple and each
-    ``sample_points`` array is read-only: a change raises, not corrupts."""
+    ``sample_points`` array is read-only: a change raises, not corrupts.
+    It compares and hashes by identity, so caches can key on it."""
 
     model: str
     dim: int
@@ -598,7 +599,9 @@ def partition_of_unity(c: Covering, points,
         raise ValueError(f"outside must be 'error' or 'zero', not {outside!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eps = c.eps
-    d = np.sqrt(_sq_dists(c.centers_array(), pts))
+    # (J, m) even for an empty covering, whose points are all uncovered
+    centers = c.centers_array().reshape(-1, pts.shape[1])
+    d = np.sqrt(_sq_dists(centers, pts))
     f_vals = _bump(d / eps)
     total = f_vals.sum(axis=0)
     uncovered = total == 0

@@ -55,10 +55,8 @@ from scipy.sparse.linalg import LinearOperator, svds
 from .analysis import dump_json
 from .dsl import eval_on_grid
 from .errors import (ConfigError, MissingPatchError, NormNotConverged,
-                     OrderMismatch, SupportOverlapError, UnstableRank,
-                     UnsupportedModelError)
-from .geometry import (PartitionOfUnity, build_covering, partition_of_unity,
-                       stratify_model)
+                     OrderMismatch, SupportOverlapError, UnstableRank)
+from .geometry import PartitionOfUnity, build_covering, partition_of_unity
 from . import symbols
 from .laurent import LaurentPolynomial
 from .symbols import Symbol, eval_blocks
@@ -720,7 +718,7 @@ class _WindowGeometry:
     box and window sizes, the kernel offsets of each patch and the L x L
     DFT and inverse DFT matrices; not the full-grid cutoffs.  Every array
     is read-only, so one geometry serves every ladder that shares the
-    rung (see _shared_rung) and may be read from several threads.
+    rung (see _rung) and may be read from several threads.
     """
 
     def __init__(self, f_rows, g_rows, grid):
@@ -964,43 +962,26 @@ def _windowed_family(s: Symbol, centers, geometry: _WindowGeometry,
                             src, dst, dense=windows.to_dense)
 
 
-# rungs that _shared_rung keeps: a ladder takes one per radius, so this
-# holds the ladders of a few grids
+# rungs that _rung keeps: a ladder takes one per radius, so this holds
+# the ladders of a few grids
 _RUNG_CACHE_SIZE = 8
 
 
-def _build_rung(strat, eps: float, grid: LatticeGrid) -> tuple:
+@lru_cache(maxsize=_RUNG_CACHE_SIZE)
+def _rung(strat, eps: float, grid: LatticeGrid) -> tuple:
     """(ball centers, window geometry) of the covering of ``strat`` at
     radius ``eps`` that covers ``grid.points()``, both read-only; the
-    covering and its partition of unity are dropped."""
+    covering and its partition of unity are dropped.  Kept for the
+    _RUNG_CACHE_SIZE most recent (stratification object, eps, grid), so a
+    stratification built afresh is built afresh here too; an error is
+    raised on every call and never kept.  ``__wrapped__`` builds
+    afresh."""
     pts = grid.points()
     cov = build_covering(strat, eps, cover_points=pts)
     pou = partition_of_unity(cov, pts)
     centers = np.array([b.center for b in cov.balls], dtype=float)
     centers.flags.writeable = False
     return centers, _WindowGeometry(pou.f_values, pou.g_values, grid)
-
-
-@lru_cache(maxsize=_RUNG_CACHE_SIZE)
-def _shared_rung(model: str, dim: int, eps: float, grid: LatticeGrid):
-    """:func:`_build_rung` on the shared stratification of ``model``, kept
-    for the _RUNG_CACHE_SIZE most recent (model, dim, eps, grid); an error
-    is raised on every call and never kept.  ``__wrapped__`` builds
-    afresh."""
-    return _build_rung(stratify_model(model, dim), eps, grid)
-
-
-def _rung(strat, eps: float, grid: LatticeGrid) -> tuple:
-    """:func:`_build_rung`, from _shared_rung's cache when ``strat`` is
-    the one that :func:`stratify_model` shares; any other stratification
-    is built afresh."""
-    try:
-        shared = strat is stratify_model(strat.model, strat.dim)
-    except UnsupportedModelError:
-        shared = False
-    if shared:
-        return _shared_rung(strat.model, strat.dim, eps, grid)
-    return _build_rung(strat, eps, grid)
 
 
 def assemble_rung(s: Symbol, strat, eps: float, grid: LatticeGrid,
@@ -1011,9 +992,10 @@ def assemble_rung(s: Symbol, strat, eps: float, grid: LatticeGrid,
     ``build_covering(strat, eps, cover_points=grid.points())``, bit for
     bit.  Only the window spectra are computed here.  The ball centers
     and the window geometry, which the symbol does not enter, come from
-    _shared_rung's cache for a stratification of :func:`stratify_model`,
-    so a process that assembles on one (model, eps, grid) again pays
-    for the covering, the partition and the geometry once; see _rung."""
+    _rung's cache, keyed by the stratification object, so a process that
+    assembles again on one (stratification, eps, grid), such as the
+    shared stratification of :func:`~symstrat.geometry.stratify_model`,
+    pays for the covering, the partition and the geometry once."""
     _check_frozen_spaces(s, grid, src, dst)
     centers, geometry = _rung(strat, eps, grid)
     return (_windowed_family(s, centers, geometry, grid, src, dst),
@@ -1107,15 +1089,16 @@ def assembly_convergence(s: Symbol, strat, eps_sequence, grid: LatticeGrid,
     weighted operator norm compressed to the upper frequency half; callers
     check that the table decreases.
 
-    Each rung is an :func:`assemble_rung`: for a stratification of
-    :func:`stratify_model`, its ball centers and window geometry come from
-    the rung cache after the first ladder on that (model, eps, grid), so
-    a repeated ladder computes only the window spectra.  No rung keeps a
-    covering or a partition.  The norms are those of
-    :func:`operator_norm`, bit for bit, and run on the caller and one
-    helper thread where the BLAS thread count leaves CPUs idle (see
-    _ladder_norm_threads): the helper's pairs are futures, read in ladder
-    order (see _ladder_norms).
+    Each rung is an :func:`assemble_rung`: its ball centers and window
+    geometry come from the rung cache, keyed by the stratification
+    object, after the first ladder on that (stratification, eps, grid),
+    so a repeated ladder on the shared stratification of
+    :func:`~symstrat.geometry.stratify_model` computes only the window
+    spectra.  No rung keeps a covering or a partition.  The norms are
+    those of :func:`operator_norm`, bit for bit, and run on the caller
+    and one helper thread where the BLAS thread count leaves CPUs idle
+    (see _ladder_norm_threads): the helper's pairs are futures, read in
+    ladder order (see _ladder_norms).
     """
     eps_sequence = [float(e) for e in eps_sequence]
     if len(eps_sequence) < 3:

@@ -17,14 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dsl import (SymbolExpr, eval_on_grid, frequency_support, parse_symbol,
-                  product_factors, reads_k_radially)
+from .dsl import (SymbolExpr, eval_on_grid, frequency_leaves, parse_symbol,
+                  product_factors)
 from .errors import DegenerateFit, EvalError, GridError, OrderMismatch
 
 __all__ = [
-    "Symbol", "EllipticityReport", "check_ellipticity", "frequency_grid",
-    "grid_projection", "radial_projection", "eval_blocks", "fit_order",
-    "check_order",
+    "Symbol", "EllipticityReport", "check_ellipticity", "eval_blocks",
+    "fit_order", "check_order",
 ]
 
 TOL_ELL = 1e-10
@@ -65,16 +64,6 @@ GRID_MAX_RADIUS = 1.0e4
 GRID_SEED = 0
 
 
-def frequency_grid(dim: int) -> np.ndarray:
-    """All sample frequencies of the ellipticity grid, shape (P, dim): the
-    tensor box in ij order, then the far field; read-only."""
-    return _grid_arrays(dim)[0]
-
-
-_GRIDS = {}
-_RADIAL = {}
-
-
 def _grid_key(dim: int) -> tuple:
     """The dimension and the values of the GRID_* constants, which fix the
     grid and everything built from it."""
@@ -82,30 +71,27 @@ def _grid_key(dim: int) -> tuple:
             GRID_RANDOM_PER_DECADE, GRID_MAX_RADIUS, GRID_SEED)
 
 
-def _grid_arrays(dim: int) -> tuple:
-    """(frequency_grid(dim), its norms |xi|, its complex copy), read-only,
-    built once per dimension and values of the GRID_* constants."""
-    key = _grid_key(dim)
-    if key in _GRIDS:
-        return _GRIDS[key]
-    axes = [np.linspace(-GRID_BOX_RADIUS, GRID_BOX_RADIUS,
-                        GRID_POINTS_PER_AXIS)] * dim
+@lru_cache(maxsize=None)
+def _grid_arrays(key: tuple) -> tuple:
+    """(xi, |xi|, xi as complex) over the ellipticity grid of ``key`` (see
+    _grid_key), read-only and built once per key: the sample frequencies,
+    shape (P, dim), are the tensor box in ij order, then the far field."""
+    dim, per_axis, box_radius, per_decade, max_radius, seed = key
+    axes = [np.linspace(-box_radius, box_radius, per_axis)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = [np.stack([m.ravel() for m in mesh], axis=-1)]
-    rng = np.random.default_rng(GRID_SEED)
-    for d in range(int(math.ceil(math.log10(GRID_MAX_RADIUS)))):
-        lo, hi = 10.0 ** d, min(10.0 ** (d + 1), GRID_MAX_RADIUS)
-        radii = np.exp(rng.uniform(np.log(lo), np.log(hi),
-                                   GRID_RANDOM_PER_DECADE))
-        dirs = rng.standard_normal((GRID_RANDOM_PER_DECADE, dim))
+    rng = np.random.default_rng(seed)
+    for d in range(int(math.ceil(math.log10(max_radius)))):
+        lo, hi = 10.0 ** d, min(10.0 ** (d + 1), max_radius)
+        radii = np.exp(rng.uniform(np.log(lo), np.log(hi), per_decade))
+        dirs = rng.standard_normal((per_decade, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts.append(dirs * radii[:, None])
     xi_pts = np.concatenate(pts, axis=0)
-    _GRIDS[key] = (xi_pts, np.linalg.norm(xi_pts, axis=1),
-                   xi_pts.astype(complex))
-    for arr in _GRIDS[key]:
+    arrays = (xi_pts, np.linalg.norm(xi_pts, axis=1), xi_pts.astype(complex))
+    for arr in arrays:
         arr.flags.writeable = False
-    return _GRIDS[key]
+    return arrays
 
 
 # (grid, alpha) pairs whose ellipticity weight _ellipticity_weight keeps
@@ -119,72 +105,40 @@ def _ellipticity_weight(key: tuple, alpha: float) -> np.ndarray:
     it.  Built once for each of the _WEIGHT_CACHE_SIZE most recent
     (grid, alpha)."""
     with np.errstate(over="ignore"):
-        weight = (1.0 + _grid_arrays(key[0])[1]) ** (-alpha)
+        weight = (1.0 + _grid_arrays(key)[1]) ** (-alpha)
     weight.flags.writeable = False
     return weight
 
 
-def grid_projection(dim: int, axes) -> tuple:
-    """Index arrays (rep, inv) into ``frequency_grid(dim)`` for a function
-    of the 1-based frequency ``axes`` alone.
+@lru_cache(maxsize=None)
+def _projection(key: tuple, leaves: frozenset) -> tuple:
+    """Index arrays (rep, inv) into the grid of ``key`` (see _grid_key)
+    for a function of the frequency ``leaves`` alone
+    (:func:`~symstrat.dsl.frequency_leaves`), read-only and built once
+    per (key, leaves).
 
-    ``frequency_grid(dim)[rep]`` holds one frequency per node tuple of
-    those axes on the tensor part, then every far-field point, and
-    ``rep[inv[p]]`` agrees with point p on ``axes``: the function's values
-    at rep, taken at inv, are its values at every point.
+    The inputs of leaf a are the column ``xi[:, a-1]``, those of leaf 0
+    the evaluator's own ``abs2(k)``.  ``rep`` holds the first point of
+    each distinct tuple of them, compared as raw bytes, so ``rep[inv[p]]``
+    reads the same bits as point p on every leaf: the function's values
+    at rep, taken at inv, are its values at every point.  Where every
+    point is a tuple of its own, (rep, inv) are both ``slice(None)``: the
+    whole grid, in order, without a gather.
     """
-    n = GRID_POINTS_PER_AXIS
-    rep = np.zeros(1, dtype=int)
-    inv = np.zeros((1,) * dim, dtype=int)
-    for a in sorted(axes):
-        # axis a (1-based) of the ij-ordered tensor part has stride
-        # n^(dim-a) in rep and its own dimension in inv
-        rep = (rep[:, None] + np.arange(n) * n ** (dim - a)).ravel()
-        inv = inv * n + np.arange(n).reshape(
-            [n if b == a - 1 else 1 for b in range(dim)])
-    inv = np.broadcast_to(inv, (n,) * dim).ravel()
-    far = np.arange(n ** dim, frequency_grid(dim).shape[0])
-    return (np.concatenate([rep, far]),
-            np.concatenate([inv, far - n ** dim + rep.size]))
-
-
-def radial_projection(dim: int) -> tuple:
-    """Index arrays (rep, inv) into ``frequency_grid(dim)`` for a function
-    of ``abs2(k)`` alone, read-only and built once per grid.
-
-    ``rep`` holds the first point of each distinct value of ``abs2(k)``,
-    as :func:`~symstrat.dsl.eval_on_grid` computes it, and ``rep[inv[p]]``
-    has the same ``abs2(k)`` as point p, bit for bit: on a real grid its
-    running sum of squares has imaginary part exactly +0.0, so equal real
-    parts make equal values.  With the default constants the 33^3 tensor
-    part of the 3-D grid holds 464 distinct values.
-    """
-    key = _grid_key(dim)
-    if key not in _RADIAL:
-        xi_c = _grid_arrays(dim)[2]
-        norm2 = eval_on_grid(parse_symbol("abs2(k)", dim), np.zeros((1, dim)),
-                             xi_c)
-        _, rep, inv = np.unique(norm2.real, return_index=True,
-                                return_inverse=True)
-        for arr in (rep, inv):
-            arr.flags.writeable = False
-        _RADIAL[key] = (rep, inv)
-    return _RADIAL[key]
-
-
-def _factor_projection(factor: SymbolExpr) -> tuple:
-    """(rep, at) for a k-only factor: its values at
-    ``frequency_grid(factor.dim)[rep]``, taken at ``at``, are its values
-    at every frequency.  Once per distinct
-    ``abs2(k)`` for a factor that reads k only through it, once per node
-    tuple of its axes for one that reads fewer than all axes, else at
-    every frequency."""
-    if reads_k_radially(factor):
-        return radial_projection(factor.dim)
-    axes = frequency_support(factor)
-    if len(axes) < factor.dim:
-        return grid_projection(factor.dim, axes)
-    return slice(None), slice(None)
+    xi_c = _grid_arrays(key)[2]
+    rows = np.stack([xi_c[:, a - 1] if a else
+                     eval_on_grid(parse_symbol("abs2(k)", key[0]),
+                                  np.zeros((1, key[0])), xi_c)
+                     for a in sorted(leaves)], axis=1)
+    # one opaque item per row, so np.unique compares bytes, not values
+    row_bytes = rows.view(np.dtype((np.void, rows.itemsize * len(leaves))))
+    _, rep, inv = np.unique(row_bytes.ravel(), return_index=True,
+                            return_inverse=True)
+    if len(rep) == len(inv):
+        return slice(None), slice(None)
+    for arr in (rep, inv):
+        arr.flags.writeable = False
+    return rep, inv
 
 
 @dataclass
@@ -207,8 +161,9 @@ class EllipticityReport:
 
 def check_ellipticity(s: Symbol, x_samples) -> EllipticityReport:
     """Certify the two-sided order estimate on a finite sample set: the
-    x samples against the frequencies of ``frequency_grid(s.dim)``, where
-    any alpha has constants: :func:`check_order` tests alpha itself.
+    x samples against the frequencies of the grid that the GRID_*
+    constants fix (see _grid_arrays), where any alpha has constants:
+    :func:`check_order` tests alpha itself.
 
     c1 is the minimum of |a(x, xi)| (1+|xi|)^(-alpha) over all samples, c2
     the maximum; the symbol is reported elliptic when c1 exceeds TOL_ELL
@@ -227,9 +182,9 @@ def check_ellipticity(s: Symbol, x_samples) -> EllipticityReport:
     A symbol whose top-level product (:func:`~symstrat.dsl.product_factors`)
     has no mixed factor takes the factor split of :func:`_split_extremes`
     instead: each factor is evaluated once on its own samples, a k-only
-    factor once per node tuple of the axes it reads, or once per distinct
-    |xi|^2 if it reads k only through ``abs2(k)``/``normx2(k)``, and the
-    full symbol only at the few samples that can attain c1 or c2.  It
+    factor once per distinct tuple of the frequency leaves it reads
+    (``k_a`` and ``abs2(k)``/``normx2(k)``), and the full symbol only at
+    the few samples that can attain c1 or c2.  It
     reports the same bits as the sweep, and leaves to the sweep every
     symbol where it could not prove that: an evaluation error, a zero or
     an overflow in a factor or the weight, a product that could leave the
@@ -237,15 +192,16 @@ def check_ellipticity(s: Symbol, x_samples) -> EllipticityReport:
     ``ELL_BLOCK_POINTS`` candidate samples.  So every error, every
     witness and every non-elliptic report is the sweep's.
     """
-    xi_pts, xi_norms, xi_c = _grid_arrays(s.dim)
+    key = _grid_key(s.dim)
+    xi_pts, xi_norms, xi_c = _grid_arrays(key)
     x_arr = np.atleast_2d(np.asarray(x_samples, dtype=float))
     if x_arr.shape[1] != s.dim:
         raise GridError(f"x samples have dimension {x_arr.shape[1]}, want {s.dim}")
     if x_arr.shape[0] == 0:
         raise GridError("empty sample grid")
 
-    scale = _ellipticity_weight(_grid_key(s.dim), s.order_alpha)
-    found = _split_extremes(s.expr, x_arr, xi_c, scale)
+    scale = _ellipticity_weight(key, s.order_alpha)
+    found = _split_extremes(s.expr, x_arr, key, scale)
     if found is None:
         found = _sweep_extremes(s, x_arr, xi_pts, xi_norms, xi_c, scale)
     c1, c2, first, arg = found
@@ -311,19 +267,16 @@ _SPLIT_MARGIN = 2.0 ** -30
 _SPLIT_LIMIT = 2.0 ** 1000
 
 
-def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale):
+def _split_extremes(expr: SymbolExpr, x_arr, key: tuple, scale):
     """(c1, c2, i, j) of :func:`_sweep_extremes` from the factors of a
     symbol with no mixed factor, or None where that is not certain.
 
     X_i, the product of the moduli of the constant and x-only factors,
     is evaluated on the x samples against one frequency; K_j, that of
     the xi-only factors times the weight, on the frequencies against one
-    x sample (:func:`_factor_projection`): a factor of fewer than all
-    frequency axes once per node tuple of its axes
-    (:func:`grid_projection`), a factor that reads k only through
-    ``abs2(k)``/``normx2(k)`` once per distinct |xi|^2
-    (:func:`radial_projection`).  X_i * K_j
-    is the ratio at (i, j) to within rounding, so the argmin and its ties
+    x sample, each factor once per distinct tuple of the inputs of the
+    frequency leaves it reads (:func:`_projection`).  X_i * K_j is the
+    ratio at (i, j) to within rounding, so the argmin and its ties
     lie among the x samples within ``_SPLIT_MARGIN`` of min X times the
     frequencies within it of min K, and the argmax likewise.  The symbol
     is evaluated on those two rectangles as the sweep evaluates a block,
@@ -340,6 +293,7 @@ def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale):
     factors = product_factors(expr)
     if any(kind == "mixed" for _, _, kind in factors):
         return None
+    xi_c = _grid_arrays(key)[2]
     x_mod = np.ones(x_arr.shape[0])
     k_mod = scale
     # bounds on a product of any subset of the factors and the weight
@@ -348,7 +302,7 @@ def _split_extremes(expr: SymbolExpr, x_arr, xi_c, scale):
     for factor, exponent, kind in factors:
         x, xi, at = x_arr, xi_c[:1], slice(None)
         if kind == "k":
-            rep, at = _factor_projection(factor)
+            rep, at = _projection(key, frequency_leaves(factor))
             x, xi = x_arr[:1], xi_c[rep]
         try:
             vals = eval_on_grid(factor, x, xi)

@@ -519,6 +519,18 @@ def test_uncovered_grid_point_raises():
         partition_of_unity(cov, np.array([[0.9, 0.9]]))
 
 
+@pytest.mark.parametrize("outside", ["error", "zero"])
+def test_an_empty_covering_covers_no_point(outside):
+    pts = np.arange(8.0).reshape(4, 2)
+    if outside == "error":
+        with pytest.raises(ZeroDivisionError, match=r"point \[0\.0, 1\.0\] "
+                           r"is not covered"):
+            partition_of_unity(Covering(0.3, []), pts, outside=outside)
+        return
+    pou = partition_of_unity(Covering(0.3, []), pts, outside=outside)
+    assert pou.f_values.shape == pou.g_values.shape == (0, 4)
+
+
 def test_evaluate_outside_zero_mode():
     cov = Covering(eps=0.5, balls=[Ball((0.0, 0.0), 0.5, 0)])
     pts = np.array([[0.1, 0.1], [3.0, 3.0]])

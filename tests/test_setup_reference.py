@@ -348,7 +348,7 @@ def _proxies(sym, strat, grid):
 
 
 def test_a_second_ladder_builds_no_covering_or_partition(monkeypatch):
-    lattice._shared_rung.cache_clear()
+    lattice._rung.cache_clear()
     calls = _counted_setup(monkeypatch)
     grid = LatticeGrid(2, 16, 1.0 / 16)
     strat = stratify_model("square", 2)
@@ -357,11 +357,11 @@ def test_a_second_ladder_builds_no_covering_or_partition(monkeypatch):
     assert calls == {"build_covering": 3, "partition_of_unity": 3}
     assert _proxies(sym, strat, grid) == first
     assert calls == {"build_covering": 3, "partition_of_unity": 3}
-    # a stratification built afresh is not the shared one: no cache
+    # a stratification built afresh keys rungs of its own, built afresh
     fresh = geometry._stratification.__wrapped__("square", 2)
     assert _proxies(sym, fresh, grid) == first
     assert calls == {"build_covering": 6, "partition_of_unity": 6}
-    assert lattice._shared_rung.cache_info().hits == 3
+    assert lattice._rung.cache_info().hits == 3
 
 
 def _geometry_arrays(geo):
@@ -380,8 +380,7 @@ def test_cached_rungs_equal_a_fresh_build_and_are_read_only():
     for eps in LADDER:
         centers, geo = lattice._rung(strat, eps, grid)
         assert lattice._rung(strat, eps, grid)[1] is geo
-        ref_centers, ref = lattice._shared_rung.__wrapped__("square", 2, eps,
-                                                            grid)
+        ref_centers, ref = lattice._rung.__wrapped__(strat, eps, grid)
         assert ref is not geo
         assert centers.tobytes() == ref_centers.tobytes()
         assert (geo.torus, geo.n_patch, geo.b_f, geo.b_g, geo.size,
@@ -405,7 +404,7 @@ def test_cached_rungs_equal_a_fresh_build_and_are_read_only():
 
 
 def test_each_rung_key_gets_its_own_entry_up_to_the_bound():
-    lattice._shared_rung.cache_clear()
+    lattice._rung.cache_clear()
     strat = stratify_model("square", 2)
     base = LatticeGrid(2, 8, 1.0 / 8)
     keys = [(0.4, base), (0.3, base), (0.4, LatticeGrid(2, 16, 1.0 / 16)),
@@ -414,7 +413,7 @@ def test_each_rung_key_gets_its_own_entry_up_to_the_bound():
     rungs = []
     for k, (eps, grid) in enumerate(keys, start=1):
         rungs.append(lattice._rung(strat, eps, grid)[1])
-        assert lattice._shared_rung.cache_info().misses == k
+        assert lattice._rung.cache_info().misses == k
     assert len({id(geo) for geo in rungs}) == len(keys)
     # a list origin makes the same, hashable grid
     assert lattice._rung(strat, 0.4, LatticeGrid(
@@ -422,8 +421,8 @@ def test_each_rung_key_gets_its_own_entry_up_to_the_bound():
     size = lattice._RUNG_CACHE_SIZE
     for eps in np.linspace(0.45, 0.2, 2 * size):
         lattice._rung(strat, float(eps), base)
-        assert lattice._shared_rung.cache_info().currsize <= size
-    assert lattice._shared_rung.cache_info().currsize == size
+        assert lattice._rung.cache_info().currsize <= size
+    assert lattice._rung.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("eps, grid, error", [
@@ -435,11 +434,11 @@ def test_rung_errors_are_raised_on_every_call_and_never_kept(eps, grid,
     strat = stratify_model("square", 2)
     sym = Symbol.parse(FAMILY_SYMBOLS[0], 1.0, 2)
     src, dst = _spaces(grid, 1.0)
-    kept = lattice._shared_rung.cache_info().currsize
+    kept = lattice._rung.cache_info().currsize
     messages = []
     for _ in range(2):
         with pytest.raises(error) as got:
             lattice.assemble_rung(sym, strat, eps, grid, src, dst)
         messages.append(str(got.value))
     assert messages[0] == messages[1]
-    assert lattice._shared_rung.cache_info().currsize == kept
+    assert lattice._rung.cache_info().currsize == kept

@@ -68,9 +68,14 @@ def test_report_with_nan_is_refused():
         check_ellipticity(Symbol.parse("k1", 1.0, 2), X0).to_dict()))
 
 
+def _grid(dim):
+    """The ellipticity grid's frequencies in ``dim`` dimensions."""
+    return symbols._grid_arrays(symbols._grid_key(dim))[0]
+
+
 def _per_x_reference(s, x_samples):
     """(c1_raw, c2_raw, witness) by one evaluation per x sample."""
-    xi_pts = symbols.frequency_grid(s.dim)
+    xi_pts = _grid(s.dim)
     x_arr = np.atleast_2d(np.asarray(x_samples, dtype=float))
     scale = (1.0 + np.linalg.norm(xi_pts, axis=1)) ** (-s.order_alpha)
     c1 = math.inf
@@ -181,8 +186,9 @@ def test_cube_ellipticity_evaluates_in_few_blocks(monkeypatch):
     # the factor split evaluates each factor once on its own samples and
     # the symbol at a few candidates, never the 9 x n_xi product grid; the
     # projections are built once per grid, before the count
-    n_axis = len(symbols.grid_projection(3, {3})[0])
-    n_radial = len(symbols.radial_projection(3)[0])
+    key = symbols._grid_key(3)
+    n_axis = len(symbols._projection(key, frozenset({3}))[0])
+    n_radial = len(symbols._projection(key, frozenset({0}))[0])
     calls = []
 
     def counting(expr, x, xi):
@@ -194,7 +200,7 @@ def test_cube_ellipticity_evaluates_in_few_blocks(monkeypatch):
     m = run_analysis(AnalysisConfig(
         symbol_text="(2+x1)*((k3-i)/(k3+i))*(1+abs2(k))^(1/2)", alpha=1.0,
         model="cube"))
-    n_xi = symbols.frequency_grid(3).shape[0]
+    n_xi = _grid(3).shape[0]
     assert m.stages["ellipticity"]["grid"]["x_samples"] == 9
     assert m.stages["ellipticity"]["elliptic"]
     # one pass per factor (2+x1, k3-i, k3+i, (1+abs2(k))^(1/2)), one per
@@ -282,62 +288,91 @@ SPLIT_CASES = {
     # can have squared norms that differ in the last bits
     "cube-radial-inexact-nodes": ("(2+x1)*(1+abs2(k))^(3/2)", 3.0, 3,
                                   _CUBE_9, {"GRID_BOX_RADIUS": 31.7}),
+    # factors of two of three axes, and of an axis and |xi|^2
+    "cube-two-of-three-axes": ("(2+x1)*(k1+2*k3+5*i)", 1.0, 3, _CUBE_9, {}),
+    "cube-axis-and-radial": ("(1+x2)*(k1+3*i+abs2(k))", 2.0, 3, _CUBE_9, {}),
+    # every point a tuple of its own: the whole grid, without a gather
+    "cube-every-axis": ("(2+x1)*(k1+2*k2+3*k3+5*i)", 1.0, 3, _CUBE_9,
+                        _COARSE),
 }
-
-
-@pytest.mark.parametrize("dim, axes", [(1, (1,)), (2, (2,)), (3, (1, 3)),
-                                       (3, (2,)), (3, ())])
-def test_projection_shares_one_evaluation_per_node_tuple(dim, axes,
-                                                         monkeypatch):
-    _use_grid(monkeypatch, {"GRID_POINTS_PER_AXIS": 5,
-                            "GRID_RANDOM_PER_DECADE": 3})
-    pts = symbols.frequency_grid(dim)
-    rep, inv = symbols.grid_projection(dim, axes)
-    cols = [a - 1 for a in axes]
-    np.testing.assert_array_equal(pts[rep][inv][:, cols], pts[:, cols])
-    # every node tuple once, then every far-field point
-    assert len(rep) == 5 ** len(axes) + len(pts) - 5 ** dim
-    assert len(np.unique(pts[rep[:5 ** len(axes)]][:, cols], axis=0)) \
-        == 5 ** len(axes)
-    assert sorted(set(inv.tolist())) == list(range(len(rep)))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("radius", [32.0, 31.7])
-def test_radial_projection_shares_one_evaluation_per_squared_norm(
-        dim, radius, monkeypatch):
+def test_projection_shares_one_evaluation_per_leaf_tuple(dim, radius,
+                                                         monkeypatch):
+    # nodes -31.7 + j*7.925 are not exact: mirrored or permuted nodes can
+    # have squared norms that differ in the last bits
     _use_grid(monkeypatch, {"GRID_POINTS_PER_AXIS": 9,
                             "GRID_RANDOM_PER_DECADE": 3,
                             "GRID_BOX_RADIUS": radius})
-    xi_c = symbols.frequency_grid(dim).astype(complex)
+    key = symbols._grid_key(dim)
+    xi_c = symbols._grid_arrays(key)[2]
     norm2 = eval_on_grid(Symbol.parse("abs2(k)", 2.0, dim).expr,
                          np.zeros((1, dim)), xi_c)
-    rep, inv = symbols.radial_projection(dim)
-    # every point's abs2(k) is its representative's, bit for bit
-    assert norm2[rep][inv].tobytes() == norm2.tobytes()
-    # the representatives are the distinct values, each once
-    assert sorted(norm2[rep].real.tolist()) == sorted(set(norm2.real.tolist()))
-    assert len(rep) < len(norm2)
-    # built once per grid, read-only
-    assert symbols.radial_projection(dim) is symbols.radial_projection(dim)
-    for arr in (rep, inv):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
-    with monkeypatch.context() as patch:
-        patch.setattr(symbols, "GRID_SEED", 1)
-        other, _ = symbols.radial_projection(dim)
-        assert other is not rep and len(other) == len(rep)
+    # k1; k2; k1 and k3; abs2(k); k1 and abs2(k)
+    for leaves in ({1}, {2}, {1, 3}, {0}, {0, 1}):
+        if max(leaves) > dim:
+            continue
+        leaves = frozenset(leaves)
+        # the inputs the evaluator reads at each leaf
+        cols = np.stack([xi_c[:, a - 1] if a else norm2
+                         for a in sorted(leaves)], axis=1)
+        rep, inv = symbols._projection(key, leaves)
+        # built once per grid and leaf set
+        assert symbols._projection(key, leaves)[0] is rep
+        tuples = {row.tobytes() for row in cols}
+        if len(tuples) == len(cols):
+            # every point a tuple of its own: the whole grid, in order
+            assert (rep, inv) == (slice(None), slice(None))
+            continue
+        # every point's inputs are its representative's, bit for bit, so
+        # a merged -0.0 and 0.0 would show
+        assert cols[rep][inv].tobytes() == cols.tobytes()
+        # the representatives are the distinct tuples, each once
+        assert sorted(row.tobytes() for row in cols[rep]) == sorted(tuples)
+        if 0 not in leaves:
+            # each node tuple of the axes once, then every far-field point
+            assert len(rep) == 9 ** len(leaves) + len(xi_c) - 9 ** dim
+        for arr in (rep, inv):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(symbols, "GRID_SEED", 1)
+            other, _ = symbols._projection(symbols._grid_key(dim), leaves)
+            assert other is not rep and len(other) == len(rep)
+    # the signed zeros of k1 are two inputs, and one of abs2(k)
+    pts = np.zeros((4, dim))
+    pts[1, 0], pts[2, 0] = -0.0, 1.0
+    monkeypatch.setattr(symbols, "_grid_arrays", lambda key: (
+        pts, np.linalg.norm(pts, axis=1), pts.astype(complex)))
+    for leaves, size in (({1}, 3), ({0, 1}, 3), ({0}, 2)):
+        rep, inv = symbols._projection.__wrapped__(key, frozenset(leaves))
+        assert len(rep) == size
+        if 1 in leaves:
+            assert pts[rep][inv][:, 0].tobytes() == pts[:, 0].tobytes()
 
 
 def test_a_factor_reading_k_both_ways_is_not_projected_radially(monkeypatch):
     # k1+i+abs2(k) reads k1 itself: its values are no function of |xi|^2,
-    # so only the factor 1+abs2(k) takes the radial projection
+    # so it takes the projection on (k1, |xi|^2), and 1+abs2(k) the one
+    # on |xi|^2
     _use_grid(monkeypatch, _COARSE)
-    radial = _recorded(monkeypatch, "radial_projection")
+    asked = []
+    projection = symbols._projection
+
+    def recording(key, leaves):
+        asked.append(leaves)
+        return projection(key, leaves)
+
+    monkeypatch.setattr(symbols, "_projection", recording)
     sweeps = _recorded(monkeypatch, "_sweep_extremes")
     s = Symbol.parse("(2+x1)*(k1+i+abs2(k))/(1+abs2(k))", 0.0, 2)
     got = check_ellipticity(s, _SQUARE_9)
-    assert len(radial) == 1 and not sweeps
+    assert asked == [{0, 1}, {0}] and not sweeps
+    key = symbols._grid_key(2)
+    both, radial = (len(projection(key, leaves)[0]) for leaves in asked)
+    assert radial < both < len(_grid(2))
     want = _forced_sweep(monkeypatch, s, _SQUARE_9)
     assert _hex(got.to_dict()) == _hex(want.to_dict())
 
@@ -434,8 +469,7 @@ def test_monotone_refinement(monkeypatch):
         _use_grid(monkeypatch, {
             "GRID_POINTS_PER_AXIS": points_per_axis,
             "GRID_RANDOM_PER_DECADE": 16, "GRID_SEED": 3})
-        return (symbols.frequency_grid(2),
-                check_ellipticity(s, x_samples))
+        return _grid(2), check_ellipticity(s, x_samples)
 
     pts_c, rep_c = grid_and_report(17)
     pts_f, rep_f = grid_and_report(33)
@@ -446,18 +480,19 @@ def test_monotone_refinement(monkeypatch):
 
 
 def test_the_grid_is_built_once_per_dimension_and_constants(monkeypatch):
-    monkeypatch.setattr(symbols, "_GRIDS", {})
     s = Symbol.parse("(2+x1)*((k3-i)/(k3+i))*(1+abs2(k))^(1/2)", 1.0, 3)
+    key = symbols._grid_key(3)
+    misses = symbols._grid_arrays.cache_info().misses
     built = []
     for x in np.random.default_rng(5).uniform(0.0, 1.0, (32, 2, 3)):
         assert check_ellipticity(s, x).elliptic
-        built.append(symbols._grid_arrays(3))
-    # one build: the same three arrays after every call
-    assert len(symbols._GRIDS) == 1
+        built.append(symbols._grid_arrays(key))
+    # at most one build: the same three arrays after every call
+    assert symbols._grid_arrays.cache_info().misses <= misses + 1
     assert all(b is built[0] for b in built)
-    base = symbols.frequency_grid(3)
+    base = _grid(3)
     assert base is built[0][0]
-    for arr in symbols._grid_arrays(3):
+    for arr in built[0]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
@@ -467,12 +502,11 @@ def test_the_grid_is_built_once_per_dimension_and_constants(monkeypatch):
                         ("GRID_MAX_RADIUS", 1.0e3), ("GRID_SEED", 1)):
         with monkeypatch.context() as patch:
             patch.setattr(symbols, name, value)
-            grid = symbols.frequency_grid(3)
-            assert grid.shape != base.shape or not np.array_equal(grid, base)
-            xi, norms, xi_c = symbols._grid_arrays(3)
-            assert np.array_equal(norms, np.linalg.norm(grid, axis=1))
-            assert np.array_equal(xi_c, grid.astype(complex))
-    assert symbols.frequency_grid(3) is base
+            xi, norms, xi_c = symbols._grid_arrays(symbols._grid_key(3))
+            assert xi.shape != base.shape or not np.array_equal(xi, base)
+            assert np.array_equal(norms, np.linalg.norm(xi, axis=1))
+            assert np.array_equal(xi_c, xi.astype(complex))
+    assert _grid(3) is base
 
 
 def test_the_ellipticity_weight_is_built_once_per_grid_and_alpha(
