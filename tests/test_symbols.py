@@ -297,51 +297,79 @@ SPLIT_CASES = {
 }
 
 
+def _check_projection(monkeypatch, dim, leaves):
+    """Check symbols._projection on the grid of ``dim`` against the inputs
+    the evaluator reads at each of ``leaves``; return the number of
+    representatives and of grid points."""
+    leaves = frozenset(leaves)
+    key = symbols._grid_key(dim)
+    xi_c = symbols._grid_arrays(key)[2]
+    norm2 = eval_on_grid(Symbol.parse("abs2(k)", 2.0, dim).expr,
+                         np.zeros((1, dim)), xi_c)
+    cols = np.stack([xi_c[:, a - 1] if a else norm2
+                     for a in sorted(leaves)], axis=1)
+    rep, inv = symbols._projection(key, leaves)
+    # built once per grid and leaf set
+    assert symbols._projection(key, leaves)[0] is rep
+    tuples = {row.tobytes() for row in cols}
+    if len(tuples) == len(cols):
+        # every point a tuple of its own: the whole grid, in order
+        assert (rep, inv) == (slice(None), slice(None))
+        return len(cols), len(cols)
+    # every point's inputs are its representative's, bit for bit, so a
+    # merged -0.0 and 0.0 would show
+    assert cols[rep][inv].tobytes() == cols.tobytes()
+    # the representatives are the distinct tuples, each once
+    assert sorted(row.tobytes() for row in cols[rep]) == sorted(tuples)
+    for arr in (rep, inv):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(symbols, "GRID_SEED", 1)
+        other, _ = symbols._projection(symbols._grid_key(dim), leaves)
+        assert other is not rep and len(other) == len(rep)
+    return len(rep), len(cols)
+
+
+@pytest.mark.parametrize("dim, axes", [(1, (1,)), (2, (2,)), (3, (1, 3)),
+                                       (3, (2,))])
+def test_projection_shares_one_evaluation_per_node_tuple(dim, axes,
+                                                         monkeypatch):
+    _use_grid(monkeypatch, {"GRID_POINTS_PER_AXIS": 5,
+                            "GRID_RANDOM_PER_DECADE": 3})
+    shared, size = _check_projection(monkeypatch, dim, axes)
+    # every node tuple once, then every far-field point
+    assert shared == 5 ** len(axes) + size - 5 ** dim
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("radius", [32.0, 31.7])
-def test_projection_shares_one_evaluation_per_leaf_tuple(dim, radius,
-                                                         monkeypatch):
+def test_radial_projection_shares_one_evaluation_per_squared_norm(
+        dim, radius, monkeypatch):
     # nodes -31.7 + j*7.925 are not exact: mirrored or permuted nodes can
     # have squared norms that differ in the last bits
     _use_grid(monkeypatch, {"GRID_POINTS_PER_AXIS": 9,
                             "GRID_RANDOM_PER_DECADE": 3,
                             "GRID_BOX_RADIUS": radius})
-    key = symbols._grid_key(dim)
-    xi_c = symbols._grid_arrays(key)[2]
-    norm2 = eval_on_grid(Symbol.parse("abs2(k)", 2.0, dim).expr,
-                         np.zeros((1, dim)), xi_c)
-    # k1; k2; k1 and k3; abs2(k); k1 and abs2(k)
-    for leaves in ({1}, {2}, {1, 3}, {0}, {0, 1}):
-        if max(leaves) > dim:
-            continue
-        leaves = frozenset(leaves)
-        # the inputs the evaluator reads at each leaf
-        cols = np.stack([xi_c[:, a - 1] if a else norm2
-                         for a in sorted(leaves)], axis=1)
-        rep, inv = symbols._projection(key, leaves)
-        # built once per grid and leaf set
-        assert symbols._projection(key, leaves)[0] is rep
-        tuples = {row.tobytes() for row in cols}
-        if len(tuples) == len(cols):
-            # every point a tuple of its own: the whole grid, in order
-            assert (rep, inv) == (slice(None), slice(None))
-            continue
-        # every point's inputs are its representative's, bit for bit, so
-        # a merged -0.0 and 0.0 would show
-        assert cols[rep][inv].tobytes() == cols.tobytes()
-        # the representatives are the distinct tuples, each once
-        assert sorted(row.tobytes() for row in cols[rep]) == sorted(tuples)
-        if 0 not in leaves:
-            # each node tuple of the axes once, then every far-field point
-            assert len(rep) == 9 ** len(leaves) + len(xi_c) - 9 ** dim
-        for arr in (rep, inv):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = 0
-        with monkeypatch.context() as patch:
-            patch.setattr(symbols, "GRID_SEED", 1)
-            other, _ = symbols._projection(symbols._grid_key(dim), leaves)
-            assert other is not rep and len(other) == len(rep)
+    shared, size = _check_projection(monkeypatch, dim, {0})
+    assert shared < size
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("radius", [32.0, 31.7])
+def test_projection_shares_one_evaluation_per_leaf_tuple(dim, radius,
+                                                         monkeypatch):
+    # a factor that reads k1 and abs2(k): one evaluation per distinct
+    # (k1, |xi|^2), fewer than the points past 1-D, and no fewer than the
+    # squared norms
+    _use_grid(monkeypatch, {"GRID_POINTS_PER_AXIS": 9,
+                            "GRID_RANDOM_PER_DECADE": 3,
+                            "GRID_BOX_RADIUS": radius})
+    both, size = _check_projection(monkeypatch, dim, {0, 1})
+    radial, _ = _check_projection(monkeypatch, dim, {0})
+    assert radial <= both <= size and (both < size or dim == 1)
     # the signed zeros of k1 are two inputs, and one of abs2(k)
+    key = symbols._grid_key(dim)
     pts = np.zeros((4, dim))
     pts[1, 0], pts[2, 0] = -0.0, 1.0
     monkeypatch.setattr(symbols, "_grid_arrays", lambda key: (
